@@ -135,6 +135,18 @@ class Instance:
         return self.x.n
 
 
+def _fused(f, *args):
+    """Evaluate f once over several argument arrays; one result per argument,
+    each in its argument's shape."""
+    args = [np.asarray(a, dtype=complex) for a in args]
+    vals = f(np.concatenate([a.ravel() for a in args]))
+    out, start = [], 0
+    for a in args:
+        out.append(vals[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return out
+
+
 def _require_nonzero(kernel, args, what):
     d = kernel.zero_distance(args)
     if np.any(d < ZERO_TOL):
@@ -149,7 +161,8 @@ def cauchy_matrix(kernel, x, y, lam):
     diff = x[:, None] - y[None, :]
     _require_nonzero(kernel, diff, "x_i - y_j")
     _require_nonzero(kernel, lam, "lambda")
-    return kernel(diff + lam) / (kernel(lam) * kernel(diff))
+    num, f_lam, f_diff = _fused(kernel, diff + lam, lam, diff)
+    return num / (f_lam * f_diff)
 
 
 def cauchy_matrix_inst(inst):
@@ -183,9 +196,10 @@ def d_matrix(kernel, x, y):
     x = _points(x)
     y = _points(y)
     n = len(x)
-    a = kernel(x[:, None] - y[None, :])
-    _require_nonzero(kernel, x[:, None] - y[None, :], "x_i - y_k")
-    b = kernel(x[:, None] - x[None, :]) + np.eye(n)  # diagonal placeholder 1
+    dxy = x[:, None] - y[None, :]
+    _require_nonzero(kernel, dxy, "x_i - y_k")
+    a, b = _fused(kernel, dxy, x[:, None] - x[None, :])
+    b = b + np.eye(n)  # diagonal placeholder 1
     if n > 1:
         off = ~np.eye(n, dtype=bool)
         if np.abs(b[off]).min() < ZERO_TOL:
@@ -221,13 +235,12 @@ def frobenius_det(lat, x, y, lam):
     kern = elliptic_kernel(lat)
     _require_nonzero(kern, lam, "lambda")
     _require_nonzero(kern, shift, "lambda + X - Y")
-    pre = sigma(lat, shift) / sigma(lat, lam)
-    upper = np.triu_indices(n, 1)
-    dx = sigma(lat, x[:, None] - x[None, :] + 0j)
-    dy = sigma(lat, y[:, None] - y[None, :] + 0j)
-    num = np.prod(dx[upper]) * np.prod(-dy[upper])  # sigma(y_b - y_a) = -sigma(y_a - y_b)
-    den = np.prod(sigma(lat, x[:, None] - y[None, :]))
-    return complex(pre * num / den)
+    i, j = np.triu_indices(n, 1)
+    s_shift, s_lam, dx, dy, dxy = _fused(
+        kern, shift, lam, x[i] - x[j], y[i] - y[j], x[:, None] - y[None, :]
+    )
+    num = np.prod(dx) * np.prod(-dy)  # sigma(y_b - y_a) = -sigma(y_a - y_b)
+    return complex(s_shift / s_lam * num / np.prod(dxy))
 
 
 def cauchy_inverse_closed(lat, x, y, lam):
@@ -383,13 +396,19 @@ def gauss_udl(lat, x, y, lam):
     _require_nonzero(kern, lams, "lambda_j ladder")
     _require_nonzero(kern, x - y + lams, "x_j - y_j + lambda_j")
 
-    sg = lambda z: sigma(lat, np.asarray(z, dtype=complex))
-    sxx = sg(x[:, None] - x[None, :]) + np.eye(n)
-    sxy = sg(x[:, None] - y[None, :])
-    syx = sg(y[:, None] - x[None, :])
-    syy = sg(y[:, None] - y[None, :]) + np.eye(n)
-    sxy_lam = sg(x[:, None] - y[None, :] + lams[None, :])  # sigma(x_i - y_j + lam_j)
-    sxj_yk_lj = sg(x[:, None] - y[None, :] + lams[:, None])  # sigma(x_j - y_k + lam_j)
+    dxy = x[:, None] - y[None, :]
+    sxx, sxy, syx, syy, sxy_lam, sxj_yk_lj, s_lams = _fused(
+        kern,
+        x[:, None] - x[None, :],
+        dxy,
+        y[:, None] - x[None, :],
+        y[:, None] - y[None, :],
+        dxy + lams[None, :],  # sigma(x_i - y_j + lam_j)
+        dxy + lams[:, None],  # sigma(x_j - y_k + lam_j)
+        lams,
+    )
+    sxx = sxx + np.eye(n)
+    syy = syy + np.eye(n)
 
     # suffix products: r[i, j] = prod_{l > j} sxx[i, l] / sxy[i, l]
     def suffix(num, den):
@@ -409,7 +428,7 @@ def gauss_udl(lat, x, y, lam):
     l = sxj_yk_lj * diag_xy[:, None] / (diag_lam[:, None] * sxy) * (r_l.T / np.diag(r_l)[:, None])
     l = np.tril(l)
     d_suffix = np.diag(r_u) * np.diag(r_l)  # prod_{l>j} sxx syy / (sxy syx) per row j
-    d = np.diag(diag_lam / (sg(lams) * diag_xy) * d_suffix)
+    d = np.diag(diag_lam / (s_lams * diag_xy) * d_suffix)
     return u, d, l
 
 
@@ -430,7 +449,8 @@ def bloch_eval(lat, poles, coeffs, lam, point):
     if np.any(d < 1e-10):
         raise PoleProximity(f"evaluation point within {d.min():.3e} of a pole")
     diff = point - poles
-    terms = coeffs * sigma(lat, diff + lam) / (sigma(lat, lam) * sigma(lat, diff))
+    s_num, s_lam, s_diff = _fused(kern, diff + lam, lam, diff)
+    terms = coeffs * s_num / (s_lam * s_diff)
     return complex(terms.sum())
 
 

@@ -119,12 +119,16 @@ def _render_text(reports):
     header = f"{'identity':<14} {'kernel':<12} {'n':>3} {'worst rel':>12} {'tol':>9} status"
     lines.append(header)
     lines.append("-" * len(header))
-    worst = {}
+    worst = {}  # (identity, kernel, n) -> [worst rel residual, its tolerance, all passed]
     for r in reports:
         key = (r.identity_name, r.kernel, r.n)
         cur = worst.get(key)
-        if cur is None or r.rel_residual > cur[0]:
-            worst[key] = (r.rel_residual, r.tolerance, all(x.passed for x in reports if (x.identity_name, x.kernel, x.n) == key))
+        if cur is None:
+            worst[key] = [r.rel_residual, r.tolerance, r.passed]
+            continue
+        if r.rel_residual > cur[0]:
+            cur[0], cur[1] = r.rel_residual, r.tolerance
+        cur[2] = cur[2] and r.passed
     for (name, kern, n), (res, tol, ok) in sorted(worst.items()):
         lines.append(f"{name:<14} {kern:<12} {n:>3} {res:>12.3e} {tol:>9.0e} {'pass' if ok else 'FAIL'}")
     failed = sum(not r.passed for r in reports)

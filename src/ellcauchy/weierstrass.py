@@ -6,32 +6,54 @@ theta function
 
     sigma(x) = (2 omega / pi) * exp(eta x^2 / (2 omega))
                * theta1(pi x / (2 omega), q) / theta1'(0, q),
+    theta1(v, q) = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) v),
 
-with nome q = exp(i pi omega_prime/omega).  The series converges
-geometrically in |q| once the argument has been reduced to the fundamental
-cell, so every evaluation first splits x = x_red + 2m*omega + 2m'*omega_prime
+with nome q = exp(i pi omega_prime/omega).  Every evaluation first splits
+x = x_red + 2m*omega + 2m'*omega_prime with x_red in the fundamental cell
 and re-applies the quasi-periodicity factors afterwards.
 
-The constants eta = zeta(omega) and eta_prime = zeta(omega_prime) are
-computed from theta derivatives at zero; they satisfy the Legendre relation
+:func:`lattice_new` builds a per-lattice series table (:class:`ThetaSeries`)
+once: the coefficients 2(-1)^n q^{(n+1/2)^2}, the odd multipliers 2n+1,
+theta1'(0), and the periods 2*omega, 2*omega_prime and their ratio.  In the
+fundamental cell, term n of the theta1 series is at most |q|^{n^2} times
+term 0, so the table keeps a fixed number of terms: the smallest K with
+|q|^{K^2} (2K+1)^3 below ``series_tol``, the cube covering the weights of
+the theta1'''(0) sum.  A sigma call then costs a fixed handful of numpy
+operations whatever its size: one cell reduction, one sin over a
+(points x K) array and a sum over its last axis.  :func:`zeta_w` and the
+constant eta read the same table.
+
+The constant eta = zeta(omega) comes from theta1'''(0)/theta1'(0);
+eta_prime = zeta(omega_prime) then follows from the Legendre relation
 2*eta*omega_prime - 2*eta_prime*omega = i*pi, which is used as a correctness
 sentinel throughout the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidLattice, PoleAtLatticePoint
 
-#: hard cap on theta-series terms; convergence needs far fewer for |q| < 1
+#: hard cap on theta-series terms; only very thin lattices (|q| near 1) reach it
 _MAX_TERMS = 64
 
 #: proximity threshold (in cell-reduced coordinates) for "is a lattice point"
 LATTICE_POINT_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class ThetaSeries:
+    """Per-lattice theta1 table read by every sigma and zeta evaluation."""
+
+    coef: np.ndarray  # 2 (-1)^n q^{(n+1/2)^2}, n = 0..K-1
+    odd: np.ndarray  # 2n + 1
+    d1: complex  # theta1'(0) = sum(coef * odd)
+    w1: complex  # 2 omega
+    w2: complex  # 2 omega_prime
+    ratio: complex  # w2 / w1
 
 
 @dataclass(frozen=True)
@@ -40,7 +62,8 @@ class Lattice:
 
     ``omega`` and ``omega_prime`` are the half quasi-periods (full periods
     are 2*omega, 2*omega_prime); ``eta`` and ``eta_prime`` are the
-    Weierstrass zeta values at the half periods.
+    Weierstrass zeta values at the half periods; ``series`` is the theta1
+    table that every evaluation reads.
     """
 
     omega: complex
@@ -49,6 +72,7 @@ class Lattice:
     eta_prime: complex
     nome: complex
     series_tol: float
+    series: ThetaSeries = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,38 +84,8 @@ class CellReduced:
     m_prime: int
 
 
-def _theta1(v, q, tol):
-    """theta1(v, q) = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1)v)."""
-    v = np.asarray(v, dtype=complex)
-    s = np.zeros_like(v)
-    for n in range(_MAX_TERMS):
-        term = (-1) ** n * q ** ((n + 0.5) ** 2) * np.sin((2 * n + 1) * v)
-        s = s + term
-        if n > 2 and np.all(np.abs(term) <= tol * (np.abs(s) + 1e-300)):
-            break
-    return 2.0 * s
-
-
-def _theta1_deriv(v, q, tol):
-    """d/dv theta1(v, q)."""
-    v = np.asarray(v, dtype=complex)
-    s = np.zeros_like(v)
-    for n in range(_MAX_TERMS):
-        k = 2 * n + 1
-        term = (-1) ** n * q ** ((n + 0.5) ** 2) * k * np.cos(k * v)
-        s = s + term
-        if n > 2 and np.all(np.abs(term) <= tol * (np.abs(s) + 1e-300)):
-            break
-    return 2.0 * s
-
-
-@lru_cache(maxsize=64)
-def _theta1_prime0(nome, tol):
-    return complex(_theta1_deriv(0.0, nome, tol))
-
-
 def lattice_new(omega, omega_prime, series_tol=1e-15):
-    """Build a :class:`Lattice` with derived constants.
+    """Build a :class:`Lattice` with its derived constants and theta table.
 
     eta comes from eta = -(pi^2 / (12 omega)) * theta1'''(0)/theta1'(0);
     eta_prime is then recovered from the Legendre relation, which makes the
@@ -110,15 +104,18 @@ def lattice_new(omega, omega_prime, series_tol=1e-15):
         raise InvalidLattice(f"series_tol {series_tol} outside (0, 1e-6]")
     q = np.exp(1j * np.pi * tau)
 
-    d1 = 0.0 + 0.0j  # theta1'(0)
-    d3 = 0.0 + 0.0j  # theta1'''(0)
-    for n in range(_MAX_TERMS):
-        k = 2 * n + 1
-        c = (-1) ** n * q ** ((n + 0.5) ** 2)
-        d1 += 2.0 * c * k
-        d3 += -2.0 * c * k**3
-        if n > 2 and abs(c) * k**3 <= series_tol * abs(d1):
-            break
+    # term K of the theta1'''(0) sum is at most |q|^(K^2) (2K+1)^3 times term 0
+    terms = next(
+        (k for k in range(1, _MAX_TERMS) if abs(q) ** (k * k) * (2 * k + 1) ** 3 < series_tol),
+        _MAX_TERMS,
+    )
+    n = np.arange(terms)
+    coef = 2.0 * (-1.0) ** n * np.exp(1j * np.pi * tau * (n + 0.5) ** 2)
+    odd = 2.0 * n + 1.0
+    coef.setflags(write=False)
+    odd.setflags(write=False)
+    d1 = complex(np.sum(coef * odd))
+    d3 = -complex(np.sum(coef * odd**3))  # theta1'''(0)
     eta = -(np.pi**2) / (12 * omega) * d3 / d1
     eta_prime = (2 * eta * omega_prime - 1j * np.pi) / (2 * omega)
     return Lattice(
@@ -128,20 +125,25 @@ def lattice_new(omega, omega_prime, series_tol=1e-15):
         eta_prime=complex(eta_prime),
         nome=complex(q),
         series_tol=float(series_tol),
+        series=ThetaSeries(coef, odd, d1, 2 * omega, 2 * omega_prime, tau),
     )
 
 
 def _reduce(lat, x):
-    """Vectorized cell reduction; returns (x_reduced, m, m_prime) arrays."""
+    """Vectorized cell reduction; returns (x_reduced, m, m_prime) arrays.
+
+    m and m_prime are whole numbers held as floats.  The two period
+    multiples are subtracted one at a time, so x_reduced stays exact for x
+    close to a lattice point.  A point on the cell boundary may land on
+    either side of it.
+    """
+    t = lat.series
     x = np.asarray(x, dtype=complex)
-    w1 = 2 * lat.omega
-    w2 = 2 * lat.omega_prime
-    ratio = w2 / w1
-    b = np.imag(x / w1) / ratio.imag
-    a = np.real(x / w1) - b * ratio.real
-    m = np.floor(a + 0.5).astype(int)
-    m_prime = np.floor(b + 0.5).astype(int)
-    return x - m * w1 - m_prime * w2, m, m_prime
+    u = x / t.w1
+    b = u.imag / t.ratio.imag
+    m = np.rint(u.real - b * t.ratio.real)
+    m_prime = np.rint(b)
+    return x - m * t.w1 - m_prime * t.w2, m, m_prime
 
 
 def reduce_to_cell(lat, x):
@@ -165,17 +167,17 @@ def sigma(lat, x):
     for the lattice vector Omega = 2m*omega + 2m'*omega_prime,
     eta_Omega = 2m*eta + 2m'*eta_prime.
     """
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
+    t = lat.series
+    x = np.asarray(x, dtype=complex)
     xr, m, mp = _reduce(lat, x)
-    v = np.pi * xr / (2 * lat.omega)
-    t1 = _theta1(v, lat.nome, lat.series_tol)
-    d1 = _theta1_prime0(lat.nome, lat.series_tol)
-    s0 = (2 * lat.omega / np.pi) * np.exp(lat.eta * xr**2 / (2 * lat.omega)) * t1 / d1
-    big_omega = 2 * m * lat.omega + 2 * mp * lat.omega_prime
-    eta_omega = 2 * m * lat.eta + 2 * mp * lat.eta_prime
-    sign = np.where((m + mp + m * mp) % 2 == 0, 1.0, -1.0)
-    out = sign * np.exp(eta_omega * (xr + big_omega / 2)) * s0
-    return complex(out) if scalar else out
+    theta = (t.coef * np.sin((np.pi / t.w1 * xr)[..., None] * t.odd)).sum(axis=-1)
+    # eta x_red^2 / (2 omega) + eta_Omega (x_red + Omega/2), with 2 x_red + Omega = x + x_red
+    expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
+    # (-1)^(m + m' + m m') is +1 exactly when m and m' are both even, i.e. (m+1)(m'+1) is odd
+    pre = t.w1 / (np.pi * t.d1)
+    signed = np.where((m + 1) * (mp + 1) % 2, pre, -pre)
+    out = signed * np.exp(expo) * theta
+    return complex(out) if x.ndim == 0 else out
 
 
 def zeta_w(lat, x):
@@ -187,12 +189,13 @@ def zeta_w(lat, x):
     Raises :class:`PoleAtLatticePoint` within ``LATTICE_POINT_TOL`` of a
     lattice point.
     """
+    t = lat.series
     xr, m, mp = _reduce(lat, complex(x))
     if abs(xr) < LATTICE_POINT_TOL:
         raise PoleAtLatticePoint(f"zeta pole at lattice point, x = {x}")
-    v = np.pi * xr / (2 * lat.omega)
-    ratio = _theta1_deriv(v, lat.nome, lat.series_tol) / _theta1(v, lat.nome, lat.series_tol)
-    z = lat.eta * xr / lat.omega + np.pi / (2 * lat.omega) * ratio
+    arg = np.pi / t.w1 * xr * t.odd
+    ratio = np.sum(t.coef * t.odd * np.cos(arg)) / np.sum(t.coef * np.sin(arg))
+    z = lat.eta * xr / lat.omega + np.pi / t.w1 * ratio
     return complex(z + 2 * m * lat.eta + 2 * mp * lat.eta_prime)
 
 
@@ -204,14 +207,13 @@ def sigma_k(lat, n_size, k, x):
 
     with N = n_size.  Under shifts by a full period it picks up the
     multiplier (-1)^N exp(2 eta N (x + omega)) (and the primed analogue).
-    Elementwise over array input.
+    Elementwise over array input; all N factors of all points go through
+    one sigma call.
     """
     if not (1 <= k <= n_size):
         raise ValueError(f"k = {k} outside 1..{n_size}")
     x = np.asarray(x, dtype=complex)
-    scalar = x.ndim == 0
-    out = np.exp(2 * lat.eta_prime * k * x)
-    for l in range(n_size):
-        shift = (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k / n_size) * lat.omega_prime
-        out = out * sigma(lat, x + shift)
-    return complex(out) if scalar else out
+    l = np.arange(n_size)
+    shifts = (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k / n_size) * lat.omega_prime
+    out = np.exp(2 * lat.eta_prime * k * x) * np.prod(sigma(lat, x[..., None] + shifts), axis=-1)
+    return complex(out) if x.ndim == 0 else out

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ellcauchy import cli
+from ellcauchy import cli, verify
 
 
 class TestParseComplex:
@@ -112,3 +112,52 @@ class TestMain:
         assert cli.main(["bench"]) == 0
         out = capsys.readouterr().out
         assert "sigma x2000" in out and "n=32" in out
+
+
+def render_text_rescan(reports):
+    """The text table as first written: it rescans every report for the
+    pass flag of each (identity, kernel, n) group."""
+    header = f"{'identity':<14} {'kernel':<12} {'n':>3} {'worst rel':>12} {'tol':>9} status"
+    lines = [header, "-" * len(header)]
+    worst = {}
+    for r in reports:
+        key = (r.identity_name, r.kernel, r.n)
+        cur = worst.get(key)
+        if cur is None or r.rel_residual > cur[0]:
+            ok = all(x.passed for x in reports if (x.identity_name, x.kernel, x.n) == key)
+            worst[key] = (r.rel_residual, r.tolerance, ok)
+    for (name, kern, n), (res, tol, ok) in sorted(worst.items()):
+        lines.append(f"{name:<14} {kern:<12} {n:>3} {res:>12.3e} {tol:>9.0e} {'pass' if ok else 'FAIL'}")
+    lines.append(f"{len(reports)} checks, {sum(not r.passed for r in reports)} failed")
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderText:
+    def _report(self, name, n, seed, rel, tol, passed=None):
+        return verify.Report(
+            identity_name=name, kernel="elliptic", n=n, seed=seed, abs_residual=rel,
+            rel_residual=rel, tolerance=tol, passed=rel <= tol if passed is None else passed,
+            elapsed_ms=0.0,
+        )
+
+    def test_matches_rescan_on_mixed_groups(self):
+        reports = [
+            self._report("inverse", 2, 0, 1e-12, 1e-8),
+            self._report("inverse", 2, 1, 1e-6, 1e-8),  # fails and is the worst
+            self._report("inverse", 2, 2, 1e-10, 1e-8),
+            self._report("gauss", 3, 0, 1e-9, 1e-8),
+            self._report("gauss", 3, 1, 1e-13, 1e-8, passed=False),  # fails but is not the worst
+            self._report("gauss", 3, 2, 1e-11, 1e-8),
+            self._report("product", 1, 0, float("nan"), 1e-12),
+            self._report("product", 1, 1, 1e-15, 1e-12),
+            self._report("determinant", 4, 0, 0.0, 1e-9),
+        ]
+        text = cli._render_text(reports)
+        assert text == render_text_rescan(reports)
+        assert "inverse" in text and "FAIL" in text and text.endswith("9 checks, 3 failed\n")
+
+    def test_matches_rescan_on_a_suite_run(self):
+        cfg = verify.SuiteConfig(n_values=(1, 2, 3), trials_per_n=3, tolerance=1e-14)
+        reports = verify.run_suite(cfg)
+        assert any(not r.passed for r in reports) and any(r.passed for r in reports)
+        assert cli._render_text(reports) == render_text_rescan(reports)
