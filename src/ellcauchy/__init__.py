@@ -41,8 +41,8 @@ from .errors import (
     SingularGFactor,
     SingularMatrix,
 )
-from .linalg import lu_det, lu_inverse, mat_mul, max_abs_residual, rel_residual, structure_check
+from .linalg import lu_det, lu_inverse, max_abs_residual, rel_residual, structure_check
 from .verify import Report, SuiteConfig, random_instance, run_suite
-from .weierstrass import CellReduced, Lattice, lattice_new, reduce_to_cell, sigma, sigma_k, zeta_w
+from .weierstrass import Lattice, lattice_new, sigma, sigma_k, zeta_w
 
 __version__ = "0.1.0"

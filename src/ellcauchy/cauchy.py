@@ -3,15 +3,18 @@
 A single family of builders (C, D, G, H) is shared by the elliptic,
 trigonometric and rational kernels; the kernel supplies the sigma-like
 function (Weierstrass sigma, plain sin, or the identity map) together with
-the distance-to-nearest-zero used for precondition checks.  The remaining
-builders (closed determinant and inverse, the factorization factors, the
-UDL decomposition, double-Bloch evaluation) are kernel-specific and follow
-their defining formulas directly.
+the distance-to-nearest-zero used for precondition checks.  Everything
+that differs between the variants (those two functions, the factorization
+factor and the instance sampler) is one :class:`KernelSpec` record in
+``KERNELS``.  The remaining builders (closed determinant and inverse, the
+factorization factors, the UDL decomposition, double-Bloch evaluation) are
+kernel-specific and follow their defining formulas directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,10 +56,6 @@ class PointSet:
     def array(self):
         return np.asarray(self.points, dtype=complex)
 
-    @property
-    def total(self):
-        return complex(sum(self.points))
-
 
 def _points(x):
     """Accept a PointSet or any array-like of complex points."""
@@ -66,33 +65,93 @@ def _points(x):
 
 
 @dataclass(frozen=True)
+class KernelSpec:
+    """Everything that differs between the kernel variants.
+
+    Each callable takes the kernel's lattice first (the flat kernels ignore
+    it).  The callables look the module functions they use up by name at
+    call time, so a wrapper installed on a module name (as the benchmark
+    tracer in ``perfbench/`` does) sees every call.
+    """
+
+    f: Callable  # (lat, z) -> sigma-like values at the complex array z
+    zero_distance: Callable  # (lat, z) -> distance from z to the nearest zero of f
+    g_factor: Callable  # (lat, x, lam) -> factorization factor g_lam(x)
+    points: Callable  # (rng, lat, count) -> sampled points
+    lam: Callable  # (rng, lat) -> sampled parameter
+    area: Callable  # lat -> area of the point-sampling region
+    stream: int  # first word of the sampler's RNG seed
+
+
+def _cell_points(rng, lat, count=None):
+    """Uniform points in the fundamental cell shrunk to 70 %."""
+    a = rng.uniform(-0.35, 0.35, count)
+    b = rng.uniform(-0.35, 0.35, count)
+    return 2 * a * lat.omega + 2 * b * lat.omega_prime
+
+
+#: variant -> its kernel record
+KERNELS = {
+    "elliptic": KernelSpec(
+        f=lambda lat, z: sigma(lat, z),
+        zero_distance=lambda lat, z: lattice_distance(lat, z),
+        g_factor=lambda lat, x, lam: g_factor_elliptic(lat, x, lam),
+        points=_cell_points,
+        lam=lambda rng, lat: complex(_cell_points(rng, lat)),
+        area=lambda lat: 0.49 * abs(np.imag(np.conj(2 * lat.omega) * 2 * lat.omega_prime)),
+        stream=0,
+    ),
+    "trig": KernelSpec(
+        f=lambda lat, z: np.sin(z),
+        zero_distance=lambda lat, z: np.abs(z - np.pi * np.round(np.real(z) / np.pi)),
+        g_factor=lambda lat, x, lam: g_factor_trig(x, lam),
+        points=lambda rng, lat, count: (
+            rng.uniform(0.0, np.pi, count) + 1j * rng.uniform(0.0, 0.5, count)
+        ),
+        lam=lambda rng, lat: complex(rng.uniform(0.0, np.pi) + 1j * rng.uniform(0.15, 0.6)),
+        area=lambda lat: np.pi * 0.5,
+        stream=1,
+    ),
+    "rational": KernelSpec(
+        f=lambda lat, z: z,
+        zero_distance=lambda lat, z: np.abs(z),
+        g_factor=lambda lat, x, lam: g_factor_rat(x, lam),
+        points=lambda rng, lat, count: (
+            np.sqrt(rng.uniform(0.0, 1.0, count)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, count))
+        ),
+        lam=lambda rng, lat: complex(
+            rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        ),
+        area=lambda lat: np.pi,
+        stream=2,
+    ),
+}
+
+
+@dataclass(frozen=True)
 class Kernel:
     """Sigma-like function selector: elliptic sigma, sin, or identity."""
 
-    variant: str  # "elliptic" | "trig" | "rational"
-    lattice: Lattice | None = None
+    variant: str  # a key of KERNELS
+    lattice: Lattice | None = None  # read by the elliptic variant only
 
     def __post_init__(self):
-        if self.variant not in ("elliptic", "trig", "rational"):
+        if self.variant not in KERNELS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == "elliptic" and self.lattice is None:
             raise ValueError("elliptic kernel requires a lattice")
 
+    @property
+    def spec(self):
+        """This variant's :class:`KernelSpec`."""
+        return KERNELS[self.variant]
+
     def __call__(self, z):
-        if self.variant == "elliptic":
-            return sigma(self.lattice, z)
-        if self.variant == "trig":
-            return np.sin(np.asarray(z, dtype=complex))
-        return np.asarray(z, dtype=complex)
+        return self.spec.f(self.lattice, np.asarray(z, dtype=complex))
 
     def zero_distance(self, z):
         """Elementwise distance from z to the nearest zero of the kernel."""
-        z = np.asarray(z, dtype=complex)
-        if self.variant == "elliptic":
-            return lattice_distance(self.lattice, z)
-        if self.variant == "trig":
-            return np.abs(z - np.pi * np.round(np.real(z) / np.pi))
-        return np.abs(z)
+        return self.spec.zero_distance(self.lattice, np.asarray(z, dtype=complex))
 
 
 def elliptic_kernel(lat):
@@ -153,6 +212,21 @@ def _require_nonzero(kernel, args, what):
         raise KernelZero(f"{what} hits a kernel zero")
 
 
+def _lagrange_den(fxx, what):
+    """Row products prod_{l!=i} fxx[i, l] of the kernel table fxx = f(x_i - x_l).
+
+    The diagonal f(0) = 0 is replaced by 1; an off-diagonal entry below
+    ``ZERO_TOL`` raises :class:`KernelZero`.
+    """
+    n = len(fxx)
+    fxx = fxx + np.eye(n)
+    if n > 1:
+        off = ~np.eye(n, dtype=bool)
+        if np.abs(fxx[off]).min() < ZERO_TOL:
+            raise KernelZero(f"{what} hits a kernel zero")
+    return np.prod(fxx, axis=1)
+
+
 def cauchy_matrix(kernel, x, y, lam):
     """Cauchy matrix f(x_i - y_j + lam) / (f(lam) f(x_i - y_j))."""
     x = _points(x)
@@ -163,10 +237,6 @@ def cauchy_matrix(kernel, x, y, lam):
     _require_nonzero(kernel, lam, "lambda")
     num, f_lam, f_diff = _fused(kernel, diff + lam, lam, diff)
     return num / (f_lam * f_diff)
-
-
-def cauchy_matrix_inst(inst):
-    return cauchy_matrix(inst.kernel, inst.x, inst.y, inst.lam)
 
 
 def classic_cauchy(x, y):
@@ -195,17 +265,10 @@ def d_matrix(kernel, x, y):
     """Diagonal matrix diag( f(x_i-y_i) prod_{k!=i} f(x_i-y_k)/f(x_i-x_k) )."""
     x = _points(x)
     y = _points(y)
-    n = len(x)
     dxy = x[:, None] - y[None, :]
     _require_nonzero(kernel, dxy, "x_i - y_k")
     a, b = _fused(kernel, dxy, x[:, None] - x[None, :])
-    b = b + np.eye(n)  # diagonal placeholder 1
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if np.abs(b[off]).min() < ZERO_TOL:
-            raise KernelZero("x_i - x_k hits a kernel zero")
-    d = np.prod(a, axis=1) / np.prod(b, axis=1)
-    return np.diag(d)
+    return np.diag(np.prod(a, axis=1) / _lagrange_den(b, "x_i - x_k"))
 
 
 def classic_cauchy_inverse(x, y):
@@ -282,17 +345,11 @@ def k_matrix(x, y):
     """
     x = _points(x)
     y = _points(y)
-    n = len(x)
     dxy = x[:, None] - y[None, :]
-    dxx = x[:, None] - x[None, :] + np.eye(n)
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if np.abs(dxx[off]).min() < ZERO_TOL:
-            raise KernelZero("x_i - x_l vanishes")
+    row_den = _lagrange_den(x[:, None] - x[None, :], "x_i - x_l")
     if np.abs(dxy).min() < ZERO_TOL:
         raise KernelZero("x_i - y_k vanishes")
     row_num = np.prod(dxy, axis=1)  # prod over all k
-    row_den = np.prod(dxx, axis=1)
     return (row_num[:, None] / dxy) / row_den[:, None]
 
 
@@ -301,12 +358,7 @@ def g_factor_elliptic(lat, x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    dxx = sigma(lat, x[:, None] - x[None, :] + 0j) + np.eye(n)
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if np.abs(dxx[off]).min() < ZERO_TOL:
-            raise KernelZero("x_i - x_l hits a lattice point")
-    den = np.prod(dxx, axis=1)
+    den = _lagrange_den(sigma(lat, x[:, None] - x[None, :] + 0j), "x_i - x_l")
     g = np.empty((n, n), dtype=complex)
     args = x + lam / n
     for k in range(1, n + 1):
@@ -323,12 +375,7 @@ def g_factor_trig(x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    dxx = np.sin(x[:, None] - x[None, :]) + np.eye(n)
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if np.abs(dxx[off]).min() < ZERO_TOL:
-            raise KernelZero("x_j - x_l coincide mod pi")
-    den = np.prod(dxx, axis=1)
+    den = _lagrange_den(np.sin(x[:, None] - x[None, :]), "x_j - x_l")
     k = np.arange(1, n + 1)
     phi = np.exp(-1j * n * x[:, None]) * (
         np.exp(2j * k[None, :] * (x[:, None] + lam / n))
@@ -346,12 +393,7 @@ def g_factor_rat(x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    dxx = x[:, None] - x[None, :] + np.eye(n)
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if np.abs(dxx[off]).min() < ZERO_TOL:
-            raise KernelZero("x_j - x_l vanishes")
-    den = np.prod(dxx, axis=1)
+    den = _lagrange_den(x[:, None] - x[None, :], "x_j - x_l")
     k = np.arange(1, n + 1)
     exponents = k - 1 + (k == n)
     base = x[:, None] + lam / n
@@ -362,12 +404,7 @@ def w_matrix(x):
     """Row-scaled Vandermonde: x_i^(j-1) / prod_{l!=i} (x_i - x_l)."""
     x = _points(x)
     n = len(x)
-    dxx = x[:, None] - x[None, :] + np.eye(n)
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if np.abs(dxx[off]).min() < ZERO_TOL:
-            raise KernelZero("x_i - x_l vanishes")
-    den = np.prod(dxx, axis=1)
+    den = _lagrange_den(x[:, None] - x[None, :], "x_i - x_l")
     j = np.arange(n)
     return x[:, None] ** j[None, :] / den[:, None]
 

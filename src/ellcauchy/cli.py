@@ -2,7 +2,7 @@
 
 Subcommands: verify-all, verify <identity>, degeneration, bench, list.
 Exit codes: 0 when every report passed, 1 on a failed check, 2 on usage
-errors.
+errors and on a selection that contains no checks.
 """
 
 from __future__ import annotations
@@ -25,16 +25,6 @@ _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"(?P<im>[+-]\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)[ij]$"
 )
-
-_IDENTITY_DOC = {
-    "determinant": "det C(x,y;L) = s(L+X-Y)/s(L) * prod_{a<b} s(x_a-x_b) s(y_b-y_a) / prod_{a,b} s(x_a-y_b)",
-    "inverse": "C(x,y;L)^-1 = D(y,x) C(y,x; L+X-Y) D(x,y), entrywise closed form",
-    "product": "G_{L+Y}(x,y) G_{L+Z}(y,z) = G_{L+Z}(x,z); K(x,y)K(y,z) = K(x,z) in the parameter-free limit",
-    "transposed": "H_{L-X}(x,y) H_{L-Y}(y,z) = -H_{L-X}(x,z) with H_L(x,y) = C(x,y;L) D(y,x)",
-    "factorization": "G_{L+Y}(x,y) = g_L(x) g_L(y)^-1 (elliptic/trig/rational); K(x,y) = W(x) W(y)^-1",
-    "gauss": "C = U D L with unit upper/lower triangular U, L and diagonal D",
-    "monodromy": "multipliers of sigma, sigma_k and Bloch expansions under full-period shifts",
-}
 
 
 def _parse_complex(text):
@@ -165,6 +155,9 @@ def _emit(text, out):
 def _run_reports(args, identities):
     cfg = _suite_config(args)
     reports = verify.run_suite(cfg, identities=identities, kernels=_kernel_filter(args.kernel))
+    if not reports:
+        print("error: no checks selected: no identity runs on this kernel at these sizes", file=sys.stderr)
+        return 2
     renderer = {"text": _render_text, "json": _render_json, "csv": _render_csv}[args.format]
     _emit(renderer(reports), args.out)
     return 0 if all(r.passed for r in reports) else 1
@@ -183,12 +176,12 @@ def _bench(args):
             n_values=(n,), trials_per_n=1, base_seed=args.seed,
             lattice_tau=args.tau, sep_min=min(0.05, 0.6 / n),
         )
-        for name in verify.IDENTITIES:
-            tag, with_z = verify._PLAN[name][0]
+        for name, ident in verify.REGISTRY.items():
+            tag, with_z = ident.plan[0]
             try:
                 inst = verify.random_instance(cfg, kern, n, args.seed, with_z)
                 t0 = time.perf_counter()
-                verify._dispatch(name, tag, inst, cfg.tolerance)
+                ident.check(inst, tag, cfg.tolerance)
                 dt = (time.perf_counter() - t0) * 1e3
                 print(f"{name + ' n=' + str(n):<22} {dt:>10.2f} ms")
             except EllCauchyError as exc:
@@ -198,8 +191,8 @@ def _bench(args):
 
 def run(args):
     if args.command == "list":
-        for name in sorted(_IDENTITY_DOC):
-            print(f"{name:<14} {_IDENTITY_DOC[name]}")
+        for name in sorted(verify.REGISTRY):
+            print(f"{name:<14} {verify.REGISTRY[name].doc}")
         return 0
     if args.command == "bench":
         return _bench(args)

@@ -31,12 +31,6 @@ def _check_same_dim(a, b):
     return a, b
 
 
-def mat_mul(a, b):
-    """Matrix product of two square matrices of equal dimension."""
-    a, b = _check_same_dim(a, b)
-    return a @ b
-
-
 def _lu_factor(a):
     """In-place Doolittle LU with partial pivoting.
 

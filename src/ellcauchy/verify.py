@@ -12,30 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import cauchy, linalg
-from .cauchy import (
-    RATIONAL_KERNEL,
-    TRIG_KERNEL,
-    Instance,
-    Kernel,
-    PointSet,
-    elliptic_kernel,
-)
+from .cauchy import RATIONAL_KERNEL, TRIG_KERNEL, Instance, Kernel, PointSet
 from .errors import SamplingExhausted, SingularGFactor, SingularMatrix
 from .weierstrass import lattice_distance, lattice_new, sigma, sigma_k
-
-IDENTITIES = (
-    "determinant",
-    "inverse",
-    "product",
-    "transposed",
-    "factorization",
-    "gauss",
-    "monodromy",
-)
 
 #: rejection-sampling round limit before SamplingExhausted
 _MAX_ROUNDS = 10_000
@@ -104,11 +88,10 @@ class SuiteConfig:
 
 
 def tolerance_for(identity, n, base=1e-8):
-    """Tolerance ladder: scalar N=1 cases are tighter, as are determinant
-    and monodromy checks (no matrix inversion involved)."""
-    t = base
-    if identity in ("determinant", "monodromy"):
-        t = base * 0.1
+    """Tolerance ladder: the identity's factor times ``base`` (determinant
+    and monodromy checks involve no matrix inversion and are 10x tighter);
+    scalar N=1 cases are capped at 1e-12."""
+    t = base * REGISTRY[identity].tol_factor
     if n == 1:
         t = min(t, 1e-12)
     return t
@@ -137,43 +120,6 @@ def _report(name, kernel_tag, n, seed, abs_res, ref_mag, tol, t0):
 # ---------------------------------------------------------------------------
 # instance sampling
 # ---------------------------------------------------------------------------
-
-_KERNEL_CODE = {"elliptic": 0, "trig": 1, "rational": 2}
-
-
-def _sample_points(rng, kernel, cfg, count):
-    if kernel.variant == "elliptic":
-        lat = kernel.lattice
-        a = rng.uniform(-0.35, 0.35, count)
-        b = rng.uniform(-0.35, 0.35, count)
-        return 2 * a * lat.omega + 2 * b * lat.omega_prime
-    if kernel.variant == "trig":
-        return rng.uniform(0.0, np.pi, count) + 1j * rng.uniform(0.0, 0.5, count)
-    r = np.sqrt(rng.uniform(0.0, 1.0, count))
-    phi = rng.uniform(0.0, 2 * np.pi, count)
-    return r * np.exp(1j * phi)
-
-
-def _sample_lambda(rng, kernel):
-    if kernel.variant == "elliptic":
-        lat = kernel.lattice
-        return complex(
-            2 * rng.uniform(-0.35, 0.35) * lat.omega
-            + 2 * rng.uniform(-0.35, 0.35) * lat.omega_prime
-        )
-    if kernel.variant == "trig":
-        return complex(rng.uniform(0.0, np.pi) + 1j * rng.uniform(0.15, 0.6))
-    return complex(rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
-
-
-def _region_area(kernel, cfg):
-    if kernel.variant == "elliptic":
-        lat = kernel.lattice
-        cell = abs(np.imag(np.conj(2 * lat.omega) * 2 * lat.omega_prime))
-        return 0.49 * cell
-    if kernel.variant == "trig":
-        return np.pi * 0.5
-    return np.pi
 
 
 def _margins_ok(kernel, sets, lam, margin):
@@ -225,17 +171,18 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    spec, lat = kernel.spec, kernel.lattice
     n_sets = 3 if with_z else 2
-    if n * n_sets * cfg.sep_min**2 > _region_area(kernel, cfg):
+    if n * n_sets * cfg.sep_min**2 > spec.area(lat):
         raise SamplingExhausted(
             f"{n} points with separation {cfg.sep_min} cannot fit the sampling region"
         )
     rng = np.random.default_rng(
-        [_KERNEL_CODE[kernel.variant], n, int(with_z), seed & 0xFFFFFFFF, cfg.base_seed & 0xFFFFFFFF]
+        [spec.stream, n, int(with_z), seed & 0xFFFFFFFF, cfg.base_seed & 0xFFFFFFFF]
     )
     for _ in range(_MAX_ROUNDS):
-        sets = [_sample_points(rng, kernel, cfg, n) for _ in range(n_sets)]
-        lam = _sample_lambda(rng, kernel)
+        sets = [spec.points(rng, lat, n) for _ in range(n_sets)]
+        lam = spec.lam(rng, lat)
         if not _margins_ok(kernel, sets, lam, cfg.sep_min):
             continue
         return Instance(
@@ -297,10 +244,6 @@ def check_inverse(inst, tol=None):
     )
 
 
-def _g(inst, x, y, lam):
-    return cauchy.g_matrix(inst.kernel, x, y, lam)
-
-
 def check_product_identity(inst, tol=None, k_form=False):
     """G_{lam+Y}(x,y) G_{lam+Z}(y,z) = G_{lam+Z}(x,z); in the k_form the
     parameter-free limit matrices K satisfy K(x,y)K(y,z) = K(x,z)."""
@@ -315,9 +258,10 @@ def check_product_identity(inst, tol=None, k_form=False):
         tag = "k-rational"
     else:
         lam = inst.lam
-        lhs = _g(inst, x, y, lam + y.sum()) @ _g(inst, y, z, lam + z.sum())
-        rhs = _g(inst, x, z, lam + z.sum())
-        tag = inst.kernel.variant
+        kern = inst.kernel
+        lhs = cauchy.g_matrix(kern, x, y, lam + y.sum()) @ cauchy.g_matrix(kern, y, z, lam + z.sum())
+        rhs = cauchy.g_matrix(kern, x, z, lam + z.sum())
+        tag = kern.variant
     return _report(
         "product", tag, inst.n, inst.seed,
         linalg.max_abs_residual(lhs, rhs), float(np.abs(rhs).max()), tol, t0,
@@ -342,14 +286,6 @@ def check_transposed_identity(inst, tol=None):
     )
 
 
-def _g_factor(inst, pts):
-    if inst.kernel.variant == "elliptic":
-        return cauchy.g_factor_elliptic(inst.kernel.lattice, pts, inst.lam)
-    if inst.kernel.variant == "trig":
-        return cauchy.g_factor_trig(pts, inst.lam)
-    return cauchy.g_factor_rat(pts, inst.lam)
-
-
 def check_factorization(inst, tol=None, k_form=False):
     """G_{lam+Y}(x,y) = g_lam(x) g_lam(y)^-1 for the kernel-matching factor;
     in the k_form, K(x,y) = W(x) W(y)^-1."""
@@ -361,9 +297,11 @@ def check_factorization(inst, tol=None, k_form=False):
         gx, gy = cauchy.w_matrix(x), cauchy.w_matrix(y)
         tag = "k-rational"
     else:
-        lhs = _g(inst, x, y, inst.lam + y.sum())
-        gx, gy = _g_factor(inst, x), _g_factor(inst, y)
-        tag = inst.kernel.variant
+        kern = inst.kernel
+        lhs = cauchy.g_matrix(kern, x, y, inst.lam + y.sum())
+        gx = kern.spec.g_factor(kern.lattice, x, inst.lam)
+        gy = kern.spec.g_factor(kern.lattice, y, inst.lam)
+        tag = kern.variant
     try:
         rhs = gx @ linalg.lu_inverse(gy)
     except SingularMatrix as exc:
@@ -432,13 +370,11 @@ def check_monodromy(inst, tol=None):
 
     sign = (-1.0) ** n
     for k in range(1, n + 1):
-        sk = sigma_k(lat, n, k, pts[:2])
-        a = sigma_k(lat, n, k, pts[:2] + 2 * lat.omega)
+        sk, a, a_prime = sigma_k(lat, n, k, pts[:2] + shifts[:, None])
         b = sign * np.exp(2 * lat.eta * n * (pts[:2] + lat.omega)) * sk
         worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
-        a = sigma_k(lat, n, k, pts[:2] + 2 * lat.omega_prime)
         b = sign * np.exp(2 * lat.eta_prime * n * (pts[:2] + lat.omega_prime)) * sk
-        worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
+        worst = max(worst, float(np.abs(a_prime - b).max() / np.abs(b).max()))
 
     coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     poles = inst.x.array
@@ -502,58 +438,88 @@ def check_degeneration(cfg):
 # suite runner
 # ---------------------------------------------------------------------------
 
-#: identity -> list of (kernel tag, needs third set)
-_PLAN = {
-    "determinant": (("elliptic", False), ("rational", False)),
-    "inverse": (("elliptic", False), ("rational", False)),
-    "product": (("elliptic", True), ("trig", True), ("rational", True), ("k-rational", True)),
-    "transposed": (("elliptic", True),),
-    "factorization": (
-        ("elliptic", False),
-        ("trig", False),
-        ("rational", False),
-        ("k-rational", False),
-    ),
-    "gauss": (("elliptic", False),),
-    "monodromy": (("elliptic", False),),
+
+@dataclass(frozen=True)
+class Identity:
+    """One catalogue entry: the claim, where it is checked, and how strictly."""
+
+    name: str
+    doc: str  # the catalogue line printed by ``ellcauchy list``
+    plan: tuple  # (kernel tag, needs a third point set) pairs
+    checker: Callable  # (inst, tol, kernel tag) -> Report
+    n_cap: int | None = None  # larger point counts are not checked (factor conditioning)
+    tol_factor: float = 1.0  # multiplies the base tolerance
+
+    def check(self, inst, tag, base_tol):
+        """Run the checker on one instance at this identity's tolerance."""
+        return self.checker(inst, tolerance_for(self.name, inst.n, base_tol), tag)
+
+
+#: name -> identity, in catalogue order.  The checkers are looked up by
+#: name at call time, so a wrapper installed on a module name sees every
+#: check.  The k-rational tag runs on the rational kernel.
+REGISTRY = {
+    ident.name: ident
+    for ident in (
+        Identity(
+            "determinant",
+            "det C(x,y;L) = s(L+X-Y)/s(L) * prod_{a<b} s(x_a-x_b) s(y_b-y_a) / prod_{a,b} s(x_a-y_b)",
+            (("elliptic", False), ("rational", False)),
+            lambda inst, tol, tag: check_determinant(inst, tol),
+            tol_factor=0.1,
+        ),
+        Identity(
+            "inverse",
+            "C(x,y;L)^-1 = D(y,x) C(y,x; L+X-Y) D(x,y), entrywise closed form",
+            (("elliptic", False), ("rational", False)),
+            lambda inst, tol, tag: check_inverse(inst, tol),
+        ),
+        Identity(
+            "product",
+            "G_{L+Y}(x,y) G_{L+Z}(y,z) = G_{L+Z}(x,z); K(x,y)K(y,z) = K(x,z) in the parameter-free limit",
+            (("elliptic", True), ("trig", True), ("rational", True), ("k-rational", True)),
+            lambda inst, tol, tag: check_product_identity(inst, tol, k_form=tag == "k-rational"),
+        ),
+        Identity(
+            "transposed",
+            "H_{L-X}(x,y) H_{L-Y}(y,z) = -H_{L-X}(x,z) with H_L(x,y) = C(x,y;L) D(y,x)",
+            (("elliptic", True),),
+            lambda inst, tol, tag: check_transposed_identity(inst, tol),
+        ),
+        Identity(
+            "factorization",
+            "G_{L+Y}(x,y) = g_L(x) g_L(y)^-1 (elliptic/trig/rational); K(x,y) = W(x) W(y)^-1",
+            (("elliptic", False), ("trig", False), ("rational", False), ("k-rational", False)),
+            lambda inst, tol, tag: check_factorization(inst, tol, k_form=tag == "k-rational"),
+            n_cap=_SIGMA_K_MAX_N,
+        ),
+        Identity(
+            "gauss",
+            "C = U D L with unit upper/lower triangular U, L and diagonal D",
+            (("elliptic", False),),
+            lambda inst, tol, tag: check_gauss(inst, tol),
+        ),
+        Identity(
+            "monodromy",
+            "multipliers of sigma, sigma_k and Bloch expansions under full-period shifts",
+            (("elliptic", False),),
+            lambda inst, tol, tag: check_monodromy(inst, tol),
+            n_cap=_SIGMA_K_MAX_N,
+            tol_factor=0.1,
+        ),
+    )
 }
 
-#: point-count caps where conditioning of the factor matrices warrants them
-_N_CAP = {"factorization": _SIGMA_K_MAX_N, "monodromy": _SIGMA_K_MAX_N}
-
-
-def _kernel_for(tag, lat):
-    if tag == "elliptic":
-        return elliptic_kernel(lat)
-    if tag == "trig":
-        return TRIG_KERNEL
-    return RATIONAL_KERNEL  # rational and k-rational share the sampler
-
-
-def _dispatch(name, tag, inst, base_tol):
-    tol = tolerance_for(name, inst.n, base_tol)
-    if name == "determinant":
-        return check_determinant(inst, tol)
-    if name == "inverse":
-        return check_inverse(inst, tol)
-    if name == "product":
-        return check_product_identity(inst, tol, k_form=(tag == "k-rational"))
-    if name == "transposed":
-        return check_transposed_identity(inst, tol)
-    if name == "factorization":
-        return check_factorization(inst, tol, k_form=(tag == "k-rational"))
-    if name == "gauss":
-        return check_gauss(inst, tol)
-    if name == "monodromy":
-        return check_monodromy(inst, tol)
-    raise ValueError(f"unknown identity {name!r}")
+IDENTITIES = tuple(REGISTRY)
 
 
 def run_suite(cfg, identities=None, kernels=None):
     """Run the selected checkers over n_values x trials_per_n seeded trials.
 
-    Returns reports sorted by (identity, kernel, n, seed).  Per-instance
-    failures are recorded in their reports; the suite never aborts early.
+    Returns reports sorted by (identity, kernel, n, seed).  A check whose
+    residual misses its tolerance is recorded as a failed report, but any
+    :class:`~ellcauchy.errors.EllCauchyError` raised while sampling or
+    checking ends the whole run: it propagates and no reports are returned.
     """
     names = list(identities) if identities is not None else list(IDENTITIES) + ["degeneration"]
     lat = cfg.lattice()
@@ -564,16 +530,16 @@ def run_suite(cfg, identities=None, kernels=None):
                 r for r in check_degeneration(cfg) if not kernels or r.kernel in kernels
             )
             continue
-        for tag, with_z in _PLAN[name]:
+        ident = REGISTRY[name]
+        sizes = [n for n in cfg.n_values if ident.n_cap is None or n <= ident.n_cap]
+        for tag, with_z in ident.plan:
             if kernels and tag not in kernels:
                 continue
-            kern = _kernel_for(tag, lat)
-            for n in cfg.n_values:
-                if n > _N_CAP.get(name, 10**9):
-                    continue
+            kern = Kernel(tag.removeprefix("k-"), lat)
+            for n in sizes:
                 for trial in range(cfg.trials_per_n):
                     seed = cfg.base_seed + trial
                     inst = random_instance(cfg, kern, n, seed, with_z)
-                    reports.append(_dispatch(name, tag, inst, cfg.tolerance))
+                    reports.append(ident.check(inst, tag, cfg.tolerance))
     reports.sort(key=lambda r: (r.identity_name, r.kernel, r.n, r.seed))
     return reports

@@ -75,15 +75,6 @@ class Lattice:
     series: ThetaSeries = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class CellReduced:
-    """Decomposition x = x_reduced + 2*m*omega + 2*m_prime*omega_prime."""
-
-    x_reduced: complex
-    m: int
-    m_prime: int
-
-
 def lattice_new(omega, omega_prime, series_tol=1e-15):
     """Build a :class:`Lattice` with its derived constants and theta table.
 
@@ -144,12 +135,6 @@ def _reduce(lat, x):
     m = np.rint(u.real - b * t.ratio.real)
     m_prime = np.rint(b)
     return x - m * t.w1 - m_prime * t.w2, m, m_prime
-
-
-def reduce_to_cell(lat, x):
-    """Reduce x into the fundamental parallelogram centered at 0."""
-    xr, m, mp = _reduce(lat, complex(x))
-    return CellReduced(x_reduced=complex(xr), m=int(m), m_prime=int(mp))
 
 
 def lattice_distance(lat, x):

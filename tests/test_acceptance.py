@@ -17,6 +17,7 @@ from ellcauchy import (
     bloch_eval,
     bloch_transport,
     cli,
+    elliptic_kernel,
     g_factor_elliptic,
     lattice_new,
     linalg,
@@ -111,7 +112,7 @@ def test_criterion_07_factorization_and_gauge():
     worst = _suite_worst(["factorization"])  # four variants, N capped at 6
     # gauge invariance: right-multiplying the factor by nonsingular S
     rng = np.random.default_rng(7)
-    inst = random_instance(CFG, verify.elliptic_kernel(LAT), 4, 7)
+    inst = random_instance(CFG, elliptic_kernel(LAT), 4, 7)
     gx = g_factor_elliptic(LAT, inst.x.array, inst.lam)
     gy = g_factor_elliptic(LAT, inst.y.array, inst.lam)
     s = np.eye(4) + 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
@@ -143,7 +144,7 @@ def test_criterion_09_degeneration_limits():
 
 def test_criterion_10_double_bloch():
     t0 = time.perf_counter()
-    inst = random_instance(CFG, verify.elliptic_kernel(LAT), 4, 10)
+    inst = random_instance(CFG, elliptic_kernel(LAT), 4, 10)
     rng = np.random.default_rng(10)
     x, y, lam = inst.x.array, inst.y.array, inst.lam
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -50,7 +50,6 @@ class TestPointSet:
     def test_properties(self):
         ps = PointSet((1.0, 2.0 + 1j), "x")
         assert ps.n == 2
-        assert ps.total == 3.0 + 1j
         assert np.allclose(ps.array, [1.0, 2.0 + 1j])
 
     def test_rejects_coincident(self):

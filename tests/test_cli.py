@@ -8,6 +8,17 @@ import pytest
 
 from ellcauchy import cli, verify
 
+#: ``ellcauchy list``, verbatim
+CATALOGUE = """\
+determinant    det C(x,y;L) = s(L+X-Y)/s(L) * prod_{a<b} s(x_a-x_b) s(y_b-y_a) / prod_{a,b} s(x_a-y_b)
+factorization  G_{L+Y}(x,y) = g_L(x) g_L(y)^-1 (elliptic/trig/rational); K(x,y) = W(x) W(y)^-1
+gauss          C = U D L with unit upper/lower triangular U, L and diagonal D
+inverse        C(x,y;L)^-1 = D(y,x) C(y,x; L+X-Y) D(x,y), entrywise closed form
+monodromy      multipliers of sigma, sigma_k and Bloch expansions under full-period shifts
+product        G_{L+Y}(x,y) G_{L+Z}(y,z) = G_{L+Z}(x,z); K(x,y)K(y,z) = K(x,z) in the parameter-free limit
+transposed     H_{L-X}(x,y) H_{L-Y}(y,z) = -H_{L-X}(x,z) with H_L(x,y) = C(x,y;L) D(y,x)
+"""
+
 
 class TestParseComplex:
     @pytest.mark.parametrize(
@@ -60,9 +71,25 @@ class TestMain:
 
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("determinant", "inverse", "gauss", "monodromy"):
-            assert name in out
+        assert capsys.readouterr().out == CATALOGUE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "determinant", "--kernel", "trig"],
+            ["verify", "gauss", "--kernel", "rational"],
+            ["verify", "transposed", "--kernel", "rational"],
+            ["verify", "factorization", "--n", "7"],
+            ["verify", "monodromy", "--n", "8"],
+            ["degeneration", "--kernel", "elliptic"],
+        ],
+        ids=" ".join,
+    )
+    def test_empty_selection_exits_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no checks selected")
 
     def test_json_report(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from ellcauchy import SingularMatrix
+from ellcauchy import DimensionMismatch, SingularMatrix
 from ellcauchy.linalg import (
     lu_det,
     lu_inverse,
-    mat_mul,
     max_abs_residual,
     rel_residual,
     structure_check,
@@ -68,21 +67,12 @@ class TestInverse:
 
 
 class TestResiduals:
-    def test_mat_mul(self, rng):
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        assert np.abs(mat_mul(a, b) - a @ b).max() == 0.0
-
-    def test_mat_mul_shape_mismatch(self):
-        from ellcauchy import DimensionMismatch
-
-        with pytest.raises(DimensionMismatch):
-            mat_mul(np.eye(2), np.eye(3))
-
     def test_max_abs_residual(self):
         a = np.zeros((2, 2))
         b = np.array([[0.0, 0.5], [0.0, 0.0]])
         assert max_abs_residual(a, b) == 0.5
+        with pytest.raises(DimensionMismatch):
+            max_abs_residual(np.eye(2), np.eye(3))
 
     def test_rel_residual(self):
         a = np.array([[2.0, 0.0], [0.0, 2.0]])

@@ -1,21 +1,22 @@
 """Sampler determinism, checker dispatch, and suite reproducibility."""
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ellcauchy import (
     RATIONAL_KERNEL,
+    Kernel,
     Report,
     SamplingExhausted,
     SuiteConfig,
     random_instance,
     run_suite,
 )
-from ellcauchy import verify
 from ellcauchy.verify import (
-    IDENTITIES,
+    REGISTRY,
     check_degeneration,
     check_determinant,
     check_gauss,
@@ -105,11 +106,11 @@ class TestCheckers:
         # every identity reduces to a scalar statement at n=1; residuals
         # must sit at rounding level, well under the 1e-12 scalar tolerance
         lat = cfg.lattice()
-        for name in IDENTITIES:
-            for tag, with_z in verify._PLAN[name]:
-                kern = verify._kernel_for(tag, lat)
+        for name, ident in REGISTRY.items():
+            for tag, with_z in ident.plan:
+                kern = Kernel(tag.removeprefix("k-"), lat)
                 inst = random_instance(cfg, kern, 1, 3, with_z)
-                rep = verify._dispatch(name, tag, inst, cfg.tolerance)
+                rep = ident.check(inst, tag, cfg.tolerance)
                 assert rep.passed, (name, tag)
                 assert rep.rel_residual <= 1e-12, (name, tag)
 
@@ -164,6 +165,28 @@ class TestRunSuite:
     def test_kernel_filter(self, small):
         reports = run_suite(small, identities=["product"], kernels={"trig"})
         assert reports and {r.kernel for r in reports} == {"trig"}
+
+    def test_default_plan(self, cfg):
+        # the registry's plan: identity x kernel tag x size, after the n-caps
+        reports = run_suite(cfg)
+        assert len(reports) == 1102
+        counts = Counter((r.identity_name, r.kernel) for r in reports)
+        assert counts == {
+            ("determinant", "elliptic"): 80,
+            ("determinant", "rational"): 80,
+            ("inverse", "elliptic"): 80,
+            ("inverse", "rational"): 80,
+            **{("product", tag): 80 for tag in ("elliptic", "trig", "rational", "k-rational")},
+            ("transposed", "elliptic"): 80,
+            **{("factorization", tag): 60 for tag in ("elliptic", "trig", "rational", "k-rational")},
+            ("gauss", "elliptic"): 80,
+            ("monodromy", "elliptic"): 60,
+            ("degeneration", "rational"): 1,
+            ("degeneration", "trig"): 1,
+        }
+        for r in reports:
+            if r.identity_name != "degeneration":
+                assert r.tolerance == tolerance_for(r.identity_name, r.n), r
 
     def test_size_caps(self, small):
         cfg = SuiteConfig(n_values=(8,), trials_per_n=1)
