@@ -33,7 +33,6 @@ class PointSet:
     """Ordered set of pairwise-distinct complex points."""
 
     points: tuple
-    label: str | None = None
 
     def __post_init__(self):
         pts = tuple(complex(p) for p in self.points)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -26,6 +27,9 @@ _COMPLEX_RE = re.compile(
     r"(?P<im>[+-]\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)[ij]$"
 )
 
+#: the suite settings the flags default to
+_DEFAULTS = verify.SuiteConfig()
+
 
 def _parse_complex(text):
     """Parse 'a+bi' / 'a-bi' (no spaces); plain reals also accepted."""
@@ -40,14 +44,14 @@ def _parse_complex(text):
 
 
 def _add_suite_flags(p):
-    p.add_argument("--n", type=int, nargs="+", default=list(range(1, 9)), help="matrix sizes")
-    p.add_argument("--trials", type=int, default=10, help="trials per size")
-    p.add_argument("--seed", type=int, default=42, help="base seed")
-    p.add_argument("--tol", type=float, default=1e-8, help="base tolerance for matrix identities")
+    p.add_argument("--n", type=int, nargs="+", default=list(_DEFAULTS.n_values), help="matrix sizes")
+    p.add_argument("--trials", type=int, default=_DEFAULTS.trials_per_n, help="trials per size")
+    p.add_argument("--seed", type=int, default=_DEFAULTS.base_seed, help="base seed")
+    p.add_argument("--tol", type=float, default=_DEFAULTS.tolerance, help="base tolerance for matrix identities")
     p.add_argument(
         "--tau",
         type=_parse_complex,
-        default=0.3 + 0.7j,
+        default=_DEFAULTS.lattice_tau,
         help="lattice ratio omega'/omega as a+bi (omega = 1)",
     )
     p.add_argument(
@@ -77,31 +81,12 @@ def parse_args(argv):
     _add_suite_flags(p)
 
     p = sub.add_parser("bench", help="time the sigma kernel and each checker (no assertions)")
-    p.add_argument("--tau", type=_parse_complex, default=0.3 + 0.7j)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--tau", type=_parse_complex, default=_DEFAULTS.lattice_tau)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.base_seed)
 
     sub.add_parser("list", help="print the identity catalogue")
 
     return parser.parse_args(argv)
-
-
-def _suite_config(args):
-    return verify.SuiteConfig(
-        n_values=tuple(args.n),
-        trials_per_n=args.trials,
-        base_seed=args.seed,
-        tolerance=args.tol,
-        lattice_tau=args.tau,
-    )
-
-
-def _kernel_filter(name):
-    return {
-        "elliptic": {"elliptic"},
-        "trig": {"trig"},
-        "rational": {"rational", "k-rational"},
-        "all": None,
-    }[name]
 
 
 def _render_text(reports):
@@ -133,33 +118,37 @@ def _render_json(reports):
 def _render_csv(reports):
     buf = io.StringIO()
     writer = csv.writer(buf)
-    fields = [
-        "identity_name", "kernel", "n", "seed",
-        "abs_residual", "rel_residual", "tolerance", "passed", "elapsed_ms",
-    ]
-    writer.writerow(fields)
-    for r in reports:
-        d = r.to_dict()
-        writer.writerow([d[f] for f in fields])
+    writer.writerow(f.name for f in dataclasses.fields(verify.Report))
+    writer.writerows(dataclasses.astuple(r) for r in reports)
     return buf.getvalue()
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _error(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _run_reports(args, identities):
-    cfg = _suite_config(args)
-    reports = verify.run_suite(cfg, identities=identities, kernels=_kernel_filter(args.kernel))
+    try:
+        cfg = verify.SuiteConfig(
+            n_values=tuple(args.n), trials_per_n=args.trials, base_seed=args.seed,
+            tolerance=args.tol, lattice_tau=args.tau,
+        )
+    except ValueError as exc:
+        return _error(exc)
+    kernels = None if args.kernel == "all" else {args.kernel}
+    reports = verify.run_suite(cfg, identities=identities, kernels=kernels)
     if not reports:
-        print("error: no checks selected: no identity runs on this kernel at these sizes", file=sys.stderr)
-        return 2
-    renderer = {"text": _render_text, "json": _render_json, "csv": _render_csv}[args.format]
-    _emit(renderer(reports), args.out)
+        return _error("no checks selected: no identity runs on this kernel at these sizes")
+    text = {"text": _render_text, "json": _render_json, "csv": _render_csv}[args.format](reports)
+    if not args.out:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _error(exc)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -174,7 +163,7 @@ def _bench(args):
     for n in (4, 8, 16, 32):
         cfg = verify.SuiteConfig(
             n_values=(n,), trials_per_n=1, base_seed=args.seed,
-            lattice_tau=args.tau, sep_min=min(0.05, 0.6 / n),
+            lattice_tau=args.tau, sep_min=min(_DEFAULTS.sep_min, 0.6 / n),
         )
         for name, ident in verify.REGISTRY.items():
             tag, with_z = ident.plan[0]
@@ -210,8 +199,7 @@ def main(argv=None):
     try:
         return run(args)
     except EllCauchyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
 
 
 if __name__ == "__main__":

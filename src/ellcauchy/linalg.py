@@ -103,10 +103,9 @@ def rel_residual(a, b):
 def structure_check(a, kind, tol):
     """True iff ``a`` matches the requested pattern within ``tol``.
 
-    ``kind`` is one of ``unit_upper``, ``unit_lower``, ``diagonal``,
-    ``identity``.  Off-pattern entries must have magnitude below tol;
-    where the pattern requires 1 on the diagonal, diagonal entries must be
-    within tol of 1.
+    ``kind`` is one of ``unit_upper``, ``unit_lower``, ``diagonal``.
+    Off-pattern entries must have magnitude below tol; where the pattern
+    requires 1 on the diagonal, diagonal entries must be within tol of 1.
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -119,6 +118,4 @@ def structure_check(a, kind, tol):
         return upper < tol and diag_is_one < tol
     if kind == "diagonal":
         return lower < tol and upper < tol
-    if kind == "identity":
-        return lower < tol and upper < tol and diag_is_one < tol
     raise ValueError(f"unknown structure kind {kind!r}")

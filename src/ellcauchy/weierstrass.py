@@ -17,7 +17,7 @@ once: the coefficients 2(-1)^n q^{(n+1/2)^2}, the odd multipliers 2n+1,
 theta1'(0), and the periods 2*omega, 2*omega_prime and their ratio.  In the
 fundamental cell, term n of the theta1 series is at most |q|^{n^2} times
 term 0, so the table keeps a fixed number of terms: the smallest K with
-|q|^{K^2} (2K+1)^3 below ``series_tol``, the cube covering the weights of
+|q|^{K^2} (2K+1)^3 below ``SERIES_TOL``, the cube covering the weights of
 the theta1'''(0) sum.  A sigma call then costs a fixed handful of numpy
 operations whatever its size: one cell reduction, one sin over a
 (points x K) array and a sum over its last axis.  :func:`zeta_w` and the
@@ -39,6 +39,9 @@ from .errors import InvalidLattice, PoleAtLatticePoint
 
 #: hard cap on theta-series terms; only very thin lattices (|q| near 1) reach it
 _MAX_TERMS = 64
+
+#: truncation bound on the theta-series terms kept in the per-lattice table
+SERIES_TOL = 1e-15
 
 #: proximity threshold (in cell-reduced coordinates) for "is a lattice point"
 LATTICE_POINT_TOL = 1e-12
@@ -71,11 +74,10 @@ class Lattice:
     eta: complex
     eta_prime: complex
     nome: complex
-    series_tol: float
     series: ThetaSeries = field(repr=False, compare=False)
 
 
-def lattice_new(omega, omega_prime, series_tol=1e-15):
+def lattice_new(omega, omega_prime):
     """Build a :class:`Lattice` with its derived constants and theta table.
 
     eta comes from eta = -(pi^2 / (12 omega)) * theta1'''(0)/theta1'(0);
@@ -91,13 +93,11 @@ def lattice_new(omega, omega_prime, series_tol=1e-15):
     tau = omega_prime / omega
     if tau.imag <= 0:
         raise InvalidLattice(f"Im(omega'/omega) = {tau.imag} must be positive")
-    if not (0 < series_tol <= 1e-6):
-        raise InvalidLattice(f"series_tol {series_tol} outside (0, 1e-6]")
     q = np.exp(1j * np.pi * tau)
 
     # term K of the theta1'''(0) sum is at most |q|^(K^2) (2K+1)^3 times term 0
     terms = next(
-        (k for k in range(1, _MAX_TERMS) if abs(q) ** (k * k) * (2 * k + 1) ** 3 < series_tol),
+        (k for k in range(1, _MAX_TERMS) if abs(q) ** (k * k) * (2 * k + 1) ** 3 < SERIES_TOL),
         _MAX_TERMS,
     )
     n = np.arange(terms)
@@ -115,7 +115,6 @@ def lattice_new(omega, omega_prime, series_tol=1e-15):
         eta=complex(eta),
         eta_prime=complex(eta_prime),
         nome=complex(q),
-        series_tol=float(series_tol),
         series=ThetaSeries(coef, odd, d1, 2 * omega, 2 * omega_prime, tau),
     )
 

@@ -48,7 +48,7 @@ def sample_sets(lat, rng, n, count=2):
 
 class TestPointSet:
     def test_properties(self):
-        ps = PointSet((1.0, 2.0 + 1j), "x")
+        ps = PointSet((1.0, 2.0 + 1j))
         assert ps.n == 2
         assert np.allclose(ps.array, [1.0, 2.0 + 1j])
 

@@ -66,6 +66,25 @@ class TestMain:
         out = capsys.readouterr().out
         assert "gauss" in out and "0 failed" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trials", "0"],
+            ["--n", "0"],
+            ["--tau", "0.5-0.5i"],
+            ["--tol", "-1"],
+            ["--tol", "nan"],
+            ["--out", "missing-dir/x.txt"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_settings_exit_two(self, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify-all", "--n", "1", "--trials", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_forced_failure_exits_one(self):
         assert cli.main(["verify", "determinant", "--n", "2", "--trials", "1", "--tol", "1e-30"]) == 1
 

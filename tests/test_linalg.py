@@ -95,13 +95,10 @@ class TestStructure:
         assert structure_check(np.diag([1.0, 2.0, 3.0]), "diagonal", 1e-12)
         assert not structure_check(np.ones((2, 2)), "diagonal", 1e-12)
 
-    def test_identity_kind(self):
-        assert structure_check(np.eye(3), "identity", 1e-12)
-        assert not structure_check(np.diag([1.0, 1.0 + 1e-6]), "identity", 1e-12)
-
     def test_tolerance_respected(self):
-        almost = np.eye(2) + 1e-13 * np.ones((2, 2))
-        assert structure_check(almost, "identity", 1e-12)
+        almost = np.diag([1.0, 2.0]) + 1e-13 * np.ones((2, 2))
+        assert structure_check(almost, "diagonal", 1e-12)
+        assert not structure_check(almost, "diagonal", 1e-14)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

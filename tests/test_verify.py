@@ -1,5 +1,6 @@
 """Sampler determinism, checker dispatch, and suite reproducibility."""
 
+import math
 import time
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 
 from ellcauchy import (
     RATIONAL_KERNEL,
+    TRIG_KERNEL,
     Kernel,
     Report,
     SamplingExhausted,
@@ -15,14 +17,7 @@ from ellcauchy import (
     random_instance,
     run_suite,
 )
-from ellcauchy.verify import (
-    REGISTRY,
-    check_degeneration,
-    check_determinant,
-    check_gauss,
-    check_inverse,
-    tolerance_for,
-)
+from ellcauchy.verify import REGISTRY, check_degeneration, tolerance_for
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +41,11 @@ class TestSuiteConfig:
             {"n_values": ()},
             {"n_values": (0, 1)},
             {"lattice_tau": 0.5 - 0.5j},
+            {"tolerance": -1.0},
+            {"tolerance": math.nan},
+            {"tolerance": math.inf},
+            {"sep_min": 0.0},
+            {"sep_min": math.nan},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -116,22 +116,36 @@ class TestCheckers:
 
     def test_determinant_report_fields(self, cfg, kern):
         inst = random_instance(cfg, kern, 4, 11)
-        rep = check_determinant(inst)
+        rep = REGISTRY["determinant"].check(inst, "elliptic", cfg.tolerance)
         assert rep.identity_name == "determinant"
         assert rep.kernel == "elliptic"
         assert (rep.n, rep.seed) == (4, 11)
         assert rep.passed and rep.rel_residual <= rep.tolerance
+        assert rep.tolerance == tolerance_for("determinant", 4)
         assert rep.elapsed_ms >= 0.0
 
     def test_inverse_rational(self, cfg):
         inst = random_instance(cfg, RATIONAL_KERNEL, 5, 2)
-        rep = check_inverse(inst)
+        rep = REGISTRY["inverse"].check(inst, "rational", cfg.tolerance)
         assert rep.kernel == "rational" and rep.passed
 
     def test_gauss_rejects_non_elliptic(self, cfg):
+        # a kernel tag outside the plan
         inst = random_instance(cfg, RATIONAL_KERNEL, 3, 2)
-        with pytest.raises(ValueError):
-            check_gauss(inst)
+        with pytest.raises(ValueError, match="does not run on the rational kernel"):
+            REGISTRY["gauss"].check(inst, "rational", cfg.tolerance)
+
+    @pytest.mark.parametrize("tag", ["elliptic", "k-rational"])
+    def test_check_rejects_mismatched_kernel(self, cfg, tag):
+        inst = random_instance(cfg, TRIG_KERNEL, 3, 2)
+        with pytest.raises(ValueError, match="got a trig instance"):
+            REGISTRY["factorization"].check(inst, tag, cfg.tolerance)
+
+    @pytest.mark.parametrize("name", ["product", "transposed"])
+    def test_check_rejects_missing_third_set(self, cfg, kern, name):
+        inst = random_instance(cfg, kern, 3, 2, with_z=False)
+        with pytest.raises(ValueError, match="needs a third point set"):
+            REGISTRY[name].check(inst, "elliptic", cfg.tolerance)
 
     def test_degeneration_reports(self, cfg):
         reports = check_degeneration(cfg)
@@ -140,7 +154,7 @@ class TestCheckers:
         assert all(r.passed for r in reports)
 
     def test_report_roundtrip(self, cfg, kern):
-        rep = check_determinant(random_instance(cfg, kern, 2, 0))
+        rep = REGISTRY["determinant"].check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)
         assert Report(**rep.to_dict()) == rep
 
 
@@ -165,6 +179,11 @@ class TestRunSuite:
     def test_kernel_filter(self, small):
         reports = run_suite(small, identities=["product"], kernels={"trig"})
         assert reports and {r.kernel for r in reports} == {"trig"}
+
+    def test_kernel_filter_selects_by_variant(self, small):
+        # the rational variant runs both the rational and the k-rational tags
+        reports = run_suite(small, identities=["product", "degeneration"], kernels={"rational"})
+        assert {r.kernel for r in reports} == {"rational", "k-rational"}
 
     def test_default_plan(self, cfg):
         # the registry's plan: identity x kernel tag x size, after the n-caps

@@ -63,8 +63,6 @@ class TestLattice:
             lattice_new(1.0, -1j)
         with pytest.raises(InvalidLattice):
             lattice_new(0.0, 1j)
-        with pytest.raises(InvalidLattice):
-            lattice_new(1.0, 1j, series_tol=1.0)
 
     def test_nome_inside_unit_disc(self, lat):
         assert abs(lat.nome) < 1
