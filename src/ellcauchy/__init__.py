@@ -8,7 +8,6 @@ a small pivoted-LU oracle, and a residual-reporting verification harness.
 from .cauchy import (
     Instance,
     Kernel,
-    PointSet,
     RATIONAL_KERNEL,
     TRIG_KERNEL,
     bloch_eval,

@@ -21,45 +21,15 @@ import numpy as np
 from .errors import DimensionMismatch, KernelZero, PoleProximity
 from .weierstrass import Lattice, lattice_distance, sigma, sigma_k
 
-#: default minimum pairwise separation for point sets
+#: smallest zero distance of an instance's point differences and parameter
 SEP_MIN_DEFAULT = 1e-6
 
 #: denominator arguments closer than this to a kernel zero raise KernelZero
 ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Ordered set of pairwise-distinct complex points."""
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(complex(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        n = len(pts)
-        if n == 0:
-            raise ValueError("PointSet must be nonempty")
-        arr = np.asarray(pts)
-        if n > 1:
-            d = np.abs(arr[:, None] - arr[None, :])
-            np.fill_diagonal(d, np.inf)
-            if d.min() < SEP_MIN_DEFAULT:
-                raise ValueError(f"points not pairwise distinct (min gap {d.min():.3e})")
-
-    @property
-    def n(self):
-        return len(self.points)
-
-    @property
-    def array(self):
-        return np.asarray(self.points, dtype=complex)
-
-
 def _points(x):
-    """Accept a PointSet or any array-like of complex points."""
-    if isinstance(x, PointSet):
-        return x.array
+    """Any array-like of complex points as a 1-d complex array."""
     return np.atleast_1d(np.asarray(x, dtype=complex))
 
 
@@ -152,6 +122,14 @@ class Kernel:
         """Elementwise distance from z to the nearest zero of the kernel."""
         return self.spec.zero_distance(self.lattice, np.asarray(z, dtype=complex))
 
+    def separation(self, pts):
+        """Smallest zero distance of a difference of two points of ``pts``
+        (inf for a single point)."""
+        pts = np.asarray(pts, dtype=complex)
+        d = self.zero_distance(pts[:, None] - pts[None, :])
+        np.fill_diagonal(d, np.inf)
+        return d.min()
+
 
 def elliptic_kernel(lat):
     return Kernel("elliptic", lat)
@@ -161,36 +139,41 @@ TRIG_KERNEL = Kernel("trig")
 RATIONAL_KERNEL = Kernel("rational")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """One random verification instance: kernel, point sets, parameter."""
+    """One random verification instance: kernel, point sets, parameter.
+
+    The point sets become read-only complex arrays.  No difference of two
+    points of their union, and not the parameter, may lie within
+    ``SEP_MIN_DEFAULT`` of a kernel zero.
+    """
 
     kernel: Kernel
-    x: PointSet
-    y: PointSet
+    x: np.ndarray
+    y: np.ndarray
     lam: complex
-    z: PointSet | None = None
+    z: np.ndarray | None = None
     seed: int = 0
-    sep_min: float = SEP_MIN_DEFAULT
 
     def __post_init__(self):
-        sets = [self.x, self.y] + ([self.z] if self.z is not None else [])
-        n = self.x.n
-        if any(s.n != n for s in sets):
+        names = ("x", "y") if self.z is None else ("x", "y", "z")
+        sets = [np.array(getattr(self, name), dtype=complex, ndmin=1) for name in names]
+        for name, pts in zip(names, sets):
+            pts.setflags(write=False)
+            object.__setattr__(self, name, pts)
+        if len(self.x) == 0:
+            raise ValueError("point sets must be nonempty")
+        if any(len(pts) != len(self.x) for pts in sets):
             raise DimensionMismatch("point sets must have equal size")
-        for a in range(len(sets)):
-            for b in range(a + 1, len(sets)):
-                da = sets[a].array
-                db = sets[b].array
-                gap = self.kernel.zero_distance(da[:, None] - db[None, :]).min()
-                if gap < self.sep_min:
-                    raise ValueError(f"cross-set separation {gap:.3e} below {self.sep_min}")
-        if self.kernel.zero_distance(self.lam) < self.sep_min:
+        gap = self.kernel.separation(np.concatenate(sets))
+        if gap < SEP_MIN_DEFAULT:
+            raise ValueError(f"point separation {gap:.3e} below {SEP_MIN_DEFAULT}")
+        if self.kernel.zero_distance(self.lam) < SEP_MIN_DEFAULT:
             raise KernelZero("lambda too close to a kernel zero")
 
     @property
     def n(self):
-        return self.x.n
+        return len(self.x)
 
 
 def _fused(f, *args):
@@ -211,19 +194,16 @@ def _require_nonzero(kernel, args, what):
         raise KernelZero(f"{what} hits a kernel zero")
 
 
-def _lagrange_den(fxx, what):
-    """Row products prod_{l!=i} fxx[i, l] of the kernel table fxx = f(x_i - x_l).
-
-    The diagonal f(0) = 0 is replaced by 1; an off-diagonal entry below
-    ``ZERO_TOL`` raises :class:`KernelZero`.
-    """
-    n = len(fxx)
-    fxx = fxx + np.eye(n)
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if np.abs(fxx[off]).min() < ZERO_TOL:
-            raise KernelZero(f"{what} hits a kernel zero")
-    return np.prod(fxx, axis=1)
+def _lagrange_den(kernel, x, what, fxx=None):
+    """Row products prod_{l!=i} f(x_i - x_l) over the points x, from the
+    table ``fxx`` = f(x_i - x_l) when the caller has it.  A difference
+    x_i - x_l (i != l) at a kernel zero raises :class:`KernelZero`."""
+    n = len(x)
+    dxx = x[:, None] - x[None, :]
+    _require_nonzero(kernel, dxx[~np.eye(n, dtype=bool)], what)
+    if fxx is None:
+        fxx = kernel(dxx)
+    return np.prod(fxx + np.eye(n), axis=1)
 
 
 def cauchy_matrix(kernel, x, y, lam):
@@ -251,11 +231,8 @@ def classic_cauchy_det(x, y):
     """Closed-form determinant of the classic Cauchy matrix."""
     x = _points(x)
     y = _points(y)
-    n = len(x)
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    upper = np.triu_indices(n, 1)
-    num = np.prod(dx[upper]) * np.prod(-dy[upper])
+    i, j = np.triu_indices(len(x), 1)
+    num = np.prod(x[i] - x[j]) * np.prod(-(y[i] - y[j]))
     den = np.prod(x[:, None] - y[None, :])
     return complex(num / den)
 
@@ -267,7 +244,7 @@ def d_matrix(kernel, x, y):
     dxy = x[:, None] - y[None, :]
     _require_nonzero(kernel, dxy, "x_i - y_k")
     a, b = _fused(kernel, dxy, x[:, None] - x[None, :])
-    return np.diag(np.prod(a, axis=1) / _lagrange_den(b, "x_i - x_k"))
+    return np.diag(np.prod(a, axis=1) / _lagrange_den(kernel, x, "x_i - x_k", b))
 
 
 def classic_cauchy_inverse(x, y):
@@ -277,9 +254,7 @@ def classic_cauchy_inverse(x, y):
     * prod_{k!=i} (y_i-x_k)/(y_i-y_k) * prod_{l!=j} (x_j-y_l)/(x_j-x_l),
     assembled here as D(y,x) C(y,x) D(x,y) with the identity kernel.
     """
-    dyx = d_matrix(RATIONAL_KERNEL, y, x)
-    dxy = d_matrix(RATIONAL_KERNEL, x, y)
-    return dyx @ classic_cauchy(y, x) @ dxy
+    return d_matrix(RATIONAL_KERNEL, y, x) @ classic_cauchy(y, x) @ d_matrix(RATIONAL_KERNEL, x, y)
 
 
 def frobenius_det(lat, x, y, lam):
@@ -322,9 +297,7 @@ def cauchy_inverse_closed(lat, x, y, lam):
     shift = lam + x.sum() - y.sum()
     kern = elliptic_kernel(lat)
     _require_nonzero(kern, shift, "lambda + X - Y")
-    dyx = d_matrix(kern, y, x)
-    dxy = d_matrix(kern, x, y)
-    return dyx @ cauchy_matrix(kern, y, x, shift) @ dxy
+    return d_matrix(kern, y, x) @ cauchy_matrix(kern, y, x, shift) @ d_matrix(kern, x, y)
 
 
 def g_matrix(kernel, x, y, lam):
@@ -345,9 +318,8 @@ def k_matrix(x, y):
     x = _points(x)
     y = _points(y)
     dxy = x[:, None] - y[None, :]
-    row_den = _lagrange_den(x[:, None] - x[None, :], "x_i - x_l")
-    if np.abs(dxy).min() < ZERO_TOL:
-        raise KernelZero("x_i - y_k vanishes")
+    row_den = _lagrange_den(RATIONAL_KERNEL, x, "x_i - x_l")
+    _require_nonzero(RATIONAL_KERNEL, dxy, "x_i - y_k")
     row_num = np.prod(dxy, axis=1)  # prod over all k
     return (row_num[:, None] / dxy) / row_den[:, None]
 
@@ -357,12 +329,10 @@ def g_factor_elliptic(lat, x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    den = _lagrange_den(sigma(lat, x[:, None] - x[None, :] + 0j), "x_i - x_l")
-    g = np.empty((n, n), dtype=complex)
+    den = _lagrange_den(elliptic_kernel(lat), x, "x_i - x_l")
     args = x + lam / n
-    for k in range(1, n + 1):
-        g[:, k - 1] = sigma_k(lat, n, k, args) / den
-    return g
+    cols = [sigma_k(lat, n, k, args) for k in range(1, n + 1)]
+    return np.stack(cols, axis=1) / den[:, None]
 
 
 def g_factor_trig(x, lam):
@@ -374,7 +344,7 @@ def g_factor_trig(x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    den = _lagrange_den(np.sin(x[:, None] - x[None, :]), "x_j - x_l")
+    den = _lagrange_den(TRIG_KERNEL, x, "x_j - x_l")
     k = np.arange(1, n + 1)
     phi = np.exp(-1j * n * x[:, None]) * (
         np.exp(2j * k[None, :] * (x[:, None] + lam / n))
@@ -392,7 +362,7 @@ def g_factor_rat(x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    den = _lagrange_den(x[:, None] - x[None, :], "x_j - x_l")
+    den = _lagrange_den(RATIONAL_KERNEL, x, "x_j - x_l")
     k = np.arange(1, n + 1)
     exponents = k - 1 + (k == n)
     base = x[:, None] + lam / n
@@ -403,7 +373,7 @@ def w_matrix(x):
     """Row-scaled Vandermonde: x_i^(j-1) / prod_{l!=i} (x_i - x_l)."""
     x = _points(x)
     n = len(x)
-    den = _lagrange_den(x[:, None] - x[None, :], "x_i - x_l")
+    den = _lagrange_den(RATIONAL_KERNEL, x, "x_i - x_l")
     j = np.arange(n)
     return x[:, None] ** j[None, :] / den[:, None]
 
@@ -473,21 +443,22 @@ def bloch_eval(lat, poles, coeffs, lam, point):
 
     psi(w) = sum_i c_i sigma(w - x_i + lam) / (sigma(lam) sigma(w - x_i));
     under full-period shifts psi picks up the multipliers exp(2 eta lam)
-    and exp(2 eta' lam).
+    and exp(2 eta' lam).  Elementwise over ``point``; all points go
+    through one sigma call.
     """
     poles = _points(poles)
     coeffs = np.asarray(coeffs, dtype=complex)
     lam = complex(lam)
-    point = complex(point)
+    point = np.asarray(point, dtype=complex)
     kern = elliptic_kernel(lat)
     _require_nonzero(kern, lam, "lambda")
-    d = lattice_distance(lat, point - poles)
+    diff = point[..., None] - poles
+    d = lattice_distance(lat, diff)
     if np.any(d < 1e-10):
         raise PoleProximity(f"evaluation point within {d.min():.3e} of a pole")
-    diff = point - poles
     s_num, s_lam, s_diff = _fused(kern, diff + lam, lam, diff)
-    terms = coeffs * s_num / (s_lam * s_diff)
-    return complex(terms.sum())
+    psi = (coeffs * s_num / (s_lam * s_diff)).sum(axis=-1)
+    return complex(psi) if point.ndim == 0 else psi
 
 
 def bloch_transport(lat, x, y, lam, coeffs):
@@ -496,6 +467,4 @@ def bloch_transport(lat, x, y, lam, coeffs):
     Returns b = G_lam(y, x) c; the transported expansion carries the
     shifted parameter lam - X + Y.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    g = g_matrix(elliptic_kernel(lat), y, x, lam)
-    return g @ coeffs
+    return g_matrix(elliptic_kernel(lat), y, x, lam) @ np.asarray(coeffs, dtype=complex)

@@ -8,6 +8,7 @@ errors and on a selection that contains no checks.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -90,10 +91,8 @@ def parse_args(argv):
 
 
 def _render_text(reports):
-    lines = []
     header = f"{'identity':<14} {'kernel':<12} {'n':>3} {'worst rel':>12} {'tol':>9} status"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     worst = {}  # (identity, kernel, n) -> [worst rel residual, its tolerance, all passed]
     for r in reports:
         key = (r.identity_name, r.kernel, r.n)
@@ -137,18 +136,17 @@ def _run_reports(args, identities):
     except ValueError as exc:
         return _error(exc)
     kernels = None if args.kernel == "all" else {args.kernel}
-    reports = verify.run_suite(cfg, identities=identities, kernels=kernels)
-    if not reports:
-        return _error("no checks selected: no identity runs on this kernel at these sizes")
-    text = {"text": _render_text, "json": _render_json, "csv": _render_csv}[args.format](reports)
-    if not args.out:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _error(exc)
+    # open --out first, so an unwritable path fails before the suite runs;
+    # an aborted run or an empty selection leaves the file empty
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        return _error(exc)
+    with out as fh:
+        reports = verify.run_suite(cfg, identities=identities, kernels=kernels)
+        if not reports:
+            return _error("no checks selected: no identity runs on this kernel at these sizes")
+        fh.write({"text": _render_text, "json": _render_json, "csv": _render_csv}[args.format](reports))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -12,6 +12,7 @@ of (config, seed), so suite runs are reproducible byte for byte (timings aside).
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
@@ -19,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from . import cauchy, linalg
-from .cauchy import RATIONAL_KERNEL, TRIG_KERNEL, Instance, Kernel, PointSet
+from .cauchy import RATIONAL_KERNEL, SEP_MIN_DEFAULT, TRIG_KERNEL, Instance, Kernel
 from .errors import SamplingExhausted, SingularGFactor, SingularMatrix
-from .weierstrass import lattice_distance, lattice_new, sigma, sigma_k
+from .weierstrass import lattice_distance, lattice_new, sigma, sigma_k, sigma_k_offsets
 
 #: rejection-sampling round limit before SamplingExhausted
 _MAX_ROUNDS = 10_000
@@ -67,16 +68,22 @@ class SuiteConfig:
     sep_min: float = 0.05
 
     def __post_init__(self):
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError("n_values must be nonempty with entries >= 1")
-        if self.trials_per_n < 1:
-            raise ValueError("trials_per_n must be >= 1")
+        try:
+            n_values = tuple(operator.index(n) for n in self.n_values)
+            trials = operator.index(self.trials_per_n)
+        except TypeError:
+            raise ValueError("n_values and trials_per_n must be integers") from None
+        if not n_values or min(n_values) < 1 or trials < 1:
+            raise ValueError("n_values must be nonempty, and its entries and trials_per_n >= 1")
+        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "trials_per_n", trials)
         if complex(self.lattice_tau).imag <= 0:
             raise ValueError("Im(lattice_tau) must be positive")
-        for name in ("tolerance", "sep_min"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
+        # sampled instances must pass the Instance separation test
+        if not SEP_MIN_DEFAULT <= self.sep_min < math.inf:
+            raise ValueError(f"sep_min must be finite and at least {SEP_MIN_DEFAULT}")
 
     def lattice(self):
         return lattice_new(1.0, self.lattice_tau)
@@ -114,12 +121,7 @@ def _report(name, kernel_tag, n, seed, abs_res, ref_mag, tol, t0):
 
 def _margins_ok(kernel, sets, lam, margin):
     pts = np.concatenate(sets)
-    # pairwise separation across the union of all sets, measured by
-    # distance of the difference to the nearest kernel zero
-    diff = pts[:, None] - pts[None, :]
-    d = kernel.zero_distance(diff)
-    np.fill_diagonal(d, np.inf)
-    if d.min() < margin:
+    if kernel.separation(pts) < margin:
         return False
     sums = [s.sum() for s in sets]
     x_sum, y_sum = sums[0], sums[1]
@@ -141,13 +143,8 @@ def _margins_ok(kernel, sets, lam, margin):
         # every sigma factor inside the elliptic g-columns must stay away
         # from lattice points, for each point of each set
         lat = kernel.lattice
-        k = np.arange(1, n + 1)
-        l = np.arange(n)
-        cell_shifts = (
-            (n - 2 * l[None, :] - 1) / n * lat.omega
-            - (2 * k[:, None] / n) * lat.omega_prime
-        ).ravel()
-        args = (pts + lam / n)[:, None] + cell_shifts[None, :]
+        offsets = sigma_k_offsets(lat, n, np.arange(1, n + 1)).ravel()
+        args = (pts + lam / n)[:, None] + offsets[None, :]
         if lattice_distance(lat, args).min() < _SIGMA_K_MARGIN:
             return False
     return True
@@ -173,17 +170,15 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
     for _ in range(_MAX_ROUNDS):
         sets = [spec.points(rng, lat, n) for _ in range(n_sets)]
         lam = spec.lam(rng, lat)
-        if not _margins_ok(kernel, sets, lam, cfg.sep_min):
-            continue
-        return Instance(
-            kernel=kernel,
-            x=PointSet(tuple(sets[0])),
-            y=PointSet(tuple(sets[1])),
-            z=PointSet(tuple(sets[2])) if with_z else None,
-            lam=lam,
-            seed=seed,
-            sep_min=min(cfg.sep_min, 1e-3),
-        )
+        if _margins_ok(kernel, sets, lam, cfg.sep_min):
+            return Instance(
+                kernel=kernel,
+                x=sets[0],
+                y=sets[1],
+                z=sets[2] if with_z else None,
+                lam=lam,
+                seed=seed,
+            )
     raise SamplingExhausted(f"no admissible instance after {_MAX_ROUNDS} rounds")
 
 
@@ -195,7 +190,7 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
 def check_determinant(inst, tag):
     """LU determinant against the closed form (elliptic Frobenius form, or
     the classic formula for the rational kernel)."""
-    x, y = inst.x.array, inst.y.array
+    x, y = inst.x, inst.y
     if tag == "elliptic":
         mat = cauchy.cauchy_matrix(inst.kernel, x, y, inst.lam)
         closed = cauchy.frobenius_det(inst.kernel.lattice, x, y, inst.lam)
@@ -208,7 +203,7 @@ def check_determinant(inst, tag):
 def check_inverse(inst, tag):
     """Closed-form inverse: residual of C C^-1 against the identity, plus a
     cross-check against the LU inverse."""
-    x, y = inst.x.array, inst.y.array
+    x, y = inst.x, inst.y
     if tag == "elliptic":
         mat = cauchy.cauchy_matrix(inst.kernel, x, y, inst.lam)
         inv = cauchy.cauchy_inverse_closed(inst.kernel.lattice, x, y, inst.lam)
@@ -223,7 +218,7 @@ def check_inverse(inst, tag):
 def check_product_identity(inst, tag):
     """G_{lam+Y}(x,y) G_{lam+Z}(y,z) = G_{lam+Z}(x,z); under the k-rational
     tag the parameter-free limit matrices K satisfy K(x,y)K(y,z) = K(x,z)."""
-    x, y, z = inst.x.array, inst.y.array, inst.z.array
+    x, y, z = inst.x, inst.y, inst.z
     if tag == "k-rational":
         lhs = cauchy.k_matrix(x, y) @ cauchy.k_matrix(y, z)
         rhs = cauchy.k_matrix(x, z)
@@ -238,7 +233,7 @@ def check_product_identity(inst, tag):
 def check_transposed_identity(inst, tag):
     """Signed transposed identity H_{lam-X}(x,y) H_{lam-Y}(y,z) = -H_{lam-X}(x,z),
     exactly as displayed including the minus sign."""
-    x, y, z = inst.x.array, inst.y.array, inst.z.array
+    x, y, z = inst.x, inst.y, inst.z
     lam = inst.lam
     kern = inst.kernel
     lhs = cauchy.h_matrix(kern, x, y, lam - x.sum()) @ cauchy.h_matrix(kern, y, z, lam - y.sum())
@@ -249,7 +244,7 @@ def check_transposed_identity(inst, tag):
 def check_factorization(inst, tag):
     """G_{lam+Y}(x,y) = g_lam(x) g_lam(y)^-1 for the kernel-matching factor;
     under the k-rational tag, K(x,y) = W(x) W(y)^-1."""
-    x, y = inst.x.array, inst.y.array
+    x, y = inst.x, inst.y
     if tag == "k-rational":
         lhs = cauchy.k_matrix(x, y)
         gx, gy = cauchy.w_matrix(x), cauchy.w_matrix(y)
@@ -270,7 +265,7 @@ def check_gauss(inst, tag):
     the element-sum form of the decomposition at random entries, and the
     determinant consistency prod_j D_jj = Frobenius determinant."""
     lat = inst.kernel.lattice
-    x, y = inst.x.array, inst.y.array
+    x, y = inst.x, inst.y
     n = inst.n
     u, d, l = cauchy.gauss_udl(lat, x, y, inst.lam)
     mat = cauchy.cauchy_matrix(inst.kernel, x, y, inst.lam)
@@ -311,13 +306,13 @@ def check_monodromy(inst, tag):
     sks = [sigma_k(lat, n, k, pts[:2] + shifts[:, None]) for k in range(1, n + 1)]
 
     coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    poles = inst.x.array
+    poles = inst.x
     ws = []
     while len(ws) < 3:
         w = complex(2 * rng.uniform(-0.4, 0.4) * lat.omega + 2 * rng.uniform(-0.4, 0.4) * lat.omega_prime)
         if lattice_distance(lat, w - poles).min() >= 0.05:
             ws.append(w)
-    bases = [cauchy.bloch_eval(lat, poles, coeffs, inst.lam, w) for w in ws]
+    psi = cauchy.bloch_eval(lat, poles, coeffs, inst.lam, np.array(ws) + shifts[:, None])
 
     worst = 0.0
     sign = (-1.0) ** n
@@ -328,8 +323,7 @@ def check_monodromy(inst, tag):
             b = sign * np.exp(2 * eta * n * (pts[:2] + half)) * sk[0]
             worst = max(worst, float(np.abs(sk[row] - b).max() / np.abs(b).max()))
         mult = np.exp(2 * eta * inst.lam)
-        for w, base in zip(ws, bases):
-            val = cauchy.bloch_eval(lat, poles, coeffs, inst.lam, w + 2 * half)
+        for val, base in zip(psi[row], psi[0]):
             worst = max(worst, abs(val - mult * base) / abs(mult * base))
     return worst, 1.0
 
@@ -343,7 +337,7 @@ def check_degeneration(cfg):
     """
     t0 = time.perf_counter()
     inst = random_instance(cfg, RATIONAL_KERNEL, 5, cfg.base_seed, with_z=False)
-    x, y = inst.x.array, inst.y.array
+    x, y = inst.x, inst.y
     k_mat = cauchy.k_matrix(x, y)
     scale = float(np.abs(k_mat).max())
     r6 = linalg.max_abs_residual(cauchy.g_matrix(RATIONAL_KERNEL, x, y, 1e6), k_mat) / scale

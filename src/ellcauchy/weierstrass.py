@@ -183,6 +183,15 @@ def zeta_w(lat, x):
     return complex(z + 2 * m * lat.eta + 2 * mp * lat.eta_prime)
 
 
+def sigma_k_offsets(lat, n_size, k):
+    """The offsets ((N-2l-1)/N) omega - (2k/N) omega_prime, l = 0..N-1 on
+    the last axis, that :func:`sigma_k` adds to x inside its N sigma
+    factors; N = n_size, and k may be an array of indices."""
+    l = np.arange(n_size)
+    k = np.asarray(k)[..., None]
+    return (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k / n_size) * lat.omega_prime
+
+
 def sigma_k(lat, n_size, k, x):
     """Auxiliary quasi-periodic product used by the elliptic factorization.
 
@@ -197,7 +206,6 @@ def sigma_k(lat, n_size, k, x):
     if not (1 <= k <= n_size):
         raise ValueError(f"k = {k} outside 1..{n_size}")
     x = np.asarray(x, dtype=complex)
-    l = np.arange(n_size)
-    shifts = (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k / n_size) * lat.omega_prime
+    shifts = sigma_k_offsets(lat, n_size, k)
     out = np.exp(2 * lat.eta_prime * k * x) * np.prod(sigma(lat, x[..., None] + shifts), axis=-1)
     return complex(out) if x.ndim == 0 else out

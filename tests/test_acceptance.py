@@ -113,8 +113,8 @@ def test_criterion_07_factorization_and_gauge():
     # gauge invariance: right-multiplying the factor by nonsingular S
     rng = np.random.default_rng(7)
     inst = random_instance(CFG, elliptic_kernel(LAT), 4, 7)
-    gx = g_factor_elliptic(LAT, inst.x.array, inst.lam)
-    gy = g_factor_elliptic(LAT, inst.y.array, inst.lam)
+    gx = g_factor_elliptic(LAT, inst.x, inst.lam)
+    gy = g_factor_elliptic(LAT, inst.y, inst.lam)
     s = np.eye(4) + 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     plain = gx @ linalg.lu_inverse(gy)
     gauged = (gx @ s) @ linalg.lu_inverse(gy @ s)
@@ -146,7 +146,7 @@ def test_criterion_10_double_bloch():
     t0 = time.perf_counter()
     inst = random_instance(CFG, elliptic_kernel(LAT), 4, 10)
     rng = np.random.default_rng(10)
-    x, y, lam = inst.x.array, inst.y.array, inst.lam
+    x, y, lam = inst.x, inst.y, inst.lam
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     w = 0.37 + 0.19j
     base = bloch_eval(LAT, x, c, lam, w)

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellcauchy import (
+    DimensionMismatch,
+    Instance,
     KernelZero,
     PoleProximity,
-    PointSet,
     RATIONAL_KERNEL,
+    SuiteConfig,
     TRIG_KERNEL,
     bloch_eval,
     bloch_transport,
@@ -19,6 +21,7 @@ from ellcauchy import (
     classic_cauchy_det,
     classic_cauchy_inverse,
     d_matrix,
+    elliptic_kernel,
     frobenius_det,
     g_factor_elliptic,
     g_factor_rat,
@@ -27,6 +30,7 @@ from ellcauchy import (
     gauss_udl,
     h_matrix,
     k_matrix,
+    random_instance,
     w_matrix,
 )
 from ellcauchy import linalg, sigma
@@ -46,17 +50,40 @@ def sample_sets(lat, rng, n, count=2):
             return sets + [complex(pts[-1])]
 
 
-class TestPointSet:
+class TestInstance:
     def test_properties(self):
-        ps = PointSet((1.0, 2.0 + 1j))
-        assert ps.n == 2
-        assert np.allclose(ps.array, [1.0, 2.0 + 1j])
+        x = np.array([1.0, 2.0 + 1j])
+        inst = Instance(RATIONAL_KERNEL, x, [0.5j, -1.0], 0.7)
+        assert inst.n == 2
+        assert inst.x.dtype == complex and np.array_equal(inst.x, x)
+        with pytest.raises(ValueError):
+            inst.x[0] = 3.0  # read-only
+        x[0] = 3.0  # the caller's array is copied, not frozen
+        assert inst.x[0] == 1.0
 
     def test_rejects_coincident(self):
         with pytest.raises(ValueError):
-            PointSet((1.0, 1.0))
+            Instance(RATIONAL_KERNEL, [1.0, 1.0], [0.5j, -1.0], 0.7)
         with pytest.raises(ValueError):
-            PointSet(())
+            Instance(RATIONAL_KERNEL, [], [], 0.7)
+        with pytest.raises(DimensionMismatch):
+            Instance(RATIONAL_KERNEL, [1.0, 2.0], [0.5j], 0.7)
+        with pytest.raises(KernelZero):
+            Instance(RATIONAL_KERNEL, [1.0], [0.5j], 1e-9)
+
+    @pytest.mark.parametrize("which", ["elliptic", "trig"])
+    @pytest.mark.parametrize("pair", ["x-x", "x-y"])
+    def test_rejects_points_a_period_apart(self, lat, kern, which, pair):
+        # two points whose difference is a kernel zero, inside one set or
+        # across two, however far apart they are in the plane
+        k, period = {"elliptic": (kern, 2 * lat.omega), "trig": (TRIG_KERNEL, np.pi)}[which]
+        x, y = [0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.2j, 0.25 + 0.3j]
+        if pair == "x-x":
+            x[1] = x[0] + period
+        else:
+            y[1] = x[0] + period
+        with pytest.raises(ValueError, match="point separation"):
+            Instance(k, x, y, 0.21 + 0.33j)
 
 
 class TestClassic:
@@ -107,6 +134,25 @@ class TestDMatrix:
     def test_kernel_zero_raises(self):
         with pytest.raises(KernelZero):
             d_matrix(RATIONAL_KERNEL, [1.0, 2.0], [1.0, 3.0])
+
+    def test_lattice_vector_difference_raises(self, lat, kern):
+        # a difference within 1e-13 of a lattice vector is a kernel zero
+        x = [0.1 + 0.05j, 0.1 + 0.05j + 2 * lat.omega_prime + 1e-14]
+        y = [0.3 - 0.2j, -0.25 + 0.1j]
+        with pytest.raises(KernelZero, match="x_i - x_k"):
+            d_matrix(kern, x, y)
+        with pytest.raises(KernelZero, match="x_i - x_l"):
+            g_factor_elliptic(lat, x, 0.21 + 0.33j)
+
+    def test_small_sigma_is_not_a_kernel_zero(self):
+        # on the thin lattice tau = 0.08i, |sigma(x_0 - x_1)| is about 1e-17
+        # although x_0 - x_1 is 0.9 from the nearest lattice point
+        cfg = SuiteConfig(lattice_tau=0.08j)
+        kern = elliptic_kernel(cfg.lattice())
+        inst = random_instance(cfg, kern, 2, 44)
+        assert abs(sigma(kern.lattice, inst.x[0] - inst.x[1])) < 1e-15
+        assert kern.separation(inst.x) > 0.5
+        assert np.all(np.isfinite(d_matrix(kern, inst.x, inst.y)))
 
 
 class TestCauchyMatrix:
@@ -212,6 +258,12 @@ class TestKW:
             rhs = w_matrix(x) @ linalg.lu_inverse(w_matrix(y))
             assert np.abs(k_matrix(x, y) - rhs).max() < 1e-8 * np.abs(rhs).max()
 
+    def test_k_kernel_zero_raises(self):
+        with pytest.raises(KernelZero, match="x_i - y_k"):
+            k_matrix([1.0, 2.0], [2.0, 3.0])
+        with pytest.raises(KernelZero, match="x_i - x_l"):
+            k_matrix([1.0, 1.0], [2.0, 3.0])
+
     def test_w_single_point(self):
         assert np.allclose(w_matrix([2.5]), [[1.0]])
 
@@ -303,6 +355,15 @@ class TestBloch:
             val = bloch_eval(lat, x, c, lam, w + period)
             expect = np.exp(2 * eta * lam) * base
             assert abs(val - expect) < 1e-9 * abs(expect)
+
+    def test_elementwise_over_points(self, lat, rng):
+        x, _, lam = sample_sets(lat, rng, 3)
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        w = np.array([0.41 + 0.13j, -0.2 + 0.3j]) + np.array([0, 2 * lat.omega, 2 * lat.omega_prime])[:, None]
+        psi = bloch_eval(lat, x, c, lam, w)
+        assert psi.shape == (3, 2)
+        for idx in np.ndindex(w.shape):
+            assert abs(psi[idx] - bloch_eval(lat, x, c, lam, w[idx])) <= 1e-14 * abs(psi[idx])
 
     def test_pole_proximity(self, lat):
         with pytest.raises(PoleProximity):

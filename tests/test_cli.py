@@ -79,11 +79,22 @@ class TestMain:
         ids=" ".join,
     )
     def test_invalid_settings_exit_two(self, flags, tmp_path, monkeypatch, capsys):
+        # every invalid setting, an unwritable --out included, is found
+        # before the suite runs
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(verify, "run_suite", lambda *a, **k: pytest.fail("run_suite called"))
         assert cli.main(["verify-all", "--n", "1", "--trials", "1", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_no_report_leaves_out_empty(self, tmp_path):
+        out = tmp_path / "rep.txt"
+        out.write_text("stale")
+        assert cli.main(["verify", "gauss", "--kernel", "rational", "--out", str(out)]) == 2
+        assert out.read_text() == ""
+        assert cli.main(["verify", "determinant", "--n", "1000", "--out", str(out)]) == 2  # aborts
+        assert out.read_text() == ""
 
     def test_forced_failure_exits_one(self):
         assert cli.main(["verify", "determinant", "--n", "2", "--trials", "1", "--tol", "1e-30"]) == 1

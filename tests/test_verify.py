@@ -46,11 +46,21 @@ class TestSuiteConfig:
             {"tolerance": math.inf},
             {"sep_min": 0.0},
             {"sep_min": math.nan},
+            {"n_values": (2.5,)},
+            {"n_values": (3, 2.5)},
+            {"trials_per_n": 2.5},
+            {"trials_per_n": "3"},
+            {"sep_min": 1e-7},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
+
+    def test_integer_sizes_become_ints(self):
+        cfg = SuiteConfig(n_values=(np.int64(3), 1), trials_per_n=np.int64(2))
+        assert cfg.n_values == (3, 1) and cfg.trials_per_n == 2
+        assert all(type(n) is int for n in (*cfg.n_values, cfg.trials_per_n))
 
 
 class TestToleranceLadder:
@@ -71,20 +81,20 @@ class TestRandomInstance:
     def test_deterministic(self, cfg, kern):
         a = random_instance(cfg, kern, 4, 7, with_z=True)
         b = random_instance(cfg, kern, 4, 7, with_z=True)
-        assert a.x.points == b.x.points
-        assert a.y.points == b.y.points
-        assert a.z.points == b.z.points
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.z, b.z)
         assert a.lam == b.lam
 
     def test_seed_changes_instance(self, cfg, kern):
         a = random_instance(cfg, kern, 4, 7)
         b = random_instance(cfg, kern, 4, 8)
-        assert a.x.points != b.x.points
+        assert not np.array_equal(a.x, b.x)
 
     def test_margins_enforced(self, cfg, kern):
         for seed in range(5):
             inst = random_instance(cfg, kern, 5, seed)
-            pts = np.concatenate([inst.x.array, inst.y.array])
+            pts = np.concatenate([inst.x, inst.y])
             d = kern.zero_distance(pts[:, None] - pts[None, :])
             np.fill_diagonal(d, np.inf)
             assert d.min() >= cfg.sep_min

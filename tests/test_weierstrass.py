@@ -326,7 +326,7 @@ def assert_close(got, ref):
 
 def instance(kern, n, seed=3):
     inst = verify.random_instance(SuiteConfig(), kern, n, seed)
-    return inst.x.array, inst.y.array, inst.lam
+    return inst.x, inst.y, inst.lam
 
 
 class TestFusedEvaluation:
