@@ -46,17 +46,21 @@ class KernelSpec:
     f: Callable  # (lat, z) -> sigma-like values at the complex array z
     zero_distance: Callable  # (lat, z) -> distance from z to the nearest zero of f
     g_factor: Callable  # (lat, x, lam) -> factorization factor g_lam(x)
-    points: Callable  # (rng, lat, count) -> sampled points
-    lam: Callable  # (rng, lat) -> sampled parameter
+    points: Callable  # (lat, u, v) -> points, elementwise from uniform [0, 1) draws per coordinate
+    lam: Callable  # (lat, u, v) -> parameter from one uniform [0, 1) draw per coordinate
     area: Callable  # lat -> area of the point-sampling region
     stream: int  # first word of the sampler's RNG seed
 
 
-def _cell_points(rng, lat, count=None):
+def _uniform(lo, hi, u):
+    """Map uniform [0, 1) draws to [lo, hi) exactly as
+    ``Generator.uniform(lo, hi)`` does, draw by draw."""
+    return lo + (hi - lo) * u
+
+
+def _cell_points(lat, u, v):
     """Uniform points in the fundamental cell shrunk to 70 %."""
-    a = rng.uniform(-0.35, 0.35, count)
-    b = rng.uniform(-0.35, 0.35, count)
-    return 2 * a * lat.omega + 2 * b * lat.omega_prime
+    return 2 * _uniform(-0.35, 0.35, u) * lat.omega + 2 * _uniform(-0.35, 0.35, v) * lat.omega_prime
 
 
 #: variant -> its kernel record
@@ -66,7 +70,7 @@ KERNELS = {
         zero_distance=lambda lat, z: lattice_distance(lat, z),
         g_factor=lambda lat, x, lam: g_factor_elliptic(lat, x, lam),
         points=_cell_points,
-        lam=lambda rng, lat: complex(_cell_points(rng, lat)),
+        lam=lambda lat, u, v: complex(_cell_points(lat, u, v)),
         area=lambda lat: 0.49 * abs(np.imag(np.conj(2 * lat.omega) * 2 * lat.omega_prime)),
         stream=0,
     ),
@@ -74,10 +78,8 @@ KERNELS = {
         f=lambda lat, z: np.sin(z),
         zero_distance=lambda lat, z: np.abs(z - np.pi * np.round(np.real(z) / np.pi)),
         g_factor=lambda lat, x, lam: g_factor_trig(x, lam),
-        points=lambda rng, lat, count: (
-            rng.uniform(0.0, np.pi, count) + 1j * rng.uniform(0.0, 0.5, count)
-        ),
-        lam=lambda rng, lat: complex(rng.uniform(0.0, np.pi) + 1j * rng.uniform(0.15, 0.6)),
+        points=lambda lat, u, v: _uniform(0.0, np.pi, u) + 1j * _uniform(0.0, 0.5, v),
+        lam=lambda lat, u, v: complex(_uniform(0.0, np.pi, u) + 1j * _uniform(0.15, 0.6, v)),
         area=lambda lat: np.pi * 0.5,
         stream=1,
     ),
@@ -85,11 +87,11 @@ KERNELS = {
         f=lambda lat, z: z,
         zero_distance=lambda lat, z: np.abs(z),
         g_factor=lambda lat, x, lam: g_factor_rat(x, lam),
-        points=lambda rng, lat, count: (
-            np.sqrt(rng.uniform(0.0, 1.0, count)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, count))
+        points=lambda lat, u, v: (
+            np.sqrt(_uniform(0.0, 1.0, u)) * np.exp(1j * _uniform(0.0, 2 * np.pi, v))
         ),
-        lam=lambda rng, lat: complex(
-            rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        lam=lambda lat, u, v: complex(
+            _uniform(0.5, 1.5, u) * np.exp(1j * _uniform(0.0, 2 * np.pi, v))
         ),
         area=lambda lat: np.pi,
         stream=2,

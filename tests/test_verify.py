@@ -14,10 +14,14 @@ from ellcauchy import (
     Report,
     SamplingExhausted,
     SuiteConfig,
+    elliptic_kernel,
     random_instance,
     run_suite,
+    verify,
 )
+from ellcauchy.cauchy import gauss_lambda_ladder
 from ellcauchy.verify import REGISTRY, check_degeneration, tolerance_for
+from ellcauchy.weierstrass import lattice_distance, sigma_k_offsets
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +31,86 @@ def cfg():
 
 def strip_timing(reports):
     return [{k: v for k, v in r.to_dict().items() if k != "elapsed_ms"} for r in reports]
+
+
+# ---------------------------------------------------------------------------
+# reference sampler: one Generator.uniform call per coordinate array and per
+# parameter coordinate, and an all-pairs separation test first
+# ---------------------------------------------------------------------------
+
+
+def _ref_cell(rng, lat, count=None):
+    a = rng.uniform(-0.35, 0.35, count)
+    b = rng.uniform(-0.35, 0.35, count)
+    return 2 * a * lat.omega + 2 * b * lat.omega_prime
+
+
+#: variant -> (points(rng, lat, count), lam(rng, lat))
+REF_SAMPLERS = {
+    "elliptic": (_ref_cell, lambda rng, lat: complex(_ref_cell(rng, lat))),
+    "trig": (
+        lambda rng, lat, count: rng.uniform(0.0, np.pi, count) + 1j * rng.uniform(0.0, 0.5, count),
+        lambda rng, lat: complex(rng.uniform(0.0, np.pi) + 1j * rng.uniform(0.15, 0.6)),
+    ),
+    "rational": (
+        lambda rng, lat, count: (
+            np.sqrt(rng.uniform(0.0, 1.0, count)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, count))
+        ),
+        lambda rng, lat: complex(rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))),
+    ),
+}
+
+
+def reference_margins_ok(kernel, sets, lam, margin):
+    """The margin test with no close-pair screen before the all-pairs
+    separation test."""
+    pts = np.concatenate(sets)
+    if kernel.separation(pts) < margin:
+        return False
+    sums = [s.sum() for s in sets]
+    x_sum, y_sum = sums[0], sums[1]
+    shifts = [0.0, x_sum, -x_sum, y_sum, -y_sum, x_sum - y_sum, y_sum - x_sum]
+    if len(sets) == 3:
+        shifts += [sums[2], -sums[2]]
+    if np.min(kernel.zero_distance(lam + np.asarray(shifts))) < margin:
+        return False
+    if kernel.variant == "elliptic":
+        x, y = sets[0], sets[1]
+        n = len(x)
+        lams = gauss_lambda_ladder(x, y, lam)
+        if np.min(kernel.zero_distance(lams)) < margin:
+            return False
+        if np.min(kernel.zero_distance(x - y + lams)) < margin:
+            return False
+        if n > verify._SIGMA_K_MAX_N:
+            return True
+        lat = kernel.lattice
+        offsets = sigma_k_offsets(lat, n, np.arange(1, n + 1)).ravel()
+        args = (pts + lam / n)[:, None] + offsets[None, :]
+        if lattice_distance(lat, args).min() < verify._SIGMA_K_MARGIN:
+            return False
+    return True
+
+
+def reference_sample(cfg, kernel, n, seed, with_z=False):
+    """``(sets, lam, rounds)`` of the reference rejection loop; raises
+    SamplingExhausted like :func:`random_instance`."""
+    spec, lat = kernel.spec, kernel.lattice
+    points, lam_of = REF_SAMPLERS[kernel.variant]
+    n_sets = 3 if with_z else 2
+    if n * n_sets * cfg.sep_min**2 > spec.area(lat):
+        raise SamplingExhausted(
+            f"{n} points with separation {cfg.sep_min} cannot fit the sampling region"
+        )
+    rng = np.random.default_rng(
+        [spec.stream, n, int(with_z), seed & 0xFFFFFFFF, cfg.base_seed & 0xFFFFFFFF]
+    )
+    for rounds in range(1, verify._MAX_ROUNDS + 1):
+        sets = [points(rng, lat, n) for _ in range(n_sets)]
+        lam = lam_of(rng, lat)
+        if reference_margins_ok(kernel, sets, lam, cfg.sep_min):
+            return sets, lam, rounds
+    raise SamplingExhausted(f"no admissible instance after {verify._MAX_ROUNDS} rounds")
 
 
 class TestSuiteConfig:
@@ -111,6 +195,85 @@ class TestRandomInstance:
             random_instance(cfg, kern, 0, 0)
 
 
+class TestSamplerReference:
+    """The block-drawn sampler with its close-pair screen reproduces the
+    per-call reference loop bit for bit."""
+
+    SIZES = (*range(1, 9), 12, 16, 20)
+    TAUS = (0.3 + 0.7j, 0.1 + 1.3j, 7.3 + 0.9j, 0.08j)
+
+    @staticmethod
+    def outcome(sample):
+        try:
+            return sample()
+        except SamplingExhausted as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize(
+        "variant, tau",
+        [("elliptic", tau) for tau in TAUS] + [("trig", TAUS[0]), ("rational", TAUS[0])],
+    )
+    def test_bit_identical(self, monkeypatch, variant, tau):
+        # a lower round limit keeps the exhausting thin-lattice cases
+        # cheap; both loops read it, and no instance at the other lattices
+        # needs more than 91 rounds
+        monkeypatch.setattr(verify, "_MAX_ROUNDS", 100)
+        accepted = 0
+        for n in self.SIZES:
+            # the elliptic-dense separation scaling; 0.05 up to n = 12
+            cfg = SuiteConfig(lattice_tau=tau, sep_min=min(0.05, 0.6 / n))
+            kern = Kernel(variant, cfg.lattice())
+            for with_z in (False, True):
+                for seed in range(10):
+                    got = self.outcome(lambda: random_instance(cfg, kern, n, seed, with_z))
+                    want = self.outcome(lambda: reference_sample(cfg, kern, n, seed, with_z))
+                    case = (n, with_z, seed)
+                    if isinstance(want, str):
+                        assert got == want, case
+                        continue
+                    accepted += 1
+                    sets, lam, _ = want
+                    got_sets = [got.x, got.y] + ([got.z] if with_z else [])
+                    assert [s.tobytes() for s in got_sets] == [s.tobytes() for s in sets], case
+                    assert with_z or got.z is None, case
+                    assert np.array([got.lam]).tobytes() == np.array([lam]).tobytes(), case
+        assert accepted
+
+
+class TestMarginScreen:
+    """A pair closer than the margin only across a period is rejected by
+    the all-pairs test after the plane-distance screen."""
+
+    CASES = {
+        # real parts 0.01 and pi - 0.01: 0.02 apart modulo pi
+        "trig": (
+            TRIG_KERNEL,
+            [np.array([0.01 + 0.2j, 1.0 + 0.3j]), np.array([np.pi - 0.01 + 0.2j, 2.0 + 0.4j])],
+            1.0 + 0.3j,
+        ),
+        # p and p + 2 omega - 0.02 at the default lattice (omega = 1)
+        "elliptic": (
+            elliptic_kernel(SuiteConfig().lattice()),
+            [np.array([-0.9 + 0.1j]), np.array([1.08 + 0.1j])],
+            0.37 + 0.21j,
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", list(CASES))
+    def test_rejects_pair_a_period_apart(self, variant):
+        kern, sets, lam = self.CASES[variant]
+        margin = SuiteConfig().sep_min
+        pts = np.concatenate(sets)
+        diff = np.abs(pts[:, None] - pts[None, :])
+        np.fill_diagonal(diff, np.inf)
+        assert diff.min() > 10 * margin
+        assert kern.separation(pts) == pytest.approx(0.02)
+        assert not verify._margins_ok(kern, sets, lam, margin)
+        # the same round with the partner moved off the period passes
+        moved = [sets[0], sets[1] - 0.3]
+        assert verify._margins_ok(kern, moved, lam, margin)
+
+
 class TestCheckers:
     def test_scalar_cases_are_exact(self, cfg):
         # every identity reduces to a scalar statement at n=1; residuals
@@ -162,6 +325,28 @@ class TestCheckers:
         tags = sorted(r.kernel for r in reports)
         assert tags == ["rational", "trig"]
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize(
+        "abs_res, ref_mag", [(math.nan, 1.0), (math.inf, 1.0), (1e-20, math.inf), (1e-20, math.nan)]
+    )
+    def test_non_finite_residual_fails(self, abs_res, ref_mag):
+        rep = verify._report("inverse", "elliptic", 2, 0, abs_res, ref_mag, 1e-8, time.perf_counter())
+        assert not rep.passed
+
+    @pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 2.0]])
+    def test_worst_keeps_nan(self, residuals):
+        assert math.isnan(verify._worst(residuals))
+
+    def test_nan_monodromy_residuals_fail(self):
+        # on the thin lattice sigma_k underflows to 0 at two instances, and
+        # its multiplier comparison divides 0 by 0
+        cfg = SuiteConfig(lattice_tau=0.08j, n_values=(1, 2, 3, 4), trials_per_n=3)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in scalar divide"):
+            reports = run_suite(cfg, identities=["monodromy"])
+        failed = [r for r in reports if not r.passed]
+        assert {(r.n, r.seed) for r in failed} == {(3, 43), (4, 44)}
+        assert all(math.isnan(r.rel_residual) for r in failed)
+        assert len(reports) == 12
 
     def test_report_roundtrip(self, cfg, kern):
         rep = REGISTRY["determinant"].check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)
