@@ -6,9 +6,13 @@ function (Weierstrass sigma, plain sin, or the identity map) together with
 the distance-to-nearest-zero used for precondition checks.  Everything
 that differs between the variants (those two functions, the factorization
 factor and the instance sampler) is one :class:`KernelSpec` record in
-``KERNELS``.  The remaining builders (closed determinant and inverse, the
-factorization factors, the UDL decomposition, double-Bloch evaluation) are
-kernel-specific and follow their defining formulas directly.
+``KERNELS``.  The closed determinant and inverse and the UDL decomposition
+take a :class:`Kernel` too: the paper states them for sigma, and sin and the
+identity are degenerations of sigma whose Gaussian factor cancels in these
+balanced formulas, so one code path serves every kernel.  The remaining
+builders (the factorization factors, the parameter-free K and W forms and
+double-Bloch evaluation) are kernel-specific and follow their defining
+formulas directly.
 """
 
 from __future__ import annotations
@@ -259,11 +263,11 @@ def classic_cauchy_inverse(x, y):
     return d_matrix(RATIONAL_KERNEL, y, x) @ classic_cauchy(y, x) @ d_matrix(RATIONAL_KERNEL, x, y)
 
 
-def frobenius_det(lat, x, y, lam):
-    """Closed-form determinant of the elliptic Cauchy matrix.
+def frobenius_det(kernel, x, y, lam):
+    """Closed-form determinant of the Cauchy matrix, for any kernel f.
 
-    sigma(lam + X - Y)/sigma(lam)
-    * prod_{a<b} sigma(x_a-x_b) sigma(y_b-y_a) / prod_{a,b} sigma(x_a-y_b)
+    f(lam + X - Y)/f(lam)
+    * prod_{a<b} f(x_a-x_b) f(y_b-y_a) / prod_{a,b} f(x_a-y_b)
     with X, Y the point-set sums.
     """
     x = _points(x)
@@ -271,35 +275,30 @@ def frobenius_det(lat, x, y, lam):
     n = len(x)
     lam = complex(lam)
     shift = lam + x.sum() - y.sum()
-    kern = elliptic_kernel(lat)
-    _require_nonzero(kern, lam, "lambda")
-    _require_nonzero(kern, shift, "lambda + X - Y")
+    dxy = x[:, None] - y[None, :]
+    _require_nonzero(kernel, np.append(dxy, [lam, shift]), "x_a - y_b, lambda or lambda + X - Y")
     i, j = np.triu_indices(n, 1)
-    s_shift, s_lam, dx, dy, dxy = _fused(
-        kern, shift, lam, x[i] - x[j], y[i] - y[j], x[:, None] - y[None, :]
-    )
-    num = np.prod(dx) * np.prod(-dy)  # sigma(y_b - y_a) = -sigma(y_a - y_b)
-    return complex(s_shift / s_lam * num / np.prod(dxy))
+    s_shift, s_lam, dx, dy, s_xy = _fused(kernel, shift, lam, x[i] - x[j], y[i] - y[j], dxy)
+    num = np.prod(dx) * np.prod(-dy)  # f(y_b - y_a) = -f(y_a - y_b)
+    return complex(s_shift / s_lam * num / np.prod(s_xy))
 
 
-def cauchy_inverse_closed(lat, x, y, lam):
-    """Closed-form inverse of the elliptic Cauchy matrix.
+def cauchy_inverse_closed(kernel, x, y, lam):
+    """Closed-form inverse of the Cauchy matrix, for any kernel f.
 
     Entrywise:
-    sigma(y_i-x_j+lam+X-Y)/sigma(lam+X-Y)
-    * sigma(x_i-y_i) sigma(x_j-y_j)/sigma(x_j-y_i)
-    * prod_{k!=i} sigma(y_i-x_k)/sigma(y_i-y_k)
-    * prod_{l!=j} sigma(x_j-y_l)/sigma(x_j-x_l),
+    f(y_i-x_j+lam+X-Y)/f(lam+X-Y)
+    * f(x_i-y_i) f(x_j-y_j)/f(x_j-y_i)
+    * prod_{k!=i} f(y_i-x_k)/f(y_i-y_k)
+    * prod_{l!=j} f(x_j-y_l)/f(x_j-x_l),
     assembled as D(y,x) C(y,x; lam+X-Y) D(x,y), which is what the product
     identity yields for the inverse.
     """
     x = _points(x)
     y = _points(y)
-    lam = complex(lam)
-    shift = lam + x.sum() - y.sum()
-    kern = elliptic_kernel(lat)
-    _require_nonzero(kern, shift, "lambda + X - Y")
-    return d_matrix(kern, y, x) @ cauchy_matrix(kern, y, x, shift) @ d_matrix(kern, x, y)
+    shift = complex(lam) + x.sum() - y.sum()
+    _require_nonzero(kernel, shift, "lambda + X - Y")
+    return d_matrix(kernel, y, x) @ cauchy_matrix(kernel, y, x, shift) @ d_matrix(kernel, x, y)
 
 
 def g_matrix(kernel, x, y, lam):
@@ -388,8 +387,9 @@ def gauss_lambda_ladder(x, y, lam):
     return lam + tail
 
 
-def gauss_udl(lat, x, y, lam):
-    """Triangular decomposition C = U D L of the elliptic Cauchy matrix.
+def gauss_udl(kernel, x, y, lam):
+    """Triangular decomposition C = U D L of the Cauchy matrix, for any
+    kernel f.
 
     U is unit upper triangular, L unit lower triangular, D diagonal; the
     entries carry the parameter ladder lambda_j = lam + sum_{l>j}(x_l-y_l)
@@ -400,19 +400,23 @@ def gauss_udl(lat, x, y, lam):
     n = len(x)
     lam = complex(lam)
     lams = gauss_lambda_ladder(x, y, lam)
-    kern = elliptic_kernel(lat)
-    _require_nonzero(kern, lams, "lambda_j ladder")
-    _require_nonzero(kern, x - y + lams, "x_j - y_j + lambda_j")
-
+    _require_nonzero(kernel, np.append(lams, x - y + lams), "lambda_j or x_j - y_j + lambda_j")
+    dxx = x[:, None] - x[None, :]
     dxy = x[:, None] - y[None, :]
+    dyy = y[:, None] - y[None, :]
+    off = ~np.eye(n, dtype=bool)
+    _require_nonzero(
+        kernel, np.concatenate([dxy.ravel(), dxx[off], dyy[off]]), "x_a - y_b, x_a - x_b or y_a - y_b"
+    )
+
     sxx, sxy, syx, syy, sxy_lam, sxj_yk_lj, s_lams = _fused(
-        kern,
-        x[:, None] - x[None, :],
+        kernel,
+        dxx,
         dxy,
         y[:, None] - x[None, :],
-        y[:, None] - y[None, :],
-        dxy + lams[None, :],  # sigma(x_i - y_j + lam_j)
-        dxy + lams[:, None],  # sigma(x_j - y_k + lam_j)
+        dyy,
+        dxy + lams[None, :],  # f(x_i - y_j + lam_j)
+        dxy + lams[:, None],  # f(x_j - y_k + lam_j)
         lams,
     )
     sxx = sxx + np.eye(n)

@@ -219,28 +219,20 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
 
 
 def check_determinant(inst, tag):
-    """LU determinant against the closed form (elliptic Frobenius form, or
-    the classic formula for the rational kernel)."""
-    x, y = inst.x, inst.y
-    if tag == "elliptic":
-        mat = cauchy.cauchy_matrix(inst.kernel, x, y, inst.lam)
-        closed = cauchy.frobenius_det(inst.kernel.lattice, x, y, inst.lam)
-    else:
-        mat = cauchy.classic_cauchy(x, y)
-        closed = cauchy.classic_cauchy_det(x, y)
+    """LU determinant of C(x,y;lam) against the closed Frobenius form, on
+    the instance's kernel."""
+    x, y, kern = inst.x, inst.y, inst.kernel
+    mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
+    closed = cauchy.frobenius_det(kern, x, y, inst.lam)
     return abs(linalg.lu_det(mat) - closed), abs(closed)
 
 
 def check_inverse(inst, tag):
     """Closed-form inverse: residual of C C^-1 against the identity, plus a
     cross-check against the LU inverse."""
-    x, y = inst.x, inst.y
-    if tag == "elliptic":
-        mat = cauchy.cauchy_matrix(inst.kernel, x, y, inst.lam)
-        inv = cauchy.cauchy_inverse_closed(inst.kernel.lattice, x, y, inst.lam)
-    else:
-        mat = cauchy.classic_cauchy(x, y)
-        inv = cauchy.classic_cauchy_inverse(x, y)
+    x, y, kern = inst.x, inst.y, inst.kernel
+    mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
+    inv = cauchy.cauchy_inverse_closed(kern, x, y, inst.lam)
     r_id = linalg.max_abs_residual(mat @ inv, np.eye(inst.n))
     r_lu = linalg.rel_residual(inv, linalg.lu_inverse(mat))
     return _worst([r_id, r_lu]), 1.0
@@ -295,11 +287,10 @@ def check_gauss(inst, tag):
     """UDL decomposition: product residual, triangular/diagonal structure,
     the element-sum form of the decomposition at random entries, and the
     determinant consistency prod_j D_jj = Frobenius determinant."""
-    lat = inst.kernel.lattice
-    x, y = inst.x, inst.y
+    x, y, kern = inst.x, inst.y, inst.kernel
     n = inst.n
-    u, d, l = cauchy.gauss_udl(lat, x, y, inst.lam)
-    mat = cauchy.cauchy_matrix(inst.kernel, x, y, inst.lam)
+    u, d, l = cauchy.gauss_udl(kern, x, y, inst.lam)
+    mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
     scale = float(np.abs(mat).max())
     residuals = [linalg.max_abs_residual(u @ d @ l, mat) / scale]
 
@@ -317,7 +308,7 @@ def check_gauss(inst, tag):
         s = sum(u[i, j] * d[j, j] * l[j, k] for j in range(max(i, k), n))
         residuals.append(abs(s - mat[i, k]) / scale)
 
-    det_closed = cauchy.frobenius_det(lat, x, y, inst.lam)
+    det_closed = cauchy.frobenius_det(kern, x, y, inst.lam)
     residuals.append(abs(np.prod(np.diag(d)) - det_closed) / abs(det_closed))
     return _worst(residuals), 1.0
 

@@ -88,7 +88,7 @@ def test_criterion_03_frobenius_determinant():
 
 def test_criterion_04_closed_inverse():
     t0 = time.perf_counter()
-    worst = _suite_worst(["inverse"])  # elliptic + rational classic
+    worst = _suite_worst(["inverse"])  # C(x,y;L) on the elliptic and rational kernels
     _gate(4, f"inverse residual {worst:.2e} < 1e-8, both kernels",
           worst < 1e-8, time.perf_counter() - t0, 5.0)
 

@@ -183,21 +183,39 @@ class TestCauchyMatrix:
             cauchy_matrix(kern, [0.3], [0.1], 0.0)
 
 
-class TestFrobeniusDet:
-    def test_matches_lu(self, lat, kern, rng):
-        for n in (1, 2, 4, 6):
-            x, y, lam = sample_sets(lat, rng, n)
-            closed = frobenius_det(lat, x, y, lam)
-            lu = linalg.lu_det(cauchy_matrix(kern, x, y, lam))
-            assert abs(lu - closed) < 1e-9 * abs(closed)
+def kernel_instances(kern, n, seed=7):
+    """(kernel, x, y, lam) sampled by the suite's sampler on the elliptic,
+    trig and rational kernels in turn: the closed forms hold for any f."""
+    cfg = SuiteConfig()
+    for k in (kern, TRIG_KERNEL, RATIONAL_KERNEL):
+        inst = random_instance(cfg, k, n, seed)
+        yield k, inst.x, inst.y, inst.lam
 
-    def test_column_swap_flips_sign(self, lat, rng):
-        x, y, lam = sample_sets(lat, rng, 4)
-        swapped = y.copy()
-        swapped[[1, 3]] = swapped[[3, 1]]
-        a = frobenius_det(lat, x, y, lam)
-        b = frobenius_det(lat, x, swapped, lam)
-        assert abs(a + b) < 1e-10 * abs(a)
+
+#: x_0 = y_0 makes x_0 - y_0 a zero of every kernel
+COINCIDENT = ([0.1 + 0.05j, -0.2 + 0.1j], [0.1 + 0.05j, 0.3 - 0.2j], 0.21 + 0.33j)
+
+
+class TestFrobeniusDet:
+    def test_matches_lu(self, kern):
+        for n in (1, 2, 4, 6):
+            for k, x, y, lam in kernel_instances(kern, n):
+                closed = frobenius_det(k, x, y, lam)
+                lu = linalg.lu_det(cauchy_matrix(k, x, y, lam))
+                assert abs(lu - closed) < 1e-9 * abs(closed), (k.variant, n)
+
+    def test_column_swap_flips_sign(self, kern):
+        for k, x, y, lam in kernel_instances(kern, 4):
+            swapped = y.copy()
+            swapped[[1, 3]] = swapped[[3, 1]]
+            a = frobenius_det(k, x, y, lam)
+            b = frobenius_det(k, x, swapped, lam)
+            assert abs(a + b) < 1e-10 * abs(a), k.variant
+
+    def test_kernel_zero_raises(self, kern):
+        for k in (kern, TRIG_KERNEL, RATIONAL_KERNEL):
+            with pytest.raises(KernelZero, match="x_a - y_b"):
+                frobenius_det(k, *COINCIDENT)
 
     def test_vanishes_linearly_at_special_lambda(self, lat, kern, rng):
         # det C has a zero at lam = Y - X; |det| must shrink linearly there
@@ -212,13 +230,13 @@ class TestFrobeniusDet:
 
 
 class TestInverseClosed:
-    def test_identity_residual(self, lat, kern, rng):
+    def test_identity_residual(self, kern):
         for n in (1, 3, 5):
-            x, y, lam = sample_sets(lat, rng, n)
-            m = cauchy_matrix(kern, x, y, lam)
-            inv = cauchy_inverse_closed(lat, x, y, lam)
-            assert linalg.max_abs_residual(m @ inv, np.eye(n)) < 1e-9
-            assert linalg.max_abs_residual(inv @ m, np.eye(n)) < 1e-9
+            for k, x, y, lam in kernel_instances(kern, n):
+                m = cauchy_matrix(k, x, y, lam)
+                inv = cauchy_inverse_closed(k, x, y, lam)
+                assert linalg.max_abs_residual(m @ inv, np.eye(n)) < 1e-9, (k.variant, n)
+                assert linalg.max_abs_residual(inv @ m, np.eye(n)) < 1e-9, (k.variant, n)
 
 
 class TestGH:
@@ -323,21 +341,29 @@ class TestGauss:
         lams = gauss_lambda_ladder(x, y, 2.0)
         assert np.allclose(lams, [2.0 + 1.0 + 1.5, 2.0 + 1.5, 2.0])
 
-    def test_udl_reconstructs(self, lat, kern, rng):
+    def test_udl_reconstructs(self, kern):
         for n in (1, 2, 5):
-            x, y, lam = sample_sets(lat, rng, n)
-            u, d, l = gauss_udl(lat, x, y, lam)
-            m = cauchy_matrix(kern, x, y, lam)
-            assert linalg.rel_residual(u @ d @ l, m) < 1e-9
-            assert linalg.structure_check(u, "unit_upper", 1e-12)
-            assert linalg.structure_check(l, "unit_lower", 1e-12)
-            assert linalg.structure_check(d, "diagonal", 1e-12)
+            for k, x, y, lam in kernel_instances(kern, n):
+                u, d, l = gauss_udl(k, x, y, lam)
+                m = cauchy_matrix(k, x, y, lam)
+                assert linalg.rel_residual(u @ d @ l, m) < 1e-9, (k.variant, n)
+                assert linalg.structure_check(u, "unit_upper", 1e-12)
+                assert linalg.structure_check(l, "unit_lower", 1e-12)
+                assert linalg.structure_check(d, "diagonal", 1e-12)
 
-    def test_diagonal_product_is_determinant(self, lat, rng):
-        x, y, lam = sample_sets(lat, rng, 4)
-        _, d, _ = gauss_udl(lat, x, y, lam)
-        det = frobenius_det(lat, x, y, lam)
-        assert abs(np.prod(np.diag(d)) - det) < 1e-9 * abs(det)
+    def test_diagonal_product_is_determinant(self, kern):
+        for k, x, y, lam in kernel_instances(kern, 4):
+            _, d, _ = gauss_udl(k, x, y, lam)
+            det = frobenius_det(k, x, y, lam)
+            assert abs(np.prod(np.diag(d)) - det) < 1e-9 * abs(det), k.variant
+
+    def test_kernel_zero_raises(self, kern):
+        # x_0 = y_0, then a repeated x point and a repeated y point
+        x, y, lam = COINCIDENT
+        for k in (kern, TRIG_KERNEL, RATIONAL_KERNEL):
+            for xs, ys in ((x, y), ([x[1], x[1]], y), (x[::-1], [y[1], y[1]])):
+                with pytest.raises(KernelZero, match="x_a - y_b, x_a - x_b or y_a - y_b"):
+                    gauss_udl(k, xs, ys, lam)
 
 
 class TestBloch:

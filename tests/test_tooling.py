@@ -1,8 +1,10 @@
-"""The benchmark tracer's targets exist in the package, and its round
-hook counts sampler rounds.
+"""The benchmark tracer's targets exist in the package, its round hook
+counts sampler rounds, and the README's library example runs.
 
 ``perfbench/tracer.py`` wraps package functions by name; a renamed or
 deleted target would otherwise only fail ``python -m pytest perfbench``.
+Likewise a signature change would leave the README example broken
+without any other test failing.
 """
 
 import functools
@@ -15,7 +17,8 @@ from test_verify import reference_sample
 
 from ellcauchy import SuiteConfig, elliptic_kernel, random_instance
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -60,3 +63,11 @@ def test_round_hook_counts_rounds(with_z):
         hooked.append(rec.counts[counter])
     assert hooked == rounds
     assert sum(rounds) > 2 * len(rounds)
+
+
+def test_readme_library_example(capsys):
+    section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    residual = float(capsys.readouterr().out.split()[-1])
+    assert residual < 1e-9

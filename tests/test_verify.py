@@ -15,6 +15,7 @@ from ellcauchy import (
     SamplingExhausted,
     SuiteConfig,
     elliptic_kernel,
+    frobenius_det,
     random_instance,
     run_suite,
     verify,
@@ -301,6 +302,13 @@ class TestCheckers:
         inst = random_instance(cfg, RATIONAL_KERNEL, 5, 2)
         rep = REGISTRY["inverse"].check(inst, "rational", cfg.tolerance)
         assert rep.kernel == "rational" and rep.passed
+
+    def test_determinant_rational_checks_lambda_form(self, cfg):
+        # the rational record checks C(x,y;lam) with f(z) = z, not the
+        # classic 1/(x-y) matrix
+        inst = random_instance(cfg, RATIONAL_KERNEL, 4, 2)
+        _, ref_mag = verify.check_determinant(inst, "rational")
+        assert ref_mag == abs(frobenius_det(RATIONAL_KERNEL, inst.x, inst.y, inst.lam))
 
     def test_gauss_rejects_non_elliptic(self, cfg):
         # a kernel tag outside the plan
