@@ -218,8 +218,7 @@ def cauchy_matrix(kernel, x, y, lam):
     y = _points(y)
     lam = complex(lam)
     diff = x[:, None] - y[None, :]
-    _require_nonzero(kernel, diff, "x_i - y_j")
-    _require_nonzero(kernel, lam, "lambda")
+    _require_nonzero(kernel, np.append(diff, lam), "x_i - y_j or lambda")
     num, f_lam, f_diff = _fused(kernel, diff + lam, lam, diff)
     return num / (f_lam * f_diff)
 
@@ -237,10 +236,11 @@ def classic_cauchy_det(x, y):
     """Closed-form determinant of the classic Cauchy matrix."""
     x = _points(x)
     y = _points(y)
+    dxy = x[:, None] - y[None, :]
+    _require_nonzero(RATIONAL_KERNEL, dxy, "x_a - y_b")
     i, j = np.triu_indices(len(x), 1)
     num = np.prod(x[i] - x[j]) * np.prod(-(y[i] - y[j]))
-    den = np.prod(x[:, None] - y[None, :])
-    return complex(num / den)
+    return complex(num / np.prod(dxy))
 
 
 def d_matrix(kernel, x, y):
@@ -291,14 +291,13 @@ def cauchy_inverse_closed(kernel, x, y, lam):
     * f(x_i-y_i) f(x_j-y_j)/f(x_j-y_i)
     * prod_{k!=i} f(y_i-x_k)/f(y_i-y_k)
     * prod_{l!=j} f(x_j-y_l)/f(x_j-x_l),
-    assembled as D(y,x) C(y,x; lam+X-Y) D(x,y), which is what the product
-    identity yields for the inverse.
+    assembled as G_{lam+X-Y}(y,x) D(x,y) = D(y,x) C(y,x; lam+X-Y) D(x,y),
+    which is what the product identity yields for the inverse.  The shift
+    lam+X-Y is tested for a kernel zero as the parameter of C(y,x; .).
     """
     x = _points(x)
     y = _points(y)
-    shift = complex(lam) + x.sum() - y.sum()
-    _require_nonzero(kernel, shift, "lambda + X - Y")
-    return d_matrix(kernel, y, x) @ cauchy_matrix(kernel, y, x, shift) @ d_matrix(kernel, x, y)
+    return g_matrix(kernel, y, x, complex(lam) + x.sum() - y.sum()) @ d_matrix(kernel, x, y)
 
 
 def g_matrix(kernel, x, y, lam):
@@ -331,9 +330,7 @@ def g_factor_elliptic(lat, x, lam):
     n = len(x)
     lam = complex(lam)
     den = _lagrange_den(elliptic_kernel(lat), x, "x_i - x_l")
-    args = x + lam / n
-    cols = [sigma_k(lat, n, k, args) for k in range(1, n + 1)]
-    return np.stack(cols, axis=1) / den[:, None]
+    return sigma_k(lat, n, np.arange(1, n + 1), x + lam / n) / den[:, None]
 
 
 def g_factor_trig(x, lam):
@@ -400,13 +397,14 @@ def gauss_udl(kernel, x, y, lam):
     n = len(x)
     lam = complex(lam)
     lams = gauss_lambda_ladder(x, y, lam)
-    _require_nonzero(kernel, np.append(lams, x - y + lams), "lambda_j or x_j - y_j + lambda_j")
     dxx = x[:, None] - x[None, :]
     dxy = x[:, None] - y[None, :]
     dyy = y[:, None] - y[None, :]
     off = ~np.eye(n, dtype=bool)
     _require_nonzero(
-        kernel, np.concatenate([dxy.ravel(), dxx[off], dyy[off]]), "x_a - y_b, x_a - x_b or y_a - y_b"
+        kernel,
+        np.concatenate([lams, x - y + lams, dxy.ravel(), dxx[off], dyy[off]]),
+        "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b",
     )
 
     sxx, sxy, syx, syy, sxy_lam, sxj_yk_lj, s_lams = _fused(

@@ -100,7 +100,8 @@ def _render_text(reports):
         if cur is None:
             worst[key] = [r.rel_residual, r.tolerance, r.passed]
             continue
-        if r.rel_residual > cur[0]:
+        # a NaN residual is the worst, as in verify._worst
+        if r.rel_residual > cur[0] or np.isnan(r.rel_residual):
             cur[0], cur[1] = r.rel_residual, r.tolerance
         cur[2] = cur[2] and r.passed
     for (name, kern, n), (res, tol, ok) in sorted(worst.items()):

@@ -130,13 +130,15 @@ def _report(name, kernel_tag, n, seed, abs_res, ref_mag, tol, t0):
 def _margins_ok(kernel, sets, lam, margin):
     """Whether one sampled round keeps every margin: the separation of the
     union of ``sets``, the parameter and its shifts by the set sums, and
-    (elliptic) the Gauss ladder and the sigma_k factor arguments.
+    (elliptic) the Gauss ladder lambda_j, lambda_j + x_j - y_j and the
+    sigma_k factor arguments.
 
     A zero distance never exceeds the modulus, so the pairs closer than
     ``margin`` in the plane are the likely rejections.  Their zero
     distances are measured first; if none is below the margin, the
     all-pairs :meth:`~ellcauchy.cauchy.Kernel.separation` test decides,
-    which also catches a pair that is close only across a period.
+    which also catches a pair that is close only across a period.  The
+    parameter terms then take one zero-distance call.
     """
     pts = np.ravel(sets)
     diff = pts[:, None] - pts[None, :]
@@ -151,26 +153,21 @@ def _margins_ok(kernel, sets, lam, margin):
     shifts = [0.0, x_sum, -x_sum, y_sum, -y_sum, x_sum - y_sum, y_sum - x_sum]
     if len(sets) == 3:
         shifts += [sums[2], -sums[2]]
-    if np.min(kernel.zero_distance(lam + np.asarray(shifts))) < margin:
+    args = lam + np.asarray(shifts)
+    if kernel.variant != "elliptic":
+        return np.min(kernel.zero_distance(args)) >= margin
+    x, y = sets[0], sets[1]
+    n = len(x)
+    lams = cauchy.gauss_lambda_ladder(x, y, lam)
+    if np.min(kernel.zero_distance(np.concatenate([args, lams, x - y + lams]))) < margin:
         return False
-    if kernel.variant == "elliptic":
-        x, y = sets[0], sets[1]
-        n = len(x)
-        lams = cauchy.gauss_lambda_ladder(x, y, lam)
-        if np.min(kernel.zero_distance(lams)) < margin:
-            return False
-        if np.min(kernel.zero_distance(x - y + lams)) < margin:
-            return False
-        if n > _SIGMA_K_MAX_N:
-            return True
-        # every sigma factor inside the elliptic g-columns must stay away
-        # from lattice points, for each point of each set
-        lat = kernel.lattice
-        offsets = sigma_k_offsets(lat, n, np.arange(1, n + 1)).ravel()
-        args = (pts + lam / n)[:, None] + offsets[None, :]
-        if lattice_distance(lat, args).min() < _SIGMA_K_MARGIN:
-            return False
-    return True
+    if n > _SIGMA_K_MAX_N:
+        return True
+    # every sigma factor inside the elliptic g-columns must stay away
+    # from lattice points, for each point of each set
+    lat = kernel.lattice
+    offsets = sigma_k_offsets(lat, n, np.arange(1, n + 1)).ravel()
+    return lattice_distance(lat, (pts + lam / n)[:, None] + offsets).min() >= _SIGMA_K_MARGIN
 
 
 def random_instance(cfg, kernel, n, seed, with_z=False):
@@ -325,7 +322,7 @@ def check_monodromy(inst, tag):
     pts = 2 * rng.uniform(-0.4, 0.4, 5) * lat.omega + 2 * rng.uniform(-0.4, 0.4, 5) * lat.omega_prime
     shifts = np.array([0, 2 * lat.omega, 2 * lat.omega_prime])
     s = sigma(lat, pts + shifts[:, None])
-    sks = [sigma_k(lat, n, k, pts[:2] + shifts[:, None]) for k in range(1, n + 1)]
+    sks = sigma_k(lat, n, np.arange(1, n + 1), pts[:2] + shifts[:, None])
 
     coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     poles = inst.x
@@ -341,7 +338,7 @@ def check_monodromy(inst, tag):
     for row, (half, eta) in enumerate(((lat.omega, lat.eta), (lat.omega_prime, lat.eta_prime)), 1):
         expect = -np.exp(2 * eta * (pts + half)) * s[0]
         residuals.append(float(np.abs(s[row] - expect).max() / np.abs(expect).max()))
-        for sk in sks:
+        for sk in np.moveaxis(sks, -1, 0):
             b = sign * np.exp(2 * eta * n * (pts[:2] + half)) * sk[0]
             residuals.append(float(np.abs(sk[row] - b).max() / np.abs(b).max()))
         mult = np.exp(2 * eta * inst.lam)

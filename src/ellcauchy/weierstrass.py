@@ -200,12 +200,13 @@ def sigma_k(lat, n_size, k, x):
 
     with N = n_size.  Under shifts by a full period it picks up the
     multiplier (-1)^N exp(2 eta N (x + omega)) (and the primed analogue).
-    Elementwise over array input; all N factors of all points go through
-    one sigma call.
+    Elementwise over x and over an array k of indices in 1..N, whose axes
+    come last; all factors of all points and all k go through one sigma call.
     """
-    if not (1 <= k <= n_size):
+    k = np.asarray(k)
+    if np.any((k < 1) | (k > n_size)):
         raise ValueError(f"k = {k} outside 1..{n_size}")
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x, dtype=complex).reshape(np.shape(x) + (1,) * k.ndim)
     shifts = sigma_k_offsets(lat, n_size, k)
     out = np.exp(2 * lat.eta_prime * k * x) * np.prod(sigma(lat, x[..., None] + shifts), axis=-1)
-    return complex(out) if x.ndim == 0 else out
+    return complex(out) if out.ndim == 0 else out

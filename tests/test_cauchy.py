@@ -1,5 +1,7 @@
 """Matrix builders: closed forms, transposition/gauge symmetries, limits."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,10 @@ class TestClassic:
             m = classic_cauchy(x, y)
             assert linalg.max_abs_residual(m @ classic_cauchy_inverse(x, y), np.eye(n)) < 1e-9
 
+    def test_det_kernel_zero_raises(self):
+        with pytest.raises(KernelZero, match="x_a - y_b"):
+            classic_cauchy_det([0.1, 0.2], [0.1, 0.3])
+
 
 def sample_sets_rational(rng, n, count=2):
     while True:
@@ -155,6 +161,14 @@ class TestDMatrix:
         assert np.all(np.isfinite(d_matrix(kern, inst.x, inst.y)))
 
 
+#: x_0 = y_0 makes x_0 - y_0 a zero of every kernel
+COINCIDENT = ([0.1 + 0.05j, -0.2 + 0.1j], [0.1 + 0.05j, 0.3 - 0.2j], 0.21 + 0.33j)
+
+#: two point sets that keep every pairwise difference away from the kernel
+#: zeros; the tests choose the parameter
+APART = (np.array([0.1 + 0.05j, -0.2 + 0.1j]), np.array([0.3 - 0.2j, 0.45 + 0.15j]))
+
+
 class TestCauchyMatrix:
     @pytest.mark.parametrize("which", ["elliptic", "trig", "rational"])
     def test_transpose_relation(self, lat, kern, rng, which):
@@ -181,6 +195,11 @@ class TestCauchyMatrix:
             cauchy_matrix(kern, [0.3], [0.3 - 2 * lat.omega], 0.1)
         with pytest.raises(KernelZero):
             cauchy_matrix(kern, [0.3], [0.1], 0.0)
+        for k in (kern, TRIG_KERNEL, RATIONAL_KERNEL):
+            with pytest.raises(KernelZero, match="x_i - y_j or lambda"):
+                cauchy_matrix(k, *COINCIDENT)
+            with pytest.raises(KernelZero, match="x_i - y_j or lambda"):
+                cauchy_matrix(k, *APART, 0.0)
 
 
 def kernel_instances(kern, n, seed=7):
@@ -190,10 +209,6 @@ def kernel_instances(kern, n, seed=7):
     for k in (kern, TRIG_KERNEL, RATIONAL_KERNEL):
         inst = random_instance(cfg, k, n, seed)
         yield k, inst.x, inst.y, inst.lam
-
-
-#: x_0 = y_0 makes x_0 - y_0 a zero of every kernel
-COINCIDENT = ([0.1 + 0.05j, -0.2 + 0.1j], [0.1 + 0.05j, 0.3 - 0.2j], 0.21 + 0.33j)
 
 
 class TestFrobeniusDet:
@@ -237,6 +252,13 @@ class TestInverseClosed:
                 inv = cauchy_inverse_closed(k, x, y, lam)
                 assert linalg.max_abs_residual(m @ inv, np.eye(n)) < 1e-9, (k.variant, n)
                 assert linalg.max_abs_residual(inv @ m, np.eye(n)) < 1e-9, (k.variant, n)
+
+    def test_shift_kernel_zero_raises(self, kern):
+        # lam = Y - X puts the shift lam + X - Y of C(y,x; .) on a zero
+        x, y = APART
+        for k in (kern, TRIG_KERNEL, RATIONAL_KERNEL):
+            with pytest.raises(KernelZero, match="x_i - y_j or lambda"):
+                cauchy_inverse_closed(k, x, y, y.sum() - x.sum())
 
 
 class TestGH:
@@ -358,12 +380,21 @@ class TestGauss:
             assert abs(np.prod(np.diag(d)) - det) < 1e-9 * abs(det), k.variant
 
     def test_kernel_zero_raises(self, kern):
-        # x_0 = y_0, then a repeated x point and a repeated y point
+        # x_0 = y_0, then a repeated x point and a repeated y point; on
+        # N = 2 apart sets, lam = y_1 - x_1 puts lambda_0 = lam + x_1 - y_1
+        # (and with it x_1 - y_1 + lambda_1) on a zero, and lam = Y - X puts
+        # x_0 - y_0 + lambda_0 = lam + X - Y there but no lambda_j
         x, y, lam = COINCIDENT
+        ax, ay = APART
+        cases = (
+            (x, y, lam), ([x[1], x[1]], y, lam), (x[::-1], [y[1], y[1]], lam),
+            (ax, ay, ay[1] - ax[1]), (ax, ay, ay.sum() - ax.sum()),
+        )
+        message = re.escape("lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b")
         for k in (kern, TRIG_KERNEL, RATIONAL_KERNEL):
-            for xs, ys in ((x, y), ([x[1], x[1]], y), (x[::-1], [y[1], y[1]])):
-                with pytest.raises(KernelZero, match="x_a - y_b, x_a - x_b or y_a - y_b"):
-                    gauss_udl(k, xs, ys, lam)
+            for xs, ys, lam_case in cases:
+                with pytest.raises(KernelZero, match=message):
+                    gauss_udl(k, xs, ys, lam_case)
 
 
 class TestBloch:

@@ -213,6 +213,17 @@ class TestRenderText:
         assert text == render_text_rescan(reports)
         assert "inverse" in text and "FAIL" in text and text.endswith("9 checks, 3 failed\n")
 
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_nan_residual_is_the_worst(self, nan_first):
+        reports = [
+            self._report("monodromy", 3, 0, 1e-13, 1e-9),
+            self._report("monodromy", 3, 1, float("nan"), 1e-9),
+        ]
+        if nan_first:
+            reports.reverse()
+        row = cli._render_text(reports).splitlines()[2]
+        assert row.split()[3:] == ["nan", "1e-09", "FAIL"]
+
     def test_matches_rescan_on_a_suite_run(self):
         cfg = verify.SuiteConfig(n_values=(1, 2, 3), trials_per_n=3, tolerance=1e-14)
         reports = verify.run_suite(cfg)

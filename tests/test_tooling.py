@@ -1,5 +1,6 @@
 """The benchmark tracer's targets exist in the package, its round hook
-counts sampler rounds, and the README's library example runs.
+counts sampler rounds, the README's library example runs, and the layer
+call counts of a small suite run stay within their pinned caps.
 
 ``perfbench/tracer.py`` wraps package functions by name; a renamed or
 deleted target would otherwise only fail ``python -m pytest perfbench``.
@@ -15,13 +16,15 @@ from pathlib import Path
 import pytest
 from test_verify import reference_sample
 
-from ellcauchy import SuiteConfig, elliptic_kernel, random_instance
+from ellcauchy import SuiteConfig, elliptic_kernel, random_instance, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
+    # the tracer patches every package module, the CLI included
+    importlib.import_module("ellcauchy.cli")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -71,3 +74,27 @@ def test_readme_library_example(capsys):
     exec(compile(code, "README.md", "exec"), {})
     residual = float(capsys.readouterr().out.split()[-1])
     assert residual < 1e-9
+
+
+#: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
+#: each builder tests its denominators in one zero-distance call, the closed
+#: inverse reuses G's tests, and sigma_k takes every k in one call
+CALL_CAPS = {
+    "cauchy.zero_distance": 1165,
+    "weierstrass.lattice_distance": 608,
+    "weierstrass.sigma": 240,
+    "weierstrass.sigma_k": 24,
+}
+
+
+def test_call_counts_do_not_grow():
+    tracer = load_tracer()
+    rec = tracer.Tracer()
+    rec.install()
+    try:
+        run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2))
+    finally:
+        rec.uninstall()
+    calls = rec.aggregate()["calls"]
+    counts = {label: calls[label] for label in CALL_CAPS}
+    assert all(counts[label] <= cap for label, cap in CALL_CAPS.items()), counts

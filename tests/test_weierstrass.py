@@ -188,8 +188,20 @@ class TestSigmaK:
             assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
     def test_k_out_of_range(self, lat):
-        with pytest.raises(ValueError):
-            sigma_k(lat, 3, 4, 0.1)
+        for k in (4, [0, 1, 2], [1, 2, 3, 4], [[1, 2], [3, 4]]):
+            with pytest.raises(ValueError):
+                sigma_k(lat, 3, k, 0.1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_k_array_is_the_stacked_calls(self, lat, rng, n):
+        # a row of points and the monodromy's 3 x 2 grid; with a single
+        # point and a single k, numpy forms the exponent in another loop,
+        # which may round the last bit differently
+        ks = np.arange(1, n + 1)
+        for shape in ((n + 1,), (3, 2)):
+            x = cell_points(lat, rng, int(np.prod(shape))).reshape(shape)
+            stacked = np.stack([sigma_k(lat, n, int(k), x) for k in ks], axis=-1)
+            assert np.array_equal(sigma_k(lat, n, ks, x), stacked)
 
 
 def test_lattice_distance(lat):
