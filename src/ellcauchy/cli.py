@@ -112,7 +112,10 @@ def _render_text(reports):
 
 
 def _render_json(reports):
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    """Strict JSON (RFC 8259): a non-finite float is written as null."""
+    rows = [{k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in r.to_dict().items()}
+            for r in reports]
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def _render_csv(reports):

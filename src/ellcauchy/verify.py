@@ -77,8 +77,9 @@ class SuiteConfig:
             raise ValueError("n_values must be nonempty, and its entries and trials_per_n >= 1")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "trials_per_n", trials)
-        if complex(self.lattice_tau).imag <= 0:
-            raise ValueError("Im(lattice_tau) must be positive")
+        tau = complex(self.lattice_tau)
+        if not (np.isfinite(tau) and tau.imag > 0):
+            raise ValueError("lattice_tau must be finite with Im(lattice_tau) > 0")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
         # sampled instances must pass the Instance separation test
@@ -128,46 +129,37 @@ def _report(name, kernel_tag, n, seed, abs_res, ref_mag, tol, t0):
 
 
 def _margins_ok(kernel, sets, lam, margin):
-    """Whether one sampled round keeps every margin: the separation of the
-    union of ``sets``, the parameter and its shifts by the set sums, and
-    (elliptic) the Gauss ladder lambda_j, lambda_j + x_j - y_j and the
-    sigma_k factor arguments.
+    """Whether one sampled round keeps every margin: the zero distance of
+    each difference of two points of the union of ``sets``, of lambda, of
+    lambda plus and minus each set sum and X - Y, and (elliptic) of the Gauss
+    ladder lambda_j, of lambda_j + x_j - y_j and, up to ``_SIGMA_K_MAX_N``
+    points, of the sigma_k factor arguments, which keep ``_SIGMA_K_MARGIN``.
 
-    A zero distance never exceeds the modulus, so the pairs closer than
-    ``margin`` in the plane are the likely rejections.  Their zero
-    distances are measured first; if none is below the margin, the
-    all-pairs :meth:`~ellcauchy.cauchy.Kernel.separation` test decides,
-    which also catches a pair that is close only across a period.  The
-    parameter terms then take one zero-distance call.
+    A zero distance never exceeds the modulus (0 is a zero), so a pair
+    closer than ``margin`` in the plane rejects the round without a kernel
+    call.  Otherwise every margin is measured in one zero-distance call,
+    which also catches a pair that is close only across a period.
     """
     pts = np.ravel(sets)
     diff = pts[:, None] - pts[None, :]
-    close = np.abs(diff) < margin
-    np.fill_diagonal(close, False)
-    if close.any() and kernel.zero_distance(diff[close]).min() < margin:
-        return False
-    if kernel.separation(pts) < margin:
+    diff = diff[~np.eye(len(pts), dtype=bool)]
+    if (np.abs(diff) < margin).any():
         return False
     sums = [s.sum() for s in sets]
-    x_sum, y_sum = sums[0], sums[1]
-    shifts = [0.0, x_sum, -x_sum, y_sum, -y_sum, x_sum - y_sum, y_sum - x_sum]
-    if len(sets) == 3:
-        shifts += [sums[2], -sums[2]]
-    args = lam + np.asarray(shifts)
-    if kernel.variant != "elliptic":
-        return np.min(kernel.zero_distance(args)) >= margin
-    x, y = sets[0], sets[1]
-    n = len(x)
-    lams = cauchy.gauss_lambda_ladder(x, y, lam)
-    if np.min(kernel.zero_distance(np.concatenate([args, lams, x - y + lams]))) < margin:
-        return False
-    if n > _SIGMA_K_MAX_N:
-        return True
-    # every sigma factor inside the elliptic g-columns must stay away
-    # from lattice points, for each point of each set
-    lat = kernel.lattice
-    offsets = sigma_k_offsets(lat, n, np.arange(1, n + 1)).ravel()
-    return lattice_distance(lat, (pts + lam / n)[:, None] + offsets).min() >= _SIGMA_K_MARGIN
+    shifts = np.array([0.0, *sums, sums[0] - sums[1]])
+    args = [diff, lam + shifts, lam - shifts]
+    sigma_args = []
+    if kernel.variant == "elliptic":
+        x, y = sets[0], sets[1]
+        n = len(x)
+        lams = cauchy.gauss_lambda_ladder(x, y, lam)
+        args += [lams, x - y + lams]
+        if n <= _SIGMA_K_MAX_N:
+            # every sigma factor inside the elliptic g-columns, at every point
+            offsets = sigma_k_offsets(kernel.lattice, n, np.arange(1, n + 1)).ravel()
+            sigma_args = (pts + lam / n)[:, None] + offsets
+    near, far = cauchy._fused(kernel.zero_distance, np.concatenate(args), sigma_args)
+    return near.min() >= margin and far.min(initial=np.inf) >= _SIGMA_K_MARGIN
 
 
 def random_instance(cfg, kernel, n, seed, with_z=False):

@@ -84,15 +84,16 @@ def lattice_new(omega, omega_prime):
     eta_prime is then recovered from the Legendre relation, which makes the
     Legendre invariant exact up to the eta series error.
 
-    Raises :class:`InvalidLattice` unless Im(omega_prime/omega) > 0.
+    Raises :class:`InvalidLattice` unless the periods and their ratio are
+    finite and Im(omega_prime/omega) > 0.
     """
     omega = complex(omega)
     omega_prime = complex(omega_prime)
     if omega == 0 or omega_prime == 0:
         raise InvalidLattice("periods must be nonzero")
     tau = omega_prime / omega
-    if tau.imag <= 0:
-        raise InvalidLattice(f"Im(omega'/omega) = {tau.imag} must be positive")
+    if not (np.isfinite([omega, tau]).all() and tau.imag > 0):
+        raise InvalidLattice(f"need finite periods with Im(omega'/omega) > 0, got omega'/omega = {tau}")
     q = np.exp(1j * np.pi * tau)
 
     # term K of the theta1'''(0) sum is at most |q|^(K^2) (2K+1)^3 times term 0

@@ -72,6 +72,8 @@ class TestMain:
             ["--trials", "0"],
             ["--n", "0"],
             ["--tau", "0.5-0.5i"],
+            ["--tau", "1e400+0.7i"],
+            ["--tau", "0.3+1e400i"],
             ["--tol", "-1"],
             ["--tol", "nan"],
             ["--out", "missing-dir/x.txt"],
@@ -133,6 +135,17 @@ class TestMain:
             "identity_name", "kernel", "n", "seed",
             "abs_residual", "rel_residual", "tolerance", "passed", "elapsed_ms",
         ]
+
+    def test_json_nan_is_null(self):
+        # RFC 8259 has no NaN: a non-finite residual is written as null
+        rep = verify._report("monodromy", "elliptic", 3, 43, float("nan"), 1.0, 1e-9, 0.0)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        (record,) = json.loads(cli._render_json([rep]), parse_constant=reject)
+        assert record["abs_residual"] is None and record["rel_residual"] is None
+        assert record["passed"] is False and record["tolerance"] == 1e-9
 
     def test_json_deterministic_modulo_timing(self, tmp_path):
         outs = []

@@ -1,6 +1,7 @@
 """The benchmark tracer's targets exist in the package, its round hook
-counts sampler rounds, the README's library example runs, and the layer
-call counts of a small suite run stay within their pinned caps.
+counts sampler rounds, a sampler round makes at most one zero-distance
+call, the README's library example runs, and the layer call counts of a
+small suite run stay within their pinned caps.
 
 ``perfbench/tracer.py`` wraps package functions by name; a renamed or
 deleted target would otherwise only fail ``python -m pytest perfbench``.
@@ -13,10 +14,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+import test_verify
 from test_verify import reference_sample
 
-from ellcauchy import SuiteConfig, elliptic_kernel, random_instance, run_suite
+from ellcauchy import Kernel, SuiteConfig, elliptic_kernel, random_instance, run_suite, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -68,6 +71,49 @@ def test_round_hook_counts_rounds(with_z):
     assert sum(rounds) > 2 * len(rounds)
 
 
+@pytest.fixture
+def round_calls(monkeypatch):
+    """Zero-distance calls made inside each margin test, one entry per round."""
+    calls, per_round = [], []
+    zero_distance, margins_ok = Kernel.zero_distance, verify._margins_ok
+
+    def counted_zero_distance(self, z):
+        calls.append(1)
+        return zero_distance(self, z)
+
+    def counted_round(*args):
+        before = len(calls)
+        try:
+            return margins_ok(*args)
+        finally:
+            per_round.append(len(calls) - before)
+
+    monkeypatch.setattr(Kernel, "zero_distance", counted_zero_distance)
+    monkeypatch.setattr(verify, "_margins_ok", counted_round)
+    return per_round
+
+
+@pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+def test_one_zero_distance_call_per_round(round_calls, variant):
+    # a close pair rejects a round without a kernel call; every other
+    # margin is measured in one call
+    cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
+    kern = Kernel(variant, cfg.lattice())
+    for seed in range(1, 6):
+        for with_z in (False, True):
+            random_instance(cfg, kern, 20, seed, with_z)
+    assert len(round_calls) > 10
+    assert max(round_calls) <= 1
+
+
+@pytest.mark.parametrize("variant", list(test_verify.TestMarginScreen.CASES))
+def test_close_pair_needs_no_call(round_calls, variant):
+    kern, sets, lam = test_verify.TestMarginScreen.CASES[variant]
+    close = [sets[0], np.append(sets[1][1:], sets[0][0] + 0.01)]
+    assert not verify._margins_ok(kern, close, lam, SuiteConfig().sep_min)
+    assert round_calls == [0]
+
+
 def test_readme_library_example(capsys):
     section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
@@ -78,10 +124,11 @@ def test_readme_library_example(capsys):
 
 #: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
 #: each builder tests its denominators in one zero-distance call, the closed
-#: inverse reuses G's tests, and sigma_k takes every k in one call
+#: inverse reuses G's tests, sigma_k takes every k in one call, and a
+#: sampler round makes at most one zero-distance call
 CALL_CAPS = {
-    "cauchy.zero_distance": 1165,
-    "weierstrass.lattice_distance": 608,
+    "cauchy.zero_distance": 1030,
+    "weierstrass.lattice_distance": 482,
     "weierstrass.sigma": 240,
     "weierstrass.sigma_k": 24,
 }

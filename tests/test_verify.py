@@ -126,6 +126,9 @@ class TestSuiteConfig:
             {"n_values": ()},
             {"n_values": (0, 1)},
             {"lattice_tau": 0.5 - 0.5j},
+            {"lattice_tau": complex(math.inf, 0.7)},
+            {"lattice_tau": complex(0.3, math.inf)},
+            {"lattice_tau": complex(0.3, math.nan)},
             {"tolerance": -1.0},
             {"tolerance": math.nan},
             {"tolerance": math.inf},

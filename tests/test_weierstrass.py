@@ -63,6 +63,10 @@ class TestLattice:
             lattice_new(1.0, -1j)
         with pytest.raises(InvalidLattice):
             lattice_new(0.0, 1j)
+        # non-finite periods, and finite periods whose ratio overflows
+        for omega, omega_prime in [(1.0, complex(np.inf, 0.7)), (1.0, complex(0.3, np.nan)), (1e-300, 1e300j)]:
+            with pytest.raises(InvalidLattice):
+                lattice_new(omega, omega_prime)
 
     def test_nome_inside_unit_disc(self, lat):
         assert abs(lat.nome) < 1
