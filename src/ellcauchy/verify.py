@@ -467,6 +467,8 @@ def run_suite(cfg, identities=None, kernels=None):
     ``kernels``, when given, is a set of kernel variants: each identity
     runs on the tags of its plan whose variant is in the set.  Each check
     is judged by :meth:`Identity.check` at base tolerance ``cfg.tolerance``.
+    Each distinct instance (kernel variant, N, seed, third point set or
+    not) is sampled once per run and shared by every identity that uses it.
 
     Returns reports sorted by (identity, kernel, n, seed).  A check whose
     residual misses its tolerance is recorded as a failed report, but any
@@ -476,8 +478,11 @@ def run_suite(cfg, identities=None, kernels=None):
     names = list(identities) if identities is not None else list(IDENTITIES) + ["degeneration"]
     lat = cfg.lattice()
     reports = []
+    instances = {}
     for name in names:
         if name == "degeneration":
+            if kernels and {"rational", "trig"}.isdisjoint(kernels):
+                continue
             reports.extend(
                 r for r in check_degeneration(cfg) if not kernels or r.kernel in kernels
             )
@@ -491,7 +496,9 @@ def run_suite(cfg, identities=None, kernels=None):
             for n in sizes:
                 for trial in range(cfg.trials_per_n):
                     seed = cfg.base_seed + trial
-                    inst = random_instance(cfg, kern, n, seed, with_z)
-                    reports.append(ident.check(inst, tag, cfg.tolerance))
+                    key = (kern.variant, n, seed, with_z)
+                    if key not in instances:
+                        instances[key] = random_instance(cfg, kern, n, seed, with_z)
+                    reports.append(ident.check(instances[key], tag, cfg.tolerance))
     reports.sort(key=lambda r: (r.identity_name, r.kernel, r.n, r.seed))
     return reports

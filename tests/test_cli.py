@@ -178,10 +178,27 @@ class TestMain:
         kernels = {r["kernel"] for r in json.loads(out.read_text())}
         assert kernels == {"rational", "k-rational"}
 
-    def test_bench_smoke(self, capsys):
+    def test_bench_smoke(self, capsys, monkeypatch):
+        sampled = []
+        random_instance = verify.random_instance
+
+        def counted(cfg, kernel, n, seed, with_z=False):
+            sampled.append((n, with_z))
+            return random_instance(cfg, kernel, n, seed, with_z)
+
+        monkeypatch.setattr(verify, "random_instance", counted)
         assert cli.main(["bench"]) == 0
-        out = capsys.readouterr().out
-        assert "sigma x2000" in out and "n=32" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("sigma x2000")
+        timed = {line.split()[1] for line in lines[1:] if line.endswith(" ms")}
+        assert timed == {"n=4", "n=8", "n=16", "n=32"}
+        # sizes above an identity's cap are skipped, not run into an error
+        for name in ("factorization", "monodromy"):
+            for n in (8, 16, 32):
+                assert f"{name} n={n}".ljust(22) + "    skipped (n_cap = 6)" in lines
+        assert not [line for line in lines if "n/a" in line]
+        # one instance per size and point-set count, shared by the identities
+        assert sorted(sampled) == sorted({(n, z) for n in (4, 8, 16, 32) for z in (False, True)})
 
 
 def render_text_rescan(reports):

@@ -123,12 +123,15 @@ def test_readme_library_example(capsys):
 
 
 #: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
-#: each builder tests its denominators in one zero-distance call, the closed
-#: inverse reuses G's tests, sigma_k takes every k in one call, and a
-#: sampler round makes at most one zero-distance call
+#: each of the 48 distinct instances is sampled once (and degeneration
+#: samples its own), each builder tests its denominators in one
+#: zero-distance call, the closed inverse reuses G's tests, sigma_k takes
+#: every k in one call, and a sampler round makes at most one
+#: zero-distance call
 CALL_CAPS = {
-    "cauchy.zero_distance": 1030,
-    "weierstrass.lattice_distance": 482,
+    "verify.random_instance": 49,
+    "cauchy.zero_distance": 813,
+    "weierstrass.lattice_distance": 361,
     "weierstrass.sigma": 240,
     "weierstrass.sigma_k": 24,
 }

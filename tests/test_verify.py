@@ -413,6 +413,14 @@ class TestRunSuite:
             if r.identity_name != "degeneration":
                 assert r.tolerance == tolerance_for(r.identity_name, r.n), r
 
+    def test_degeneration_skipped_without_its_kernels(self, small, monkeypatch):
+        def unselected(cfg):
+            raise AssertionError("degeneration ran with neither trig nor rational selected")
+
+        monkeypatch.setattr(verify, "check_degeneration", unselected)
+        reports = run_suite(small, kernels={"elliptic"})
+        assert reports and {r.kernel for r in reports} == {"elliptic"}
+
     def test_size_caps(self, small):
         cfg = SuiteConfig(n_values=(8,), trials_per_n=1)
         assert run_suite(cfg, identities=["factorization"]) == []
@@ -425,3 +433,44 @@ class TestRunSuite:
         worst = lambda cfg: max(r.rel_residual for r in run_suite(cfg, identities=["determinant"]))
         assert worst(loose) < 1e-11
         assert worst(tight) < 1e-10
+
+
+def reference_run_suite(cfg):
+    """The suite loop with no sharing: a fresh instance for every
+    (identity, kernel tag, N, trial)."""
+    lat = cfg.lattice()
+    reports = check_degeneration(cfg)
+    for ident in REGISTRY.values():
+        for tag, with_z in ident.plan:
+            kern = Kernel(tag.removeprefix("k-"), lat)
+            for n in cfg.n_values:
+                if ident.n_cap is not None and n > ident.n_cap:
+                    continue
+                for trial in range(cfg.trials_per_n):
+                    inst = random_instance(cfg, kern, n, cfg.base_seed + trial, with_z)
+                    reports.append(ident.check(inst, tag, cfg.tolerance))
+    reports.sort(key=lambda r: (r.identity_name, r.kernel, r.n, r.seed))
+    return reports
+
+
+class TestSharedInstances:
+    """run_suite samples each distinct instance once and hands it to every
+    identity and kernel tag that uses it."""
+
+    def test_one_sample_per_instance(self, monkeypatch):
+        cfg = SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)
+        sampled = Counter()
+
+        def counted(cfg, kernel, n, seed, with_z=False):
+            sampled[kernel.variant, n, seed, with_z] += 1
+            return random_instance(cfg, kernel, n, seed, with_z)
+
+        monkeypatch.setattr(verify, "random_instance", counted)
+        reports = run_suite(cfg)
+        # check_degeneration samples its own rational N = 5 instance
+        degeneration = ("rational", 5, cfg.base_seed, False)
+        assert sampled.pop(degeneration) == 1
+        # 4 sizes x 2 trials of: elliptic, trig and rational with and
+        # without a third point set
+        assert len(sampled) == 48 and set(sampled.values()) == {1}
+        assert strip_timing(reports) == strip_timing(reference_run_suite(cfg))
