@@ -37,7 +37,6 @@ from .errors import (
     PoleAtLatticePoint,
     PoleProximity,
     SamplingExhausted,
-    SingularGFactor,
     SingularMatrix,
 )
 from .linalg import lu_det, lu_inverse, max_abs_residual, rel_residual, structure_check

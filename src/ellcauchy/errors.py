@@ -29,9 +29,5 @@ class PoleProximity(EllCauchyError):
     """Evaluation point too close to a pole of the expansion."""
 
 
-class SingularGFactor(EllCauchyError):
-    """The right factor of a factorization could not be inverted."""
-
-
 class SamplingExhausted(EllCauchyError):
     """Rejection sampling failed to place separated points in the region."""

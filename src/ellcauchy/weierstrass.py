@@ -184,15 +184,6 @@ def zeta_w(lat, x):
     return complex(z + 2 * m * lat.eta + 2 * mp * lat.eta_prime)
 
 
-def sigma_k_offsets(lat, n_size, k):
-    """The offsets ((N-2l-1)/N) omega - (2k/N) omega_prime, l = 0..N-1 on
-    the last axis, that :func:`sigma_k` adds to x inside its N sigma
-    factors; N = n_size, and k may be an array of indices."""
-    l = np.arange(n_size)
-    k = np.asarray(k)[..., None]
-    return (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k / n_size) * lat.omega_prime
-
-
 def sigma_k(lat, n_size, k, x):
     """Auxiliary quasi-periodic product used by the elliptic factorization.
 
@@ -208,6 +199,7 @@ def sigma_k(lat, n_size, k, x):
     if np.any((k < 1) | (k > n_size)):
         raise ValueError(f"k = {k} outside 1..{n_size}")
     x = np.asarray(x, dtype=complex).reshape(np.shape(x) + (1,) * k.ndim)
-    shifts = sigma_k_offsets(lat, n_size, k)
+    l = np.arange(n_size)
+    shifts = (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k[..., None] / n_size) * lat.omega_prime
     out = np.exp(2 * lat.eta_prime * k * x) * np.prod(sigma(lat, x[..., None] + shifts), axis=-1)
     return complex(out) if out.ndim == 0 else out

@@ -22,7 +22,6 @@ from ellcauchy import (
 )
 from ellcauchy.cauchy import gauss_lambda_ladder
 from ellcauchy.verify import REGISTRY, check_degeneration, tolerance_for
-from ellcauchy.weierstrass import lattice_distance, sigma_k_offsets
 
 
 @pytest.fixture(scope="module")
@@ -75,22 +74,11 @@ def reference_margins_ok(kernel, sets, lam, margin):
         shifts += [sums[2], -sums[2]]
     if np.min(kernel.zero_distance(lam + np.asarray(shifts))) < margin:
         return False
-    if kernel.variant == "elliptic":
-        x, y = sets[0], sets[1]
-        n = len(x)
-        lams = gauss_lambda_ladder(x, y, lam)
-        if np.min(kernel.zero_distance(lams)) < margin:
-            return False
-        if np.min(kernel.zero_distance(x - y + lams)) < margin:
-            return False
-        if n > verify._SIGMA_K_MAX_N:
-            return True
-        lat = kernel.lattice
-        offsets = sigma_k_offsets(lat, n, np.arange(1, n + 1)).ravel()
-        args = (pts + lam / n)[:, None] + offsets[None, :]
-        if lattice_distance(lat, args).min() < verify._SIGMA_K_MARGIN:
-            return False
-    return True
+    x, y = sets[0], sets[1]
+    lams = gauss_lambda_ladder(x, y, lam)
+    if np.min(kernel.zero_distance(lams)) < margin:
+        return False
+    return np.min(kernel.zero_distance(x - y + lams)) >= margin
 
 
 def reference_sample(cfg, kernel, n, seed, with_z=False):
@@ -332,10 +320,11 @@ class TestCheckers:
             REGISTRY[name].check(inst, "elliptic", cfg.tolerance)
 
     def test_degeneration_reports(self, cfg):
-        reports = check_degeneration(cfg)
+        reports = check_degeneration(random_instance(cfg, RATIONAL_KERNEL, 5, cfg.base_seed))
         tags = sorted(r.kernel for r in reports)
         assert tags == ["rational", "trig"]
         assert all(r.passed for r in reports)
+        assert {(r.n, r.seed) for r in reports} == {(5, cfg.base_seed)}
 
     @pytest.mark.parametrize(
         "abs_res, ref_mag", [(math.nan, 1.0), (math.inf, 1.0), (1e-20, math.inf), (1e-20, math.nan)]
@@ -425,6 +414,16 @@ class TestRunSuite:
         cfg = SuiteConfig(n_values=(8,), trials_per_n=1)
         assert run_suite(cfg, identities=["factorization"]) == []
 
+    @pytest.mark.parametrize("n, sep_min", [(20, 0.03), (32, 0.6 / 32)])
+    def test_factorization_at_large_n(self, n, sep_min):
+        # the elliptic g(y) spans many decades here and is numerically
+        # singular, but G g(y) = g(x) needs no inverse of it
+        cfg = SuiteConfig(n_values=(n,), sep_min=sep_min)
+        kern = elliptic_kernel(cfg.lattice())
+        for seed in range(3):
+            rep = REGISTRY["factorization"].check(random_instance(cfg, kern, n, seed), "elliptic", cfg.tolerance)
+            assert rep.rel_residual <= 1e-13, (seed, rep.rel_residual)
+
     def test_tight_separation_does_not_hurt(self):
         # residuals with generous separation should not be wildly worse
         # than with the default margin (conditioning sanity check)
@@ -439,7 +438,7 @@ def reference_run_suite(cfg):
     """The suite loop with no sharing: a fresh instance for every
     (identity, kernel tag, N, trial)."""
     lat = cfg.lattice()
-    reports = check_degeneration(cfg)
+    reports = check_degeneration(random_instance(cfg, RATIONAL_KERNEL, 5, cfg.base_seed))
     for ident in REGISTRY.values():
         for tag, with_z in ident.plan:
             kern = Kernel(tag.removeprefix("k-"), lat)
@@ -467,10 +466,26 @@ class TestSharedInstances:
 
         monkeypatch.setattr(verify, "random_instance", counted)
         reports = run_suite(cfg)
-        # check_degeneration samples its own rational N = 5 instance
+        # 5 is not among the sizes, so degeneration's rational N = 5
+        # instance is sampled for it alone
         degeneration = ("rational", 5, cfg.base_seed, False)
         assert sampled.pop(degeneration) == 1
         # 4 sizes x 2 trials of: elliptic, trig and rational with and
         # without a third point set
         assert len(sampled) == 48 and set(sampled.values()) == {1}
         assert strip_timing(reports) == strip_timing(reference_run_suite(cfg))
+
+    def test_degeneration_shares_its_instance(self, monkeypatch):
+        # degeneration runs on the rational N = 5 instance the rational
+        # records already hold, so it samples nothing of its own
+        cfg = SuiteConfig(n_values=(5,), trials_per_n=1)
+        sampled = Counter()
+
+        def counted(cfg, kernel, n, seed, with_z=False):
+            sampled[kernel.variant, n, seed, with_z] += 1
+            return random_instance(cfg, kernel, n, seed, with_z)
+
+        monkeypatch.setattr(verify, "random_instance", counted)
+        reports = run_suite(cfg, identities=["determinant", "degeneration"], kernels={"rational"})
+        assert sampled == {("rational", 5, cfg.base_seed, False): 1}
+        assert len(reports) == 2 and all(r.passed for r in reports)
