@@ -9,14 +9,18 @@ factor and the instance sampler) is one :class:`KernelSpec` record in
 ``KERNELS``.  The closed determinant and inverse and the UDL decomposition
 take a :class:`Kernel` too: the paper states them for sigma, and sin and the
 identity are degenerations of sigma whose Gaussian factor cancels in these
-balanced formulas, so one code path serves every kernel.  The remaining
-builders (the factorization factors, the parameter-free K and W forms and
-double-Bloch evaluation) are kernel-specific and follow their defining
-formulas directly.
+balanced formulas, so one code path serves every kernel.  Each D-based
+builder makes one zero test and one kernel call, over distinct differences
+only: the zero distance is even and every kernel odd, so x_i - x_l and
+y_i - y_l are taken for i < l, and f(y_j - x_i) as -f(x_i - y_j).  The
+remaining builders (the factorization factors, the parameter-free K and W
+forms and double-Bloch evaluation) are kernel-specific and follow their
+defining formulas directly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -132,9 +136,8 @@ class Kernel:
         """Smallest zero distance of a difference of two points of ``pts``
         (inf for a single point)."""
         pts = np.asarray(pts, dtype=complex)
-        d = self.zero_distance(pts[:, None] - pts[None, :])
-        np.fill_diagonal(d, np.inf)
-        return d.min()
+        i, l = pair_indices(len(pts))
+        return self.zero_distance(pts[i] - pts[l]).min(initial=np.inf)
 
 
 def elliptic_kernel(lat):
@@ -200,16 +203,57 @@ def _require_nonzero(kernel, args, what):
         raise KernelZero(f"{what} hits a kernel zero")
 
 
-def _lagrange_den(kernel, x, what, fxx=None):
+def _square(x, y):
+    """x and y as point arrays of one size, for a square-matrix builder."""
+    x, y = _points(x), _points(y)
+    if len(x) != len(y):
+        raise DimensionMismatch(f"point sets of sizes {len(x)} and {len(y)} give no square matrix")
+    return x, y
+
+
+@functools.lru_cache(maxsize=64)
+def pair_indices(n):
+    """Read-only index arrays (i, l) of the pairs i < l of n points."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def _odd_table(n, f_pairs):
+    """The table f(x_i - x_l) over n points from its values ``f_pairs`` on
+    the pairs i < l, with f(x_l - x_i) = -f(x_i - x_l) and 1 on the diagonal."""
+    i, l = pair_indices(n)
+    table = np.ones((n, n), dtype=complex)
+    table[i, l] = f_pairs
+    table[l, i] = -f_pairs
+    return table
+
+
+def _lagrange_den(kernel, x, what=None, f_pairs=None):
     """Row products prod_{l!=i} f(x_i - x_l) over the points x, from the
-    table ``fxx`` = f(x_i - x_l) when the caller has it.  A difference
-    x_i - x_l (i != l) at a kernel zero raises :class:`KernelZero`."""
+    values ``f_pairs`` on the pairs i < l when the caller has them (and has
+    zero-tested them).  Otherwise a pair difference at a kernel zero raises
+    :class:`KernelZero` naming ``what``."""
     n = len(x)
-    dxx = x[:, None] - x[None, :]
-    _require_nonzero(kernel, dxx[~np.eye(n, dtype=bool)], what)
-    if fxx is None:
-        fxx = kernel(dxx)
-    return np.prod(fxx + np.eye(n), axis=1)
+    if f_pairs is None:
+        i, l = pair_indices(n)
+        diff = x[i] - x[l]
+        _require_nonzero(kernel, diff, what)
+        f_pairs = kernel(diff)
+    return np.prod(_odd_table(n, f_pairs), axis=1)
+
+
+def _d_tables(kernel, x, y, lam, pts, what):
+    """One zero test of every denominator (x_i - y_j, the pair differences
+    of ``pts`` and lam) and one kernel call, for f(x_i - y_j), f(p_i - p_l)
+    on the pairs i < l and, unless lam is None, f(x_i - y_j + lam), f(lam)."""
+    dxy = x[:, None] - y[None, :]
+    i, l = pair_indices(len(pts))
+    dpp = pts[i] - pts[l]
+    lams = [] if lam is None else [complex(lam)]
+    _require_nonzero(kernel, np.concatenate([dxy.ravel(), dpp, lams]), what)
+    return _fused(kernel, dxy, dpp, *[dxy + a for a in lams], *lams)
 
 
 def cauchy_matrix(kernel, x, y, lam):
@@ -245,12 +289,9 @@ def classic_cauchy_det(x, y):
 
 def d_matrix(kernel, x, y):
     """Diagonal matrix diag( f(x_i-y_i) prod_{k!=i} f(x_i-y_k)/f(x_i-x_k) )."""
-    x = _points(x)
-    y = _points(y)
-    dxy = x[:, None] - y[None, :]
-    _require_nonzero(kernel, dxy, "x_i - y_k")
-    a, b = _fused(kernel, dxy, x[:, None] - x[None, :])
-    return np.diag(np.prod(a, axis=1) / _lagrange_den(kernel, x, "x_i - x_k", b))
+    x, y = _square(x, y)
+    f_xy, f_xx = _d_tables(kernel, x, y, None, x, "x_i - x_k or x_i - y_k")
+    return np.diag(np.prod(f_xy, axis=1) / _lagrange_den(kernel, x, f_pairs=f_xx))
 
 
 def classic_cauchy_inverse(x, y):
@@ -270,14 +311,12 @@ def frobenius_det(kernel, x, y, lam):
     * prod_{a<b} f(x_a-x_b) f(y_b-y_a) / prod_{a,b} f(x_a-y_b)
     with X, Y the point-set sums.
     """
-    x = _points(x)
-    y = _points(y)
-    n = len(x)
+    x, y = _square(x, y)
     lam = complex(lam)
     shift = lam + x.sum() - y.sum()
     dxy = x[:, None] - y[None, :]
     _require_nonzero(kernel, np.append(dxy, [lam, shift]), "x_a - y_b, lambda or lambda + X - Y")
-    i, j = np.triu_indices(n, 1)
+    i, j = pair_indices(len(x))
     s_shift, s_lam, dx, dy, s_xy = _fused(kernel, shift, lam, x[i] - x[j], y[i] - y[j], dxy)
     num = np.prod(dx) * np.prod(-dy)  # f(y_b - y_a) = -f(y_a - y_b)
     return complex(s_shift / s_lam * num / np.prod(s_xy))
@@ -295,19 +334,25 @@ def cauchy_inverse_closed(kernel, x, y, lam):
     which is what the product identity yields for the inverse.  The shift
     lam+X-Y is tested for a kernel zero as the parameter of C(y,x; .).
     """
-    x = _points(x)
-    y = _points(y)
+    x, y = _square(x, y)
     return g_matrix(kernel, y, x, complex(lam) + x.sum() - y.sum()) @ d_matrix(kernel, x, y)
 
 
 def g_matrix(kernel, x, y, lam):
     """G_lam(x, y) = D(x, y) C(x, y; lam)."""
-    return d_matrix(kernel, x, y) @ cauchy_matrix(kernel, x, y, lam)
+    x, y = _square(x, y)
+    f_xy, f_xx, num, f_lam = _d_tables(kernel, x, y, lam, x, "x_i - x_k, x_i - y_j or lambda")
+    d = np.prod(f_xy, axis=1) / _lagrange_den(kernel, x, f_pairs=f_xx)
+    return np.diag(d) @ (num / (f_lam * f_xy))
 
 
 def h_matrix(kernel, x, y, lam):
     """H_lam(x, y) = C(x, y; lam) D(y, x)."""
-    return cauchy_matrix(kernel, x, y, lam) @ d_matrix(kernel, y, x)
+    x, y = _square(x, y)
+    f_xy, f_yy, num, f_lam = _d_tables(kernel, x, y, lam, y, "y_i - y_k, x_i - y_j or lambda")
+    # f(y_i - x_k) = -f(x_k - y_i), multiplied along a contiguous row as in D(y, x)
+    d = np.prod(np.ascontiguousarray(-f_xy.T), axis=1) / _lagrange_den(kernel, y, f_pairs=f_yy)
+    return (num / (f_lam * f_xy)) @ np.diag(d)
 
 
 def k_matrix(x, y):
@@ -392,33 +437,32 @@ def gauss_udl(kernel, x, y, lam):
     entries carry the parameter ladder lambda_j = lam + sum_{l>j}(x_l-y_l)
     and all products over l from j+1 to N equal 1 at j = N.
     """
-    x = _points(x)
-    y = _points(y)
+    x, y = _square(x, y)
     n = len(x)
     lam = complex(lam)
     lams = gauss_lambda_ladder(x, y, lam)
-    dxx = x[:, None] - x[None, :]
+    i, j = pair_indices(n)
+    dxx = x[i] - x[j]
     dxy = x[:, None] - y[None, :]
-    dyy = y[:, None] - y[None, :]
-    off = ~np.eye(n, dtype=bool)
+    dyy = y[i] - y[j]
     _require_nonzero(
         kernel,
-        np.concatenate([lams, x - y + lams, dxy.ravel(), dxx[off], dyy[off]]),
+        np.concatenate([lams, x - y + lams, dxy.ravel(), dxx, dyy]),
         "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b",
     )
 
-    sxx, sxy, syx, syy, sxy_lam, sxj_yk_lj, s_lams = _fused(
+    fxx, sxy, fyy, sxy_lam, sxj_yk_lj, s_lams = _fused(
         kernel,
         dxx,
         dxy,
-        y[:, None] - x[None, :],
         dyy,
         dxy + lams[None, :],  # f(x_i - y_j + lam_j)
         dxy + lams[:, None],  # f(x_j - y_k + lam_j)
         lams,
     )
-    sxx = sxx + np.eye(n)
-    syy = syy + np.eye(n)
+    sxx = _odd_table(n, fxx)
+    syy = _odd_table(n, fyy)
+    syx = -sxy.T
 
     # suffix products: r[i, j] = prod_{l > j} sxx[i, l] / sxy[i, l]
     def suffix(num, den):

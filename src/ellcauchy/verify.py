@@ -132,11 +132,12 @@ def _margins_ok(kernel, sets, lam, margin):
     A zero distance never exceeds the modulus (0 is a zero), so a pair
     closer than ``margin`` in the plane rejects the round without a kernel
     call.  Otherwise every margin is measured in one zero-distance call,
-    which also catches a pair that is close only across a period.
+    which also catches a pair that is close only across a period.  Both
+    tests measure each unordered pair once: the zero distance is even.
     """
     pts = np.ravel(sets)
-    diff = pts[:, None] - pts[None, :]
-    diff = diff[~np.eye(len(pts), dtype=bool)]
+    i, l = cauchy.pair_indices(len(pts))
+    diff = pts[i] - pts[l]
     if (np.abs(diff) < margin).any():
         return False
     x, y = sets[0], sets[1]

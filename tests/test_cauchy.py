@@ -35,7 +35,7 @@ from ellcauchy import (
     random_instance,
     w_matrix,
 )
-from ellcauchy import linalg, sigma
+from ellcauchy import cauchy, linalg, sigma
 from ellcauchy.cauchy import Kernel, gauss_lambda_ladder
 
 from conftest import cell_points
@@ -459,3 +459,114 @@ def test_kernel_validation(lat):
         Kernel("hyperbolic")
     with pytest.raises(ValueError):
         Kernel("elliptic")  # missing lattice
+
+
+#: the builders of a square matrix, each as (kernel, x, y, lam) -> result
+SQUARE_ONLY = {
+    "d_matrix": lambda k, x, y, lam: d_matrix(k, x, y),
+    "g_matrix": g_matrix,
+    "h_matrix": h_matrix,
+    "frobenius_det": frobenius_det,
+    "cauchy_inverse_closed": cauchy_inverse_closed,
+    "gauss_udl": gauss_udl,
+}
+
+#: three x-points and two y-points, every difference away from the kernel zeros
+UNEQUAL = ([0.1 + 0.05j, -0.2 + 0.1j, 0.25 - 0.15j], [0.3 - 0.2j, 0.45 + 0.15j], 0.21 + 0.33j)
+
+
+class TestSquareOnly:
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    @pytest.mark.parametrize("name", list(SQUARE_ONLY))
+    def test_unequal_sets_raise(self, kern, name, variant):
+        k = {"elliptic": kern, "trig": TRIG_KERNEL, "rational": RATIONAL_KERNEL}[variant]
+        with pytest.raises(DimensionMismatch):
+            SQUARE_ONLY[name](k, *UNEQUAL)
+
+    def test_rectangular_builders_stay_rectangular(self, kern):
+        x, y, lam = UNEQUAL
+        for k in (kern, TRIG_KERNEL, RATIONAL_KERNEL):
+            assert cauchy_matrix(k, x, y, lam).shape == (3, 2)
+        assert k_matrix(x, y).shape == (3, 2)
+
+
+def odd_test_points(k, lat):
+    """Seeded points over +-1.5 periods of the kernel (sin: 2 pi along the
+    real axis; the identity: the unit square), its half-period ties and
+    points within 1e-13 of 0."""
+    rng = np.random.default_rng(12)
+    p1, p2 = {
+        "elliptic": (2 * lat.omega, 2 * lat.omega_prime),
+        "trig": (2 * np.pi, 1j),
+        "rational": (1.0, 1j),
+    }[k.variant]
+    u, v = rng.uniform(-1.5, 1.5, (2, 400))
+    ties = [lat.omega, lat.omega_prime, lat.omega + lat.omega_prime, 3 * lat.omega, np.pi / 2]
+    tiny = 1e-14 * np.exp(2j * np.pi * np.arange(8) / 8) * np.arange(1, 9)
+    return np.concatenate([u * p1 + v * p2, ties, tiny])
+
+
+class TestOddness:
+    """Every kernel is odd and its zero distance even, bit for bit: the
+    builders evaluate each difference once and take the other sign from
+    these identities."""
+
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_bit_for_bit(self, lat, kern, variant):
+        k = {"elliptic": kern, "trig": TRIG_KERNEL, "rational": RATIONAL_KERNEL}[variant]
+        z = odd_test_points(k, lat)
+        assert np.array_equal(k(-z), -k(z))
+        assert np.array_equal(k.zero_distance(-z), k.zero_distance(z))
+
+
+class TestExactCompositions:
+    """The D-based builders share kernel values, and must still equal their
+    defining compositions bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_builders_equal_their_definitions(self, kern, n):
+        for k, x, y, lam in kernel_instances(kern, n):
+            d = d_matrix(k, x, y)
+            c = cauchy_matrix(k, x, y, lam)
+            assert np.array_equal(g_matrix(k, x, y, lam), d @ c), k.variant
+            assert np.array_equal(h_matrix(k, x, y, lam), c @ d_matrix(k, y, x)), k.variant
+            f_xy = k(x[:, None] - y[None, :])
+            f_xx = k(x[:, None] - x[None, :])
+            expect = np.diag(np.prod(f_xy, axis=1) / np.prod(f_xx + np.eye(n), axis=1))
+            assert np.array_equal(d, expect), k.variant
+
+
+class TestSigmaBudget:
+    """Each distinct difference goes through sigma once per builder, in one
+    sigma call and one zero-distance call (two each for the inverse, which
+    is G(y, x) D(x, y))."""
+
+    #: builder -> (call, sigma points at N, sigma calls = zero-distance calls)
+    BUDGETS = {
+        "d_matrix": (lambda k, x, y, lam: d_matrix(k, x, y), lambda n: (3 * n * n - n) // 2, 1),
+        "g_matrix": (g_matrix, lambda n: (5 * n * n - n) // 2 + 1, 1),
+        "h_matrix": (h_matrix, lambda n: (5 * n * n - n) // 2 + 1, 1),
+        "cauchy_inverse_closed": (cauchy_inverse_closed, lambda n: 4 * n * n - n + 1, 2),
+        "gauss_udl": (gauss_udl, lambda n: 4 * n * n, 1),
+    }
+
+    @pytest.mark.parametrize("n", [8, 20])
+    @pytest.mark.parametrize("name", list(BUDGETS))
+    def test_points_and_calls(self, monkeypatch, kern, name, n):
+        inst = random_instance(SuiteConfig(sep_min=min(0.05, 0.6 / n)), kern, n, 1)
+        points, calls = [], {"sigma": 0, "lattice_distance": 0}
+
+        def counted(fname, f):
+            def wrapper(lat, z):
+                calls[fname] += 1
+                if fname == "sigma":
+                    points.append(np.size(z))
+                return f(lat, z)
+            return wrapper
+
+        for fname in calls:
+            monkeypatch.setattr(cauchy, fname, counted(fname, getattr(cauchy, fname)))
+        build, budget, n_calls = self.BUDGETS[name]
+        build(kern, inst.x, inst.y, inst.lam)
+        assert sum(points) == budget(n)
+        assert calls == {"sigma": n_calls, "lattice_distance": n_calls}

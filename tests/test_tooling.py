@@ -125,16 +125,18 @@ def test_readme_library_example(capsys):
 #: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
 #: each of the 48 distinct instances is sampled once (and degeneration's
 #: N = 5 instance, since 5 is not among the sizes), each builder tests its
-#: denominators in one zero-distance call, the closed inverse reuses G's
-#: tests, sigma_k takes every k in one call, a sampler round makes at most
-#: one zero-distance call, and only the inverse check inverts by LU (the
-#: factorization check forms G g(y), not g(x) g(y)^-1)
+#: denominators in one zero-distance call and evaluates its kernel in one
+#: call (G and H no longer build C and D apart), the closed inverse reuses
+#: G's tests, sigma_k takes every k in one call, a sampler round makes at
+#: most one zero-distance call, and only the inverse check inverts by LU
+#: (the factorization check forms G g(y), not g(x) g(y)^-1)
 CALL_CAPS = {
     "verify.random_instance": 49,
     "linalg.lu_inverse": 16,
-    "cauchy.zero_distance": 812,
-    "weierstrass.lattice_distance": 360,
-    "weierstrass.sigma": 240,
+    "cauchy.zero_distance": 514,
+    "cauchy.kernel": 334,
+    "weierstrass.lattice_distance": 224,
+    "weierstrass.sigma": 176,
     "weierstrass.sigma_k": 24,
 }
 
