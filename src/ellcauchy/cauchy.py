@@ -13,9 +13,12 @@ balanced formulas, so one code path serves every kernel.  Each D-based
 builder makes one zero test and one kernel call, over distinct differences
 only: the zero distance is even and every kernel odd, so x_i - x_l and
 y_i - y_l are taken for i < l, and f(y_j - x_i) as -f(x_i - y_j).  The
-remaining builders (the factorization factors, the parameter-free K and W
-forms and double-Bloch evaluation) are kernel-specific and follow their
-defining formulas directly.
+UDL triangles are weighted columns and rows of C(x,y;lambda_j) on the
+Gauss ladder.  The remaining builders (the factorization factors, the
+parameter-free K and W forms and double-Bloch evaluation) are
+kernel-specific and follow their defining formulas; one helper divides
+by the Lagrange denominator.  An :class:`Instance` checks only shapes; the
+sampler keeps the margins.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, KernelZero, PoleProximity
 from .weierstrass import Lattice, lattice_distance, sigma, sigma_k
-
-#: smallest zero distance of an instance's point differences and parameter
-SEP_MIN_DEFAULT = 1e-6
 
 #: denominator arguments closer than this to a kernel zero raise KernelZero
 ZERO_TOL = 1e-12
@@ -152,9 +152,9 @@ RATIONAL_KERNEL = Kernel("rational")
 class Instance:
     """One random verification instance: kernel, point sets, parameter.
 
-    The point sets become read-only complex arrays.  No difference of two
-    points of their union, and not the parameter, may lie within
-    ``SEP_MIN_DEFAULT`` of a kernel zero.
+    The point sets become read-only complex arrays of one nonempty size.
+    Their margins from the kernel zeros are the sampler's to keep; a
+    builder raises :class:`KernelZero` on any denominator at a zero.
     """
 
     kernel: Kernel
@@ -174,11 +174,6 @@ class Instance:
             raise ValueError("point sets must be nonempty")
         if any(len(pts) != len(self.x) for pts in sets):
             raise DimensionMismatch("point sets must have equal size")
-        gap = self.kernel.separation(np.concatenate(sets))
-        if gap < SEP_MIN_DEFAULT:
-            raise ValueError(f"point separation {gap:.3e} below {SEP_MIN_DEFAULT}")
-        if self.kernel.zero_distance(self.lam) < SEP_MIN_DEFAULT:
-            raise KernelZero("lambda too close to a kernel zero")
 
     @property
     def n(self):
@@ -242,6 +237,12 @@ def _lagrange_den(kernel, x, what=None, f_pairs=None):
         _require_nonzero(kernel, diff, what)
         f_pairs = kernel(diff)
     return np.prod(_odd_table(n, f_pairs), axis=1)
+
+
+def _over_lagrange(kernel, x, what, cols):
+    """``cols`` with row i divided by prod_{l!=i} f(x_i - x_l); a pair
+    difference at a kernel zero raises :class:`KernelZero` naming ``what``."""
+    return cols / _lagrange_den(kernel, x, what)[:, None]
 
 
 def _d_tables(kernel, x, y, lam, pts, what):
@@ -363,10 +364,9 @@ def k_matrix(x, y):
     x = _points(x)
     y = _points(y)
     dxy = x[:, None] - y[None, :]
-    row_den = _lagrange_den(RATIONAL_KERNEL, x, "x_i - x_l")
     _require_nonzero(RATIONAL_KERNEL, dxy, "x_i - y_k")
     row_num = np.prod(dxy, axis=1)  # prod over all k
-    return (row_num[:, None] / dxy) / row_den[:, None]
+    return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", row_num[:, None] / dxy)
 
 
 def g_factor_elliptic(lat, x, lam):
@@ -374,8 +374,8 @@ def g_factor_elliptic(lat, x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    den = _lagrange_den(elliptic_kernel(lat), x, "x_i - x_l")
-    return sigma_k(lat, n, np.arange(1, n + 1), x + lam / n) / den[:, None]
+    cols = sigma_k(lat, n, np.arange(1, n + 1), x + lam / n)
+    return _over_lagrange(elliptic_kernel(lat), x, "x_i - x_l", cols)
 
 
 def g_factor_trig(x, lam):
@@ -387,13 +387,12 @@ def g_factor_trig(x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    den = _lagrange_den(TRIG_KERNEL, x, "x_j - x_l")
     k = np.arange(1, n + 1)
     phi = np.exp(-1j * n * x[:, None]) * (
         np.exp(2j * k[None, :] * (x[:, None] + lam / n))
         + (-1.0) ** n * (k[None, :] == n)
     )
-    return phi / den[:, None]
+    return _over_lagrange(TRIG_KERNEL, x, "x_j - x_l", phi)
 
 
 def g_factor_rat(x, lam):
@@ -405,20 +404,18 @@ def g_factor_rat(x, lam):
     x = _points(x)
     n = len(x)
     lam = complex(lam)
-    den = _lagrange_den(RATIONAL_KERNEL, x, "x_j - x_l")
     k = np.arange(1, n + 1)
     exponents = k - 1 + (k == n)
     base = x[:, None] + lam / n
-    return base ** exponents[None, :] / den[:, None]
+    return _over_lagrange(RATIONAL_KERNEL, x, "x_j - x_l", base ** exponents[None, :])
 
 
 def w_matrix(x):
     """Row-scaled Vandermonde: x_i^(j-1) / prod_{l!=i} (x_i - x_l)."""
     x = _points(x)
     n = len(x)
-    den = _lagrange_den(RATIONAL_KERNEL, x, "x_i - x_l")
     j = np.arange(n)
-    return x[:, None] ** j[None, :] / den[:, None]
+    return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", x[:, None] ** j[None, :])
 
 
 def gauss_lambda_ladder(x, y, lam):
@@ -433,9 +430,10 @@ def gauss_udl(kernel, x, y, lam):
     """Triangular decomposition C = U D L of the Cauchy matrix, for any
     kernel f.
 
-    U is unit upper triangular, L unit lower triangular, D diagonal; the
-    entries carry the parameter ladder lambda_j = lam + sum_{l>j}(x_l-y_l)
-    and all products over l from j+1 to N equal 1 at j = N.
+    U is unit upper triangular, L unit lower triangular, D diagonal.  On
+    the ladder lambda_j = lam + sum_{l>j}(x_l-y_l), column j of U and row j
+    of L are column j and row j of C(x,y;lambda_j), weighted by the suffix
+    products below and scaled to a unit diagonal.
     """
     x, y = _square(x, y)
     n = len(x)
@@ -451,7 +449,7 @@ def gauss_udl(kernel, x, y, lam):
         "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b",
     )
 
-    fxx, sxy, fyy, sxy_lam, sxj_yk_lj, s_lams = _fused(
+    fxx, sxy, fyy, s_cols, s_rows, s_lams = _fused(
         kernel,
         dxx,
         dxy,
@@ -460,29 +458,18 @@ def gauss_udl(kernel, x, y, lam):
         dxy + lams[:, None],  # f(x_j - y_k + lam_j)
         lams,
     )
-    sxx = _odd_table(n, fxx)
-    syy = _odd_table(n, fyy)
-    syx = -sxy.T
-
-    # suffix products: r[i, j] = prod_{l > j} sxx[i, l] / sxy[i, l]
-    def suffix(num, den):
-        ratio = num / den
-        out = np.ones((n, n), dtype=complex)
-        for j in range(n - 2, -1, -1):
-            out[:, j] = out[:, j + 1] * ratio[:, j + 1]
-        return out
-
-    r_u = suffix(sxx, sxy)  # for U
-    r_l = suffix(syy, syx)  # for L
-    diag_xy = np.diag(sxy)
-    diag_lam = np.diag(sxy_lam)
-
-    u = sxy_lam * diag_xy[None, :] / (diag_lam[None, :] * sxy) * r_u / np.diag(r_u)[None, :]
-    u = np.triu(u)
-    l = sxj_yk_lj * diag_xy[:, None] / (diag_lam[:, None] * sxy) * (r_l.T / np.diag(r_l)[:, None])
-    l = np.tril(l)
-    d_suffix = np.diag(r_u) * np.diag(r_l)  # prod_{l>j} sxx syy / (sxy syx) per row j
-    d = np.diag(diag_lam / (s_lams * diag_xy) * d_suffix)
+    # r_u[i, j] = prod_{l>j} f(x_i - x_l)/f(x_i - y_l) and r_l[k, j] =
+    # prod_{l>j} f(y_k - y_l)/f(y_k - x_l), 1 at j = N: one cumulative
+    # product over the reversed columns, with f(y_k - x_l) = -f(x_l - y_k)
+    ratios = np.stack([_odd_table(n, fxx) / sxy, _odd_table(n, fyy) / -sxy.T])
+    steps = np.concatenate([np.ones((2, n, 1)), ratios[..., :0:-1]], axis=-1)
+    r_u, r_l = np.cumprod(steps, axis=-1)[..., ::-1]
+    # a[:, j] is column j and b[j, :] row j of C(x, y; lam_j), weighted
+    a = s_cols / (s_lams[None, :] * sxy) * r_u
+    b = s_rows / (s_lams[:, None] * sxy) * r_l.T
+    u = np.triu(a / np.diag(a)[None, :])
+    l = np.tril(b / np.diag(b)[:, None])
+    d = np.diag(np.diag(a) * np.diag(r_l))
     return u, d, l
 
 
@@ -496,6 +483,8 @@ def bloch_eval(lat, poles, coeffs, lam, point):
     """
     poles = _points(poles)
     coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != poles.shape:
+        raise DimensionMismatch(f"{coeffs.size} coefficients for {poles.size} poles")
     lam = complex(lam)
     point = np.asarray(point, dtype=complex)
     kern = elliptic_kernel(lat)

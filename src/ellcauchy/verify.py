@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import cauchy, linalg
-from .cauchy import RATIONAL_KERNEL, SEP_MIN_DEFAULT, TRIG_KERNEL, Instance, Kernel
+from .cauchy import RATIONAL_KERNEL, TRIG_KERNEL, Instance, Kernel
 from .errors import SamplingExhausted
 from .weierstrass import lattice_distance, lattice_new, sigma, sigma_k
 
@@ -31,6 +31,9 @@ _MAX_ROUNDS = 10_000
 
 #: reference magnitudes below this switch the pass criterion to absolute
 _ABS_SWITCH = 1e-10
+
+#: the smallest admissible sampler margin (``SuiteConfig.sep_min``)
+SEP_MIN_DEFAULT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,8 @@ class SuiteConfig:
             raise ValueError("n_values and trials_per_n must be integers") from None
         if not n_values or min(n_values) < 1 or trials < 1:
             raise ValueError("n_values must be nonempty, and its entries and trials_per_n >= 1")
+        if len(set(n_values)) != len(n_values):
+            raise ValueError(f"n_values repeats a size: {n_values}")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "trials_per_n", trials)
         tau = complex(self.lattice_tau)
@@ -77,7 +82,6 @@ class SuiteConfig:
             raise ValueError("lattice_tau must be finite with Im(lattice_tau) > 0")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
-        # sampled instances must pass the Instance separation test
         if not SEP_MIN_DEFAULT <= self.sep_min < math.inf:
             raise ValueError(f"sep_min must be finite and at least {SEP_MIN_DEFAULT}")
 

@@ -64,28 +64,43 @@ class TestInstance:
         assert inst.x[0] == 1.0
 
     def test_rejects_coincident(self):
-        with pytest.raises(ValueError):
-            Instance(RATIONAL_KERNEL, [1.0, 1.0], [0.5j, -1.0], 0.7)
+        # Instance rejects only empty or unequal sets; margins from the
+        # kernel zeros are the sampler's, and the builders raise KernelZero
+        # on a denominator at a zero
         with pytest.raises(ValueError):
             Instance(RATIONAL_KERNEL, [], [], 0.7)
         with pytest.raises(DimensionMismatch):
             Instance(RATIONAL_KERNEL, [1.0, 2.0], [0.5j], 0.7)
+        inst = Instance(RATIONAL_KERNEL, [1.0, 1.0], [0.5j, -1.0], 0.7)
+        for build in (g_matrix, cauchy_inverse_closed, gauss_udl):
+            with pytest.raises(KernelZero):
+                build(inst.kernel, inst.x, inst.y, inst.lam)
         with pytest.raises(KernelZero):
-            Instance(RATIONAL_KERNEL, [1.0], [0.5j], 1e-9)
+            d_matrix(inst.kernel, inst.x, inst.y)
+        # lambda = 1e-9 is farther than ZERO_TOL from a kernel zero; 0 is one
+        near, at = (Instance(RATIONAL_KERNEL, [1.0], [0.5j], lam) for lam in (1e-9, 0.0))
+        assert np.isfinite(cauchy_matrix(near.kernel, near.x, near.y, near.lam)).all()
+        with pytest.raises(KernelZero):
+            cauchy_matrix(at.kernel, at.x, at.y, at.lam)
 
     @pytest.mark.parametrize("which", ["elliptic", "trig"])
     @pytest.mark.parametrize("pair", ["x-x", "x-y"])
     def test_rejects_points_a_period_apart(self, lat, kern, which, pair):
         # two points whose difference is a kernel zero, inside one set or
-        # across two, however far apart they are in the plane
+        # across two, however far apart they are in the plane: Instance
+        # holds them, and every builder with that denominator raises
         k, period = {"elliptic": (kern, 2 * lat.omega), "trig": (TRIG_KERNEL, np.pi)}[which]
         x, y = [0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.2j, 0.25 + 0.3j]
         if pair == "x-x":
             x[1] = x[0] + period
         else:
             y[1] = x[0] + period
-        with pytest.raises(ValueError, match="point separation"):
-            Instance(k, x, y, 0.21 + 0.33j)
+        inst = Instance(k, x, y, 0.21 + 0.33j)
+        for build in (g_matrix, gauss_udl):
+            with pytest.raises(KernelZero):
+                build(k, inst.x, inst.y, inst.lam)
+        with pytest.raises(KernelZero):
+            d_matrix(k, inst.x, inst.y)
 
 
 class TestClassic:
@@ -421,6 +436,12 @@ class TestBloch:
         assert psi.shape == (3, 2)
         for idx in np.ndindex(w.shape):
             assert abs(psi[idx] - bloch_eval(lat, x, c, lam, w[idx])) <= 1e-14 * abs(psi[idx])
+
+    def test_coefficients_match_poles(self, lat):
+        # one coefficient per pole: no broadcasting of a single one
+        for coeffs in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+            with pytest.raises(DimensionMismatch):
+                bloch_eval(lat, [0.1, 0.2], coeffs, 0.3, 0.5)
 
     def test_pole_proximity(self, lat):
         with pytest.raises(PoleProximity):

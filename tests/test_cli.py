@@ -77,6 +77,7 @@ class TestMain:
             ["--tol", "-1"],
             ["--tol", "nan"],
             ["--out", "missing-dir/x.txt"],
+            ["--n", "2", "2"],
         ],
         ids=" ".join,
     )

@@ -1,20 +1,22 @@
 """Wrong formulas that the suite must reject.
 
-Each row of ``MUTANTS`` replaces one function of :mod:`ellcauchy.cauchy`
-by a wrong version of it and names the (identity, kernel tag) pairs whose
-every record must then fail, by at least 1e3 times its tolerance.  The
-checkers look ``cauchy`` functions up at call time, so a patched name
-reaches them.  A row that names no pair is an identity "mutant": it must
-leave every record unchanged.
+Each row of ``MUTANTS`` replaces one function, in each package module
+that binds it, by a wrong version of it and names the (identity, kernel
+tag) pairs whose every record must then fail, by at least 1e3 times its
+tolerance.  The checkers and builders look these functions up by module
+name at call time, so a patched name reaches them.  A row that names no
+pair is an identity "mutant": it must leave every record unchanged.
 
 A wrong formula that no identity catches is a coverage gap of the
 verifier; its row stays in the table.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ellcauchy import SuiteConfig, cauchy, run_suite
+from ellcauchy import SuiteConfig, cauchy, linalg, run_suite, verify, weierstrass
 
 CFG = SuiteConfig(n_values=(2, 3, 4), trials_per_n=2)
 
@@ -31,14 +33,41 @@ def last_rung_shifted(f):
     return lambda x, y, lam: f(x, y, lam) + np.eye(len(x))[-1] * 1e-3
 
 
-#: (name, patched cauchy attribute, original -> wrong implementation,
+def det_shift_flipped(f):
+    """The closed determinant with f(lambda - X + Y) for f(lambda + X - Y)."""
+
+    def wrong(kern, x, y, lam):
+        shift = x.sum() - y.sum()
+        return f(kern, x, y, lam) * complex(kern(lam - shift) / kern(lam + shift))
+
+    return wrong
+
+
+def sign_flipped(f):
+    """Pivoted LU that reports the wrong permutation parity."""
+
+    def wrong(a):
+        lu, perm, sign = f(a)
+        return lu, perm, -sign
+
+    return wrong
+
+
+def eta_prime_flipped(f):
+    """sigma on a lattice whose eta' has the wrong sign."""
+    return lambda lat, z: f(dataclasses.replace(lat, eta_prime=-lat.eta_prime), z)
+
+
+#: (name, modules that bind the patched name, patched attribute,
+#:  original -> wrong implementation,
 #:  identity -> kernel tags on which every record must fail)
 MUTANTS = [
-    ("g elliptic at lam+1e-3", "g_factor_elliptic", at_shifted_lam, {"factorization": ("elliptic",)}),
-    ("g trig at lam+1e-3", "g_factor_trig", at_shifted_lam, {"factorization": ("trig",)}),
-    ("g rational at lam+1e-3", "g_factor_rat", at_shifted_lam, {"factorization": ("rational",)}),
+    ("g elliptic at lam+1e-3", (cauchy,), "g_factor_elliptic", at_shifted_lam, {"factorization": ("elliptic",)}),
+    ("g trig at lam+1e-3", (cauchy,), "g_factor_trig", at_shifted_lam, {"factorization": ("trig",)}),
+    ("g rational at lam+1e-3", (cauchy,), "g_factor_rat", at_shifted_lam, {"factorization": ("rational",)}),
     (
         "G transposed",
+        (cauchy,),
         "g_matrix",
         lambda f: lambda kern, x, y, lam: f(kern, x, y, lam).T,
         {
@@ -50,19 +79,22 @@ MUTANTS = [
     ),
     (
         "K transposed",
+        (cauchy,),
         "k_matrix",
         lambda f: lambda x, y: f(x, y).T,
         {"factorization": ("k-rational",), "product": ("k-rational",), "degeneration": ("rational",)},
     ),
     (
         "G at lam-Y for lam+Y",
+        (cauchy,),
         "g_matrix",
         lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * y.sum()),
         {"factorization": FLAT_TAGS, "product": FLAT_TAGS, "inverse": ("elliptic", "rational")},
     ),
-    ("lambda_N shifted by 1e-3", "gauss_lambda_ladder", last_rung_shifted, {"gauss": ("elliptic",)}),
+    ("lambda_N shifted by 1e-3", (cauchy,), "gauss_lambda_ladder", last_rung_shifted, {"gauss": ("elliptic",)}),
     (
         "squared Lagrange denominator",
+        (cauchy,),
         "_lagrange_den",
         lambda f: lambda *args, **kwargs: f(*args, **kwargs) ** 2,
         {
@@ -73,7 +105,31 @@ MUTANTS = [
             "degeneration": ("trig",),
         },
     ),
-    ("identity", "g_matrix", lambda f: lambda *args: f(*args), {}),
+    (
+        "lam-X+Y in frobenius_det",
+        (cauchy,),
+        "frobenius_det",
+        det_shift_flipped,
+        {"determinant": ("elliptic", "rational"), "gauss": ("elliptic",)},
+    ),
+    (
+        "lam-X+Y in cauchy_inverse_closed",
+        (cauchy,),
+        "cauchy_inverse_closed",
+        lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * (x.sum() - y.sum())),
+        {"inverse": ("elliptic", "rational")},
+    ),
+    ("flipped sign from _lu_factor", (linalg,), "_lu_factor", sign_flipped, {"determinant": ("elliptic", "rational")}),
+    (
+        # it also fails 5 of 6 records of determinant, inverse, gauss and
+        # transposed; not every record, so those are not listed
+        "sigma with -eta'",
+        (weierstrass, cauchy, verify),
+        "sigma",
+        eta_prime_flipped,
+        {"monodromy": ("elliptic",), "factorization": ("elliptic",), "product": ("elliptic",)},
+    ),
+    ("identity", (cauchy,), "g_matrix", lambda f: lambda *args: f(*args), {}),
 ]
 
 
@@ -86,9 +142,10 @@ def baseline():
     return run_suite(CFG)
 
 
-@pytest.mark.parametrize("name, attr, wrong, catches", MUTANTS, ids=[row[0] for row in MUTANTS])
-def test_mutant_is_caught(monkeypatch, baseline, name, attr, wrong, catches):
-    monkeypatch.setattr(cauchy, attr, wrong(getattr(cauchy, attr)))
+@pytest.mark.parametrize("name, modules, attr, wrong, catches", MUTANTS, ids=[row[0] for row in MUTANTS])
+def test_mutant_is_caught(monkeypatch, baseline, name, modules, attr, wrong, catches):
+    for module in modules:
+        monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
     reports = run_suite(CFG)
     if not catches:
         assert strip_timing(reports) == strip_timing(baseline)

@@ -128,14 +128,15 @@ def test_readme_library_example(capsys):
 #: denominators in one zero-distance call and evaluates its kernel in one
 #: call (G and H no longer build C and D apart), the closed inverse reuses
 #: G's tests, sigma_k takes every k in one call, a sampler round makes at
-#: most one zero-distance call, and only the inverse check inverts by LU
-#: (the factorization check forms G g(y), not g(x) g(y)^-1)
+#: most one zero-distance call, an Instance makes none (the sampler alone
+#: keeps the margins), and only the inverse check inverts by LU (the
+#: factorization check forms G g(y), not g(x) g(y)^-1)
 CALL_CAPS = {
     "verify.random_instance": 49,
     "linalg.lu_inverse": 16,
-    "cauchy.zero_distance": 514,
+    "cauchy.zero_distance": 416,
     "cauchy.kernel": 334,
-    "weierstrass.lattice_distance": 224,
+    "weierstrass.lattice_distance": 192,
     "weierstrass.sigma": 176,
     "weierstrass.sigma_k": 24,
 }

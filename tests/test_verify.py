@@ -127,6 +127,7 @@ class TestSuiteConfig:
             {"trials_per_n": 2.5},
             {"trials_per_n": "3"},
             {"sep_min": 1e-7},
+            {"n_values": (2, 2)},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
