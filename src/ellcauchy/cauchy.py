@@ -5,26 +5,34 @@ trigonometric and rational kernels; the kernel supplies the sigma-like
 function (Weierstrass sigma, plain sin, or the identity map) together with
 the distance-to-nearest-zero used for precondition checks.  Everything
 that differs between the variants (those two functions, the factorization
-factor and the instance sampler) is one :class:`KernelSpec` record in
-``KERNELS``.  The closed determinant and inverse and the UDL decomposition
-take a :class:`Kernel` too: the paper states them for sigma, and sin and the
-identity are degenerations of sigma whose Gaussian factor cancels in these
-balanced formulas, so one code path serves every kernel.  Each D-based
-builder makes one zero test and one kernel call, over distinct differences
-only: the zero distance is even and every kernel odd, so x_i - x_l and
-y_i - y_l are taken for i < l, and f(y_j - x_i) as -f(x_i - y_j).  The
-UDL triangles are weighted columns and rows of C(x,y;lambda_j) on the
-Gauss ladder.  The remaining builders (the factorization factors, the
-parameter-free K and W forms and double-Bloch evaluation) are
-kernel-specific and follow their defining formulas; one helper divides
-by the Lagrange denominator.  An :class:`Instance` checks only shapes; the
-sampler keeps the margins.
+factor, the instance sampler and whether an instance memoizes the kernel)
+is one :class:`KernelSpec` record in ``KERNELS``.  The closed determinant
+and inverse and the UDL decomposition take a :class:`Kernel` too: the paper
+states them for sigma, and sin and the identity are degenerations of sigma
+whose Gaussian factor cancels in these balanced formulas, so one code path
+serves every kernel.  Each D-based builder makes one zero test and one
+kernel call, over distinct differences only: the zero distance is even and
+every kernel odd, so x_i - x_l and y_i - y_l are taken for i < l, and
+f(y_j - x_i) as -f(x_i - y_j).  The UDL triangles are weighted columns and
+rows of C(x,y;lambda_j) on the Gauss ladder.  The remaining builders (the
+factorization factors, the parameter-free K and W forms and double-Bloch
+evaluation) are kernel-specific and follow their defining formulas; one
+helper divides by the Lagrange denominator.
+
+An :class:`Instance` checks only shapes; the sampler keeps the margins.  On
+the elliptic kernel an instance also owns a memo of kernel values: its
+kernel is a private copy whose ``memo`` maps each argument block (shape and
+bytes) a builder has evaluated to its values, so the sigma tables that the
+determinant, inverse and UDL builders share are evaluated once per
+instance.  sin and the identity cost less per point than a lookup and are
+not memoized.  Since the memo keeps values, a function patched on a module
+name (sigma, say) must be in place before the instance is built.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,6 +66,7 @@ class KernelSpec:
     lam: Callable  # (lat, u, v) -> parameter from one uniform [0, 1) draw per coordinate
     area: Callable  # lat -> area of the point-sampling region
     stream: int  # first word of the sampler's RNG seed
+    memoized: bool  # an Instance memoizes its values: sigma costs more per point than a lookup, sin and z less
 
 
 def _uniform(lo, hi, u):
@@ -81,6 +90,7 @@ KERNELS = {
         lam=lambda lat, u, v: complex(_cell_points(lat, u, v)),
         area=lambda lat: 0.49 * abs(np.imag(np.conj(2 * lat.omega) * 2 * lat.omega_prime)),
         stream=0,
+        memoized=True,
     ),
     "trig": KernelSpec(
         f=lambda lat, z: np.sin(z),
@@ -90,6 +100,7 @@ KERNELS = {
         lam=lambda lat, u, v: complex(_uniform(0.0, np.pi, u) + 1j * _uniform(0.15, 0.6, v)),
         area=lambda lat: np.pi * 0.5,
         stream=1,
+        memoized=False,
     ),
     "rational": KernelSpec(
         f=lambda lat, z: z,
@@ -103,6 +114,7 @@ KERNELS = {
         ),
         area=lambda lat: np.pi,
         stream=2,
+        memoized=False,
     ),
 }
 
@@ -113,6 +125,9 @@ class Kernel:
 
     variant: str  # a key of KERNELS
     lattice: Lattice | None = None  # read by the elliptic variant only
+    #: argument block (shape, bytes) -> kernel values; set only on the
+    #: private copy an :class:`Instance` of a memoized variant holds
+    memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in KERNELS:
@@ -132,13 +147,6 @@ class Kernel:
         """Elementwise distance from z to the nearest zero of the kernel."""
         return self.spec.zero_distance(self.lattice, np.asarray(z, dtype=complex))
 
-    def separation(self, pts):
-        """Smallest zero distance of a difference of two points of ``pts``
-        (inf for a single point)."""
-        pts = np.asarray(pts, dtype=complex)
-        i, l = pair_indices(len(pts))
-        return self.zero_distance(pts[i] - pts[l]).min(initial=np.inf)
-
 
 def elliptic_kernel(lat):
     return Kernel("elliptic", lat)
@@ -154,7 +162,10 @@ class Instance:
 
     The point sets become read-only complex arrays of one nonempty size.
     Their margins from the kernel zeros are the sampler's to keep; a
-    builder raises :class:`KernelZero` on any denominator at a zero.
+    builder raises :class:`KernelZero` on any denominator at a zero.  On a
+    memoized variant ``kernel`` becomes a private copy with an empty memo,
+    which lives as long as the instance: the builders called with it
+    evaluate each distinct argument block once.
     """
 
     kernel: Kernel
@@ -174,22 +185,42 @@ class Instance:
             raise ValueError("point sets must be nonempty")
         if any(len(pts) != len(self.x) for pts in sets):
             raise DimensionMismatch("point sets must have equal size")
+        if self.kernel.spec.memoized:
+            kernel = Kernel(self.kernel.variant, self.kernel.lattice)
+            object.__setattr__(kernel, "memo", {})
+            object.__setattr__(self, "kernel", kernel)
 
     @property
     def n(self):
         return len(self.x)
 
 
-def _fused(f, *args):
-    """Evaluate f once over several argument arrays; one result per argument,
-    each in its argument's shape."""
-    args = [np.asarray(a, dtype=complex) for a in args]
-    vals = f(np.concatenate([a.ravel() for a in args]))
+def _split(vals, args):
+    """The flat values ``vals`` cut into one array per argument, each in its
+    argument's shape."""
     out, start = [], 0
     for a in args:
         out.append(vals[start:start + a.size].reshape(a.shape))
         start += a.size
     return out
+
+
+def _fused(kernel, *args):
+    """Evaluate the kernel once over several argument arrays; one result per
+    argument, each in its argument's shape.  A kernel with a memo looks each
+    block up by its shape and bytes, sends only the blocks it has not seen
+    through the one call and keeps their values, read-only."""
+    args = [np.asarray(a, dtype=complex) for a in args]
+    memo = kernel.memo
+    if memo is None:
+        return _split(kernel(np.concatenate([a.ravel() for a in args])), args)
+    keys = [(a.shape, a.tobytes()) for a in args]
+    todo = {k: a for k, a in zip(keys, args) if k not in memo}
+    if todo:
+        vals = kernel(np.concatenate([a.ravel() for a in todo.values()]))
+        vals.setflags(write=False)
+        memo.update(zip(todo, _split(vals, todo.values())))
+    return [memo[k] for k in keys]
 
 
 def _require_nonzero(kernel, args, what):

@@ -32,9 +32,6 @@ _MAX_ROUNDS = 10_000
 #: reference magnitudes below this switch the pass criterion to absolute
 _ABS_SWITCH = 1e-10
 
-#: the smallest admissible sampler margin (``SuiteConfig.sep_min``)
-SEP_MIN_DEFAULT = 1e-6
-
 
 @dataclass(frozen=True)
 class Report:
@@ -82,8 +79,10 @@ class SuiteConfig:
             raise ValueError("lattice_tau must be finite with Im(lattice_tau) > 0")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
-        if not SEP_MIN_DEFAULT <= self.sep_min < math.inf:
-            raise ValueError(f"sep_min must be finite and at least {SEP_MIN_DEFAULT}")
+        # the builders' own zero test: a smaller margin would let the sampler
+        # accept an instance that a builder refuses with KernelZero
+        if not cauchy.ZERO_TOL <= self.sep_min < math.inf:
+            raise ValueError(f"sep_min must be finite and at least {cauchy.ZERO_TOL}")
 
     def lattice(self):
         return lattice_new(1.0, self.lattice_tau)
@@ -456,9 +455,13 @@ def run_suite(cfg, identities=None, kernels=None):
     ``kernels``, when given, is a set of kernel variants: each identity
     runs on the tags of its plan whose variant is in the set.  Each check
     is judged by :meth:`Identity.check` at base tolerance ``cfg.tolerance``.
-    Each distinct instance (kernel variant, N, seed, third point set or
-    not) is sampled once per run and shared by every identity that uses it;
-    degeneration uses the rational N = 5 instance at the base seed.
+    The checks are grouped by instance (kernel variant, N, seed, third
+    point set or not); degeneration joins the rational N = 5 instance at
+    the base seed.  Each instance is sampled once, checked by every
+    identity and kernel tag that uses it, and dropped before the next is
+    sampled, so only one instance, with its memo of kernel values, is held
+    at a time.  A function patched on a module name reaches every check as
+    long as it is in place before this call builds the instances.
 
     Returns reports sorted by (identity, kernel, n, seed).  A check whose
     residual misses its tolerance is recorded as a failed report, but any
@@ -467,24 +470,12 @@ def run_suite(cfg, identities=None, kernels=None):
     """
     names = list(identities) if identities is not None else list(IDENTITIES) + ["degeneration"]
     lat = cfg.lattice()
-    reports = []
-    instances = {}
-
-    def instance(variant, n, seed, with_z):
-        key = (variant, n, seed, with_z)
-        if key not in instances:
-            instances[key] = random_instance(cfg, Kernel(variant, lat), n, seed, with_z)
-        return instances[key]
-
+    jobs = {}  # instance key -> [(identity name, kernel tag)], in the order of names
     for name in names:
         if name == "degeneration":
             if kernels and {"rational", "trig"}.isdisjoint(kernels):
                 continue
-            reports.extend(
-                r
-                for r in check_degeneration(instance("rational", 5, cfg.base_seed, False))
-                if not kernels or r.kernel in kernels
-            )
+            jobs.setdefault(("rational", 5, cfg.base_seed, False), []).append((name, None))
             continue
         ident = REGISTRY[name]
         sizes = [n for n in cfg.n_values if ident.n_cap is None or n <= ident.n_cap]
@@ -494,7 +485,16 @@ def run_suite(cfg, identities=None, kernels=None):
                 continue
             for n in sizes:
                 for trial in range(cfg.trials_per_n):
-                    inst = instance(variant, n, cfg.base_seed + trial, with_z)
-                    reports.append(ident.check(inst, tag, cfg.tolerance))
+                    jobs.setdefault((variant, n, cfg.base_seed + trial, with_z), []).append((name, tag))
+
+    reports = []
+    for (variant, n, seed, with_z), todo in jobs.items():
+        inst = random_instance(cfg, Kernel(variant, lat), n, seed, with_z)
+        for name, tag in todo:
+            if name == "degeneration":
+                reports.extend(r for r in check_degeneration(inst) if not kernels or r.kernel in kernels)
+            else:
+                reports.append(REGISTRY[name].check(inst, tag, cfg.tolerance))
+        del inst  # dropped, with its memo, before the next instance is sampled
     reports.sort(key=lambda r: (r.identity_name, r.kernel, r.n, r.seed))
     return reports

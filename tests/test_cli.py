@@ -180,14 +180,19 @@ class TestMain:
         assert kernels == {"rational", "k-rational"}
 
     def test_bench_smoke(self, capsys, monkeypatch):
-        sampled = []
-        random_instance = verify.random_instance
+        sampled, timed_on = [], []
+        random_instance, check = verify.random_instance, verify.Identity.check
 
         def counted(cfg, kernel, n, seed, with_z=False):
             sampled.append((n, with_z))
             return random_instance(cfg, kernel, n, seed, with_z)
 
+        def recorded(ident, inst, tag, base_tol):
+            timed_on.append((inst, dict(inst.kernel.memo)))
+            return check(ident, inst, tag, base_tol)
+
         monkeypatch.setattr(verify, "random_instance", counted)
+        monkeypatch.setattr(verify.Identity, "check", recorded)
         assert cli.main(["bench"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("sigma x2000")
@@ -198,8 +203,13 @@ class TestMain:
             for n in (8, 16, 32):
                 assert f"{name} n={n}".ljust(22) + "    skipped (n_cap = 6)" in lines
         assert not [line for line in lines if "n/a" in line]
-        # one instance per size and point-set count, shared by the identities
+        # one sample per size and point-set count, shared by the identities,
+        # but no two timed checks share an instance: each starts on an empty
+        # memo, so none is timed on kernel values an earlier check evaluated
         assert sorted(sampled) == sorted({(n, z) for n in (4, 8, 16, 32) for z in (False, True)})
+        assert len(timed_on) == 22
+        assert len({id(inst) for inst, _ in timed_on}) == len(timed_on)
+        assert all(memo == {} for _, memo in timed_on)
 
 
 def render_text_rescan(reports):

@@ -125,19 +125,21 @@ def test_readme_library_example(capsys):
 #: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
 #: each of the 48 distinct instances is sampled once (and degeneration's
 #: N = 5 instance, since 5 is not among the sizes), each builder tests its
-#: denominators in one zero-distance call and evaluates its kernel in one
-#: call (G and H no longer build C and D apart), the closed inverse reuses
-#: G's tests, sigma_k takes every k in one call, a sampler round makes at
-#: most one zero-distance call, an Instance makes none (the sampler alone
-#: keeps the margins), and only the inverse check inverts by LU (the
+#: denominators in one zero-distance call and evaluates its kernel in at
+#: most one call (G and H no longer build C and D apart), the closed inverse
+#: reuses G's tests, an elliptic instance's memo skips the kernel call of a
+#: builder whose argument blocks an earlier check on it evaluated (32 such
+#: calls), sigma_k takes every k in one call, a sampler round makes at most
+#: one zero-distance call, an Instance makes none (the sampler alone keeps
+#: the margins), and only the inverse check inverts by LU (the
 #: factorization check forms G g(y), not g(x) g(y)^-1)
 CALL_CAPS = {
     "verify.random_instance": 49,
     "linalg.lu_inverse": 16,
     "cauchy.zero_distance": 416,
-    "cauchy.kernel": 334,
+    "cauchy.kernel": 302,
     "weierstrass.lattice_distance": 192,
-    "weierstrass.sigma": 176,
+    "weierstrass.sigma": 144,
     "weierstrass.sigma_k": 24,
 }
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from ellcauchy import (
     Report,
     SamplingExhausted,
     SuiteConfig,
+    cauchy,
     elliptic_kernel,
     frobenius_det,
     random_instance,
@@ -61,11 +63,19 @@ REF_SAMPLERS = {
 }
 
 
+def separation(kernel, pts):
+    """Smallest zero distance of a difference of two points of ``pts``
+    (inf for a single point)."""
+    pts = np.asarray(pts, dtype=complex)
+    i, l = np.triu_indices(len(pts), 1)
+    return kernel.zero_distance(pts[i] - pts[l]).min(initial=np.inf)
+
+
 def reference_margins_ok(kernel, sets, lam, margin):
     """The margin test with no close-pair screen before the all-pairs
     separation test."""
     pts = np.concatenate(sets)
-    if kernel.separation(pts) < margin:
+    if separation(kernel, pts) < margin:
         return False
     sums = [s.sum() for s in sets]
     x_sum, y_sum = sums[0], sums[1]
@@ -126,13 +136,20 @@ class TestSuiteConfig:
             {"n_values": (3, 2.5)},
             {"trials_per_n": 2.5},
             {"trials_per_n": "3"},
-            {"sep_min": 1e-7},
+            {"sep_min": 1e-13},
             {"n_values": (2, 2)},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
+
+    def test_margin_floor_is_the_builders_zero_test(self):
+        # any margin down to the builders' own zero test samples an instance
+        cfg = SuiteConfig(sep_min=1e-7)
+        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 4, 42)
+        assert inst.n == 4
+        SuiteConfig(sep_min=cauchy.ZERO_TOL)
 
     def test_integer_sizes_become_ints(self):
         cfg = SuiteConfig(n_values=(np.int64(3), 1), trials_per_n=np.int64(2))
@@ -260,7 +277,7 @@ class TestMarginScreen:
         diff = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(diff, np.inf)
         assert diff.min() > 10 * margin
-        assert kern.separation(pts) == pytest.approx(0.02)
+        assert separation(kern, pts) == pytest.approx(0.02)
         assert not verify._margins_ok(kern, sets, lam, margin)
         # the same round with the partner moved off the period passes
         moved = [sets[0], sets[1] - 0.3]
@@ -454,8 +471,8 @@ def reference_run_suite(cfg):
 
 
 class TestSharedInstances:
-    """run_suite samples each distinct instance once and hands it to every
-    identity and kernel tag that uses it."""
+    """run_suite samples each distinct instance once, hands it to every
+    identity and kernel tag that uses it, and drops it before the next."""
 
     def test_one_sample_per_instance(self, monkeypatch):
         cfg = SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)
@@ -490,3 +507,64 @@ class TestSharedInstances:
         reports = run_suite(cfg, identities=["determinant", "degeneration"], kernels={"rational"})
         assert sampled == {("rational", 5, cfg.base_seed, False): 1}
         assert len(reports) == 2 and all(r.passed for r in reports)
+
+    def test_one_instance_at_a_time(self, monkeypatch):
+        cfg = SuiteConfig(n_values=(1, 2, 3), trials_per_n=2)
+        sampled, alive = [], []
+
+        def tracked(cfg, kernel, n, seed, with_z=False):
+            alive.append(sum(ref() is not None for ref in sampled))
+            inst = random_instance(cfg, kernel, n, seed, with_z)
+            sampled.append(weakref.ref(inst))
+            return inst
+
+        monkeypatch.setattr(verify, "random_instance", tracked)
+        run_suite(cfg)
+        assert len(alive) == 37 and set(alive) == {0}
+
+
+class TestKernelMemo:
+    """An instance's elliptic kernel evaluates each distinct argument block
+    once, whichever builders ask for it and in whatever order."""
+
+    CHECKS = ("determinant", "inverse", "gauss")
+
+    def run(self, monkeypatch, names):
+        cfg = SuiteConfig()
+        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42)
+        blocks, points = {}, []
+        fused, sigma = cauchy._fused, cauchy.sigma
+
+        def recorded(kernel, *args):
+            for a in args:
+                a = np.asarray(a, dtype=complex)
+                blocks[a.shape, a.tobytes()] = a.size
+            return fused(kernel, *args)
+
+        def counted(lat, z):
+            points.append(np.size(z))
+            return sigma(lat, z)
+
+        with monkeypatch.context() as m:
+            m.setattr(cauchy, "_fused", recorded)
+            m.setattr(cauchy, "sigma", counted)
+            reports = [REGISTRY[name].check(inst, "elliptic", cfg.tolerance) for name in names]
+        return strip_timing(sorted(reports, key=lambda r: r.identity_name)), sum(points), sum(blocks.values())
+
+    def test_each_block_evaluated_once(self, monkeypatch):
+        reports, points, distinct = self.run(monkeypatch, self.CHECKS)
+        assert points == distinct
+        assert all(r["passed"] for r in reports)
+
+    def test_order_does_not_matter(self, monkeypatch):
+        forward = self.run(monkeypatch, self.CHECKS)
+        backward = self.run(monkeypatch, self.CHECKS[::-1])
+        assert backward == forward
+
+    def test_only_elliptic_instances_memoize(self, cfg):
+        lat = cfg.lattice()
+        variants = ("elliptic", "elliptic", "trig", "rational")
+        first, second, trig, rational = (random_instance(cfg, Kernel(v, lat), 3, 42) for v in variants)
+        assert first.kernel == second.kernel and first.kernel.memo == {}
+        assert first.kernel.memo is not second.kernel.memo
+        assert trig.kernel.memo is None and rational.kernel.memo is None
