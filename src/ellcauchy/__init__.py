@@ -1,7 +1,7 @@
 """Elliptic Cauchy matrices over the Weierstrass sigma function.
 
 Builders for the Cauchy-type matrices (C, D, G, H, K, W, the factorization
-factors and the UDL decomposition), a theta-series sigma/zeta evaluator,
+factor and the UDL decomposition), a theta-series sigma/zeta evaluator,
 a small pivoted-LU oracle, and a residual-reporting verification harness.
 """
 
@@ -20,9 +20,7 @@ from .cauchy import (
     d_matrix,
     elliptic_kernel,
     frobenius_det,
-    g_factor_elliptic,
-    g_factor_rat,
-    g_factor_trig,
+    g_factor,
     g_matrix,
     gauss_udl,
     h_matrix,

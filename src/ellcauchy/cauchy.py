@@ -5,19 +5,18 @@ trigonometric and rational kernels; the kernel supplies the sigma-like
 function (Weierstrass sigma, plain sin, or the identity map) together with
 the distance-to-nearest-zero used for precondition checks.  Everything
 that differs between the variants (those two functions, the factorization
-factor, the instance sampler and whether an instance memoizes the kernel)
-is one :class:`KernelSpec` record in ``KERNELS``.  The closed determinant
-and inverse and the UDL decomposition take a :class:`Kernel` too: the paper
-states them for sigma, and sin and the identity are degenerations of sigma
-whose Gaussian factor cancels in these balanced formulas, so one code path
-serves every kernel.  Each D-based builder makes one zero test and one
+factor's columns, the instance sampler and whether an instance memoizes the
+kernel) is one :class:`KernelSpec` record in ``KERNELS``.  The closed
+determinant and inverse, the UDL decomposition and the factorization factor
+take a :class:`Kernel` too: the paper states them for sigma, and sin and
+the identity are degenerations of sigma whose Gaussian factor cancels in
+these balanced formulas, so one code path serves every kernel.  Each D-based builder makes one zero test and one
 kernel call, over distinct differences only: the zero distance is even and
 every kernel odd, so x_i - x_l and y_i - y_l are taken for i < l, and
 f(y_j - x_i) as -f(x_i - y_j).  The UDL triangles are weighted columns and
-rows of C(x,y;lambda_j) on the Gauss ladder.  The remaining builders (the
-factorization factors, the parameter-free K and W forms and double-Bloch
-evaluation) are kernel-specific and follow their defining formulas; one
-helper divides by the Lagrange denominator.
+rows of C(x,y;lambda_j) on the Gauss ladder.  The parameter-free K and W
+forms and double-Bloch evaluation are specific to one kernel.  One helper
+divides by the Lagrange denominator, for K, W and every factorization factor.
 
 An :class:`Instance` checks only shapes; the sampler keeps the margins.  On
 the elliptic kernel an instance also owns a memo of kernel values: its
@@ -45,8 +44,12 @@ ZERO_TOL = 1e-12
 
 
 def _points(x):
-    """Any array-like of complex points as a 1-d complex array."""
-    return np.atleast_1d(np.asarray(x, dtype=complex))
+    """Any array-like of complex points as a 1-d complex array; a set with
+    more than one axis raises :class:`DimensionMismatch`."""
+    pts = np.atleast_1d(np.asarray(x, dtype=complex))
+    if pts.ndim > 1:
+        raise DimensionMismatch(f"a point set has one axis, not {pts.ndim}")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class KernelSpec:
 
     f: Callable  # (lat, z) -> sigma-like values at the complex array z
     zero_distance: Callable  # (lat, z) -> distance from z to the nearest zero of f
-    g_factor: Callable  # (lat, x, lam) -> factorization factor g_lam(x)
+    g_columns: Callable  # (lat, x, lam) -> columns phi_k(x_i) of the factorization factor g_lam(x)
     points: Callable  # (lat, u, v) -> points, elementwise from uniform [0, 1) draws per coordinate
     lam: Callable  # (lat, u, v) -> parameter from one uniform [0, 1) draw per coordinate
     area: Callable  # lat -> area of the point-sampling region
@@ -85,7 +88,7 @@ KERNELS = {
     "elliptic": KernelSpec(
         f=lambda lat, z: sigma(lat, z),
         zero_distance=lambda lat, z: lattice_distance(lat, z),
-        g_factor=lambda lat, x, lam: g_factor_elliptic(lat, x, lam),
+        g_columns=lambda lat, x, lam: g_factor_elliptic(lat, x, lam),
         points=_cell_points,
         lam=lambda lat, u, v: complex(_cell_points(lat, u, v)),
         area=lambda lat: 0.49 * abs(np.imag(np.conj(2 * lat.omega) * 2 * lat.omega_prime)),
@@ -95,7 +98,7 @@ KERNELS = {
     "trig": KernelSpec(
         f=lambda lat, z: np.sin(z),
         zero_distance=lambda lat, z: np.abs(z - np.pi * np.round(np.real(z) / np.pi)),
-        g_factor=lambda lat, x, lam: g_factor_trig(x, lam),
+        g_columns=lambda lat, x, lam: g_factor_trig(x, lam),
         points=lambda lat, u, v: _uniform(0.0, np.pi, u) + 1j * _uniform(0.0, 0.5, v),
         lam=lambda lat, u, v: complex(_uniform(0.0, np.pi, u) + 1j * _uniform(0.15, 0.6, v)),
         area=lambda lat: np.pi * 0.5,
@@ -105,7 +108,7 @@ KERNELS = {
     "rational": KernelSpec(
         f=lambda lat, z: z,
         zero_distance=lambda lat, z: np.abs(z),
-        g_factor=lambda lat, x, lam: g_factor_rat(x, lam),
+        g_columns=lambda lat, x, lam: g_factor_rat(x, lam),
         points=lambda lat, u, v: (
             np.sqrt(_uniform(0.0, 1.0, u)) * np.exp(1j * _uniform(0.0, 2 * np.pi, v))
         ),
@@ -177,7 +180,7 @@ class Instance:
 
     def __post_init__(self):
         names = ("x", "y") if self.z is None else ("x", "y", "z")
-        sets = [np.array(getattr(self, name), dtype=complex, ndmin=1) for name in names]
+        sets = [_points(getattr(self, name)).copy() for name in names]
         for name, pts in zip(names, sets):
             pts.setflags(write=False)
             object.__setattr__(self, name, pts)
@@ -230,10 +233,10 @@ def _require_nonzero(kernel, args, what):
 
 
 def _square(x, y):
-    """x and y as point arrays of one size, for a square-matrix builder."""
+    """x and y as point arrays of one size, paired as x_j and y_j."""
     x, y = _points(x), _points(y)
     if len(x) != len(y):
-        raise DimensionMismatch(f"point sets of sizes {len(x)} and {len(y)} give no square matrix")
+        raise DimensionMismatch(f"point sets of sizes {len(x)} and {len(y)} do not pair up")
     return x, y
 
 
@@ -266,7 +269,7 @@ def _lagrange_den(kernel, x, what=None, f_pairs=None):
         i, l = pair_indices(n)
         diff = x[i] - x[l]
         _require_nonzero(kernel, diff, what)
-        f_pairs = kernel(diff)
+        (f_pairs,) = _fused(kernel, diff)
     return np.prod(_odd_table(n, f_pairs), axis=1)
 
 
@@ -400,45 +403,39 @@ def k_matrix(x, y):
     return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", row_num[:, None] / dxy)
 
 
-def g_factor_elliptic(lat, x, lam):
-    """Columns sigma_k(x_i + lam/N) over the Lagrange-type denominator."""
+def g_factor(kernel, x, lam):
+    """Factorization factor g_lam(x)_{ik} = phi_k(x_i) / prod_{l!=i} f(x_i - x_l),
+    for any kernel f: the columns phi_k are its variant's ``g_columns``,
+    and the denominator is evaluated on ``kernel`` itself (on an instance's
+    kernel, through its memo)."""
     x = _points(x)
+    cols = kernel.spec.g_columns(kernel.lattice, x, complex(lam))
+    return _over_lagrange(kernel, x, "x_i - x_l", cols)
+
+
+def g_factor_elliptic(lat, x, lam):
+    """Elliptic columns phi_k(x_i) = sigma_k(x_i + lam/N), k = 1..N."""
     n = len(x)
-    lam = complex(lam)
-    cols = sigma_k(lat, n, np.arange(1, n + 1), x + lam / n)
-    return _over_lagrange(elliptic_kernel(lat), x, "x_i - x_l", cols)
+    return sigma_k(lat, n, np.arange(1, n + 1), x + lam / n)
 
 
 def g_factor_trig(x, lam):
-    """Trigonometric factorization factor.
-
-    Entries phi_k(x_j) / prod_{l!=j} sin(x_j - x_l) with
-    phi_k(x) = exp(-i N x) (exp(2ik(x + lam/N)) + (-1)^N delta_{kN}).
-    """
-    x = _points(x)
+    """Trigonometric columns
+    phi_k(x_i) = exp(-i N x_i) (exp(2ik(x_i + lam/N)) + (-1)^N delta_{kN})."""
     n = len(x)
-    lam = complex(lam)
     k = np.arange(1, n + 1)
-    phi = np.exp(-1j * n * x[:, None]) * (
+    return np.exp(-1j * n * x[:, None]) * (
         np.exp(2j * k[None, :] * (x[:, None] + lam / n))
         + (-1.0) ** n * (k[None, :] == n)
     )
-    return _over_lagrange(TRIG_KERNEL, x, "x_j - x_l", phi)
 
 
 def g_factor_rat(x, lam):
-    """Rational factorization factor.
-
-    Entries (x_j + lam/N)^(k-1+delta_{kN}) / prod_{l!=j} (x_j - x_l);
-    the top column degree skips from N-2 to N.
-    """
-    x = _points(x)
+    """Rational columns phi_k(x_i) = (x_i + lam/N)^(k-1+delta_{kN}): the
+    top degree skips from N-2 to N."""
     n = len(x)
-    lam = complex(lam)
     k = np.arange(1, n + 1)
-    exponents = k - 1 + (k == n)
-    base = x[:, None] + lam / n
-    return _over_lagrange(RATIONAL_KERNEL, x, "x_j - x_l", base ** exponents[None, :])
+    return (x[:, None] + lam / n) ** (k - 1 + (k == n))[None, :]
 
 
 def w_matrix(x):
@@ -451,8 +448,7 @@ def w_matrix(x):
 
 def gauss_lambda_ladder(x, y, lam):
     """lambda_j = lam + sum_{l>j} (x_l - y_l), with lambda_N = lam."""
-    x = _points(x)
-    y = _points(y)
+    x, y = _square(x, y)
     tail = np.concatenate([np.cumsum((x - y)[::-1])[::-1][1:], [0.0]])
     return lam + tail
 

@@ -243,9 +243,9 @@ def check_transposed_identity(inst, tag):
 
 
 def check_factorization(inst, tag):
-    """G_{lam+Y}(x,y) = g_lam(x) g_lam(y)^-1 for the kernel-matching factor,
-    checked without an inverse as G g(y) = g(x); under the k-rational tag,
-    K(x,y) W(y) = W(x).  The residual is componentwise, max |G g(y) - g(x)|
+    """G_{lam+Y}(x,y) = g_lam(x) g_lam(y)^-1 with both on the instance's
+    kernel, checked without an inverse as G g(y) = g(x); under the
+    k-rational tag, K(x,y) W(y) = W(x).  The residual is componentwise, max |G g(y) - g(x)|
     over |G| |g(y)| (the Oettli-Prager backward error; Higham, Accuracy and
     Stability of Numerical Algorithms, sec. 7.2)."""
     x, y = inst.x, inst.y
@@ -255,8 +255,7 @@ def check_factorization(inst, tag):
     else:
         kern = inst.kernel
         lhs = cauchy.g_matrix(kern, x, y, inst.lam + y.sum())
-        gx = kern.spec.g_factor(kern.lattice, x, inst.lam)
-        gy = kern.spec.g_factor(kern.lattice, y, inst.lam)
+        gx, gy = cauchy.g_factor(kern, x, inst.lam), cauchy.g_factor(kern, y, inst.lam)
     return _worst(np.abs(lhs @ gy - gx) / (np.abs(lhs) @ np.abs(gy))), 1.0
 
 
@@ -453,7 +452,8 @@ def run_suite(cfg, identities=None, kernels=None):
     """Run the selected identities over n_values x trials_per_n seeded trials.
 
     ``kernels``, when given, is a set of kernel variants: each identity
-    runs on the tags of its plan whose variant is in the set.  Each check
+    runs on the tags of its plan whose variant is in the set.  An unknown
+    identity name or kernel variant raises ValueError naming it.  Each check
     is judged by :meth:`Identity.check` at base tolerance ``cfg.tolerance``.
     The checks are grouped by instance (kernel variant, N, seed, third
     point set or not); degeneration joins the rational N = 5 instance at
@@ -469,6 +469,10 @@ def run_suite(cfg, identities=None, kernels=None):
     checking ends the whole run: it propagates and no reports are returned.
     """
     names = list(identities) if identities is not None else list(IDENTITIES) + ["degeneration"]
+    unknown = sorted(set(names) - {*REGISTRY, "degeneration"})
+    unknown += sorted(set(kernels or ()) - set(cauchy.KERNELS))
+    if unknown:
+        raise ValueError(f"unknown identities or kernel variants: {unknown}")
     lat = cfg.lattice()
     jobs = {}  # instance key -> [(identity name, kernel tag)], in the order of names
     for name in names:

@@ -18,7 +18,7 @@ from ellcauchy import (
     bloch_transport,
     cli,
     elliptic_kernel,
-    g_factor_elliptic,
+    g_factor,
     lattice_new,
     linalg,
     random_instance,
@@ -113,8 +113,8 @@ def test_criterion_07_factorization_and_gauge():
     # gauge invariance: right-multiplying the factor by nonsingular S
     rng = np.random.default_rng(7)
     inst = random_instance(CFG, elliptic_kernel(LAT), 4, 7)
-    gx = g_factor_elliptic(LAT, inst.x, inst.lam)
-    gy = g_factor_elliptic(LAT, inst.y, inst.lam)
+    gx = g_factor(inst.kernel, inst.x, inst.lam)
+    gy = g_factor(inst.kernel, inst.y, inst.lam)
     s = np.eye(4) + 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     plain = gx @ linalg.lu_inverse(gy)
     gauged = (gx @ s) @ linalg.lu_inverse(gy @ s)

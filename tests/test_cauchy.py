@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellcauchy
 from ellcauchy import (
     DimensionMismatch,
     Instance,
@@ -25,9 +26,7 @@ from ellcauchy import (
     d_matrix,
     elliptic_kernel,
     frobenius_det,
-    g_factor_elliptic,
-    g_factor_rat,
-    g_factor_trig,
+    g_factor,
     g_matrix,
     gauss_udl,
     h_matrix,
@@ -164,7 +163,7 @@ class TestDMatrix:
         with pytest.raises(KernelZero, match="x_i - x_k"):
             d_matrix(kern, x, y)
         with pytest.raises(KernelZero, match="x_i - x_l"):
-            g_factor_elliptic(lat, x, 0.21 + 0.33j)
+            g_factor(kern, x, 0.21 + 0.33j)
 
     def test_small_sigma_is_not_a_kernel_zero(self):
         # on the thin lattice tau = 0.08i, |sigma(x_0 - x_1)| is about 1e-17
@@ -349,27 +348,42 @@ class TestGFactors:
         for n in (1, 2, 4):
             x, y, lam = sample_sets(lat, rng, n)
             lhs = g_matrix(kern, x, y, lam + y.sum())
-            rhs = g_factor_elliptic(lat, x, lam) @ linalg.lu_inverse(g_factor_elliptic(lat, y, lam))
+            rhs = g_factor(kern, x, lam) @ linalg.lu_inverse(g_factor(kern, y, lam))
             assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(lhs).max()
 
             xr, yr, lamr = sample_sets_rational(rng, n)
             lhs = g_matrix(TRIG_KERNEL, 0.3 * xr, 0.3 * yr, lamr + 0.3 * yr.sum())
-            rhs = g_factor_trig(0.3 * xr, lamr) @ linalg.lu_inverse(g_factor_trig(0.3 * yr, lamr))
+            rhs = g_factor(TRIG_KERNEL, 0.3 * xr, lamr) @ linalg.lu_inverse(g_factor(TRIG_KERNEL, 0.3 * yr, lamr))
             assert np.abs(lhs - rhs).max() < 1e-8 * np.abs(lhs).max()
 
             lhs = g_matrix(RATIONAL_KERNEL, xr, yr, lamr + yr.sum())
-            rhs = g_factor_rat(xr, lamr) @ linalg.lu_inverse(g_factor_rat(yr, lamr))
+            rhs = g_factor(RATIONAL_KERNEL, xr, lamr) @ linalg.lu_inverse(g_factor(RATIONAL_KERNEL, yr, lamr))
             assert np.abs(lhs - rhs).max() < 1e-8 * np.abs(lhs).max()
 
-    def test_column_gauge_freedom(self, lat, rng):
+    def test_column_gauge_freedom(self, lat, kern, rng):
         # right-multiplying both factors by a fixed nonsingular S cancels
         x, y, lam = sample_sets(lat, rng, 4)
-        gx = g_factor_elliptic(lat, x, lam)
-        gy = g_factor_elliptic(lat, y, lam)
+        gx = g_factor(kern, x, lam)
+        gy = g_factor(kern, y, lam)
         s = np.eye(4) + 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         plain = gx @ linalg.lu_inverse(gy)
         gauged = (gx @ s) @ linalg.lu_inverse(gy @ s)
         assert np.abs(plain - gauged).max() < 1e-10 * np.abs(plain).max()
+
+    def test_one_factor_at_the_root(self):
+        # the per-variant names are column maps, not factors: a stale import
+        # of one of them from the package root fails
+        assert ellcauchy.g_factor is cauchy.g_factor
+        for name in ("g_factor_elliptic", "g_factor_trig", "g_factor_rat"):
+            assert not hasattr(ellcauchy, name), name
+
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_columns_over_the_lagrange_denominator(self, lat, variant):
+        k = Kernel(variant, lat)
+        x, lam = np.array(UNEQUAL[0]), UNEQUAL[2]
+        cols = k.spec.g_columns(lat, x, lam)
+        den = np.prod(k(x[:, None] - x[None, :]) + np.eye(3), axis=1)
+        assert np.allclose(g_factor(k, x, lam), cols / den[:, None], rtol=1e-14, atol=0)
 
 
 class TestGauss:
@@ -495,6 +509,26 @@ SQUARE_ONLY = {
 
 #: three x-points and two y-points, every difference away from the kernel zeros
 UNEQUAL = ([0.1 + 0.05j, -0.2 + 0.1j, 0.25 - 0.15j], [0.3 - 0.2j, 0.45 + 0.15j], 0.21 + 0.33j)
+
+
+class TestOneAxis:
+    """A point set has one axis; a set with more raises DimensionMismatch."""
+
+    def test_cauchy_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            cauchy_matrix(TRIG_KERNEL, [[0.1, 0.2]], [[0.3, 0.45]], 0.5)
+
+    def test_d_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            d_matrix(RATIONAL_KERNEL, [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2], [1.3, 1.4]])
+
+    def test_instance(self):
+        with pytest.raises(DimensionMismatch):
+            Instance(RATIONAL_KERNEL, [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2], [1.3, 1.4]], 0.7)
+
+    def test_ladder_pairs_sets_of_one_size(self):
+        with pytest.raises(DimensionMismatch):
+            gauss_lambda_ladder([1, 2], [1, 2, 3], 0)
 
 
 class TestSquareOnly:

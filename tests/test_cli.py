@@ -196,18 +196,15 @@ class TestMain:
         assert cli.main(["bench"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("sigma x2000")
-        timed = {line.split()[1] for line in lines[1:] if line.endswith(" ms")}
-        assert timed == {"n=4", "n=8", "n=16", "n=32"}
-        # sizes above an identity's cap are skipped, not run into an error
-        for name in ("factorization", "monodromy"):
-            for n in (8, 16, 32):
-                assert f"{name} n={n}".ljust(22) + "    skipped (n_cap = 6)" in lines
-        assert not [line for line in lines if "n/a" in line]
+        # every identity is timed at every size: none skipped, none n/a
+        timed = [line.split()[:2] for line in lines[1:] if line.endswith(" ms")]
+        assert timed == [[name, f"n={n}"] for n in (4, 8, 16, 32) for name in verify.REGISTRY]
+        assert len(lines) == 1 + len(timed) == 29
         # one sample per size and point-set count, shared by the identities,
         # but no two timed checks share an instance: each starts on an empty
         # memo, so none is timed on kernel values an earlier check evaluated
         assert sorted(sampled) == sorted({(n, z) for n in (4, 8, 16, 32) for z in (False, True)})
-        assert len(timed_on) == 22
+        assert len(timed_on) == 28
         assert len({id(inst) for inst, _ in timed_on}) == len(timed_on)
         assert all(memo == {} for _, memo in timed_on)
 

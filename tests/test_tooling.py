@@ -128,18 +128,19 @@ def test_readme_library_example(capsys):
 #: denominators in one zero-distance call and evaluates its kernel in at
 #: most one call (G and H no longer build C and D apart), the closed inverse
 #: reuses G's tests, an elliptic instance's memo skips the kernel call of a
-#: builder whose argument blocks an earlier check on it evaluated (32 such
-#: calls), sigma_k takes every k in one call, a sampler round makes at most
-#: one zero-distance call, an Instance makes none (the sampler alone keeps
-#: the margins), and only the inverse check inverts by LU (the
-#: factorization check forms G g(y), not g(x) g(y)^-1)
+#: builder or of a factorization factor's Lagrange denominator whose
+#: argument blocks an earlier check on it evaluated (48 such calls), sigma_k
+#: takes every k in one call, a sampler round makes at most one
+#: zero-distance call, an Instance makes none (the sampler alone keeps the
+#: margins), and only the inverse check inverts by LU (the factorization
+#: check forms G g(y), not g(x) g(y)^-1)
 CALL_CAPS = {
     "verify.random_instance": 49,
     "linalg.lu_inverse": 16,
     "cauchy.zero_distance": 416,
-    "cauchy.kernel": 302,
+    "cauchy.kernel": 286,
     "weierstrass.lattice_distance": 192,
-    "weierstrass.sigma": 144,
+    "weierstrass.sigma": 128,
     "weierstrass.sigma_k": 24,
 }
 

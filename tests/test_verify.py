@@ -393,6 +393,20 @@ class TestRunSuite:
         reports = run_suite(small, identities=["product"], kernels={"trig"})
         assert reports and {r.kernel for r in reports} == {"trig"}
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"kernels": {"ellipitc"}}, "ellipitc"),
+            # a kernel tag, not a variant
+            ({"kernels": {"k-rational"}}, "k-rational"),
+            ({"identities": ["determinent"]}, "determinent"),
+        ],
+    )
+    def test_rejects_unknown_names(self, small, kwargs, name):
+        # neither an empty run nor a bare KeyError
+        with pytest.raises(ValueError, match=name):
+            run_suite(small, **kwargs)
+
     def test_kernel_filter_selects_by_variant(self, small):
         # the rational variant runs both the rational and the k-rational tags
         reports = run_suite(small, identities=["product", "degeneration"], kernels={"rational"})
@@ -560,6 +574,24 @@ class TestKernelMemo:
         forward = self.run(monkeypatch, self.CHECKS)
         backward = self.run(monkeypatch, self.CHECKS[::-1])
         assert backward == forward
+
+    def test_factorization_evaluates_each_point_once(self, monkeypatch):
+        # g(x) divides by f(x_i - x_l) on the instance's kernel, so those
+        # pairs come from the memo of the G(x, y) it is checked against:
+        # (5N^2 - N)/2 + 1 points for G and N(N - 1)/2 for g(y)'s pairs
+        cfg = SuiteConfig(n_values=(16,), sep_min=0.6 / 16)
+        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 16, 42)
+        args, sigma = [], cauchy.sigma
+
+        def recorded(lat, z):
+            args.append(np.ravel(z))
+            return sigma(lat, z)
+
+        monkeypatch.setattr(cauchy, "sigma", recorded)
+        rep = REGISTRY["factorization"].check(inst, "elliptic", cfg.tolerance)
+        points = np.concatenate(args)
+        assert points.size == np.unique(points).size == 753
+        assert rep.passed
 
     def test_only_elliptic_instances_memoize(self, cfg):
         lat = cfg.lattice()
