@@ -18,14 +18,27 @@ rows of C(x,y;lambda_j) on the Gauss ladder.  The parameter-free K and W
 forms and double-Bloch evaluation are specific to one kernel.  One helper
 divides by the Lagrange denominator, for K, W and every factorization factor.
 
-An :class:`Instance` checks only shapes; the sampler keeps the margins.  On
-the elliptic kernel an instance also owns a memo of kernel values: its
-kernel is a private copy whose ``memo`` maps each argument block (shape and
-bytes) a builder has evaluated to its values, so the sigma tables that the
-determinant, inverse and UDL builders share are evaluated once per
-instance.  sin and the identity cost less per point than a lookup and are
-not memoized.  Since the memo keeps values, a function patched on a module
-name (sigma, say) must be in place before the instance is built.
+Every builder and closed form takes a stack of trials as well as one: a
+point set has one axis of points after at most one leading trial axis, the
+sets of one call share that stack, and the parameter has the stack's
+shape (a scalar for one trial).  The result then has the stack's axis in front, and its
+member b is, bit for bit, what the call on member b alone returns.  Each
+diagonal scaling stays a product with a diagonal matrix, each complex
+product keeps its operand order (numpy's multiply rounds a*b and b*a
+apart), each product over an axis runs along a contiguous one, and a value
+that is one number per trial is kept as an array, never a scalar.
+
+An :class:`Instance` (one trial or a stack of them) checks only shapes; the
+sampler keeps the margins.  On the elliptic kernel an instance also owns a
+memo of kernel values: its kernel is a private copy whose ``memo`` maps
+each argument block (shape and bytes) a builder has evaluated to its
+values, so the sigma tables that the determinant, inverse and UDL builders
+share are evaluated once per instance.  The memo also answers a block
+whose negated transpose it holds, since every kernel is odd: f(y - x) is
+-f(x - y) transposed.  sin and the identity cost less per point than a
+lookup and are not memoized.  Since the memo keeps values, a function
+patched on a module name (sigma, say) must be in place before the instance
+is built.
 """
 
 from __future__ import annotations
@@ -44,12 +57,52 @@ ZERO_TOL = 1e-12
 
 
 def _points(x):
-    """Any array-like of complex points as a 1-d complex array; a set with
-    more than one axis raises :class:`DimensionMismatch`."""
+    """Any array-like of complex points as a complex array: one axis of
+    points after at most one leading trial axis.  A set with more axes
+    raises :class:`DimensionMismatch`."""
     pts = np.atleast_1d(np.asarray(x, dtype=complex))
-    if pts.ndim > 1:
-        raise DimensionMismatch(f"a point set has one axis, not {pts.ndim}")
+    if pts.ndim > 2:
+        raise DimensionMismatch(
+            f"a point set has one axis of points and at most one trial axis, not {pts.ndim} axes"
+        )
     return pts
+
+
+def _sets(*sets, square=True):
+    """The point sets as complex arrays of one stack of trials and, if
+    ``square``, of one size; anything else raises :class:`DimensionMismatch`."""
+    sets = [_points(s) for s in sets]
+    first = sets[0].shape
+    for pts in sets[1:]:
+        if pts.shape[:-1] != first[:-1]:
+            raise DimensionMismatch(f"point-set stacks of shapes {first} and {pts.shape} do not pair up")
+        if square and pts.shape[-1] != first[-1]:
+            raise DimensionMismatch(f"point sets of sizes {first[-1]} and {pts.shape[-1]} do not pair up")
+    return sets
+
+
+def _param(lam, stack):
+    """The parameter as a complex array of the stack's shape (0-d for one
+    trial); any other shape raises :class:`DimensionMismatch`."""
+    lam = np.asarray(lam, dtype=complex)
+    if lam.shape != stack:
+        raise DimensionMismatch(f"a parameter of shape {lam.shape} for a stack of shape {stack}")
+    return lam
+
+
+def _diag(d):
+    """Diagonal matrices with the last axis of d on their diagonals:
+    ``np.diag``, stacked."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,), dtype=d.dtype)
+    i = np.arange(n)
+    out[..., i, i] = d
+    return out
+
+
+def _transposed(a):
+    """The last two axes of a swapped."""
+    return np.swapaxes(a, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -161,33 +214,42 @@ RATIONAL_KERNEL = Kernel("rational")
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """One random verification instance: kernel, point sets, parameter.
+    """One random verification instance, or a stack of them: kernel, point
+    sets, parameter.
 
     The point sets become read-only complex arrays of one nonempty size.
-    Their margins from the kernel zeros are the sampler's to keep; a
-    builder raises :class:`KernelZero` on any denominator at a zero.  On a
-    memoized variant ``kernel`` becomes a private copy with an empty memo,
-    which lives as long as the instance: the builders called with it
-    evaluate each distinct argument block once.
+    A stack of B trials has sets of shape (B, N) and ``lam`` and ``seed``
+    arrays of shape (B,); one trial has sets of shape (N,), a complex
+    ``lam`` and an int ``seed``.  Their margins from the kernel zeros are
+    the sampler's to keep; a builder raises :class:`KernelZero` on any
+    denominator at a zero.  On a memoized variant ``kernel`` becomes a
+    private copy with an empty memo, which lives as long as the instance:
+    the builders called with it evaluate each distinct argument block once,
+    for every member of a stack at once.
     """
 
     kernel: Kernel
     x: np.ndarray
     y: np.ndarray
-    lam: complex
+    lam: complex | np.ndarray
     z: np.ndarray | None = None
-    seed: int = 0
+    seed: int | np.ndarray = 0
 
     def __post_init__(self):
         names = ("x", "y") if self.z is None else ("x", "y", "z")
-        sets = [_points(getattr(self, name)).copy() for name in names]
+        sets = [pts.copy() for pts in _sets(*(getattr(self, name) for name in names))]
         for name, pts in zip(names, sets):
             pts.setflags(write=False)
             object.__setattr__(self, name, pts)
-        if len(self.x) == 0:
+        if self.x.shape[-1] == 0:
             raise ValueError("point sets must be nonempty")
-        if any(len(pts) != len(self.x) for pts in sets):
-            raise DimensionMismatch("point sets must have equal size")
+        stack = self.x.shape[:-1]
+        for name, dtype in (("lam", complex), ("seed", None)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            if value.shape != stack:
+                raise DimensionMismatch(f"{name} of shape {value.shape} for a stack of shape {stack}")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value if stack else value.item())
         if self.kernel.spec.memoized:
             kernel = Kernel(self.kernel.variant, self.kernel.lattice)
             object.__setattr__(kernel, "memo", {})
@@ -195,7 +257,35 @@ class Instance:
 
     @property
     def n(self):
-        return len(self.x)
+        return self.x.shape[-1]
+
+    @classmethod
+    def stack(cls, members):
+        """One stacked instance of unstacked ``members`` on one kernel, in
+        their order."""
+        kernel = members[0].kernel
+        if any(m.kernel != kernel for m in members):
+            raise ValueError("the members of a stack must share one kernel")
+        z = None if members[0].z is None else [m.z for m in members]
+        return cls(
+            kernel=kernel,
+            x=[m.x for m in members],
+            y=[m.y for m in members],
+            lam=[m.lam for m in members],
+            z=z,
+            seed=[m.seed for m in members],
+        )
+
+    def member(self, b):
+        """Member b of a stack as an instance of its own, with a memo of its own."""
+        return Instance(
+            kernel=self.kernel,
+            x=self.x[b],
+            y=self.y[b],
+            lam=self.lam[b],
+            z=None if self.z is None else self.z[b],
+            seed=self.seed[b],
+        )
 
 
 def _split(vals, args):
@@ -211,14 +301,28 @@ def _split(vals, args):
 def _fused(kernel, *args):
     """Evaluate the kernel once over several argument arrays; one result per
     argument, each in its argument's shape.  A kernel with a memo looks each
-    block up by its shape and bytes, sends only the blocks it has not seen
-    through the one call and keeps their values, read-only."""
+    block up by its shape and bytes, and answers a block whose negated
+    transpose it holds by negating and transposing those values (every
+    kernel is odd, bit for bit).  It sends only the other blocks through the
+    one call and keeps their values, read-only."""
     args = [np.asarray(a, dtype=complex) for a in args]
     memo = kernel.memo
     if memo is None:
         return _split(kernel(np.concatenate([a.ravel() for a in args])), args)
     keys = [(a.shape, a.tobytes()) for a in args]
-    todo = {k: a for k, a in zip(keys, args) if k not in memo}
+    todo = {}
+    for key, a in zip(keys, args):
+        if key in memo or key in todo:
+            continue
+        if a.ndim > 1:
+            flipped = -_transposed(a)
+            known = memo.get((flipped.shape, flipped.tobytes()))
+            if known is not None:
+                vals = np.ascontiguousarray(-_transposed(known))
+                vals.setflags(write=False)
+                memo[key] = vals
+                continue
+        todo[key] = a
     if todo:
         vals = kernel(np.concatenate([a.ravel() for a in todo.values()]))
         vals.setflags(write=False)
@@ -232,14 +336,6 @@ def _require_nonzero(kernel, args, what):
         raise KernelZero(f"{what} hits a kernel zero")
 
 
-def _square(x, y):
-    """x and y as point arrays of one size, paired as x_j and y_j."""
-    x, y = _points(x), _points(y)
-    if len(x) != len(y):
-        raise DimensionMismatch(f"point sets of sizes {len(x)} and {len(y)} do not pair up")
-    return x, y
-
-
 @functools.lru_cache(maxsize=64)
 def pair_indices(n):
     """Read-only index arrays (i, l) of the pairs i < l of n points."""
@@ -249,13 +345,22 @@ def pair_indices(n):
     return pairs
 
 
+def _pair_diffs(pts):
+    """The differences p_i - p_l on the pairs i < l (last axis), as a
+    C-contiguous array: numpy rounds a product along a strided axis apart
+    from one along a contiguous axis."""
+    i, l = pair_indices(pts.shape[-1])
+    return np.ascontiguousarray(pts[..., i] - pts[..., l])
+
+
 def _odd_table(n, f_pairs):
     """The table f(x_i - x_l) over n points from its values ``f_pairs`` on
-    the pairs i < l, with f(x_l - x_i) = -f(x_i - x_l) and 1 on the diagonal."""
+    the pairs i < l (last axis), with f(x_l - x_i) = -f(x_i - x_l) and 1 on
+    the diagonal."""
     i, l = pair_indices(n)
-    table = np.ones((n, n), dtype=complex)
-    table[i, l] = f_pairs
-    table[l, i] = -f_pairs
+    table = np.ones(f_pairs.shape[:-1] + (n, n), dtype=complex)
+    table[..., i, l] = f_pairs
+    table[..., l, i] = -f_pairs
     return table
 
 
@@ -264,69 +369,70 @@ def _lagrange_den(kernel, x, what=None, f_pairs=None):
     values ``f_pairs`` on the pairs i < l when the caller has them (and has
     zero-tested them).  Otherwise a pair difference at a kernel zero raises
     :class:`KernelZero` naming ``what``."""
-    n = len(x)
+    n = x.shape[-1]
     if f_pairs is None:
-        i, l = pair_indices(n)
-        diff = x[i] - x[l]
+        diff = _pair_diffs(x)
         _require_nonzero(kernel, diff, what)
         (f_pairs,) = _fused(kernel, diff)
-    return np.prod(_odd_table(n, f_pairs), axis=1)
+    return np.prod(_odd_table(n, f_pairs), axis=-1)
 
 
 def _over_lagrange(kernel, x, what, cols):
     """``cols`` with row i divided by prod_{l!=i} f(x_i - x_l); a pair
     difference at a kernel zero raises :class:`KernelZero` naming ``what``."""
-    return cols / _lagrange_den(kernel, x, what)[:, None]
+    return cols / _lagrange_den(kernel, x, what)[..., :, None]
 
 
 def _d_tables(kernel, x, y, lam, pts, what):
     """One zero test of every denominator (x_i - y_j, the pair differences
     of ``pts`` and lam) and one kernel call, for f(x_i - y_j), f(p_i - p_l)
     on the pairs i < l and, unless lam is None, f(x_i - y_j + lam), f(lam)."""
-    dxy = x[:, None] - y[None, :]
-    i, l = pair_indices(len(pts))
-    dpp = pts[i] - pts[l]
-    lams = [] if lam is None else [complex(lam)]
-    _require_nonzero(kernel, np.concatenate([dxy.ravel(), dpp, lams]), what)
-    return _fused(kernel, dxy, dpp, *[dxy + a for a in lams], *lams)
+    dxy = x[..., :, None] - y[..., None, :]
+    dpp = _pair_diffs(pts)
+    lams = [] if lam is None else [lam]
+    _require_nonzero(kernel, np.concatenate([dxy.ravel(), dpp.ravel(), *[a.ravel() for a in lams]]), what)
+    return _fused(kernel, dxy, dpp, *[dxy + a[..., None, None] for a in lams], *lams)
+
+
+def _unstacked(v):
+    """A per-member value as a complex scalar for one trial, else as is."""
+    return complex(v) if v.ndim == 0 else v
 
 
 def cauchy_matrix(kernel, x, y, lam):
     """Cauchy matrix f(x_i - y_j + lam) / (f(lam) f(x_i - y_j))."""
-    x = _points(x)
-    y = _points(y)
-    lam = complex(lam)
-    diff = x[:, None] - y[None, :]
+    x, y = _sets(x, y, square=False)
+    lam = _param(lam, x.shape[:-1])
+    diff = x[..., :, None] - y[..., None, :]
     _require_nonzero(kernel, np.append(diff, lam), "x_i - y_j or lambda")
-    num, f_lam, f_diff = _fused(kernel, diff + lam, lam, diff)
-    return num / (f_lam * f_diff)
+    num, f_lam, f_diff = _fused(kernel, diff + lam[..., None, None], lam, diff)
+    return num / (f_lam[..., None, None] * f_diff)
 
 
 def classic_cauchy(x, y):
     """The classic matrix with entries 1 / (x_i - y_j)."""
-    x = _points(x)
-    y = _points(y)
-    diff = x[:, None] - y[None, :]
+    x, y = _sets(x, y, square=False)
+    diff = x[..., :, None] - y[..., None, :]
     _require_nonzero(RATIONAL_KERNEL, diff, "x_i - y_j")
     return 1.0 / diff
 
 
 def classic_cauchy_det(x, y):
     """Closed-form determinant of the classic Cauchy matrix."""
-    x = _points(x)
-    y = _points(y)
-    dxy = x[:, None] - y[None, :]
+    x, y = _sets(x, y)
+    dxy = x[..., :, None] - y[..., None, :]
     _require_nonzero(RATIONAL_KERNEL, dxy, "x_a - y_b")
-    i, j = np.triu_indices(len(x), 1)
-    num = np.prod(x[i] - x[j]) * np.prod(-(y[i] - y[j]))
-    return complex(num / np.prod(dxy))
+    # as in frobenius_det, the products keep a last axis
+    num = np.prod(_pair_diffs(x), axis=-1, keepdims=True) * np.prod(-_pair_diffs(y), axis=-1, keepdims=True)
+    den = np.prod(dxy, axis=(-2, -1), keepdims=True)[..., 0]
+    return _unstacked((num / den)[..., 0])
 
 
 def d_matrix(kernel, x, y):
     """Diagonal matrix diag( f(x_i-y_i) prod_{k!=i} f(x_i-y_k)/f(x_i-x_k) )."""
-    x, y = _square(x, y)
+    x, y = _sets(x, y)
     f_xy, f_xx = _d_tables(kernel, x, y, None, x, "x_i - x_k or x_i - y_k")
-    return np.diag(np.prod(f_xy, axis=1) / _lagrange_den(kernel, x, f_pairs=f_xx))
+    return _diag(np.prod(f_xy, axis=-1) / _lagrange_den(kernel, x, f_pairs=f_xx))
 
 
 def classic_cauchy_inverse(x, y):
@@ -346,15 +452,20 @@ def frobenius_det(kernel, x, y, lam):
     * prod_{a<b} f(x_a-x_b) f(y_b-y_a) / prod_{a,b} f(x_a-y_b)
     with X, Y the point-set sums.
     """
-    x, y = _square(x, y)
-    lam = complex(lam)
-    shift = lam + x.sum() - y.sum()
-    dxy = x[:, None] - y[None, :]
-    _require_nonzero(kernel, np.append(dxy, [lam, shift]), "x_a - y_b, lambda or lambda + X - Y")
-    i, j = pair_indices(len(x))
-    s_shift, s_lam, dx, dy, s_xy = _fused(kernel, shift, lam, x[i] - x[j], y[i] - y[j], dxy)
-    num = np.prod(dx) * np.prod(-dy)  # f(y_b - y_a) = -f(y_a - y_b)
-    return complex(s_shift / s_lam * num / np.prod(s_xy))
+    x, y = _sets(x, y)
+    lam = _param(lam, x.shape[:-1])
+    shift = lam + x.sum(axis=-1) - y.sum(axis=-1)
+    dxy = x[..., :, None] - y[..., None, :]
+    _require_nonzero(
+        kernel, np.concatenate([dxy.ravel(), lam.ravel(), shift.ravel()]), "x_a - y_b, lambda or lambda + X - Y"
+    )
+    s_shift, s_lam, dx, dy, s_xy = _fused(kernel, shift, lam, _pair_diffs(x), _pair_diffs(y), dxy)
+    # f(y_b - y_a) = -f(y_a - y_b); the products keep a last axis, so that
+    # one trial is multiplied as an array, as a stack is (numpy rounds a
+    # product of two complex scalars apart from the same product in an array)
+    num = np.prod(dx, axis=-1, keepdims=True) * np.prod(-dy, axis=-1, keepdims=True)
+    den = np.prod(s_xy, axis=(-2, -1), keepdims=True)[..., 0]
+    return _unstacked((s_shift[..., None] / s_lam[..., None] * num / den)[..., 0])
 
 
 def cauchy_inverse_closed(kernel, x, y, lam):
@@ -367,27 +478,31 @@ def cauchy_inverse_closed(kernel, x, y, lam):
     * prod_{l!=j} f(x_j-y_l)/f(x_j-x_l),
     assembled as G_{lam+X-Y}(y,x) D(x,y) = D(y,x) C(y,x; lam+X-Y) D(x,y),
     which is what the product identity yields for the inverse.  The shift
-    lam+X-Y is tested for a kernel zero as the parameter of C(y,x; .).
+    lam+X-Y is tested for a kernel zero as the parameter of C(y,x; .).  On
+    a memoized kernel, f(y - x) comes from the f(x - y) table.
     """
-    x, y = _square(x, y)
-    return g_matrix(kernel, y, x, complex(lam) + x.sum() - y.sum()) @ d_matrix(kernel, x, y)
+    x, y = _sets(x, y)
+    shift = _param(lam, x.shape[:-1]) + x.sum(axis=-1) - y.sum(axis=-1)
+    return g_matrix(kernel, y, x, shift) @ d_matrix(kernel, x, y)
 
 
 def g_matrix(kernel, x, y, lam):
     """G_lam(x, y) = D(x, y) C(x, y; lam)."""
-    x, y = _square(x, y)
+    x, y = _sets(x, y)
+    lam = _param(lam, x.shape[:-1])
     f_xy, f_xx, num, f_lam = _d_tables(kernel, x, y, lam, x, "x_i - x_k, x_i - y_j or lambda")
-    d = np.prod(f_xy, axis=1) / _lagrange_den(kernel, x, f_pairs=f_xx)
-    return np.diag(d) @ (num / (f_lam * f_xy))
+    d = np.prod(f_xy, axis=-1) / _lagrange_den(kernel, x, f_pairs=f_xx)
+    return _diag(d) @ (num / (f_lam[..., None, None] * f_xy))
 
 
 def h_matrix(kernel, x, y, lam):
     """H_lam(x, y) = C(x, y; lam) D(y, x)."""
-    x, y = _square(x, y)
+    x, y = _sets(x, y)
+    lam = _param(lam, x.shape[:-1])
     f_xy, f_yy, num, f_lam = _d_tables(kernel, x, y, lam, y, "y_i - y_k, x_i - y_j or lambda")
     # f(y_i - x_k) = -f(x_k - y_i), multiplied along a contiguous row as in D(y, x)
-    d = np.prod(np.ascontiguousarray(-f_xy.T), axis=1) / _lagrange_den(kernel, y, f_pairs=f_yy)
-    return (num / (f_lam * f_xy)) @ np.diag(d)
+    d = np.prod(np.ascontiguousarray(-_transposed(f_xy)), axis=-1) / _lagrange_den(kernel, y, f_pairs=f_yy)
+    return (num / (f_lam[..., None, None] * f_xy)) @ _diag(d)
 
 
 def k_matrix(x, y):
@@ -395,12 +510,11 @@ def k_matrix(x, y):
 
     K_ij = prod_{k!=j} (x_i - y_k) / prod_{l!=i} (x_i - x_l).
     """
-    x = _points(x)
-    y = _points(y)
-    dxy = x[:, None] - y[None, :]
+    x, y = _sets(x, y, square=False)
+    dxy = x[..., :, None] - y[..., None, :]
     _require_nonzero(RATIONAL_KERNEL, dxy, "x_i - y_k")
-    row_num = np.prod(dxy, axis=1)  # prod over all k
-    return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", row_num[:, None] / dxy)
+    row_num = np.prod(dxy, axis=-1)  # prod over all k
+    return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", row_num[..., :, None] / dxy)
 
 
 def g_factor(kernel, x, lam):
@@ -409,48 +523,54 @@ def g_factor(kernel, x, lam):
     and the denominator is evaluated on ``kernel`` itself (on an instance's
     kernel, through its memo)."""
     x = _points(x)
-    cols = kernel.spec.g_columns(kernel.lattice, x, complex(lam))
+    cols = kernel.spec.g_columns(kernel.lattice, x, _param(lam, x.shape[:-1]))
     return _over_lagrange(kernel, x, "x_i - x_l", cols)
+
+
+def _over_n(lam, n):
+    """lam / n with each part divided by n, as Python divides a complex by
+    a real; numpy's complex division multiplies by 1/n and rounds apart."""
+    lam = np.asarray(lam)
+    return lam.real / n + 1j * (lam.imag / n)
 
 
 def g_factor_elliptic(lat, x, lam):
     """Elliptic columns phi_k(x_i) = sigma_k(x_i + lam/N), k = 1..N."""
-    n = len(x)
-    return sigma_k(lat, n, np.arange(1, n + 1), x + lam / n)
+    n = x.shape[-1]
+    return sigma_k(lat, n, np.arange(1, n + 1), x + _over_n(lam, n)[..., None])
 
 
 def g_factor_trig(x, lam):
     """Trigonometric columns
     phi_k(x_i) = exp(-i N x_i) (exp(2ik(x_i + lam/N)) + (-1)^N delta_{kN})."""
-    n = len(x)
+    n = x.shape[-1]
     k = np.arange(1, n + 1)
-    return np.exp(-1j * n * x[:, None]) * (
-        np.exp(2j * k[None, :] * (x[:, None] + lam / n))
-        + (-1.0) ** n * (k[None, :] == n)
+    return np.exp(-1j * n * x[..., :, None]) * (
+        np.exp(2j * k * (x[..., :, None] + _over_n(lam, n)[..., None, None]))
+        + (-1.0) ** n * (k == n)
     )
 
 
 def g_factor_rat(x, lam):
     """Rational columns phi_k(x_i) = (x_i + lam/N)^(k-1+delta_{kN}): the
     top degree skips from N-2 to N."""
-    n = len(x)
+    n = x.shape[-1]
     k = np.arange(1, n + 1)
-    return (x[:, None] + lam / n) ** (k - 1 + (k == n))[None, :]
+    return (x[..., :, None] + _over_n(lam, n)[..., None, None]) ** (k - 1 + (k == n))
 
 
 def w_matrix(x):
     """Row-scaled Vandermonde: x_i^(j-1) / prod_{l!=i} (x_i - x_l)."""
     x = _points(x)
-    n = len(x)
-    j = np.arange(n)
-    return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", x[:, None] ** j[None, :])
+    return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", x[..., :, None] ** np.arange(x.shape[-1]))
 
 
 def gauss_lambda_ladder(x, y, lam):
     """lambda_j = lam + sum_{l>j} (x_l - y_l), with lambda_N = lam."""
-    x, y = _square(x, y)
-    tail = np.concatenate([np.cumsum((x - y)[::-1])[::-1][1:], [0.0]])
-    return lam + tail
+    x, y = _sets(x, y)
+    tail = np.zeros_like(x)
+    tail[..., :-1] = np.cumsum((x - y)[..., :0:-1], axis=-1)[..., ::-1]
+    return _param(lam, x.shape[:-1])[..., None] + tail
 
 
 def gauss_udl(kernel, x, y, lam):
@@ -462,17 +582,15 @@ def gauss_udl(kernel, x, y, lam):
     of L are column j and row j of C(x,y;lambda_j), weighted by the suffix
     products below and scaled to a unit diagonal.
     """
-    x, y = _square(x, y)
-    n = len(x)
-    lam = complex(lam)
+    x, y = _sets(x, y)
+    n = x.shape[-1]
     lams = gauss_lambda_ladder(x, y, lam)
-    i, j = pair_indices(n)
-    dxx = x[i] - x[j]
-    dxy = x[:, None] - y[None, :]
-    dyy = y[i] - y[j]
+    dxx = _pair_diffs(x)
+    dxy = x[..., :, None] - y[..., None, :]
+    dyy = _pair_diffs(y)
     _require_nonzero(
         kernel,
-        np.concatenate([lams, x - y + lams, dxy.ravel(), dxx, dyy]),
+        np.concatenate([a.ravel() for a in (lams, x - y + lams, dxy, dxx, dyy)]),
         "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b",
     )
 
@@ -481,22 +599,24 @@ def gauss_udl(kernel, x, y, lam):
         dxx,
         dxy,
         dyy,
-        dxy + lams[None, :],  # f(x_i - y_j + lam_j)
-        dxy + lams[:, None],  # f(x_j - y_k + lam_j)
+        dxy + lams[..., None, :],  # f(x_i - y_j + lam_j)
+        dxy + lams[..., :, None],  # f(x_j - y_k + lam_j)
         lams,
     )
     # r_u[i, j] = prod_{l>j} f(x_i - x_l)/f(x_i - y_l) and r_l[k, j] =
     # prod_{l>j} f(y_k - y_l)/f(y_k - x_l), 1 at j = N: one cumulative
     # product over the reversed columns, with f(y_k - x_l) = -f(x_l - y_k)
-    ratios = np.stack([_odd_table(n, fxx) / sxy, _odd_table(n, fyy) / -sxy.T])
-    steps = np.concatenate([np.ones((2, n, 1)), ratios[..., :0:-1]], axis=-1)
-    r_u, r_l = np.cumprod(steps, axis=-1)[..., ::-1]
+    ratios = np.stack([_odd_table(n, fxx) / sxy, _odd_table(n, fyy) / -_transposed(sxy)], axis=-3)
+    steps = np.concatenate([np.ones(ratios.shape[:-1] + (1,)), ratios[..., :0:-1]], axis=-1)
+    r = np.cumprod(steps, axis=-1)[..., ::-1]
+    r_u, r_l = r[..., 0, :, :], r[..., 1, :, :]
     # a[:, j] is column j and b[j, :] row j of C(x, y; lam_j), weighted
-    a = s_cols / (s_lams[None, :] * sxy) * r_u
-    b = s_rows / (s_lams[:, None] * sxy) * r_l.T
-    u = np.triu(a / np.diag(a)[None, :])
-    l = np.tril(b / np.diag(b)[:, None])
-    d = np.diag(np.diag(a) * np.diag(r_l))
+    a = s_cols / (s_lams[..., None, :] * sxy) * r_u
+    b = s_rows / (s_lams[..., :, None] * sxy) * _transposed(r_l)
+    diag_a = np.diagonal(a, axis1=-2, axis2=-1)
+    u = np.triu(a / diag_a[..., None, :])
+    l = np.tril(b / np.diagonal(b, axis1=-2, axis2=-1)[..., :, None])
+    d = _diag(diag_a * np.diagonal(r_l, axis1=-2, axis2=-1))
     return u, d, l
 
 
@@ -506,22 +626,31 @@ def bloch_eval(lat, poles, coeffs, lam, point):
     psi(w) = sum_i c_i sigma(w - x_i + lam) / (sigma(lam) sigma(w - x_i));
     under full-period shifts psi picks up the multipliers exp(2 eta lam)
     and exp(2 eta' lam).  Elementwise over ``point``; all points go
-    through one sigma call.
+    through one sigma call.  For a stack of expansions (poles and
+    coefficients of shape (B, N), lam of shape (B,)), ``point`` has the
+    stack's axis in front.
     """
     poles = _points(poles)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != poles.shape:
         raise DimensionMismatch(f"{coeffs.size} coefficients for {poles.size} poles")
-    lam = complex(lam)
+    stack = poles.shape[:-1]
+    lam = _param(lam, stack)
     point = np.asarray(point, dtype=complex)
+    if point.shape[: len(stack)] != stack:
+        raise DimensionMismatch(f"evaluation points of shape {point.shape} for a stack of shape {stack}")
     kern = elliptic_kernel(lat)
     _require_nonzero(kern, lam, "lambda")
-    diff = point[..., None] - poles
+    # the stack's axis, then a unit axis for each axis of the evaluation points
+    lead = stack + (1,) * (point.ndim - len(stack))
+    n = poles.shape[-1]
+    diff = point[..., None] - poles.reshape(lead + (n,))
     d = lattice_distance(lat, diff)
     if np.any(d < 1e-10):
         raise PoleProximity(f"evaluation point within {d.min():.3e} of a pole")
+    lam = lam.reshape(lead + (1,))
     s_num, s_lam, s_diff = _fused(kern, diff + lam, lam, diff)
-    psi = (coeffs * s_num / (s_lam * s_diff)).sum(axis=-1)
+    psi = (coeffs.reshape(lead + (n,)) * s_num / (s_lam * s_diff)).sum(axis=-1)
     return complex(psi) if point.ndim == 0 else psi
 
 
@@ -531,4 +660,5 @@ def bloch_transport(lat, x, y, lam, coeffs):
     Returns b = G_lam(y, x) c; the transported expansion carries the
     shifted parameter lam - X + Y.
     """
-    return g_matrix(elliptic_kernel(lat), y, x, lam) @ np.asarray(coeffs, dtype=complex)
+    c = np.asarray(coeffs, dtype=complex)
+    return (g_matrix(elliptic_kernel(lat), y, x, lam) @ c[..., None])[..., 0]

@@ -3,7 +3,9 @@
 Hand-rolled LU with partial pivoting serves as the independent oracle for
 the closed-form determinant and inverse formulas, so none of the routines
 here delegate to library factorizations.  Cauchy matrices are notoriously
-ill-conditioned; partial pivoting by maximum magnitude is essential.
+ill-conditioned; partial pivoting by maximum magnitude is essential.  The
+factorization takes one matrix; the residual and structure helpers also
+take a stack of matrices (leading axes) and answer per matrix.
 """
 
 from __future__ import annotations
@@ -16,16 +18,22 @@ from .errors import DimensionMismatch, SingularMatrix
 PIVOT_FLOOR = 1e-14
 
 
-def _as_square(a):
+def _as_square(a, stacked=False):
+    """``a`` as a complex square matrix, or with ``stacked`` a stack of them."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if not (a.ndim == 2 or stacked and a.ndim > 2) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
     return a
 
 
+def _per_matrix(v):
+    """A per-matrix result as a Python scalar for one matrix, else as is."""
+    return v.item() if v.ndim == 0 else v
+
+
 def _check_same_dim(a, b):
-    a = _as_square(a)
-    b = _as_square(b)
+    a = _as_square(a, stacked=True)
+    b = _as_square(b, stacked=True)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     return a, b
@@ -88,34 +96,35 @@ def lu_inverse(a):
 
 
 def max_abs_residual(a, b):
-    """Entrywise max |a_ij - b_ij|."""
+    """Entrywise max |a_ij - b_ij|, per matrix of a stack."""
     a, b = _check_same_dim(a, b)
-    return float(np.abs(a - b).max())
+    return _per_matrix(np.abs(a - b).max(axis=(-2, -1)))
 
 
 def rel_residual(a, b):
-    """max |a_ij - b_ij| divided by the max entry magnitude of b."""
+    """max |a_ij - b_ij| divided by the max entry magnitude of b, per
+    matrix of a stack."""
     a, b = _check_same_dim(a, b)
-    scale = np.abs(b).max()
-    return float(np.abs(a - b).max() / scale)
+    scale = np.abs(b).max(axis=(-2, -1))
+    return _per_matrix(np.abs(a - b).max(axis=(-2, -1)) / scale)
 
 
 def structure_check(a, kind, tol):
-    """True iff ``a`` matches the requested pattern within ``tol``.
+    """True iff ``a`` matches the requested pattern within ``tol``, per
+    matrix of a stack.
 
     ``kind`` is one of ``unit_upper``, ``unit_lower``, ``diagonal``.
     Off-pattern entries must have magnitude below tol; where the pattern
     requires 1 on the diagonal, diagonal entries must be within tol of 1.
     """
-    a = _as_square(a)
-    n = a.shape[0]
-    lower = np.abs(np.tril(a, -1)).max() if n > 1 else 0.0
-    upper = np.abs(np.triu(a, 1)).max() if n > 1 else 0.0
-    diag_is_one = np.abs(np.diag(a) - 1).max()
+    a = _as_square(a, stacked=True)
+    lower = np.abs(np.tril(a, -1)).max(axis=(-2, -1))
+    upper = np.abs(np.triu(a, 1)).max(axis=(-2, -1))
+    diag_is_one = np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1).max(axis=-1)
     if kind == "unit_upper":
-        return lower < tol and diag_is_one < tol
+        return _per_matrix((lower < tol) & (diag_is_one < tol))
     if kind == "unit_lower":
-        return upper < tol and diag_is_one < tol
+        return _per_matrix((upper < tol) & (diag_is_one < tol))
     if kind == "diagonal":
-        return lower < tol and upper < tol
+        return _per_matrix((lower < tol) & (upper < tol))
     raise ValueError(f"unknown structure kind {kind!r}")

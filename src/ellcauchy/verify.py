@@ -1,14 +1,17 @@
 """Residual checkers for every closed-form matrix identity, and their judge.
 
-Each checker takes a seeded random :class:`~ellcauchy.cauchy.Instance` and a
-kernel tag and returns ``(abs_residual, reference_magnitude)`` for the two
-sides of an identity; determinant and inverse claims are additionally
-cross-checked against the pivoted-LU oracle in :mod:`ellcauchy.linalg`, and
-the factorization is checked as a product, with no inverse, by its
+Each checker takes a seeded random :class:`~ellcauchy.cauchy.Instance`, one
+trial or a stack of them, and a kernel tag, and returns
+``(abs_residual, reference_magnitude)`` for the two sides of an identity,
+one of each per member of a stack; determinant and inverse claims are
+additionally cross-checked against the pivoted-LU oracle in
+:mod:`ellcauchy.linalg`, which factors one member at a time, and the
+factorization is checked as a product, with no inverse, by its
 componentwise residual.  The sampler keeps one margin rule for every kernel.
 :meth:`Identity.check` alone decides where a checker runs, times it and
-judges its residual into a :class:`Report`.  Everything is a pure function
-of (config, seed), so suite runs are reproducible byte for byte (timings aside).
+judges each member's residual into a :class:`Report`.  Everything is a pure
+function of (config, seed), so suite runs are reproducible byte for byte
+(timings aside).
 """
 
 from __future__ import annotations
@@ -98,13 +101,22 @@ def tolerance_for(identity, n, base=SuiteConfig.tolerance):
     return t
 
 
-def _worst(residuals):
-    """The largest residual, or NaN if any residual is NaN (the built-in
-    ``max(worst, nan)`` keeps ``worst``)."""
-    return float(np.max(residuals))
+def _worst(residuals, stack=()):
+    """Each member's largest residual, or NaN if any of its residuals is
+    NaN (the built-in ``max(worst, nan)`` keeps ``worst``).  Each entry of
+    ``residuals`` has the stack's shape in front, and any trailing axes."""
+    flat = [np.reshape(r, stack + (-1,)) for r in residuals]
+    return np.max(np.concatenate(flat, axis=-1), axis=-1)
 
 
-def _report(name, kernel_tag, n, seed, abs_res, ref_mag, tol, t0):
+def _each(fn, mats):
+    """``fn`` on each matrix of a stack, or on the one matrix, its results
+    stacked: the LU oracle factors one member at a time."""
+    results = [fn(m) for m in mats.reshape((-1,) + mats.shape[-2:])]
+    return np.reshape(results, mats.shape[:-2] + np.shape(results[0]))
+
+
+def _report(name, kernel_tag, n, seed, abs_res, ref_mag, tol, elapsed_ms):
     """Judge one residual; a residual or reference magnitude that is not
     finite fails."""
     rel = float(abs_res / ref_mag if ref_mag >= _ABS_SWITCH else abs_res)
@@ -117,7 +129,7 @@ def _report(name, kernel_tag, n, seed, abs_res, ref_mag, tol, t0):
         rel_residual=rel,
         tolerance=float(tol),
         passed=rel <= tol and math.isfinite(abs_res) and math.isfinite(ref_mag),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
+        elapsed_ms=elapsed_ms,
     )
 
 
@@ -202,7 +214,7 @@ def check_determinant(inst, tag):
     x, y, kern = inst.x, inst.y, inst.kernel
     mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
     closed = cauchy.frobenius_det(kern, x, y, inst.lam)
-    return abs(linalg.lu_det(mat) - closed), abs(closed)
+    return np.abs(_each(linalg.lu_det, mat) - closed), np.abs(closed)
 
 
 def check_inverse(inst, tag):
@@ -211,9 +223,9 @@ def check_inverse(inst, tag):
     x, y, kern = inst.x, inst.y, inst.kernel
     mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
     inv = cauchy.cauchy_inverse_closed(kern, x, y, inst.lam)
-    r_id = linalg.max_abs_residual(mat @ inv, np.eye(inst.n))
-    r_lu = linalg.rel_residual(inv, linalg.lu_inverse(mat))
-    return _worst([r_id, r_lu]), 1.0
+    r_id = linalg.max_abs_residual(mat @ inv, np.broadcast_to(np.eye(inst.n), inv.shape))
+    r_lu = linalg.rel_residual(inv, _each(linalg.lu_inverse, mat))
+    return _worst([r_id, r_lu], x.shape[:-1]), 1.0
 
 
 def check_product_identity(inst, tag):
@@ -226,9 +238,10 @@ def check_product_identity(inst, tag):
     else:
         lam = inst.lam
         kern = inst.kernel
-        lhs = cauchy.g_matrix(kern, x, y, lam + y.sum()) @ cauchy.g_matrix(kern, y, z, lam + z.sum())
-        rhs = cauchy.g_matrix(kern, x, z, lam + z.sum())
-    return linalg.max_abs_residual(lhs, rhs), float(np.abs(rhs).max())
+        y_sum, z_sum = y.sum(axis=-1), z.sum(axis=-1)
+        lhs = cauchy.g_matrix(kern, x, y, lam + y_sum) @ cauchy.g_matrix(kern, y, z, lam + z_sum)
+        rhs = cauchy.g_matrix(kern, x, z, lam + z_sum)
+    return linalg.max_abs_residual(lhs, rhs), np.abs(rhs).max(axis=(-2, -1))
 
 
 def check_transposed_identity(inst, tag):
@@ -237,9 +250,10 @@ def check_transposed_identity(inst, tag):
     x, y, z = inst.x, inst.y, inst.z
     lam = inst.lam
     kern = inst.kernel
-    lhs = cauchy.h_matrix(kern, x, y, lam - x.sum()) @ cauchy.h_matrix(kern, y, z, lam - y.sum())
-    rhs = -cauchy.h_matrix(kern, x, z, lam - x.sum())
-    return linalg.max_abs_residual(lhs, rhs), float(np.abs(rhs).max())
+    x_sum = x.sum(axis=-1)
+    lhs = cauchy.h_matrix(kern, x, y, lam - x_sum) @ cauchy.h_matrix(kern, y, z, lam - y.sum(axis=-1))
+    rhs = -cauchy.h_matrix(kern, x, z, lam - x_sum)
+    return linalg.max_abs_residual(lhs, rhs), np.abs(rhs).max(axis=(-2, -1))
 
 
 def check_factorization(inst, tag):
@@ -254,9 +268,15 @@ def check_factorization(inst, tag):
         gx, gy = cauchy.w_matrix(x), cauchy.w_matrix(y)
     else:
         kern = inst.kernel
-        lhs = cauchy.g_matrix(kern, x, y, inst.lam + y.sum())
+        lhs = cauchy.g_matrix(kern, x, y, inst.lam + y.sum(axis=-1))
         gx, gy = cauchy.g_factor(kern, x, inst.lam), cauchy.g_factor(kern, y, inst.lam)
-    return _worst(np.abs(lhs @ gy - gx) / (np.abs(lhs) @ np.abs(gy))), 1.0
+    return _worst([np.abs(lhs @ gy - gx) / (np.abs(lhs) @ np.abs(gy))], x.shape[:-1]), 1.0
+
+
+def _member_rngs(tag, inst):
+    """One seeded generator per member, in stack order: the checker tag and
+    the member's (N, seed) pick its stream."""
+    return [np.random.default_rng([tag, inst.n, int(seed) & 0xFFFFFFFF]) for seed in np.ravel(inst.seed)]
 
 
 def check_gauss(inst, tag):
@@ -265,28 +285,34 @@ def check_gauss(inst, tag):
     determinant consistency prod_j D_jj = Frobenius determinant."""
     x, y, kern = inst.x, inst.y, inst.kernel
     n = inst.n
+    stack = x.shape[:-1]
     u, d, l = cauchy.gauss_udl(kern, x, y, inst.lam)
     mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
-    scale = float(np.abs(mat).max())
+    scale = np.abs(mat).max(axis=(-2, -1))
     residuals = [linalg.max_abs_residual(u @ d @ l, mat) / scale]
 
-    if not (
+    structured = (
         linalg.structure_check(u, "unit_upper", 1e-12)
-        and linalg.structure_check(l, "unit_lower", 1e-12)
-        and linalg.structure_check(d, "diagonal", 1e-12)
-    ):
-        residuals.append(1.0)
+        & linalg.structure_check(l, "unit_lower", 1e-12)
+        & linalg.structure_check(d, "diagonal", 1e-12)
+    )
+    residuals.append(np.where(structured, 0.0, 1.0))
 
-    # element-sum form: C_ik = sum_{j >= max(i,k)} U_ij D_jj L_jk
-    rng = np.random.default_rng([3, inst.n, inst.seed & 0xFFFFFFFF])
-    for _ in range(3):
-        i, k = int(rng.integers(n)), int(rng.integers(n))
-        s = sum(u[i, j] * d[j, j] * l[j, k] for j in range(max(i, k), n))
-        residuals.append(abs(s - mat[i, k]) / scale)
+    # element-sum form: C_ik = sum_{j >= max(i,k)} U_ij D_jj L_jk, at three
+    # seeded entries of each member
+    sums = []
+    members = zip(_member_rngs(3, inst), *(a.reshape((-1, n, n)) for a in (u, d, l, mat)), np.ravel(scale))
+    for rng, ub, db, lb, cb, sb in members:
+        for _ in range(3):
+            i, k = int(rng.integers(n)), int(rng.integers(n))
+            s = sum(ub[i, j] * db[j, j] * lb[j, k] for j in range(max(i, k), n))
+            sums.append(abs(s - cb[i, k]) / sb)
+    residuals.append(np.reshape(sums, stack + (3,)))
 
     det_closed = cauchy.frobenius_det(kern, x, y, inst.lam)
-    residuals.append(abs(np.prod(np.diag(d)) - det_closed) / abs(det_closed))
-    return _worst(residuals), 1.0
+    det_diag = np.prod(np.diagonal(d, axis1=-2, axis2=-1), axis=-1)
+    residuals.append(np.abs(det_diag - det_closed) / np.abs(det_closed))
+    return _worst(residuals, stack), 1.0
 
 
 def check_monodromy(inst, tag):
@@ -295,35 +321,42 @@ def check_monodromy(inst, tag):
     expansion, all at seeded random points."""
     lat = inst.kernel.lattice
     n = inst.n
-    rng = np.random.default_rng([4, n, inst.seed & 0xFFFFFFFF])
+    stack = inst.x.shape[:-1]
+    poles = inst.x.reshape(-1, n)
 
-    # rows: unshifted, shifted by 2 omega, shifted by 2 omega'
-    pts = 2 * rng.uniform(-0.4, 0.4, 5) * lat.omega + 2 * rng.uniform(-0.4, 0.4, 5) * lat.omega_prime
-    shifts = np.array([0, 2 * lat.omega, 2 * lat.omega_prime])
-    s = sigma(lat, pts + shifts[:, None])
-    sks = sigma_k(lat, n, np.arange(1, n + 1), pts[:2] + shifts[:, None])
+    # per member: five points, N pole coefficients and three evaluation
+    # points at least 0.05 from the poles
+    pts, coeffs, ws = [], [], []
+    for rng, member_poles in zip(_member_rngs(4, inst), poles):
+        pts.append(2 * rng.uniform(-0.4, 0.4, 5) * lat.omega + 2 * rng.uniform(-0.4, 0.4, 5) * lat.omega_prime)
+        coeffs.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        member_ws = []
+        while len(member_ws) < 3:
+            w = complex(2 * rng.uniform(-0.4, 0.4) * lat.omega + 2 * rng.uniform(-0.4, 0.4) * lat.omega_prime)
+            if lattice_distance(lat, w - member_poles).min() >= 0.05:
+                member_ws.append(w)
+        ws.append(member_ws)
+    pts, coeffs, ws = (np.reshape(a, stack + np.shape(a)[1:]) for a in (pts, coeffs, ws))
 
-    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    poles = inst.x
-    ws = []
-    while len(ws) < 3:
-        w = complex(2 * rng.uniform(-0.4, 0.4) * lat.omega + 2 * rng.uniform(-0.4, 0.4) * lat.omega_prime)
-        if lattice_distance(lat, w - poles).min() >= 0.05:
-            ws.append(w)
-    psi = cauchy.bloch_eval(lat, poles, coeffs, inst.lam, np.array(ws) + shifts[:, None])
+    # axis -2 (after the stack): unshifted, shifted by 2 omega, shifted by 2 omega'
+    shifts = np.array([0, 2 * lat.omega, 2 * lat.omega_prime])[:, None]
+    s = sigma(lat, pts[..., None, :] + shifts)
+    sks = sigma_k(lat, n, np.arange(1, n + 1), pts[..., None, :2] + shifts)
+    psi = cauchy.bloch_eval(lat, inst.x, coeffs, inst.lam, ws[..., None, :] + shifts)
 
     residuals = []
     sign = (-1.0) ** n
     for row, (half, eta) in enumerate(((lat.omega, lat.eta), (lat.omega_prime, lat.eta_prime)), 1):
-        expect = -np.exp(2 * eta * (pts + half)) * s[0]
-        residuals.append(float(np.abs(s[row] - expect).max() / np.abs(expect).max()))
-        for sk in np.moveaxis(sks, -1, 0):
-            b = sign * np.exp(2 * eta * n * (pts[:2] + half)) * sk[0]
-            residuals.append(float(np.abs(sk[row] - b).max() / np.abs(b).max()))
-        mult = np.exp(2 * eta * inst.lam)
-        for val, base in zip(psi[row], psi[0]):
-            residuals.append(abs(val - mult * base) / abs(mult * base))
-    return _worst(residuals), 1.0
+        expect = -np.exp(2 * eta * (pts + half)) * s[..., 0, :]
+        residuals.append(np.abs(s[..., row, :] - expect).max(axis=-1) / np.abs(expect).max(axis=-1))
+        for k in range(n):
+            sk = sks[..., k]
+            b = sign * np.exp(2 * eta * n * (pts[..., :2] + half)) * sk[..., 0, :]
+            residuals.append(np.abs(sk[..., row, :] - b).max(axis=-1) / np.abs(b).max(axis=-1))
+        mult = np.exp(2 * eta * np.asarray(inst.lam)[..., None])
+        base = psi[..., 0, :]
+        residuals.append(np.abs(psi[..., row, :] - mult * base) / np.abs(mult * base))
+    return _worst(residuals, stack), 1.0
 
 
 def check_degeneration(inst):
@@ -340,7 +373,8 @@ def check_degeneration(inst):
     scale = float(np.abs(k_mat).max())
     r6 = linalg.max_abs_residual(cauchy.g_matrix(RATIONAL_KERNEL, x, y, 1e6), k_mat) / scale
     r7 = linalg.max_abs_residual(cauchy.g_matrix(RATIONAL_KERNEL, x, y, 1e7), k_mat) / scale
-    rep = _report("degeneration", "rational", n, inst.seed, r6 * scale, scale, 1e-4, t0)
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    rep = _report("degeneration", "rational", n, inst.seed, r6 * scale, scale, 1e-4, elapsed_ms)
     # the residual must also shrink linearly with the parameter
     rational = replace(rep, passed=rep.passed and r7 < 0.25 * r6)
 
@@ -351,7 +385,8 @@ def check_degeneration(inst):
     for eps in (1e-4, 1e-5):
         g_trig = cauchy.g_matrix(TRIG_KERNEL, eps * x, eps * y, eps * inst.lam)
         res[eps] = linalg.max_abs_residual(g_trig, g_rat) / scale
-    rep = _report("degeneration", "trig", n, inst.seed, res[1e-4] * scale, scale, 1e-3, t0)
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    rep = _report("degeneration", "trig", n, inst.seed, res[1e-4] * scale, scale, 1e-3, elapsed_ms)
     # quadratic rate: a decade in eps buys ~two decades of residual
     return [rational, replace(rep, passed=rep.passed and res[1e-5] < 0.05 * res[1e-4])]
 
@@ -368,14 +403,17 @@ class Identity:
     name: str
     doc: str  # the catalogue line printed by ``ellcauchy list``
     plan: tuple  # (kernel tag, needs a third point set) pairs: the only kernels it runs on
-    checker: Callable  # (inst, kernel tag) -> (abs residual, reference magnitude)
+    checker: Callable  # (inst, kernel tag) -> (abs residual, reference magnitude), per member
     n_cap: int | None = None  # larger point counts are not checked
     tol_factor: float = 1.0  # multiplies the base tolerance
 
     def check(self, inst, tag, base_tol):
-        """Run the checker on one instance and judge its residual at this
-        identity's tolerance.  Raises ValueError for a kernel tag outside the
-        plan, an instance on another kernel, or a missing third point set."""
+        """Run the checker once on an instance and judge each member's
+        residual at this identity's tolerance: one :class:`Report` for one
+        trial, a list of them in stack order for a stack, each with the
+        stack's time divided among its members.  Raises ValueError for a
+        kernel tag outside the plan, an instance on another kernel, or a
+        missing third point set."""
         plan = dict(self.plan)
         if tag not in plan:
             raise ValueError(f"{self.name} does not run on the {tag} kernel")
@@ -385,8 +423,15 @@ class Identity:
             raise ValueError(f"{self.name} needs a third point set")
         t0 = time.perf_counter()
         abs_res, ref_mag = self.checker(inst, tag)
+        seeds = np.ravel(inst.seed)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3 / seeds.size
         tol = tolerance_for(self.name, inst.n, base_tol)
-        return _report(self.name, tag, inst.n, inst.seed, abs_res, ref_mag, tol, t0)
+        abs_res, ref_mag = (np.broadcast_to(v, np.shape(inst.seed)).ravel() for v in (abs_res, ref_mag))
+        reports = [
+            _report(self.name, tag, inst.n, int(seed), a, r, tol, elapsed_ms)
+            for seed, a, r in zip(seeds, abs_res, ref_mag)
+        ]
+        return reports if np.ndim(inst.seed) else reports[0]
 
 
 #: name -> identity, in catalogue order.  The checkers are looked up by
@@ -455,13 +500,15 @@ def run_suite(cfg, identities=None, kernels=None):
     runs on the tags of its plan whose variant is in the set.  An unknown
     identity name or kernel variant raises ValueError naming it.  Each check
     is judged by :meth:`Identity.check` at base tolerance ``cfg.tolerance``.
-    The checks are grouped by instance (kernel variant, N, seed, third
-    point set or not); degeneration joins the rational N = 5 instance at
-    the base seed.  Each instance is sampled once, checked by every
-    identity and kernel tag that uses it, and dropped before the next is
-    sampled, so only one instance, with its memo of kernel values, is held
-    at a time.  A function patched on a module name reaches every check as
-    long as it is in place before this call builds the instances.
+    The checks are grouped by stack (kernel variant, N, third point set or
+    not); degeneration joins the rational N = 5 stack as its base-seed
+    member.  Each trial is sampled once, on its own RNG stream, and the
+    trials of a stack are stacked into one :class:`~ellcauchy.cauchy.Instance`
+    with a leading trial axis.  Every identity and kernel tag that uses the
+    stack checks it in one call, and the stack is dropped before the next is
+    sampled, so only one stack, with its memo of kernel values, is held at
+    a time.  A function patched on a module name reaches every check as long
+    as it is in place before this call builds the instances.
 
     Returns reports sorted by (identity, kernel, n, seed).  A check whose
     residual misses its tolerance is recorded as a failed report, but any
@@ -474,12 +521,15 @@ def run_suite(cfg, identities=None, kernels=None):
     if unknown:
         raise ValueError(f"unknown identities or kernel variants: {unknown}")
     lat = cfg.lattice()
-    jobs = {}  # instance key -> [(identity name, kernel tag)], in the order of names
+    trials = [cfg.base_seed + trial for trial in range(cfg.trials_per_n)]
+    jobs = {}  # stack key -> (seeds, [(identity name, kernel tag)] in the order of names)
     for name in names:
         if name == "degeneration":
             if kernels and {"rational", "trig"}.isdisjoint(kernels):
                 continue
-            jobs.setdefault(("rational", 5, cfg.base_seed, False), []).append((name, None))
+            seeds, todo = jobs.setdefault(("rational", 5, False), ({}, []))
+            seeds.setdefault(cfg.base_seed)
+            todo.append((name, None))
             continue
         ident = REGISTRY[name]
         sizes = [n for n in cfg.n_values if ident.n_cap is None or n <= ident.n_cap]
@@ -488,17 +538,20 @@ def run_suite(cfg, identities=None, kernels=None):
             if kernels and variant not in kernels:
                 continue
             for n in sizes:
-                for trial in range(cfg.trials_per_n):
-                    jobs.setdefault((variant, n, cfg.base_seed + trial, with_z), []).append((name, tag))
+                seeds, todo = jobs.setdefault((variant, n, with_z), ({}, []))
+                seeds.update(dict.fromkeys(trials))
+                todo.append((name, tag))
 
     reports = []
-    for (variant, n, seed, with_z), todo in jobs.items():
-        inst = random_instance(cfg, Kernel(variant, lat), n, seed, with_z)
+    for (variant, n, with_z), (seeds, todo) in jobs.items():
+        kernel = Kernel(variant, lat)
+        stack = Instance.stack([random_instance(cfg, kernel, n, seed, with_z) for seed in seeds])
         for name, tag in todo:
             if name == "degeneration":
+                inst = stack.member(list(seeds).index(cfg.base_seed))
                 reports.extend(r for r in check_degeneration(inst) if not kernels or r.kernel in kernels)
             else:
-                reports.append(REGISTRY[name].check(inst, tag, cfg.tolerance))
-        del inst  # dropped, with its memo, before the next instance is sampled
+                reports.extend(REGISTRY[name].check(stack, tag, cfg.tolerance))
+        del stack  # dropped, with its memo, before the next stack is sampled
     reports.sort(key=lambda r: (r.identity_name, r.kernel, r.n, r.seed))
     return reports

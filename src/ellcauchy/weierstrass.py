@@ -155,13 +155,19 @@ def sigma(lat, x):
     t = lat.series
     x = np.asarray(x, dtype=complex)
     xr, m, mp = _reduce(lat, x)
-    theta = (t.coef * np.sin((np.pi / t.w1 * xr)[..., None] * t.odd)).sum(axis=-1)
     # eta x_red^2 / (2 omega) + eta_Omega (x_red + Omega/2), with 2 x_red + Omega = x + x_red
     expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
     # (-1)^(m + m' + m m') is +1 exactly when m and m' are both even, i.e. (m+1)(m'+1) is odd
     pre = t.w1 / (np.pi * t.d1)
-    signed = np.where((m + 1) * (mp + 1) % 2, pre, -pre)
-    out = signed * np.exp(expo) * theta
+    factor = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo)
+    # the (points x K) theta table is built in place, coef the left operand,
+    # after every other per-point array but the factor is freed
+    del expo, m, mp
+    s = (np.pi / t.w1 * xr)[..., None] * t.odd
+    del xr
+    np.sin(s, out=s)
+    np.multiply(t.coef, s, out=s)
+    out = factor * s.sum(axis=-1)
     return complex(out) if x.ndim == 0 else out
 
 
@@ -199,6 +205,9 @@ def sigma_k(lat, n_size, k, x):
     if np.any((k < 1) | (k > n_size)):
         raise ValueError(f"k = {k} outside 1..{n_size}")
     x = np.asarray(x, dtype=complex).reshape(np.shape(x) + (1,) * k.ndim)
+    # k with as many axes as x: numpy multiplies a one-element (1,) by a
+    # (1, 1) in a loop of its own, which rounds apart from a stack's
+    k = k.reshape((1,) * (x.ndim - k.ndim) + k.shape)
     l = np.arange(n_size)
     shifts = (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k[..., None] / n_size) * lat.omega_prime
     out = np.exp(2 * lat.eta_prime * k * x) * np.prod(sigma(lat, x[..., None] + shifts), axis=-1)

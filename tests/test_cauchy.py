@@ -511,24 +511,75 @@ SQUARE_ONLY = {
 UNEQUAL = ([0.1 + 0.05j, -0.2 + 0.1j, 0.25 - 0.15j], [0.3 - 0.2j, 0.45 + 0.15j], 0.21 + 0.33j)
 
 
+#: every builder that takes a point set, as (kernel, x, y, lam) -> result
+ALL_BUILDERS = {
+    "cauchy_matrix": cauchy_matrix,
+    **SQUARE_ONLY,
+    "k_matrix": lambda k, x, y, lam: k_matrix(x, y),
+    "w_matrix": lambda k, x, y, lam: w_matrix(x),
+    "g_factor": lambda k, x, y, lam: g_factor(k, x, lam),
+    "gauss_lambda_ladder": lambda k, x, y, lam: gauss_lambda_ladder(x, y, lam),
+    "classic_cauchy": lambda k, x, y, lam: classic_cauchy(x, y),
+    "classic_cauchy_det": lambda k, x, y, lam: classic_cauchy_det(x, y),
+    "classic_cauchy_inverse": lambda k, x, y, lam: classic_cauchy_inverse(x, y),
+}
+
+
 class TestOneAxis:
-    """A point set has one axis; a set with more raises DimensionMismatch."""
+    """A point set has one axis of points after at most one leading trial
+    axis.  A set with three or more axes, sets whose stacks disagree and a
+    parameter not of the stack's shape raise DimensionMismatch."""
+
+    #: two stacks of two trials of two points
+    THREE_AXES = 0.1 + np.arange(8).reshape(2, 2, 2) * (0.13 + 0.05j)
+
+    @pytest.mark.parametrize("name", list(ALL_BUILDERS))
+    def test_three_axes_raise(self, name):
+        x = self.THREE_AXES
+        with pytest.raises(DimensionMismatch):
+            ALL_BUILDERS[name](RATIONAL_KERNEL, x, x + 2.0, 0.7)
 
     def test_cauchy_matrix(self):
         with pytest.raises(DimensionMismatch):
-            cauchy_matrix(TRIG_KERNEL, [[0.1, 0.2]], [[0.3, 0.45]], 0.5)
+            cauchy_matrix(TRIG_KERNEL, [[[0.1, 0.2]]], [[[0.3, 0.45]]], 0.5)
+        # stacks of two and of three trials do not pair up, nor do a stack
+        # and one trial
+        with pytest.raises(DimensionMismatch):
+            cauchy_matrix(TRIG_KERNEL, [[0.1, 0.2]] * 2, [[0.3, 0.45]] * 3, 0.5)
+        with pytest.raises(DimensionMismatch):
+            cauchy_matrix(TRIG_KERNEL, [[0.1, 0.2]] * 2, [0.3, 0.45], 0.5)
 
     def test_d_matrix(self):
         with pytest.raises(DimensionMismatch):
-            d_matrix(RATIONAL_KERNEL, [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2], [1.3, 1.4]])
+            d_matrix(RATIONAL_KERNEL, self.THREE_AXES, self.THREE_AXES + 2.0)
+        with pytest.raises(DimensionMismatch):
+            d_matrix(RATIONAL_KERNEL, [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2]])
 
     def test_instance(self):
         with pytest.raises(DimensionMismatch):
-            Instance(RATIONAL_KERNEL, [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2], [1.3, 1.4]], 0.7)
+            Instance(RATIONAL_KERNEL, self.THREE_AXES, self.THREE_AXES + 2.0, 0.7)
+        x, y = [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2], [1.3, 1.4]]
+        with pytest.raises(DimensionMismatch):
+            Instance(RATIONAL_KERNEL, x, y[:1], [0.7, 0.8], seed=[1, 2])
+        # lam and seed take the stack's shape
+        with pytest.raises(DimensionMismatch):
+            Instance(RATIONAL_KERNEL, x, y, 0.7, seed=[1, 2])
+        with pytest.raises(DimensionMismatch):
+            Instance(RATIONAL_KERNEL, x, y, [0.7, 0.8], seed=[1, 2, 3])
 
     def test_ladder_pairs_sets_of_one_size(self):
         with pytest.raises(DimensionMismatch):
             gauss_lambda_ladder([1, 2], [1, 2, 3], 0)
+        with pytest.raises(DimensionMismatch):
+            gauss_lambda_ladder([[1, 2]], [[1, 2]] * 2, 0)
+
+    def test_parameter_has_the_stack_shape(self):
+        x, y = [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2], [1.3, 1.4]]
+        for lam in ([0.7, 0.8, 0.9], 0.7):
+            with pytest.raises(DimensionMismatch):
+                g_matrix(RATIONAL_KERNEL, x, y, lam)
+        with pytest.raises(DimensionMismatch):
+            g_matrix(RATIONAL_KERNEL, x[0], y[0], [0.7])
 
 
 class TestSquareOnly:
@@ -626,3 +677,62 @@ class TestSigmaBudget:
         build(kern, inst.x, inst.y, inst.lam)
         assert sum(points) == budget(n)
         assert calls == {"sigma": n_calls, "lattice_distance": n_calls}
+
+
+def stacked_members(lat, variant, n, size, with_z=False):
+    """``size`` sampled trials at N = n and their stack."""
+    cfg = SuiteConfig(sep_min=min(0.05, 0.6 / n))
+    members = [random_instance(cfg, Kernel(variant, lat), n, seed, with_z) for seed in range(size)]
+    return members, Instance.stack(members)
+
+
+def assert_bits_equal(stacked, single, label):
+    if isinstance(single, tuple):
+        for s, m in zip(stacked, single):
+            assert_bits_equal(s, m, label)
+        return
+    assert np.array_equal(np.asarray(stacked), np.asarray(single), equal_nan=True), label
+
+
+class TestStackedMembers:
+    """Member b of a stacked call is, bit for bit, the call on member b
+    alone, for every builder and closed form on every kernel."""
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_member_b_is_the_call_on_member_b(self, lat, variant, size):
+        for n in range(1, 9):
+            members, stack = stacked_members(lat, variant, n, size)
+            for name, build in ALL_BUILDERS.items():
+                stacked = build(stack.kernel, stack.x, stack.y, stack.lam)
+                for b, m in enumerate(members):
+                    single = build(m.kernel, m.x, m.y, m.lam)
+                    member = tuple(a[b] for a in stacked) if isinstance(stacked, tuple) else stacked[b]
+                    assert_bits_equal(member, single, (name, n, b))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_bloch_eval_per_member(self, lat, size):
+        members, stack = stacked_members(lat, "elliptic", 4, size)
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
+        ws = cell_points(lat, rng, 6 * size).reshape(size, 2, 3) + 0.02
+        stacked = bloch_eval(lat, stack.x, coeffs, stack.lam, ws)
+        for b, m in enumerate(members):
+            assert_bits_equal(stacked[b], bloch_eval(lat, m.x, coeffs[b], m.lam, ws[b]), b)
+
+    def test_member_round_trip(self, lat):
+        members, stack = stacked_members(lat, "elliptic", 3, 3, with_z=True)
+        assert stack.x.shape == (3, 3) and stack.lam.shape == (3,) and stack.n == 3
+        assert list(stack.seed) == [0, 1, 2]
+        for b, m in enumerate(members):
+            back = stack.member(b)
+            assert (back.lam, back.seed) == (m.lam, m.seed)
+            for name in ("x", "y", "z"):
+                assert np.array_equal(getattr(back, name), getattr(m, name))
+            assert back.kernel.memo == {} and back.kernel.memo is not stack.kernel.memo
+
+    def test_stack_needs_one_kernel(self, lat):
+        cfg = SuiteConfig()
+        members = [random_instance(cfg, Kernel(v, lat), 3, 0) for v in ("trig", "rational")]
+        with pytest.raises(ValueError, match="one kernel"):
+            Instance.stack(members)

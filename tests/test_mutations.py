@@ -4,8 +4,10 @@ Each row of ``MUTANTS`` replaces one function, in each package module
 that binds it, by a wrong version of it and names the (identity, kernel
 tag) pairs whose every record must then fail, by at least 1e3 times its
 tolerance.  The checkers and builders look these functions up by module
-name at call time, so a patched name reaches them.  A row that names no
-pair is an identity "mutant": it must leave every record unchanged.
+name at call time, so a patched name reaches them.  The suite calls them on
+stacks of trials (a leading trial axis), so each wrong version works on
+the last axes.  A row that names no pair is an identity "mutant": it must
+leave every record unchanged.
 
 A wrong formula that no identity catches is a coverage gap of the
 verifier; its row stays in the table.
@@ -30,15 +32,15 @@ def at_shifted_lam(f):
 
 def last_rung_shifted(f):
     """The Gauss ladder with lambda_N moved by 1e-3."""
-    return lambda x, y, lam: f(x, y, lam) + np.eye(len(x))[-1] * 1e-3
+    return lambda x, y, lam: f(x, y, lam) + np.eye(np.shape(x)[-1])[-1] * 1e-3
 
 
 def det_shift_flipped(f):
     """The closed determinant with f(lambda - X + Y) for f(lambda + X - Y)."""
 
     def wrong(kern, x, y, lam):
-        shift = x.sum() - y.sum()
-        return f(kern, x, y, lam) * complex(kern(lam - shift) / kern(lam + shift))
+        shift = x.sum(axis=-1) - y.sum(axis=-1)
+        return f(kern, x, y, lam) * (kern(lam - shift) / kern(lam + shift))
 
     return wrong
 
@@ -69,7 +71,7 @@ MUTANTS = [
         "G transposed",
         (cauchy,),
         "g_matrix",
-        lambda f: lambda kern, x, y, lam: f(kern, x, y, lam).T,
+        lambda f: lambda kern, x, y, lam: np.swapaxes(f(kern, x, y, lam), -1, -2),
         {
             "factorization": FLAT_TAGS,
             "product": FLAT_TAGS,
@@ -81,14 +83,14 @@ MUTANTS = [
         "K transposed",
         (cauchy,),
         "k_matrix",
-        lambda f: lambda x, y: f(x, y).T,
+        lambda f: lambda x, y: np.swapaxes(f(x, y), -1, -2),
         {"factorization": ("k-rational",), "product": ("k-rational",), "degeneration": ("rational",)},
     ),
     (
         "G at lam-Y for lam+Y",
         (cauchy,),
         "g_matrix",
-        lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * y.sum()),
+        lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * y.sum(axis=-1)),
         {"factorization": FLAT_TAGS, "product": FLAT_TAGS, "inverse": ("elliptic", "rational")},
     ),
     ("lambda_N shifted by 1e-3", (cauchy,), "gauss_lambda_ladder", last_rung_shifted, {"gauss": ("elliptic",)}),
@@ -116,7 +118,7 @@ MUTANTS = [
         "lam-X+Y in cauchy_inverse_closed",
         (cauchy,),
         "cauchy_inverse_closed",
-        lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * (x.sum() - y.sum())),
+        lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * (x.sum(axis=-1) - y.sum(axis=-1))),
         {"inverse": ("elliptic", "rational")},
     ),
     ("flipped sign from _lu_factor", (linalg,), "_lu_factor", sign_flipped, {"determinant": ("elliptic", "rational")}),

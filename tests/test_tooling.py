@@ -124,24 +124,27 @@ def test_readme_library_example(capsys):
 
 #: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
 #: each of the 48 distinct instances is sampled once (and degeneration's
-#: N = 5 instance, since 5 is not among the sizes), each builder tests its
-#: denominators in one zero-distance call and evaluates its kernel in at
-#: most one call (G and H no longer build C and D apart), the closed inverse
-#: reuses G's tests, an elliptic instance's memo skips the kernel call of a
-#: builder or of a factorization factor's Lagrange denominator whose
-#: argument blocks an earlier check on it evaluated (48 such calls), sigma_k
-#: takes every k in one call, a sampler round makes at most one
-#: zero-distance call, an Instance makes none (the sampler alone keeps the
-#: margins), and only the inverse check inverts by LU (the factorization
-#: check forms G g(y), not g(x) g(y)^-1)
+#: N = 5 instance, since 5 is not among the sizes), and the two trials of
+#: each (kernel variant, N, third set) are checked as one stack, so every
+#: builder and checker runs once per stack, not once per trial.  Each
+#: builder tests its denominators in one zero-distance call and evaluates
+#: its kernel in at most one call (G and H no longer build C and D apart),
+#: the closed inverse reuses G's tests, an elliptic stack's memo skips the
+#: kernel call of a builder or of a factorization factor's Lagrange
+#: denominator whose argument blocks, or their negated transposes, an
+#: earlier check on it evaluated, sigma_k takes every k in one call, a
+#: sampler round makes at most one zero-distance call, an Instance makes
+#: none (the sampler alone keeps the margins), and only the inverse check
+#: inverts by LU, one member at a time (the factorization check forms
+#: G g(y), not g(x) g(y)^-1)
 CALL_CAPS = {
     "verify.random_instance": 49,
     "linalg.lu_inverse": 16,
-    "cauchy.zero_distance": 416,
-    "cauchy.kernel": 286,
-    "weierstrass.lattice_distance": 192,
-    "weierstrass.sigma": 128,
-    "weierstrass.sigma_k": 24,
+    "cauchy.zero_distance": 236,
+    "cauchy.kernel": 146,
+    "weierstrass.lattice_distance": 116,
+    "weierstrass.sigma": 64,
+    "weierstrass.sigma_k": 12,
 }
 
 

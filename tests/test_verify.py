@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ellcauchy import (
+    Instance,
     RATIONAL_KERNEL,
     TRIG_KERNEL,
     Kernel,
@@ -348,7 +349,7 @@ class TestCheckers:
         "abs_res, ref_mag", [(math.nan, 1.0), (math.inf, 1.0), (1e-20, math.inf), (1e-20, math.nan)]
     )
     def test_non_finite_residual_fails(self, abs_res, ref_mag):
-        rep = verify._report("inverse", "elliptic", 2, 0, abs_res, ref_mag, 1e-8, time.perf_counter())
+        rep = verify._report("inverse", "elliptic", 2, 0, abs_res, ref_mag, 1e-8, 0.0)
         assert not rep.passed
 
     @pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 2.0]])
@@ -357,9 +358,10 @@ class TestCheckers:
 
     def test_nan_monodromy_residuals_fail(self):
         # on the thin lattice sigma_k underflows to 0 at two instances, and
-        # its multiplier comparison divides 0 by 0
+        # its multiplier comparison divides 0 by 0 (an array divide: the
+        # trials of a size are checked as one stack)
         cfg = SuiteConfig(lattice_tau=0.08j, n_values=(1, 2, 3, 4), trials_per_n=3)
-        with pytest.warns(RuntimeWarning, match="invalid value encountered in scalar divide"):
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in divide"):
             reports = run_suite(cfg, identities=["monodromy"])
         failed = [r for r in reports if not r.passed]
         assert {(r.n, r.seed) for r in failed} == {(3, 43), (4, 44)}
@@ -485,8 +487,9 @@ def reference_run_suite(cfg):
 
 
 class TestSharedInstances:
-    """run_suite samples each distinct instance once, hands it to every
-    identity and kernel tag that uses it, and drops it before the next."""
+    """run_suite samples each distinct instance once, stacks the trials of
+    each (kernel variant, N, third set), hands the stack to every identity
+    and kernel tag that uses it, and drops it before the next."""
 
     def test_one_sample_per_instance(self, monkeypatch):
         cfg = SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)
@@ -522,7 +525,7 @@ class TestSharedInstances:
         assert sampled == {("rational", 5, cfg.base_seed, False): 1}
         assert len(reports) == 2 and all(r.passed for r in reports)
 
-    def test_one_instance_at_a_time(self, monkeypatch):
+    def test_one_stack_at_a_time(self, monkeypatch):
         cfg = SuiteConfig(n_values=(1, 2, 3), trials_per_n=2)
         sampled, alive = [], []
 
@@ -534,25 +537,33 @@ class TestSharedInstances:
 
         monkeypatch.setattr(verify, "random_instance", tracked)
         run_suite(cfg)
-        assert len(alive) == 37 and set(alive) == {0}
+        # while a stack is sampled only its own earlier members are alive:
+        # 18 stacks of two trials, then degeneration's rational N = 5 stack
+        # of the base seed alone
+        assert alive == [0, 1] * 18 + [0]
 
 
 class TestKernelMemo:
     """An instance's elliptic kernel evaluates each distinct argument block
-    once, whichever builders ask for it and in whatever order."""
+    once, up to sign and transposition (f(y - x) is -f(x - y) transposed),
+    whichever builders ask for it and in whatever order."""
 
     CHECKS = ("determinant", "inverse", "gauss")
 
-    def run(self, monkeypatch, names):
+    def run(self, monkeypatch, names, n=8):
         cfg = SuiteConfig()
-        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42)
+        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), n, 42)
         blocks, points = {}, []
         fused, sigma = cauchy._fused, cauchy.sigma
 
         def recorded(kernel, *args):
             for a in args:
                 a = np.asarray(a, dtype=complex)
-                blocks[a.shape, a.tobytes()] = a.size
+                keys = [(a.shape, a.tobytes())]
+                if a.ndim > 1:
+                    flipped = -np.swapaxes(a, -1, -2)
+                    keys.append((flipped.shape, flipped.tobytes()))
+                blocks[min(keys)] = a.size
             return fused(kernel, *args)
 
         def counted(lat, z):
@@ -569,6 +580,14 @@ class TestKernelMemo:
         reports, points, distinct = self.run(monkeypatch, self.CHECKS)
         assert points == distinct
         assert all(r["passed"] for r in reports)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_inverse_reads_y_minus_x_from_the_memo(self, monkeypatch, n):
+        # C(x, y; lam) evaluates f(x - y); G(y, x) reads f(y - x) from it and
+        # D(x, y) reads f(x - y): 2N^2 + 1 points for C, N^2 + 1 for the
+        # shifted numerator and f(lam + X - Y), N(N - 1) for both pair sets
+        _, points, _ = self.run(monkeypatch, ["inverse"], n)
+        assert points == 4 * n * n - n + 2
 
     def test_order_does_not_matter(self, monkeypatch):
         forward = self.run(monkeypatch, self.CHECKS)
@@ -600,3 +619,34 @@ class TestKernelMemo:
         assert first.kernel == second.kernel and first.kernel.memo == {}
         assert first.kernel.memo is not second.kernel.memo
         assert trig.kernel.memo is None and rational.kernel.memo is None
+
+
+class TestStacks:
+    """Each checker answers once per member of a stack, and run_suite's
+    stacked reports are the reports of checking each trial on its own."""
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_checker_answers_per_member(self, cfg, name, size):
+        lat = cfg.lattice()
+        ident = REGISTRY[name]
+        for tag, with_z in ident.plan:
+            for n in (1, 2, 5):
+                members = [
+                    random_instance(cfg, Kernel(tag.removeprefix("k-"), lat), n, seed, with_z)
+                    for seed in range(40, 40 + size)
+                ]
+                stack = Instance.stack(members)
+                stacked = [np.broadcast_to(v, (size,)) for v in ident.checker(stack, tag)]
+                reports = ident.check(stack, tag, cfg.tolerance)
+                assert [r.seed for r in reports] == list(range(40, 40 + size))
+                for b, m in enumerate(members):
+                    single = ident.checker(m, tag)
+                    for got, want in zip(stacked, single):
+                        assert np.array_equal(got[b], want, equal_nan=True), (tag, n, b)
+                    assert strip_timing([reports[b]]) == strip_timing([ident.check(m, tag, cfg.tolerance)])
+
+    @pytest.mark.parametrize("n_values", [(1, 5), (3,)])
+    def test_suite_reports_are_per_trial_checks(self, n_values):
+        cfg = SuiteConfig(n_values=n_values, trials_per_n=3, base_seed=7)
+        assert strip_timing(run_suite(cfg)) == strip_timing(reference_run_suite(cfg))

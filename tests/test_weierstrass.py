@@ -142,6 +142,18 @@ class TestSigma:
             assert abs(f(x + 2 * lat.omega) - base) < 1e-10 * abs(base)
             assert abs(f(x + 2 * lat.omega_prime) - base) < 1e-10 * abs(base)
 
+    def test_theta_table_in_place_rounds_as_the_plain_product(self, lat, rng):
+        # sigma builds its (points x K) table in place; it must round exactly
+        # as coef * sin(arg * odd) formed in fresh arrays, in and out of the cell
+        t = lat.series
+        x = 3 * cell_points(lat, rng, 60).reshape(3, 4, 5)
+        xr, m, mp = _reduce(lat, x)
+        theta = (t.coef * np.sin((np.pi / t.w1 * xr)[..., None] * t.odd)).sum(axis=-1)
+        expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
+        pre = t.w1 / (np.pi * t.d1)
+        plain = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo) * theta
+        assert np.array_equal(sigma(lat, x), plain)
+
     def test_matches_lattice_product(self, lat, rng):
         # slow-converging direct product; loose tolerance
         pts = 0.5 * cell_points(lat, rng, 20)
