@@ -1,6 +1,7 @@
 """Command-line harness around the verification suite.
 
-Subcommands: verify-all, verify <identity>, degeneration, bench, list.
+Subcommands: verify-all, verify <identity> (any registry entry, the
+degeneration limits among them), bench, list.
 Exit codes: 0 when every report passed, 1 on a failed check, 2 on usage
 errors and on a selection that contains no checks.
 """
@@ -75,10 +76,7 @@ def parse_args(argv):
     _add_suite_flags(p)
 
     p = sub.add_parser("verify", help="run a single identity checker")
-    p.add_argument("identity", choices=sorted(verify.IDENTITIES))
-    _add_suite_flags(p)
-
-    p = sub.add_parser("degeneration", help="run the trig/rational limit checks")
+    p.add_argument("identity", choices=sorted(verify.REGISTRY))
     _add_suite_flags(p)
 
     p = sub.add_parser("bench", help="time the sigma kernel and each checker (no assertions)")
@@ -161,7 +159,6 @@ def _bench(args):
     t0 = time.perf_counter()
     sigma(lat, pts)
     print(f"{'sigma x2000':<22} {(time.perf_counter() - t0) * 1e3:>10.2f} ms")
-    kern = cauchy.elliptic_kernel(lat)
     for n in (4, 8, 16, 32):
         cfg = verify.SuiteConfig(
             n_values=(n,), trials_per_n=1, base_seed=args.seed,
@@ -170,13 +167,14 @@ def _bench(args):
         sampled = {}
         for name, ident in verify.REGISTRY.items():
             label = f"{name} n={n}"
-            tag, with_z = ident.plan[0]
+            tag, variant, with_z = ident.plan[0]
             try:
-                if with_z not in sampled:
-                    sampled[with_z] = verify.random_instance(cfg, kern, n, args.seed, with_z)
+                if (variant, with_z) not in sampled:
+                    kern = cauchy.Kernel(variant, lat)
+                    sampled[variant, with_z] = verify.random_instance(cfg, kern, n, args.seed, with_z)
                 # the same points on a fresh instance, whose empty memo
                 # credits no check with kernel values an earlier one evaluated
-                inst = dataclasses.replace(sampled[with_z])
+                inst = dataclasses.replace(sampled[variant, with_z])
                 t0 = time.perf_counter()
                 ident.check(inst, tag, cfg.tolerance)
                 dt = (time.perf_counter() - t0) * 1e3
@@ -197,8 +195,6 @@ def run(args):
         return _run_reports(args, None)
     if args.command == "verify":
         return _run_reports(args, [args.identity])
-    if args.command == "degeneration":
-        return _run_reports(args, ["degeneration"])
     raise AssertionError(args.command)
 
 

@@ -3,7 +3,8 @@
 Each checker takes a seeded random :class:`~ellcauchy.cauchy.Instance`, one
 trial or a stack of them, and a kernel tag, and returns
 ``(abs_residual, reference_magnitude)`` for the two sides of an identity,
-one of each per member of a stack; determinant and inverse claims are
+one of each per member of a stack, and the degeneration checker a rate
+verdict as a third value; determinant and inverse claims are
 additionally cross-checked against the pivoted-LU oracle in
 :mod:`ellcauchy.linalg`, which factors one member at a time, and the
 factorization is checked as a product, with no inverse, by its
@@ -11,7 +12,8 @@ componentwise residual.  The sampler keeps one margin rule for every kernel.
 :meth:`Identity.check` alone decides where a checker runs, times it and
 judges each member's residual into a :class:`Report`.  Everything is a pure
 function of (config, seed), so suite runs are reproducible byte for byte
-(timings aside).
+(timings aside).  Degeneration is a registry entry like the rest, checked
+once, at a fixed size and tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,16 +93,6 @@ class SuiteConfig:
         return lattice_new(1.0, self.lattice_tau)
 
 
-def tolerance_for(identity, n, base=SuiteConfig.tolerance):
-    """Tolerance ladder: the identity's factor times ``base`` (determinant
-    and monodromy checks involve no matrix inversion and are 10x tighter);
-    scalar N=1 cases are capped at 1e-12."""
-    t = base * REGISTRY[identity].tol_factor
-    if n == 1:
-        t = min(t, 1e-12)
-    return t
-
-
 def _worst(residuals, stack=()):
     """Each member's largest residual, or NaN if any of its residuals is
     NaN (the built-in ``max(worst, nan)`` keeps ``worst``).  Each entry of
@@ -114,23 +106,6 @@ def _each(fn, mats):
     stacked: the LU oracle factors one member at a time."""
     results = [fn(m) for m in mats.reshape((-1,) + mats.shape[-2:])]
     return np.reshape(results, mats.shape[:-2] + np.shape(results[0]))
-
-
-def _report(name, kernel_tag, n, seed, abs_res, ref_mag, tol, elapsed_ms):
-    """Judge one residual; a residual or reference magnitude that is not
-    finite fails."""
-    rel = float(abs_res / ref_mag if ref_mag >= _ABS_SWITCH else abs_res)
-    return Report(
-        identity_name=name,
-        kernel=kernel_tag,
-        n=n,
-        seed=seed,
-        abs_residual=float(abs_res),
-        rel_residual=rel,
-        tolerance=float(tol),
-        passed=rel <= tol and math.isfinite(abs_res) and math.isfinite(ref_mag),
-        elapsed_ms=elapsed_ms,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,36 +334,27 @@ def check_monodromy(inst, tag):
     return _worst(residuals, stack), 1.0
 
 
-def check_degeneration(inst):
-    """Two directed limit checks on a rational instance, each with a
-    convergence-rate assertion.
+def check_degeneration(inst, tag):
+    """A directed limit check on a rational instance, with a convergence
+    rate verdict as a third value.
 
-    (a) the rational G matrix approaches K as the parameter grows, with
-        error O(1/lambda); (b) the trigonometric G matrix under uniform
-        argument scaling approaches the rational one with error O(eps^2).
+    Under the rational tag the rational G matrix approaches K as the
+    parameter grows, with error O(1/lambda); under the trig tag the
+    trigonometric G matrix under uniform argument scaling approaches the
+    rational one with error O(eps^2).
     """
-    t0 = time.perf_counter()
-    x, y, n = inst.x, inst.y, inst.n
-    k_mat = cauchy.k_matrix(x, y)
-    scale = float(np.abs(k_mat).max())
-    r6 = linalg.max_abs_residual(cauchy.g_matrix(RATIONAL_KERNEL, x, y, 1e6), k_mat) / scale
-    r7 = linalg.max_abs_residual(cauchy.g_matrix(RATIONAL_KERNEL, x, y, 1e7), k_mat) / scale
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
-    rep = _report("degeneration", "rational", n, inst.seed, r6 * scale, scale, 1e-4, elapsed_ms)
-    # the residual must also shrink linearly with the parameter
-    rational = replace(rep, passed=rep.passed and r7 < 0.25 * r6)
-
-    t0 = time.perf_counter()
-    g_rat = cauchy.g_matrix(RATIONAL_KERNEL, x, y, inst.lam)
-    scale = float(np.abs(g_rat).max())
-    res = {}
-    for eps in (1e-4, 1e-5):
-        g_trig = cauchy.g_matrix(TRIG_KERNEL, eps * x, eps * y, eps * inst.lam)
-        res[eps] = linalg.max_abs_residual(g_trig, g_rat) / scale
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
-    rep = _report("degeneration", "trig", n, inst.seed, res[1e-4] * scale, scale, 1e-3, elapsed_ms)
-    # quadratic rate: a decade in eps buys ~two decades of residual
-    return [rational, replace(rep, passed=rep.passed and res[1e-5] < 0.05 * res[1e-4])]
+    x, y = inst.x, inst.y
+    if tag == "rational":
+        ref = cauchy.k_matrix(x, y)
+        limits = [cauchy.g_matrix(RATIONAL_KERNEL, x, y, np.full(np.shape(inst.lam), lam)) for lam in (1e6, 1e7)]
+        rate = 0.25  # linear: a decade in lambda buys a decade of residual
+    else:
+        ref = cauchy.g_matrix(RATIONAL_KERNEL, x, y, inst.lam)
+        limits = [cauchy.g_matrix(TRIG_KERNEL, eps * x, eps * y, eps * inst.lam) for eps in (1e-4, 1e-5)]
+        rate = 0.05  # quadratic: a decade in eps buys ~two decades of residual
+    scale = np.abs(ref).max(axis=(-2, -1))
+    r = [linalg.max_abs_residual(g, ref) / scale for g in limits]
+    return r[0] * scale, scale, r[1] < rate * r[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,156 +368,186 @@ class Identity:
 
     name: str
     doc: str  # the catalogue line printed by ``ellcauchy list``
-    plan: tuple  # (kernel tag, needs a third point set) pairs: the only kernels it runs on
-    checker: Callable  # (inst, kernel tag) -> (abs residual, reference magnitude), per member
+    plan: tuple  # (kernel tag, instance variant, needs a third point set): the only kernels it runs on
+    checker: Callable  # (inst, kernel tag) -> (abs residual, reference magnitude[, rate verdict]), per member
     n_cap: int | None = None  # larger point counts are not checked
     tol_factor: float = 1.0  # multiplies the base tolerance
+    fixed_n: int | None = None  # checked once, on the base seed's instance of this size
+    fixed_tol: dict | None = None  # kernel tag -> tolerance, whatever the base
+
+    def tolerance(self, tag, n, base=SuiteConfig.tolerance):
+        """Tolerance ladder: the fixed tolerance of the tag, if any, else the
+        identity's factor times ``base`` (determinant and monodromy checks
+        involve no matrix inversion and are 10x tighter), with scalar N=1
+        cases capped at 1e-12."""
+        if self.fixed_tol is not None:
+            return self.fixed_tol[tag]
+        t = base * self.tol_factor
+        return min(t, 1e-12) if n == 1 else t
 
     def check(self, inst, tag, base_tol):
         """Run the checker once on an instance and judge each member's
-        residual at this identity's tolerance: one :class:`Report` for one
-        trial, a list of them in stack order for a stack, each with the
-        stack's time divided among its members.  Raises ValueError for a
-        kernel tag outside the plan, an instance on another kernel, or a
+        residual at this identity's tolerance: a list of :class:`Report`,
+        one per member in stack order (one for a single trial), each with
+        the stack's time divided among its members.  A residual or reference
+        magnitude that is not finite fails, and so does a failed rate
+        verdict.  Raises ValueError for a kernel tag outside the plan, an
+        instance of another variant than the plan names for it, or a
         missing third point set."""
-        plan = dict(self.plan)
+        plan = {t: (variant, with_z) for t, variant, with_z in self.plan}
         if tag not in plan:
             raise ValueError(f"{self.name} does not run on the {tag} kernel")
-        if inst.kernel.variant != tag.removeprefix("k-"):
+        variant, with_z = plan[tag]
+        if inst.kernel.variant != variant:
             raise ValueError(f"{self.name} on {tag} got a {inst.kernel.variant} instance")
-        if plan[tag] and inst.z is None:
+        if with_z and inst.z is None:
             raise ValueError(f"{self.name} needs a third point set")
         t0 = time.perf_counter()
-        abs_res, ref_mag = self.checker(inst, tag)
+        out = self.checker(inst, tag)
         seeds = np.ravel(inst.seed)
         elapsed_ms = (time.perf_counter() - t0) * 1e3 / seeds.size
-        tol = tolerance_for(self.name, inst.n, base_tol)
-        abs_res, ref_mag = (np.broadcast_to(v, np.shape(inst.seed)).ravel() for v in (abs_res, ref_mag))
-        reports = [
-            _report(self.name, tag, inst.n, int(seed), a, r, tol, elapsed_ms)
-            for seed, a, r in zip(seeds, abs_res, ref_mag)
-        ]
-        return reports if np.ndim(inst.seed) else reports[0]
+        tol = float(self.tolerance(tag, inst.n, base_tol))
+        # a checker without a rate verdict passes it
+        abs_res, ref_mag, rate_ok = (np.broadcast_to(v, seeds.shape) for v in (*out, True)[:3])
+        reports = []
+        for seed, a, r, ok in zip(seeds, abs_res, ref_mag, rate_ok):
+            rel = float(a / r if r >= _ABS_SWITCH else a)
+            passed = bool(ok) and rel <= tol and math.isfinite(a) and math.isfinite(r)
+            reports.append(Report(self.name, tag, inst.n, int(seed), float(a), rel, tol, passed, elapsed_ms))
+        return reports
 
 
 #: name -> identity, in catalogue order.  The checkers are looked up by
 #: name at call time, so a wrapper installed on a module name sees every
-#: check.  A kernel tag names a kernel variant; the k-rational tag runs
-#: the parameter-free form on the rational kernel.
+#: check.  A kernel tag names the form checked; the k-rational tag runs
+#: the parameter-free form on the rational kernel, and degeneration's trig
+#: tag the trigonometric limit on a rational instance.
 REGISTRY = {
     ident.name: ident
     for ident in (
         Identity(
             "determinant",
             "det C(x,y;L) = s(L+X-Y)/s(L) * prod_{a<b} s(x_a-x_b) s(y_b-y_a) / prod_{a,b} s(x_a-y_b)",
-            (("elliptic", False), ("rational", False)),
+            (("elliptic", "elliptic", False), ("rational", "rational", False)),
             lambda inst, tag: check_determinant(inst, tag),
             tol_factor=0.1,
         ),
         Identity(
             "inverse",
             "C(x,y;L)^-1 = D(y,x) C(y,x; L+X-Y) D(x,y), entrywise closed form",
-            (("elliptic", False), ("rational", False)),
+            (("elliptic", "elliptic", False), ("rational", "rational", False)),
             lambda inst, tag: check_inverse(inst, tag),
         ),
         Identity(
             "product",
             "G_{L+Y}(x,y) G_{L+Z}(y,z) = G_{L+Z}(x,z); K(x,y)K(y,z) = K(x,z) in the parameter-free limit",
-            (("elliptic", True), ("trig", True), ("rational", True), ("k-rational", True)),
+            (
+                ("elliptic", "elliptic", True),
+                ("trig", "trig", True),
+                ("rational", "rational", True),
+                ("k-rational", "rational", True),
+            ),
             lambda inst, tag: check_product_identity(inst, tag),
         ),
         Identity(
             "transposed",
             "H_{L-X}(x,y) H_{L-Y}(y,z) = -H_{L-X}(x,z) with H_L(x,y) = C(x,y;L) D(y,x)",
-            (("elliptic", True),),
+            (("elliptic", "elliptic", True),),
             lambda inst, tag: check_transposed_identity(inst, tag),
         ),
         Identity(
             "factorization",
             "G_{L+Y}(x,y) = g_L(x) g_L(y)^-1 (elliptic/trig/rational); K(x,y) = W(x) W(y)^-1",
-            (("elliptic", False), ("trig", False), ("rational", False), ("k-rational", False)),
+            (
+                ("elliptic", "elliptic", False),
+                ("trig", "trig", False),
+                ("rational", "rational", False),
+                ("k-rational", "rational", False),
+            ),
             lambda inst, tag: check_factorization(inst, tag),
             n_cap=6,  # the record counts pinned in perfbench/workloads.py assume this cap
         ),
         Identity(
             "gauss",
             "C = U D L with unit upper/lower triangular U, L and diagonal D",
-            (("elliptic", False),),
+            (("elliptic", "elliptic", False),),
             lambda inst, tag: check_gauss(inst, tag),
         ),
         Identity(
             "monodromy",
             "multipliers of sigma, sigma_k and Bloch expansions under full-period shifts",
-            (("elliptic", False),),
+            (("elliptic", "elliptic", False),),
             lambda inst, tag: check_monodromy(inst, tag),
             n_cap=6,  # the record counts pinned in perfbench/workloads.py assume this cap
             tol_factor=0.1,
         ),
+        Identity(
+            "degeneration",
+            "rational G_L(x,y) -> K(x,y) as L -> oo at O(1/L); trig G(ex,ey;eL) -> rational G as e -> 0 at O(e^2)",
+            (("rational", "rational", False), ("trig", "rational", False)),
+            lambda inst, tag: check_degeneration(inst, tag),
+            fixed_n=5,
+            fixed_tol={"rational": 1e-4, "trig": 1e-3},
+        ),
     )
 }
-
-IDENTITIES = tuple(REGISTRY)
 
 
 def run_suite(cfg, identities=None, kernels=None):
     """Run the selected identities over n_values x trials_per_n seeded trials.
 
     ``kernels``, when given, is a set of kernel variants: each identity
-    runs on the tags of its plan whose variant is in the set.  An unknown
-    identity name or kernel variant raises ValueError naming it.  Each check
-    is judged by :meth:`Identity.check` at base tolerance ``cfg.tolerance``.
-    The checks are grouped by stack (kernel variant, N, third point set or
-    not); degeneration joins the rational N = 5 stack as its base-seed
-    member.  Each trial is sampled once, on its own RNG stream, and the
-    trials of a stack are stacked into one :class:`~ellcauchy.cauchy.Instance`
-    with a leading trial axis.  Every identity and kernel tag that uses the
-    stack checks it in one call, and the stack is dropped before the next is
-    sampled, so only one stack, with its memo of kernel values, is held at
-    a time.  A function patched on a module name reaches every check as long
-    as it is in place before this call builds the instances.
+    runs on the tags of its plan that, with any ``k-`` prefix removed, are
+    in the set.  An unknown or repeated identity name, or an unknown kernel
+    variant, raises ValueError naming it.  Each check is judged by
+    :meth:`Identity.check` at base tolerance ``cfg.tolerance``.  The checks
+    are grouped by stack (instance variant, N, third point set or not); an
+    identity with a fixed size checks only the stack's first member, the
+    base seed's instance.  Each trial is sampled once, on its own RNG
+    stream, and the trials of a stack are stacked into one
+    :class:`~ellcauchy.cauchy.Instance` with a leading trial axis.  Every
+    identity and kernel tag that uses the stack checks it in one call, and
+    the stack is dropped before the next is sampled, so only one stack, with
+    its memo of kernel values, is held at a time.  A function patched on a
+    module name reaches every check as long as it is in place before this
+    call builds the instances.
 
     Returns reports sorted by (identity, kernel, n, seed).  A check whose
     residual misses its tolerance is recorded as a failed report, but any
     :class:`~ellcauchy.errors.EllCauchyError` raised while sampling or
     checking ends the whole run: it propagates and no reports are returned.
     """
-    names = list(identities) if identities is not None else list(IDENTITIES) + ["degeneration"]
-    unknown = sorted(set(names) - {*REGISTRY, "degeneration"})
-    unknown += sorted(set(kernels or ()) - set(cauchy.KERNELS))
+    names = list(identities) if identities is not None else list(REGISTRY)
+    unknown = sorted(set(names) - set(REGISTRY)) + sorted(set(kernels or ()) - set(cauchy.KERNELS))
     if unknown:
         raise ValueError(f"unknown identities or kernel variants: {unknown}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"identities repeats a name: {repeated}")
     lat = cfg.lattice()
     trials = [cfg.base_seed + trial for trial in range(cfg.trials_per_n)]
-    jobs = {}  # stack key -> (seeds, [(identity name, kernel tag)] in the order of names)
+    jobs = {}  # stack key -> (seeds, [(identity, kernel tag)] in the order of names)
     for name in names:
-        if name == "degeneration":
-            if kernels and {"rational", "trig"}.isdisjoint(kernels):
-                continue
-            seeds, todo = jobs.setdefault(("rational", 5, False), ({}, []))
-            seeds.setdefault(cfg.base_seed)
-            todo.append((name, None))
-            continue
         ident = REGISTRY[name]
-        sizes = [n for n in cfg.n_values if ident.n_cap is None or n <= ident.n_cap]
-        for tag, with_z in ident.plan:
-            variant = tag.removeprefix("k-")
-            if kernels and variant not in kernels:
+        if ident.fixed_n:
+            sizes, seeds_of = [ident.fixed_n], trials[:1]
+        else:
+            sizes, seeds_of = [n for n in cfg.n_values if ident.n_cap is None or n <= ident.n_cap], trials
+        for tag, variant, with_z in ident.plan:
+            if kernels and tag.removeprefix("k-") not in kernels:
                 continue
             for n in sizes:
                 seeds, todo = jobs.setdefault((variant, n, with_z), ({}, []))
-                seeds.update(dict.fromkeys(trials))
-                todo.append((name, tag))
+                seeds.update(dict.fromkeys(seeds_of))
+                todo.append((ident, tag))
 
     reports = []
     for (variant, n, with_z), (seeds, todo) in jobs.items():
         kernel = Kernel(variant, lat)
         stack = Instance.stack([random_instance(cfg, kernel, n, seed, with_z) for seed in seeds])
-        for name, tag in todo:
-            if name == "degeneration":
-                inst = stack.member(list(seeds).index(cfg.base_seed))
-                reports.extend(r for r in check_degeneration(inst) if not kernels or r.kernel in kernels)
-            else:
-                reports.extend(REGISTRY[name].check(stack, tag, cfg.tolerance))
+        for ident, tag in todo:
+            # every stack starts with the base seed, whichever entry made it
+            reports.extend(ident.check(stack.member(0) if ident.fixed_n else stack, tag, cfg.tolerance))
         del stack  # dropped, with its memo, before the next stack is sampled
     reports.sort(key=lambda r: (r.identity_name, r.kernel, r.n, r.seed))
     return reports

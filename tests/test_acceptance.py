@@ -135,7 +135,9 @@ def test_criterion_08_gauss_decomposition():
 def test_criterion_09_degeneration_limits():
     t0 = time.perf_counter()
     inst = random_instance(CFG, RATIONAL_KERNEL, 5, CFG.base_seed)
-    reports = verify.check_degeneration(inst)  # includes the rate assertions
+    ident = verify.REGISTRY["degeneration"]
+    # includes the rate assertions
+    reports = [r for tag in ("rational", "trig") for r in ident.check(inst, tag, CFG.tolerance)]
     ok = all(r.passed for r in reports)
     res = {r.kernel: r.rel_residual for r in reports}
     _gate(9, f"rational->K {res['rational']:.2e} < 1e-4, trig->rational {res['trig']:.2e} < 1e-3, rates ok",

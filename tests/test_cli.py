@@ -1,15 +1,18 @@
 """CLI argument parsing, rendering formats, and exit codes."""
 
 import argparse
+import copy
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from ellcauchy import cli, verify
+from ellcauchy import cauchy, cli, verify
 
 #: ``ellcauchy list``, verbatim
 CATALOGUE = """\
+degeneration   rational G_L(x,y) -> K(x,y) as L -> oo at O(1/L); trig G(ex,ey;eL) -> rational G as e -> 0 at O(e^2)
 determinant    det C(x,y;L) = s(L+X-Y)/s(L) * prod_{a<b} s(x_a-x_b) s(y_b-y_a) / prod_{a,b} s(x_a-y_b)
 factorization  G_{L+Y}(x,y) = g_L(x) g_L(y)^-1 (elliptic/trig/rational); K(x,y) = W(x) W(y)^-1
 gauss          C = U D L with unit upper/lower triangular U, L and diagonal D
@@ -53,6 +56,13 @@ class TestParseArgs:
     def test_verify_requires_known_identity(self):
         with pytest.raises(SystemExit) as exc:
             cli.parse_args(["verify", "bogus"])
+        assert exc.value.code == 2
+
+    def test_degeneration_is_an_identity(self):
+        # no subcommand of its own: verify takes it from the registry
+        assert cli.parse_args(["verify", "degeneration"]).identity == "degeneration"
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(["degeneration"])
         assert exc.value.code == 2
 
     def test_missing_command(self):
@@ -114,7 +124,7 @@ class TestMain:
             ["verify", "transposed", "--kernel", "rational"],
             ["verify", "factorization", "--n", "7"],
             ["verify", "monodromy", "--n", "8"],
-            ["degeneration", "--kernel", "elliptic"],
+            ["verify", "degeneration", "--kernel", "elliptic"],
         ],
         ids=" ".join,
     )
@@ -139,7 +149,10 @@ class TestMain:
 
     def test_json_nan_is_null(self):
         # RFC 8259 has no NaN: a non-finite residual is written as null
-        rep = verify._report("monodromy", "elliptic", 3, 43, float("nan"), 1.0, 1e-9, 0.0)
+        cfg = verify.SuiteConfig()
+        inst = verify.random_instance(cfg, cauchy.elliptic_kernel(cfg.lattice()), 3, 43)
+        ident = dataclasses.replace(verify.REGISTRY["monodromy"], checker=lambda inst, tag: (float("nan"), 1.0))
+        (rep,) = ident.check(inst, "elliptic", cfg.tolerance)
 
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
@@ -164,7 +177,7 @@ class TestMain:
     def test_csv_report(self, tmp_path):
         out = tmp_path / "rep.csv"
         assert cli.main(
-            ["degeneration", "--format", "csv", "--out", str(out)]
+            ["verify", "degeneration", "--format", "csv", "--out", str(out)]
         ) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][0] == "identity_name"
@@ -184,11 +197,11 @@ class TestMain:
         random_instance, check = verify.random_instance, verify.Identity.check
 
         def counted(cfg, kernel, n, seed, with_z=False):
-            sampled.append((n, with_z))
+            sampled.append((kernel.variant, n, with_z))
             return random_instance(cfg, kernel, n, seed, with_z)
 
         def recorded(ident, inst, tag, base_tol):
-            timed_on.append((inst, dict(inst.kernel.memo)))
+            timed_on.append((inst, copy.copy(inst.kernel.memo)))
             return check(ident, inst, tag, base_tol)
 
         monkeypatch.setattr(verify, "random_instance", counted)
@@ -199,14 +212,16 @@ class TestMain:
         # every identity is timed at every size: none skipped, none n/a
         timed = [line.split()[:2] for line in lines[1:] if line.endswith(" ms")]
         assert timed == [[name, f"n={n}"] for n in (4, 8, 16, 32) for name in verify.REGISTRY]
-        assert len(lines) == 1 + len(timed) == 29
-        # one sample per size and point-set count, shared by the identities,
-        # but no two timed checks share an instance: each starts on an empty
-        # memo, so none is timed on kernel values an earlier check evaluated
-        assert sorted(sampled) == sorted({(n, z) for n in (4, 8, 16, 32) for z in (False, True)})
-        assert len(timed_on) == 28
+        assert len(lines) == 1 + len(timed) == 33
+        # one sample per size, variant and point-set count, shared by the
+        # identities (degeneration's is rational), but no two timed checks
+        # share an instance: each starts on an empty memo, or none, so none
+        # is timed on kernel values an earlier check evaluated
+        shapes = [("elliptic", False), ("elliptic", True), ("rational", False)]
+        assert sorted(sampled) == sorted((v, n, z) for n in (4, 8, 16, 32) for v, z in shapes)
+        assert len(timed_on) == 32
         assert len({id(inst) for inst, _ in timed_on}) == len(timed_on)
-        assert all(memo == {} for _, memo in timed_on)
+        assert [memo for _, memo in timed_on] == [{}, {}, {}, {}, {}, {}, {}, None] * 4
 
 
 def render_text_rescan(reports):

@@ -1,5 +1,6 @@
 """Sampler determinism, checker dispatch, and suite reproducibility."""
 
+import dataclasses
 import math
 import time
 import weakref
@@ -24,7 +25,7 @@ from ellcauchy import (
     verify,
 )
 from ellcauchy.cauchy import gauss_lambda_ladder
-from ellcauchy.verify import REGISTRY, check_degeneration, tolerance_for
+from ellcauchy.verify import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,10 @@ class TestSuiteConfig:
         assert all(type(n) is int for n in (*cfg.n_values, cfg.trials_per_n))
 
 
+def tolerance_for(name, n, base=SuiteConfig.tolerance, tag="elliptic"):
+    return REGISTRY[name].tolerance(tag, n, base)
+
+
 class TestToleranceLadder:
     def test_matrix_identities_use_base(self):
         assert tolerance_for("inverse", 4) == 1e-8
@@ -170,6 +175,12 @@ class TestToleranceLadder:
     def test_scalar_case_is_tightest(self):
         assert tolerance_for("inverse", 1) == 1e-12
         assert tolerance_for("determinant", 1) == 1e-12
+
+    @pytest.mark.parametrize("n, base", [(5, 1e-8), (1, 1e-8), (5, 1e-6)])
+    def test_degeneration_tolerances_are_fixed(self, n, base):
+        # neither the base tolerance nor the scalar cap moves them
+        assert tolerance_for("degeneration", n, base, tag="rational") == 1e-4
+        assert tolerance_for("degeneration", n, base, tag="trig") == 1e-3
 
 
 class TestRandomInstance:
@@ -289,18 +300,20 @@ class TestCheckers:
     def test_scalar_cases_are_exact(self, cfg):
         # every identity reduces to a scalar statement at n=1; residuals
         # must sit at rounding level, well under the 1e-12 scalar tolerance
+        # (degeneration is a limit, checked at its fixed size)
         lat = cfg.lattice()
         for name, ident in REGISTRY.items():
-            for tag, with_z in ident.plan:
-                kern = Kernel(tag.removeprefix("k-"), lat)
-                inst = random_instance(cfg, kern, 1, 3, with_z)
-                rep = ident.check(inst, tag, cfg.tolerance)
+            if ident.fixed_n is not None:
+                continue
+            for tag, variant, with_z in ident.plan:
+                inst = random_instance(cfg, Kernel(variant, lat), 1, 3, with_z)
+                (rep,) = ident.check(inst, tag, cfg.tolerance)
                 assert rep.passed, (name, tag)
                 assert rep.rel_residual <= 1e-12, (name, tag)
 
     def test_determinant_report_fields(self, cfg, kern):
         inst = random_instance(cfg, kern, 4, 11)
-        rep = REGISTRY["determinant"].check(inst, "elliptic", cfg.tolerance)
+        (rep,) = REGISTRY["determinant"].check(inst, "elliptic", cfg.tolerance)
         assert rep.identity_name == "determinant"
         assert rep.kernel == "elliptic"
         assert (rep.n, rep.seed) == (4, 11)
@@ -310,7 +323,7 @@ class TestCheckers:
 
     def test_inverse_rational(self, cfg):
         inst = random_instance(cfg, RATIONAL_KERNEL, 5, 2)
-        rep = REGISTRY["inverse"].check(inst, "rational", cfg.tolerance)
+        (rep,) = REGISTRY["inverse"].check(inst, "rational", cfg.tolerance)
         assert rep.kernel == "rational" and rep.passed
 
     def test_determinant_rational_checks_lambda_form(self, cfg):
@@ -339,17 +352,44 @@ class TestCheckers:
             REGISTRY[name].check(inst, "elliptic", cfg.tolerance)
 
     def test_degeneration_reports(self, cfg):
-        reports = check_degeneration(random_instance(cfg, RATIONAL_KERNEL, 5, cfg.base_seed))
+        inst = random_instance(cfg, RATIONAL_KERNEL, 5, cfg.base_seed)
+        ident = REGISTRY["degeneration"]
+        reports = [r for tag in ("rational", "trig") for r in ident.check(inst, tag, cfg.tolerance)]
         tags = sorted(r.kernel for r in reports)
         assert tags == ["rational", "trig"]
         assert all(r.passed for r in reports)
         assert {(r.n, r.seed) for r in reports} == {(5, cfg.base_seed)}
+        # the trig limit runs on the rational instance, and on no other
+        with pytest.raises(ValueError, match="got a trig instance"):
+            ident.check(random_instance(cfg, TRIG_KERNEL, 5, cfg.base_seed), "trig", cfg.tolerance)
+
+    def test_failed_rate_fails_within_tolerance(self, cfg, monkeypatch):
+        # a constant offset in the rational G at large parameter stays within
+        # tolerance but stops the residual from shrinking with the parameter
+        inst = random_instance(cfg, RATIONAL_KERNEL, 5, cfg.base_seed)
+        ident = REGISTRY["degeneration"]
+        before = {tag: ident.check(inst, tag, cfg.tolerance) for tag in ("rational", "trig")}
+        assert all(r.passed for reports in before.values() for r in reports)
+        g_matrix = cauchy.g_matrix
+
+        def offset(kern, x, y, lam):
+            g = g_matrix(kern, x, y, lam)
+            if kern.variant == "rational" and np.abs(lam) > 1e5:
+                g = g + 1e-6 * np.abs(g).max()
+            return g
+
+        monkeypatch.setattr(cauchy, "g_matrix", offset)
+        (rational,) = ident.check(inst, "rational", cfg.tolerance)
+        assert rational.rel_residual == pytest.approx(1e-6, rel=0.1)
+        assert rational.rel_residual <= rational.tolerance and not rational.passed
+        assert strip_timing(ident.check(inst, "trig", cfg.tolerance)) == strip_timing(before["trig"])
 
     @pytest.mark.parametrize(
         "abs_res, ref_mag", [(math.nan, 1.0), (math.inf, 1.0), (1e-20, math.inf), (1e-20, math.nan)]
     )
-    def test_non_finite_residual_fails(self, abs_res, ref_mag):
-        rep = verify._report("inverse", "elliptic", 2, 0, abs_res, ref_mag, 1e-8, 0.0)
+    def test_non_finite_residual_fails(self, cfg, kern, abs_res, ref_mag):
+        ident = dataclasses.replace(REGISTRY["inverse"], checker=lambda inst, tag: (abs_res, ref_mag))
+        (rep,) = ident.check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)
         assert not rep.passed
 
     @pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 2.0]])
@@ -369,7 +409,7 @@ class TestCheckers:
         assert len(reports) == 12
 
     def test_report_roundtrip(self, cfg, kern):
-        rep = REGISTRY["determinant"].check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)
+        (rep,) = REGISTRY["determinant"].check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)
         assert Report(**rep.to_dict()) == rep
 
 
@@ -402,6 +442,9 @@ class TestRunSuite:
             # a kernel tag, not a variant
             ({"kernels": {"k-rational"}}, "k-rational"),
             ({"identities": ["determinent"]}, "determinent"),
+            # a repeated name would run its checks twice
+            ({"identities": ["product", "product"], "kernels": {"trig"}}, "product"),
+            ({"identities": ["degeneration"] * 2}, "degeneration"),
         ],
     )
     def test_rejects_unknown_names(self, small, kwargs, name):
@@ -433,11 +476,18 @@ class TestRunSuite:
             ("degeneration", "trig"): 1,
         }
         for r in reports:
-            if r.identity_name != "degeneration":
-                assert r.tolerance == tolerance_for(r.identity_name, r.n), r
+            assert r.tolerance == tolerance_for(r.identity_name, r.n, tag=r.kernel), r
+
+    def test_degeneration_ignores_the_grid(self):
+        # one check per tag on the base seed's N = 5 instance at fixed
+        # tolerances, whatever the sizes, trial count and base tolerance
+        default = run_suite(SuiteConfig(), identities=["degeneration"])
+        other = SuiteConfig(n_values=(2, 3), trials_per_n=3, tolerance=1e-6)
+        assert len(default) == 2
+        assert strip_timing(run_suite(other, identities=["degeneration"])) == strip_timing(default)
 
     def test_degeneration_skipped_without_its_kernels(self, small, monkeypatch):
-        def unselected(cfg):
+        def unselected(*args):
             raise AssertionError("degeneration ran with neither trig nor rational selected")
 
         monkeypatch.setattr(verify, "check_degeneration", unselected)
@@ -455,7 +505,7 @@ class TestRunSuite:
         cfg = SuiteConfig(n_values=(n,), sep_min=sep_min)
         kern = elliptic_kernel(cfg.lattice())
         for seed in range(3):
-            rep = REGISTRY["factorization"].check(random_instance(cfg, kern, n, seed), "elliptic", cfg.tolerance)
+            (rep,) = REGISTRY["factorization"].check(random_instance(cfg, kern, n, seed), "elliptic", cfg.tolerance)
             assert rep.rel_residual <= 1e-13, (seed, rep.rel_residual)
 
     def test_tight_separation_does_not_hurt(self):
@@ -472,16 +522,18 @@ def reference_run_suite(cfg):
     """The suite loop with no sharing: a fresh instance for every
     (identity, kernel tag, N, trial)."""
     lat = cfg.lattice()
-    reports = check_degeneration(random_instance(cfg, RATIONAL_KERNEL, 5, cfg.base_seed))
+    reports = []
     for ident in REGISTRY.values():
-        for tag, with_z in ident.plan:
-            kern = Kernel(tag.removeprefix("k-"), lat)
-            for n in cfg.n_values:
+        # a fixed-size identity is checked once, on the base seed
+        sizes = [ident.fixed_n] if ident.fixed_n else cfg.n_values
+        trials = 1 if ident.fixed_n else cfg.trials_per_n
+        for tag, variant, with_z in ident.plan:
+            for n in sizes:
                 if ident.n_cap is not None and n > ident.n_cap:
                     continue
-                for trial in range(cfg.trials_per_n):
-                    inst = random_instance(cfg, kern, n, cfg.base_seed + trial, with_z)
-                    reports.append(ident.check(inst, tag, cfg.tolerance))
+                for trial in range(trials):
+                    inst = random_instance(cfg, Kernel(variant, lat), n, cfg.base_seed + trial, with_z)
+                    reports.extend(ident.check(inst, tag, cfg.tolerance))
     reports.sort(key=lambda r: (r.identity_name, r.kernel, r.n, r.seed))
     return reports
 
@@ -573,7 +625,7 @@ class TestKernelMemo:
         with monkeypatch.context() as m:
             m.setattr(cauchy, "_fused", recorded)
             m.setattr(cauchy, "sigma", counted)
-            reports = [REGISTRY[name].check(inst, "elliptic", cfg.tolerance) for name in names]
+            reports = [r for name in names for r in REGISTRY[name].check(inst, "elliptic", cfg.tolerance)]
         return strip_timing(sorted(reports, key=lambda r: r.identity_name)), sum(points), sum(blocks.values())
 
     def test_each_block_evaluated_once(self, monkeypatch):
@@ -607,7 +659,7 @@ class TestKernelMemo:
             return sigma(lat, z)
 
         monkeypatch.setattr(cauchy, "sigma", recorded)
-        rep = REGISTRY["factorization"].check(inst, "elliptic", cfg.tolerance)
+        (rep,) = REGISTRY["factorization"].check(inst, "elliptic", cfg.tolerance)
         points = np.concatenate(args)
         assert points.size == np.unique(points).size == 753
         assert rep.passed
@@ -630,12 +682,12 @@ class TestStacks:
     def test_checker_answers_per_member(self, cfg, name, size):
         lat = cfg.lattice()
         ident = REGISTRY[name]
-        for tag, with_z in ident.plan:
-            for n in (1, 2, 5):
-                members = [
-                    random_instance(cfg, Kernel(tag.removeprefix("k-"), lat), n, seed, with_z)
-                    for seed in range(40, 40 + size)
-                ]
+        # degeneration, cheap, at every default size
+        sizes = range(1, 9) if ident.fixed_n else (1, 2, 5)
+        for tag, variant, with_z in ident.plan:
+            for n in sizes:
+                kern = Kernel(variant, lat)
+                members = [random_instance(cfg, kern, n, seed, with_z) for seed in range(40, 40 + size)]
                 stack = Instance.stack(members)
                 stacked = [np.broadcast_to(v, (size,)) for v in ident.checker(stack, tag)]
                 reports = ident.check(stack, tag, cfg.tolerance)
@@ -644,7 +696,7 @@ class TestStacks:
                     single = ident.checker(m, tag)
                     for got, want in zip(stacked, single):
                         assert np.array_equal(got[b], want, equal_nan=True), (tag, n, b)
-                    assert strip_timing([reports[b]]) == strip_timing([ident.check(m, tag, cfg.tolerance)])
+                    assert strip_timing([reports[b]]) == strip_timing(ident.check(m, tag, cfg.tolerance))
 
     @pytest.mark.parametrize("n_values", [(1, 5), (3,)])
     def test_suite_reports_are_per_trial_checks(self, n_values):
