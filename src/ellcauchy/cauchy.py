@@ -119,7 +119,7 @@ class KernelSpec:
     zero_distance: Callable  # (lat, z) -> distance from z to the nearest zero of f
     g_columns: Callable  # (lat, x, lam) -> columns phi_k(x_i) of the factorization factor g_lam(x)
     points: Callable  # (lat, u, v) -> points, elementwise from uniform [0, 1) draws per coordinate
-    lam: Callable  # (lat, u, v) -> parameter from one uniform [0, 1) draw per coordinate
+    lam: Callable  # (lat, u, v) -> parameters, elementwise from uniform [0, 1) draws per coordinate
     area: Callable  # lat -> area of the point-sampling region
     stream: int  # first word of the sampler's RNG seed
     memoized: bool  # an Instance memoizes its values: sigma costs more per point than a lookup, sin and z less
@@ -143,7 +143,7 @@ KERNELS = {
         zero_distance=lambda lat, z: lattice_distance(lat, z),
         g_columns=lambda lat, x, lam: g_factor_elliptic(lat, x, lam),
         points=_cell_points,
-        lam=lambda lat, u, v: complex(_cell_points(lat, u, v)),
+        lam=_cell_points,
         area=lambda lat: 0.49 * abs(np.imag(np.conj(2 * lat.omega) * 2 * lat.omega_prime)),
         stream=0,
         memoized=True,
@@ -153,7 +153,7 @@ KERNELS = {
         zero_distance=lambda lat, z: np.abs(z - np.pi * np.round(np.real(z) / np.pi)),
         g_columns=lambda lat, x, lam: g_factor_trig(x, lam),
         points=lambda lat, u, v: _uniform(0.0, np.pi, u) + 1j * _uniform(0.0, 0.5, v),
-        lam=lambda lat, u, v: complex(_uniform(0.0, np.pi, u) + 1j * _uniform(0.15, 0.6, v)),
+        lam=lambda lat, u, v: _uniform(0.0, np.pi, u) + 1j * _uniform(0.15, 0.6, v),
         area=lambda lat: np.pi * 0.5,
         stream=1,
         memoized=False,
@@ -165,9 +165,7 @@ KERNELS = {
         points=lambda lat, u, v: (
             np.sqrt(_uniform(0.0, 1.0, u)) * np.exp(1j * _uniform(0.0, 2 * np.pi, v))
         ),
-        lam=lambda lat, u, v: complex(
-            _uniform(0.5, 1.5, u) * np.exp(1j * _uniform(0.0, 2 * np.pi, v))
-        ),
+        lam=lambda lat, u, v: _uniform(0.5, 1.5, u) * np.exp(1j * _uniform(0.0, 2 * np.pi, v)),
         area=lambda lat: np.pi,
         stream=2,
         memoized=False,
@@ -258,23 +256,6 @@ class Instance:
     @property
     def n(self):
         return self.x.shape[-1]
-
-    @classmethod
-    def stack(cls, members):
-        """One stacked instance of unstacked ``members`` on one kernel, in
-        their order."""
-        kernel = members[0].kernel
-        if any(m.kernel != kernel for m in members):
-            raise ValueError("the members of a stack must share one kernel")
-        z = None if members[0].z is None else [m.z for m in members]
-        return cls(
-            kernel=kernel,
-            x=[m.x for m in members],
-            y=[m.y for m in members],
-            lam=[m.lam for m in members],
-            z=z,
-            seed=[m.seed for m in members],
-        )
 
     def member(self, b):
         """Member b of a stack as an instance of its own, with a memo of its own."""

@@ -24,25 +24,26 @@ from . import cauchy, linalg, verify
 from .errors import EllCauchyError
 from .weierstrass import lattice_new, sigma
 
-_COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"(?P<im>[+-]\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)[ij]$"
-)
+#: an unsigned decimal, with or without digits before its point
+_DECIMAL = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
+#: a+bi or a-bi, or a purely imaginary bi or -bi
+_COMPLEX_RE = re.compile(rf"^(?:(?P<re>[+-]?{_DECIMAL})(?=[+-]))?(?P<im>[+-]?{_DECIMAL})[ij]$")
 
 #: the suite settings the flags default to
 _DEFAULTS = verify.SuiteConfig()
 
 
 def _parse_complex(text):
-    """Parse 'a+bi' / 'a-bi' (no spaces); plain reals also accepted."""
+    """Parse 'a+bi', 'a-bi', 'bi' or '-bi' (no spaces; a number may start
+    at its decimal point); plain reals also accepted."""
     t = text.strip()
     m = _COMPLEX_RE.match(t)
     if m:
-        return complex(float(m.group("re")), float(m.group("im")))
+        return complex(float(m.group("re") or 0.0), float(m.group("im")))
     try:
         return complex(float(t))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed complex literal {text!r}; use a+bi")
+        raise argparse.ArgumentTypeError(f"malformed complex literal {text!r}; use a+bi or bi")
 
 
 def _add_suite_flags(p):

@@ -8,7 +8,10 @@ verdict as a third value; determinant and inverse claims are
 additionally cross-checked against the pivoted-LU oracle in
 :mod:`ellcauchy.linalg`, which factors one member at a time, and the
 factorization is checked as a product, with no inverse, by its
-componentwise residual.  The sampler keeps one margin rule for every kernel.
+componentwise residual.  The sampler keeps one margin rule for every kernel
+and samples a whole stack of trials in one call: it tests their rounds in
+blocks, as arrays, and picks bit for bit the instances that a loop over
+single rounds would.
 :meth:`Identity.check` alone decides where a checker runs, times it and
 judges each member's residual into a :class:`Report`.  Everything is a pure
 function of (config, seed), so suite runs are reproducible byte for byte
@@ -33,6 +36,18 @@ from .weierstrass import lattice_distance, lattice_new, sigma, sigma_k
 
 #: rejection-sampling round limit before SamplingExhausted
 _MAX_ROUNDS = 10_000
+
+#: pair differences one margin test may hold: it caps the rounds of a
+#: sampler block, and so the sampler's memory.  Each complex temporary of
+#: the plane screen is then at most 512 KiB; on a 2-vCPU Xeon VM a budget
+#: of 65,536 made the exhausting ``verify-all --n 20`` take twice as long,
+#: its temporaries outgrowing the cache
+_PAIR_BUDGET = 32_768
+
+#: rounds the pending trials of a stack draw in shared blocks; past them the
+#: first pending trial draws on alone, so a stack that exhausts costs little
+#: more than its first exhausting trial
+_SHARED_ROUNDS = 32
 
 #: reference magnitudes below this switch the pass criterion to absolute
 _ABS_SWITCH = 1e-10
@@ -114,68 +129,111 @@ def _each(fn, mats):
 
 
 def _margins_ok(kernel, sets, lam, margin):
-    """Whether one sampled round keeps every margin: the zero distance of
-    each difference of two points of the union of ``sets``, of lambda, of
-    lambda plus and minus each set sum and X - Y, and of the Gauss ladder
-    lambda_j and lambda_j + x_j - y_j.  The rule is the same for every kernel.
+    """Whether each sampled round keeps every margin, one verdict per round.
+
+    ``sets`` holds the point sets with a leading round axis, shape
+    (sets, rounds, n), and ``lam`` one parameter per round; one round may
+    leave the round axis out.  A round keeps its margins when the zero
+    distance of each difference of two of its points, of lambda, of lambda
+    plus and minus each set sum and X - Y, and of the Gauss ladder lambda_j
+    and lambda_j + x_j - y_j is at least ``margin``.  The rule is the same
+    for every kernel.
 
     A zero distance never exceeds the modulus (0 is a zero), so a pair
-    closer than ``margin`` in the plane rejects the round without a kernel
-    call.  Otherwise every margin is measured in one zero-distance call,
-    which also catches a pair that is close only across a period.  Both
-    tests measure each unordered pair once: the zero distance is even.
+    closer than ``margin`` in the plane rejects its round without a kernel
+    call.  Every margin of the rounds that pass this screen is measured in
+    one zero-distance call, which also catches a pair that is close only
+    across a period.  Both tests measure each unordered pair once: the zero
+    distance is even.  The points are held point-major, so a pair
+    difference is a difference of two contiguous rows.
     """
-    pts = np.ravel(sets)
+    sets = np.asarray(sets, dtype=complex)
+    n_sets, n = len(sets), sets.shape[-1]
+    sets = sets.reshape(n_sets, -1, n)
+    lam = np.reshape(lam, -1)
+    pts = sets.transpose(0, 2, 1).reshape(n_sets * n, -1)
     i, l = cauchy.pair_indices(len(pts))
     diff = pts[i] - pts[l]
-    if (np.abs(diff) < margin).any():
-        return False
+    ok = ~(np.abs(diff) < margin).any(axis=0)
+    kept = np.flatnonzero(ok)
+    if not kept.size:
+        return ok
+    sets, lam = sets[:, kept], lam[kept]
     x, y = sets[0], sets[1]
-    sums = [s.sum() for s in sets]
-    shifts = np.array([0.0, *sums, sums[0] - sums[1]])
+    sums = sets.sum(axis=-1)
+    shifts = np.concatenate([np.zeros((1, kept.size)), sums, sums[:1] - sums[1:2]])
     lams = cauchy.gauss_lambda_ladder(x, y, lam)
-    args = np.concatenate([diff, lam + shifts, lam - shifts, lams, x - y + lams])
-    return kernel.zero_distance(args).min() >= margin
+    args = np.concatenate([diff[:, kept], lam + shifts, lam - shifts, lams.T, (x - y + lams).T])
+    ok[kept] = kernel.zero_distance(args).min(axis=0) >= margin
+    return ok
 
 
 def random_instance(cfg, kernel, n, seed, with_z=False):
-    """Deterministically sample an :class:`Instance` meeting all margins.
+    """Deterministically sample an :class:`Instance` meeting all margins:
+    one trial for an int ``seed``, and for a sequence of seeds their stack,
+    with the members in seed order.
 
-    Each rejection round draws one block of uniforms: for each point set,
-    n draws for the first coordinate and then n for the second, and the
-    parameter's two draws last.  The kernel's ``points`` and ``lam`` maps
-    turn them into samples exactly as per-coordinate ``Generator.uniform``
-    calls would.
+    Each trial draws its rounds in order on its own RNG stream.  A round is
+    one row of uniforms: for each point set, n draws for the first
+    coordinate and then n for the second, and the parameter's two draws
+    last.  The kernel's ``points`` and ``lam`` maps turn them into samples
+    exactly as per-coordinate ``Generator.uniform`` calls would, and each
+    trial takes its first admissible round.  Rounds are drawn and tested
+    in blocks, as arrays, and the instances are bit for bit those of one
+    round at a time.  The first block is one round for every trial; the
+    trials still pending then draw blocks of rounds that double, together
+    until they have drawn ``_SHARED_ROUNDS`` rounds, and after that the
+    first pending trial alone, up to ``_MAX_ROUNDS`` rounds each.  No block
+    holds more than ``_PAIR_BUDGET`` pair differences (or more than one
+    round, where one round alone holds more).
 
     Raises :class:`SamplingExhausted` if the separation requirement cannot
     be met in the sampling region (or after the round limit).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    single = np.ndim(seed) == 0
+    seeds = np.ravel(seed)
+    if n < 1 or not seeds.size:
+        raise ValueError("n must be >= 1, and a sequence of seeds nonempty")
     spec, lat = kernel.spec, kernel.lattice
     n_sets = 3 if with_z else 2
     if n * n_sets * cfg.sep_min**2 > spec.area(lat):
         raise SamplingExhausted(
             f"{n} points with separation {cfg.sep_min} cannot fit the sampling region"
         )
-    rng = np.random.default_rng(
-        [spec.stream, n, int(with_z), seed & 0xFFFFFFFF, cfg.base_seed & 0xFFFFFFFF]
+    # one 32-bit word per entry: the same entropy as the list of ints, which
+    # numpy would coerce word by word, at about two thirds of the cost
+    entropy = np.array(
+        [[spec.stream, n, int(with_z), s & 0xFFFFFFFF, cfg.base_seed & 0xFFFFFFFF] for s in seeds.tolist()],
+        dtype=np.uint32,
     )
-    for _ in range(_MAX_ROUNDS):
-        draws = rng.random(2 * n * n_sets + 2)
-        uv = draws[:-2].reshape(n_sets, 2, n)
-        sets = spec.points(lat, uv[:, 0], uv[:, 1])
-        lam = spec.lam(lat, *draws[-2:].tolist())
-        if _margins_ok(kernel, sets, lam, cfg.sep_min):
-            return Instance(
-                kernel=kernel,
-                x=sets[0],
-                y=sets[1],
-                z=sets[2] if with_z else None,
-                lam=lam,
-                seed=seed,
-            )
-    raise SamplingExhausted(f"no admissible instance after {_MAX_ROUNDS} rounds")
+    rngs = [np.random.default_rng(words) for words in entropy]
+    width = 2 * n * n_sets + 2
+    cap = max(1, _PAIR_BUDGET // math.comb(n * n_sets, 2))  # rounds per block
+    sets = np.empty((n_sets, len(rngs), n), dtype=complex)
+    lam = np.empty(len(rngs), dtype=complex)
+    ok = np.zeros(len(rngs), dtype=bool)
+    drawn = np.zeros(len(rngs), dtype=int)  # rounds drawn per trial
+    while not ok.all():
+        # a prefix of the pending trials, in seed order, draws one block:
+        # no later pending trial has drawn more rounds than the first
+        pending = np.flatnonzero(~ok)
+        head = drawn[pending[0]]
+        if head >= _MAX_ROUNDS:
+            raise SamplingExhausted(f"no admissible instance after {_MAX_ROUNDS} rounds")
+        size = min(head + 1, cap, _MAX_ROUNDS - head)
+        group = pending[:1] if head >= _SHARED_ROUNDS else pending[:cap // size]
+        draws = np.concatenate([rngs[b].random((size, width)) for b in group])
+        uv = draws[:, :-2].reshape(len(draws), n_sets, 2, n)
+        block_sets = spec.points(lat, uv[:, :, 0], uv[:, :, 1]).swapaxes(0, 1)
+        block_lam = spec.lam(lat, draws[:, -2], draws[:, -1])
+        passed = _margins_ok(kernel, block_sets, block_lam, cfg.sep_min).reshape(len(group), size)
+        drawn[group] += size
+        done = passed.any(axis=1)
+        took, first = group[done], passed.argmax(axis=1)[done] + size * np.flatnonzero(done)
+        sets[:, took], lam[took], ok[took] = block_sets[:, first], block_lam[first], True
+    if single:
+        sets, lam, seeds = sets[:, 0], lam[0], seed
+    return Instance(kernel=kernel, x=sets[0], y=sets[1], z=sets[2] if with_z else None, lam=lam, seed=seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +561,10 @@ def run_suite(cfg, identities=None, kernels=None):
     :meth:`Identity.check` at base tolerance ``cfg.tolerance``.  The checks
     are grouped by stack (instance variant, N, third point set or not); an
     identity with a fixed size checks only the stack's first member, the
-    base seed's instance.  Each trial is sampled once, on its own RNG
-    stream, and the trials of a stack are stacked into one
-    :class:`~ellcauchy.cauchy.Instance` with a leading trial axis.  Every
+    base seed's instance.  Each stack is sampled in one
+    :func:`random_instance` call, as one
+    :class:`~ellcauchy.cauchy.Instance` with a leading trial axis, each
+    trial on its own RNG stream.  Every
     identity and kernel tag that uses the stack checks it in one call, and
     the stack is dropped before the next is sampled, so only one stack, with
     its memo of kernel values, is held at a time.  A function patched on a
@@ -543,8 +602,7 @@ def run_suite(cfg, identities=None, kernels=None):
 
     reports = []
     for (variant, n, with_z), (seeds, todo) in jobs.items():
-        kernel = Kernel(variant, lat)
-        stack = Instance.stack([random_instance(cfg, kernel, n, seed, with_z) for seed in seeds])
+        stack = random_instance(cfg, Kernel(variant, lat), n, list(seeds), with_z)
         for ident, tag in todo:
             # every stack starts with the base seed, whichever entry made it
             reports.extend(ident.check(stack.member(0) if ident.fixed_n else stack, tag, cfg.tolerance))

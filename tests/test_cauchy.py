@@ -680,10 +680,17 @@ class TestSigmaBudget:
 
 
 def stacked_members(lat, variant, n, size, with_z=False):
-    """``size`` sampled trials at N = n and their stack."""
+    """``size`` trials at N = n, each sampled on its own, and their stack
+    as the sampler draws it in one call."""
     cfg = SuiteConfig(sep_min=min(0.05, 0.6 / n))
-    members = [random_instance(cfg, Kernel(variant, lat), n, seed, with_z) for seed in range(size)]
-    return members, Instance.stack(members)
+    kern = Kernel(variant, lat)
+    members = [random_instance(cfg, kern, n, seed, with_z) for seed in range(size)]
+    stack = random_instance(cfg, kern, n, range(size), with_z)
+    names = ("x", "y", "z", "lam") if with_z else ("x", "y", "lam")
+    for b, m in enumerate(members):
+        for name in names:
+            assert getattr(stack, name)[b].tobytes() == np.asarray(getattr(m, name)).tobytes(), (name, b)
+    return members, stack
 
 
 def assert_bits_equal(stacked, single, label):
@@ -730,9 +737,3 @@ class TestStackedMembers:
             for name in ("x", "y", "z"):
                 assert np.array_equal(getattr(back, name), getattr(m, name))
             assert back.kernel.memo == {} and back.kernel.memo is not stack.kernel.memo
-
-    def test_stack_needs_one_kernel(self, lat):
-        cfg = SuiteConfig()
-        members = [random_instance(cfg, Kernel(v, lat), 3, 0) for v in ("trig", "rational")]
-        with pytest.raises(ValueError, match="one kernel"):
-            Instance.stack(members)

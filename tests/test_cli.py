@@ -32,12 +32,21 @@ class TestParseComplex:
             ("-1.5-2e-1i", -1.5 - 0.2j),
             ("2.0", 2.0 + 0j),
             ("-3", -3 + 0j),
+            ("0.08i", 0.08j),
+            ("-0.08i", -0.08j),
+            ("0+0.08i", 0.08j),
+            (".5+1i", 0.5 + 1j),
+            ("0.3-.7i", 0.3 - 0.7j),
         ],
     )
     def test_accepted(self, text, value):
         assert cli._parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["abc", "1+i", "0.3 + 0.7i", ""])
+    def test_rectangular_lattice_flag(self):
+        # the thin rectangular lattice, written without its zero real part
+        assert cli.parse_args(["verify-all", "--tau", "0.08i"]).tau == 0.08j
+
+    @pytest.mark.parametrize("text", ["abc", "1+i", "0.3 + 0.7i", "", "i", "-i", ".i", "1.+2i", "0.3+-0.7i"])
     def test_rejected(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_complex(text)

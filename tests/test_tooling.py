@@ -1,6 +1,6 @@
 """The benchmark tracer's targets exist in the package, its round hook
-counts sampler rounds, a sampler round makes at most one zero-distance
-call, the README's library example runs, and the layer call counts of a
+counts sampler blocks, a block of sampler rounds makes at most one
+zero-distance call, the README's library example runs, and the layer call counts of a
 small suite run stay within their pinned caps.
 
 ``perfbench/tracer.py`` wraps package functions by name; a renamed or
@@ -51,7 +51,9 @@ def test_tracer_targets_resolve():
 
 @pytest.mark.parametrize("with_z", [False, True])
 def test_round_hook_counts_rounds(with_z):
-    # elliptic-dense instances at N = 20: the hook must fire once per drawn round
+    # elliptic-dense instances at N = 20: the hook fires once per block of
+    # rounds, so at least once and at most once per round the reference
+    # loop draws, and the hooked sampler draws the reference's instance
     tracer = load_tracer()
     cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
     kern = elliptic_kernel(cfg.lattice())
@@ -59,21 +61,26 @@ def test_round_hook_counts_rounds(with_z):
     rec = tracer.Tracer()
     hooked, rounds = [], []
     for seed in range(1, 6):
-        rounds.append(reference_sample(cfg, kern, 20, seed, with_z)[2])
+        sets, lam, taken = reference_sample(cfg, kern, 20, seed, with_z)
+        rounds.append(taken)
         rec.reset()
         rec.install()
         try:
-            random_instance(cfg, kern, 20, seed, with_z)
+            inst = random_instance(cfg, kern, 20, seed, with_z)
         finally:
             rec.uninstall()
         hooked.append(rec.counts[counter])
-    assert hooked == rounds
+        got = [inst.x, inst.y] + ([inst.z] if with_z else [])
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in sets] and inst.lam == lam
+    assert all(1 <= h <= r for h, r in zip(hooked, rounds)), (hooked, rounds)
     assert sum(rounds) > 2 * len(rounds)
+    assert sum(hooked) < sum(rounds)
 
 
 @pytest.fixture
 def round_calls(monkeypatch):
-    """Zero-distance calls made inside each margin test, one entry per round."""
+    """Zero-distance calls made inside each margin test, one entry per block
+    of rounds."""
     calls, per_round = [], []
     zero_distance, margins_ok = Kernel.zero_distance, verify._margins_ok
 
@@ -96,7 +103,7 @@ def round_calls(monkeypatch):
 @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
 def test_one_zero_distance_call_per_round(round_calls, variant):
     # a close pair rejects a round without a kernel call; every other
-    # margin is measured in one call
+    # margin of a block's rounds is measured in one call
     cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
     kern = Kernel(variant, cfg.lattice())
     for seed in range(1, 6):
@@ -125,24 +132,25 @@ def test_readme_library_example(capsys):
 #: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
 #: each of the 48 distinct instances is sampled once (and degeneration's
 #: N = 5 instance, since 5 is not among the sizes), and the two trials of
-#: each (kernel variant, N, third set) are checked as one stack, so every
-#: builder and checker runs once per stack, not once per trial.  Each
+#: each (kernel variant, N, third set) are sampled in one sampler call and
+#: checked as one stack, so the sampler runs 25 times, and every builder
+#: and checker once per stack, not once per trial.  Each
 #: builder tests its denominators in one zero-distance call and evaluates
 #: its kernel in at most one call (G and H no longer build C and D apart),
 #: the closed inverse reuses G's tests, an elliptic stack's memo skips the
 #: kernel call of a builder or of a factorization factor's Lagrange
 #: denominator whose argument blocks, or their negated transposes, an
 #: earlier check on it evaluated, sigma_k takes every k in one call, a
-#: sampler round makes at most one zero-distance call, an Instance makes
-#: none (the sampler alone keeps the margins), and only the inverse check
-#: inverts by LU, one member at a time (the factorization check forms
-#: G g(y), not g(x) g(y)^-1)
+#: block of sampler rounds makes at most one zero-distance call, an
+#: Instance makes none (the sampler alone keeps the margins), and only the
+#: inverse check inverts by LU, one member at a time (the factorization
+#: check forms G g(y), not g(x) g(y)^-1)
 CALL_CAPS = {
-    "verify.random_instance": 49,
+    "verify.random_instance": 25,
     "linalg.lu_inverse": 16,
-    "cauchy.zero_distance": 236,
+    "cauchy.zero_distance": 216,
     "cauchy.kernel": 146,
-    "weierstrass.lattice_distance": 116,
+    "weierstrass.lattice_distance": 110,
     "weierstrass.sigma": 64,
     "weierstrass.sigma_k": 12,
 }

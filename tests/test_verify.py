@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ellcauchy import (
-    Instance,
     RATIONAL_KERNEL,
     TRIG_KERNEL,
     Kernel,
@@ -216,13 +215,19 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(cfg, kern, 0, 0)
 
+    def test_rejects_empty_seed_list(self, cfg, kern):
+        with pytest.raises(ValueError):
+            random_instance(cfg, kern, 3, [])
+
 
 class TestSamplerReference:
     """The block-drawn sampler with its close-pair screen reproduces the
-    per-call reference loop bit for bit."""
+    per-call reference loop bit for bit, one seed at a time and for a
+    stack of seeds in one call."""
 
     SIZES = (*range(1, 9), 12, 16, 20)
     TAUS = (0.3 + 0.7j, 0.1 + 1.3j, 7.3 + 0.9j, 0.08j)
+    SEEDS = range(10)
 
     @staticmethod
     def outcome(sample):
@@ -230,6 +235,14 @@ class TestSamplerReference:
             return sample()
         except SamplingExhausted as exc:
             return str(exc)
+
+    @staticmethod
+    def assert_member(got, want, with_z, case):
+        sets, lam, _ = want
+        got_sets = [got.x, got.y] + ([got.z] if with_z else [])
+        assert [s.tobytes() for s in got_sets] == [s.tobytes() for s in sets], case
+        assert with_z or got.z is None, case
+        assert np.array([got.lam]).tobytes() == np.array([lam]).tobytes(), case
 
     @pytest.mark.parametrize(
         "variant, tau",
@@ -246,20 +259,49 @@ class TestSamplerReference:
             cfg = SuiteConfig(lattice_tau=tau, sep_min=min(0.05, 0.6 / n))
             kern = Kernel(variant, cfg.lattice())
             for with_z in (False, True):
-                for seed in range(10):
+                wants = [self.outcome(lambda: reference_sample(cfg, kern, n, seed, with_z)) for seed in self.SEEDS]
+                for seed, want in zip(self.SEEDS, wants):
                     got = self.outcome(lambda: random_instance(cfg, kern, n, seed, with_z))
-                    want = self.outcome(lambda: reference_sample(cfg, kern, n, seed, with_z))
                     case = (n, with_z, seed)
                     if isinstance(want, str):
                         assert got == want, case
                         continue
                     accepted += 1
-                    sets, lam, _ = want
-                    got_sets = [got.x, got.y] + ([got.z] if with_z else [])
-                    assert [s.tobytes() for s in got_sets] == [s.tobytes() for s in sets], case
-                    assert with_z or got.z is None, case
-                    assert np.array([got.lam]).tobytes() == np.array([lam]).tobytes(), case
+                    self.assert_member(got, want, with_z, case)
+                # the stack raises the message of its first exhausted seed
+                stack = self.outcome(lambda: random_instance(cfg, kern, n, list(self.SEEDS), with_z))
+                exhausted = [want for want in wants if isinstance(want, str)]
+                if exhausted:
+                    assert stack == exhausted[0], (n, with_z)
+                    continue
+                assert list(stack.seed) == list(self.SEEDS)
+                for b, want in enumerate(wants):
+                    self.assert_member(stack.member(b), want, with_z, (n, with_z, "stack", b))
         assert accepted
+
+
+def test_blocks_keep_the_pair_budget(monkeypatch):
+    # a 100-trial stack at N = 20, whose first block exceeds the budget,
+    # and a stack whose one round alone exceeds it
+    pairs = []
+    margins_ok = verify._margins_ok
+
+    def recorded(kernel, sets, lam, margin):
+        n_sets, rounds, n = np.shape(sets)
+        pairs.append((rounds, math.comb(n_sets * n, 2)))
+        return margins_ok(kernel, sets, lam, margin)
+
+    monkeypatch.setattr(verify, "_margins_ok", recorded)
+    cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
+    for with_z in (False, True):
+        stack = random_instance(cfg, elliptic_kernel(cfg.lattice()), 20, range(100), with_z)
+        assert stack.x.shape == (100, 20)
+    assert max(rounds * per_round for rounds, per_round in pairs) <= verify._PAIR_BUDGET
+    assert max(rounds * per_round for rounds, per_round in pairs) > verify._PAIR_BUDGET // 2
+    pairs.clear()
+    wide = SuiteConfig(sep_min=1e-6)
+    random_instance(wide, RATIONAL_KERNEL, 200, range(3), with_z=True)
+    assert pairs and all(rounds == 1 and per_round > verify._PAIR_BUDGET for rounds, per_round in pairs)
 
 
 class TestMarginScreen:
@@ -539,17 +581,19 @@ def reference_run_suite(cfg):
 
 
 class TestSharedInstances:
-    """run_suite samples each distinct instance once, stacks the trials of
-    each (kernel variant, N, third set), hands the stack to every identity
+    """run_suite samples each (kernel variant, N, third set) stack in one
+    sampler call, each trial of it once, hands the stack to every identity
     and kernel tag that uses it, and drops it before the next."""
 
     def test_one_sample_per_instance(self, monkeypatch):
         cfg = SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)
-        sampled = Counter()
+        sampled, calls = Counter(), []
 
-        def counted(cfg, kernel, n, seed, with_z=False):
-            sampled[kernel.variant, n, seed, with_z] += 1
-            return random_instance(cfg, kernel, n, seed, with_z)
+        def counted(cfg, kernel, n, seeds, with_z=False):
+            calls.append(len(seeds))
+            for seed in seeds:
+                sampled[kernel.variant, n, seed, with_z] += 1
+            return random_instance(cfg, kernel, n, seeds, with_z)
 
         monkeypatch.setattr(verify, "random_instance", counted)
         reports = run_suite(cfg)
@@ -558,8 +602,9 @@ class TestSharedInstances:
         degeneration = ("rational", 5, cfg.base_seed, False)
         assert sampled.pop(degeneration) == 1
         # 4 sizes x 2 trials of: elliptic, trig and rational with and
-        # without a third point set
+        # without a third point set, one call per stack of two trials
         assert len(sampled) == 48 and set(sampled.values()) == {1}
+        assert calls == [2] * 24 + [1]
         assert strip_timing(reports) == strip_timing(reference_run_suite(cfg))
 
     def test_degeneration_shares_its_instance(self, monkeypatch):
@@ -568,9 +613,10 @@ class TestSharedInstances:
         cfg = SuiteConfig(n_values=(5,), trials_per_n=1)
         sampled = Counter()
 
-        def counted(cfg, kernel, n, seed, with_z=False):
-            sampled[kernel.variant, n, seed, with_z] += 1
-            return random_instance(cfg, kernel, n, seed, with_z)
+        def counted(cfg, kernel, n, seeds, with_z=False):
+            for seed in seeds:
+                sampled[kernel.variant, n, seed, with_z] += 1
+            return random_instance(cfg, kernel, n, seeds, with_z)
 
         monkeypatch.setattr(verify, "random_instance", counted)
         reports = run_suite(cfg, identities=["determinant", "degeneration"], kernels={"rational"})
@@ -579,20 +625,22 @@ class TestSharedInstances:
 
     def test_one_stack_at_a_time(self, monkeypatch):
         cfg = SuiteConfig(n_values=(1, 2, 3), trials_per_n=2)
-        sampled, alive = [], []
+        sampled, alive, sizes = [], [], []
 
-        def tracked(cfg, kernel, n, seed, with_z=False):
+        def tracked(cfg, kernel, n, seeds, with_z=False):
             alive.append(sum(ref() is not None for ref in sampled))
-            inst = random_instance(cfg, kernel, n, seed, with_z)
-            sampled.append(weakref.ref(inst))
-            return inst
+            sizes.append(len(seeds))
+            stack = random_instance(cfg, kernel, n, seeds, with_z)
+            sampled.append(weakref.ref(stack))
+            return stack
 
         monkeypatch.setattr(verify, "random_instance", tracked)
         run_suite(cfg)
-        # while a stack is sampled only its own earlier members are alive:
-        # 18 stacks of two trials, then degeneration's rational N = 5 stack
-        # of the base seed alone
-        assert alive == [0, 1] * 18 + [0]
+        # no earlier stack is alive while one is sampled: 18 stacks of two
+        # trials, then degeneration's rational N = 5 stack of the base seed
+        # alone
+        assert alive == [0] * 19
+        assert sizes == [2] * 18 + [1]
 
 
 class TestKernelMemo:
@@ -688,11 +736,13 @@ class TestStacks:
             for n in sizes:
                 kern = Kernel(variant, lat)
                 members = [random_instance(cfg, kern, n, seed, with_z) for seed in range(40, 40 + size)]
-                stack = Instance.stack(members)
+                stack = random_instance(cfg, kern, n, range(40, 40 + size), with_z)
                 stacked = [np.broadcast_to(v, (size,)) for v in ident.checker(stack, tag)]
                 reports = ident.check(stack, tag, cfg.tolerance)
                 assert [r.seed for r in reports] == list(range(40, 40 + size))
                 for b, m in enumerate(members):
+                    assert stack.x[b].tobytes() + stack.y[b].tobytes() == m.x.tobytes() + m.y.tobytes()
+                    assert stack.lam[b] == m.lam and stack.seed[b] == m.seed
                     single = ident.checker(m, tag)
                     for got, want in zip(stacked, single):
                         assert np.array_equal(got[b], want, equal_nan=True), (tag, n, b)
