@@ -18,10 +18,10 @@ theta1'(0), and the periods 2*omega, 2*omega_prime and their ratio.  In the
 fundamental cell, term n of the theta1 series is at most |q|^{n^2} times
 term 0, so the table keeps a fixed number of terms: the smallest K with
 |q|^{K^2} (2K+1)^3 below ``SERIES_TOL``, the cube covering the weights of
-the theta1'''(0) sum.  A sigma call then costs a fixed handful of numpy
-operations whatever its size: one cell reduction, one sin over a
-(points x K) array and a sum over its last axis.  :func:`zeta_w` and the
-constant eta read the same table.
+the theta1'''(0) sum.  A sigma call then costs one cell reduction, one sin
+and one exp per point, and the K - 1 multiply-adds of a Clenshaw
+recurrence in cos 2v, with temporaries the size of its input.
+:func:`zeta_w` and the constant eta read the same table.
 
 The constant eta = zeta(omega) comes from theta1'''(0)/theta1'(0);
 eta_prime = zeta(omega_prime) then follows from the Legendre relation
@@ -151,6 +151,12 @@ def sigma(lat, x):
     sigma(x + Omega) = (-1)^(m + m' + m m') exp(eta_Omega (x + Omega/2)) sigma(x)
     for the lattice vector Omega = 2m*omega + 2m'*omega_prime,
     eta_Omega = 2m*eta + 2m'*eta_prime.
+
+    The series is summed by Clenshaw's recurrence in a = 2 cos 2v
+    (Clenshaw, MTAC 9, 1955): one sin per point, taken by ``np.sin`` so
+    that sigma keeps its relative accuracy near lattice points, and K - 1
+    multiply-adds.  Sigma of a stack equals sigma of each of its members
+    bit for bit.
     """
     t = lat.series
     x = np.asarray(x, dtype=complex)
@@ -160,14 +166,20 @@ def sigma(lat, x):
     # (-1)^(m + m' + m m') is +1 exactly when m and m' are both even, i.e. (m+1)(m'+1) is odd
     pre = t.w1 / (np.pi * t.d1)
     factor = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo)
-    # the (points x K) theta table is built in place, coef the left operand,
-    # after every other per-point array but the factor is freed
+    # freed before the series makes its temporaries, to keep the peak memory down
     del expo, m, mp
-    s = (np.pi / t.w1 * xr)[..., None] * t.odd
+    # theta1(v) = sin v * sum_n coef_n S_n with S_n = sin((2n+1) v) / sin v,
+    # which obeys S_{n+1} = a S_n - S_{n-1} from S_0 = 1, S_{-1} = -1, where
+    # a = 2 cos 2v = 2 - 4 sin^2 v.  Clenshaw's backward sum
+    # b_n = coef_n + a b_{n+1} - b_{n+2}, from b_K = b_{K+1} = 0 down to b_1,
+    # leaves the sum as coef_0 + (a + 1) b_1 - b_2
+    s = np.sin(np.pi / t.w1 * xr)
     del xr
-    np.sin(s, out=s)
-    np.multiply(t.coef, s, out=s)
-    out = factor * s.sum(axis=-1)
+    a = 2.0 - 4.0 * (s * s)
+    b1 = b2 = 0.0
+    for c in t.coef[:0:-1]:
+        b1, b2 = c + a * b1 - b2, b1
+    out = factor * s * (t.coef[0] + (a + 1.0) * b1 - b2)
     return complex(out) if x.ndim == 0 else out
 
 

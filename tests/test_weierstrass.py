@@ -142,17 +142,24 @@ class TestSigma:
             assert abs(f(x + 2 * lat.omega) - base) < 1e-10 * abs(base)
             assert abs(f(x + 2 * lat.omega_prime) - base) < 1e-10 * abs(base)
 
-    def test_theta_table_in_place_rounds_as_the_plain_product(self, lat, rng):
-        # sigma builds its (points x K) table in place; it must round exactly
-        # as coef * sin(arg * odd) formed in fresh arrays, in and out of the cell
+    def test_clenshaw_matches_the_plain_sine_sum(self, lat, rng):
+        # the recurrence in cos 2v against coef * sin(v * odd) summed term by
+        # term, in and out of the cell
         t = lat.series
-        x = 3 * cell_points(lat, rng, 60).reshape(3, 4, 5)
+        x = 3 * cell_points(lat, rng, 200)
         xr, m, mp = _reduce(lat, x)
         theta = (t.coef * np.sin((np.pi / t.w1 * xr)[..., None] * t.odd)).sum(axis=-1)
         expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
         pre = t.w1 / (np.pi * t.d1)
         plain = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo) * theta
-        assert np.array_equal(sigma(lat, x), plain)
+        assert np.max(np.abs(sigma(lat, x) - plain) / np.abs(plain)) <= 2e-15
+
+    def test_stack_is_its_rows(self, lat, rng):
+        # stacked builders rely on sigma of a stack equal to sigma of each member
+        x = 3 * cell_points(lat, rng, 60).reshape(3, 4, 5)
+        got = sigma(lat, x)
+        for i in np.ndindex(3, 4):
+            assert np.array_equal(got[i], sigma(lat, x[i]))
 
     def test_matches_lattice_product(self, lat, rng):
         # slow-converging direct product; loose tolerance
@@ -271,14 +278,25 @@ SIGMA_ORACLE_CASES = [
         (7.3 + 0.9j, "inside", 1e-12),
         (7.3 + 0.9j, "outside", 1e-12),
         (7.3 + 0.9j, "near", 1e-12),
+        (0.1 + 5j, "inside", 1e-12),
+        (0.1 + 5j, "outside", 1e-12),
+        (0.1 + 5j, "near", 1e-12),
+        # one period out along omega', sigma underflows double precision
+        # (to 0 at -2 omega + 4 omega'), so this lattice is checked in the cell
+        (0.5 + 13j, "inside", 1e-12),
     )
 ]
+
+#: theta-series length of each oracle lattice; 0.1+5i and 0.5+13i reach the
+#: shortest recurrences, whose start the longer series do not exercise
+SERIES_TERMS = {0.3 + 0.7j: 5, 0.08j: 14, 7.3 + 0.9j: 4, 0.1 + 5j: 2, 0.5 + 13j: 1}
 
 
 @pytest.mark.parametrize("tau,region,tol", SIGMA_ORACLE_CASES)
 def test_sigma_matches_mpmath(tau, region, tol):
     mpmath = pytest.importorskip("mpmath")
     lat = lattice_new(1.0, tau)
+    assert len(lat.series.coef) == SERIES_TERMS[tau]
     x = oracle_points(lat, region, np.random.default_rng(5))
     ref = np.array([mp_sigma(mpmath, lat, p) for p in x])
     assert np.all(ref != 0) and np.all(np.isfinite(ref))
