@@ -10,35 +10,35 @@ kernel) is one :class:`KernelSpec` record in ``KERNELS``.  The closed
 determinant and inverse, the UDL decomposition and the factorization factor
 take a :class:`Kernel` too: the paper states them for sigma, and sin and
 the identity are degenerations of sigma whose Gaussian factor cancels in
-these balanced formulas, so one code path serves every kernel.  Each D-based builder makes one zero test and one
-kernel call, over distinct differences only: the zero distance is even and
-every kernel odd, so x_i - x_l and y_i - y_l are taken for i < l, and
-f(y_j - x_i) as -f(x_i - y_j).  The UDL triangles are weighted columns and
-rows of C(x,y;lambda_j) on the Gauss ladder.  The parameter-free K and W
-forms and double-Bloch evaluation are specific to one kernel.  One helper
-divides by the Lagrange denominator, for K, W and every factorization factor.
+these balanced formulas, so one code path serves every kernel.  C, G, H
+and the closed inverse are one builder, which scales the rows and columns
+of one f(x - y) table by the diagonals of D(x,y) and D(y,x).  Each builder
+makes one zero test and one kernel call, over distinct differences only:
+the zero distance is even and every kernel odd, so x_i - x_l and y_i - y_l
+are taken for i < l, and f(y_j - x_i) as -f(x_i - y_j).  The UDL triangles
+are weighted columns and rows of C(x,y;lambda_j) on the Gauss ladder.  The
+parameter-free K and W forms and double-Bloch evaluation are specific to
+one kernel.  One helper divides by the Lagrange denominator, for D, K, W
+and every factorization factor.
 
 Every builder and closed form takes a stack of trials as well as one: a
 point set has one axis of points after at most one leading trial axis, the
 sets of one call share that stack, and the parameter has the stack's
 shape (a scalar for one trial).  The result then has the stack's axis in front, and its
 member b is, bit for bit, what the call on member b alone returns.  Each
-diagonal scaling stays a product with a diagonal matrix, each complex
-product keeps its operand order (numpy's multiply rounds a*b and b*a
-apart), each product over an axis runs along a contiguous one, and a value
-that is one number per trial is kept as an array, never a scalar.
+complex product keeps its operand order (numpy's multiply rounds a*b and
+b*a apart), each product over an axis runs along a contiguous one, and a
+value that is one number per trial is kept as an array, never a scalar.
 
 An :class:`Instance` (one trial or a stack of them) checks only shapes; the
 sampler keeps the margins.  On the elliptic kernel an instance also owns a
 memo of kernel values: its kernel is a private copy whose ``memo`` maps
 each argument block (shape and bytes) a builder has evaluated to its
 values, so the sigma tables that the determinant, inverse and UDL builders
-share are evaluated once per instance.  The memo also answers a block
-whose negated transpose it holds, since every kernel is odd: f(y - x) is
--f(x - y) transposed.  sin and the identity cost less per point than a
-lookup and are not memoized.  Since the memo keeps values, a function
-patched on a module name (sigma, say) must be in place before the instance
-is built.
+share are evaluated once per instance.  sin and the identity cost less
+per point than a lookup and are not memoized.  Since the memo keeps
+values, a function patched on a module name (sigma, say) must be in place
+before the instance is built.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ class Instance:
     denominator at a zero.  On a memoized variant ``kernel`` becomes a
     private copy with an empty memo, which lives as long as the instance:
     the builders called with it evaluate each distinct argument block once,
-    for every member of a stack at once.
+    for every member of a stack at once; none asks for f(y - x).
     """
 
     kernel: Kernel
@@ -282,28 +282,14 @@ def _split(vals, args):
 def _fused(kernel, *args):
     """Evaluate the kernel once over several argument arrays; one result per
     argument, each in its argument's shape.  A kernel with a memo looks each
-    block up by its shape and bytes, and answers a block whose negated
-    transpose it holds by negating and transposing those values (every
-    kernel is odd, bit for bit).  It sends only the other blocks through the
-    one call and keeps their values, read-only."""
+    block up by its shape and bytes, sends only the blocks it does not hold
+    through the one call and keeps their values, read-only."""
     args = [np.asarray(a, dtype=complex) for a in args]
     memo = kernel.memo
     if memo is None:
         return _split(kernel(np.concatenate([a.ravel() for a in args])), args)
     keys = [(a.shape, a.tobytes()) for a in args]
-    todo = {}
-    for key, a in zip(keys, args):
-        if key in memo or key in todo:
-            continue
-        if a.ndim > 1:
-            flipped = -_transposed(a)
-            known = memo.get((flipped.shape, flipped.tobytes()))
-            if known is not None:
-                vals = np.ascontiguousarray(-_transposed(known))
-                vals.setflags(write=False)
-                memo[key] = vals
-                continue
-        todo[key] = a
+    todo = {key: a for key, a in zip(keys, args) if key not in memo}
     if todo:
         vals = kernel(np.concatenate([a.ravel() for a in todo.values()]))
         vals.setflags(write=False)
@@ -364,15 +350,31 @@ def _over_lagrange(kernel, x, what, cols):
     return cols / _lagrange_den(kernel, x, what)[..., :, None]
 
 
-def _d_tables(kernel, x, y, lam, pts, what):
-    """One zero test of every denominator (x_i - y_j, the pair differences
-    of ``pts`` and lam) and one kernel call, for f(x_i - y_j), f(p_i - p_l)
-    on the pairs i < l and, unless lam is None, f(x_i - y_j + lam), f(lam)."""
-    dxy = x[..., :, None] - y[..., None, :]
-    dpp = _pair_diffs(pts)
-    lams = [] if lam is None else [lam]
-    _require_nonzero(kernel, np.concatenate([dxy.ravel(), dpp.ravel(), *[a.ravel() for a in lams]]), what)
-    return _fused(kernel, dxy, dpp, *[dxy + a[..., None, None] for a in lams], *lams)
+def _d_diagonal(kernel, p, f_pq, f_pairs):
+    """The diagonal prod_k f(p_i - q_k) / prod_{l!=i} f(p_i - p_l) of D(p, q),
+    from the zero-tested f(p_i - q_k) and f(p_i - p_l) on the pairs i < l."""
+    return np.prod(f_pq, axis=-1) / _lagrange_den(kernel, p, f_pairs=f_pairs)
+
+
+def _scaled(kernel, x, y, lam, left, right, what):
+    """D(x, y)^left C(x, y; lam) D(y, x)^right, with each diagonal
+    broadcast over the rows or columns of C, from one kernel call and one
+    zero test of x_i - y_j, lam and each scaled side's pair differences
+    (a kernel zero raises :class:`KernelZero` naming ``what``)."""
+    x, y = _sets(x, y, square=left or right)
+    lam = _param(lam, x.shape[:-1])
+    diff = x[..., :, None] - y[..., None, :]
+    pairs = [_pair_diffs(pts) for pts, side in ((x, left), (y, right)) if side]
+    _require_nonzero(kernel, np.concatenate([a.ravel() for a in (diff, lam, *pairs)]), what)
+    num, f_lam, f_diff, *f_pairs = _fused(kernel, diff + lam[..., None, None], lam, diff, *pairs)
+    c = num / (f_lam[..., None, None] * f_diff)
+    if left:
+        c = _d_diagonal(kernel, x, f_diff, f_pairs.pop(0))[..., :, None] * c
+    if right:
+        # f(y_j - x_k) = -f(x_k - y_j), multiplied along a contiguous row as in D(y, x)
+        f_yx = np.ascontiguousarray(-_transposed(f_diff))
+        c = c * _d_diagonal(kernel, y, f_yx, f_pairs.pop(0))[..., None, :]
+    return c
 
 
 def _unstacked(v):
@@ -382,12 +384,7 @@ def _unstacked(v):
 
 def cauchy_matrix(kernel, x, y, lam):
     """Cauchy matrix f(x_i - y_j + lam) / (f(lam) f(x_i - y_j))."""
-    x, y = _sets(x, y, square=False)
-    lam = _param(lam, x.shape[:-1])
-    diff = x[..., :, None] - y[..., None, :]
-    _require_nonzero(kernel, np.append(diff, lam), "x_i - y_j or lambda")
-    num, f_lam, f_diff = _fused(kernel, diff + lam[..., None, None], lam, diff)
-    return num / (f_lam[..., None, None] * f_diff)
+    return _scaled(kernel, x, y, lam, False, False, "x_i - y_j or lambda")
 
 
 def classic_cauchy(x, y):
@@ -412,8 +409,10 @@ def classic_cauchy_det(x, y):
 def d_matrix(kernel, x, y):
     """Diagonal matrix diag( f(x_i-y_i) prod_{k!=i} f(x_i-y_k)/f(x_i-x_k) )."""
     x, y = _sets(x, y)
-    f_xy, f_xx = _d_tables(kernel, x, y, None, x, "x_i - x_k or x_i - y_k")
-    return _diag(np.prod(f_xy, axis=-1) / _lagrange_den(kernel, x, f_pairs=f_xx))
+    dxy = x[..., :, None] - y[..., None, :]
+    dxx = _pair_diffs(x)
+    _require_nonzero(kernel, np.concatenate([dxy.ravel(), dxx.ravel()]), "x_i - x_k or x_i - y_k")
+    return _diag(_d_diagonal(kernel, x, *_fused(kernel, dxy, dxx)))
 
 
 def classic_cauchy_inverse(x, y):
@@ -452,38 +451,30 @@ def frobenius_det(kernel, x, y, lam):
 def cauchy_inverse_closed(kernel, x, y, lam):
     """Closed-form inverse of the Cauchy matrix, for any kernel f.
 
-    Entrywise:
-    f(y_i-x_j+lam+X-Y)/f(lam+X-Y)
+    Entrywise, with mu = lam+X-Y:
+    f(y_i-x_j+mu)/f(mu)
     * f(x_i-y_i) f(x_j-y_j)/f(x_j-y_i)
     * prod_{k!=i} f(y_i-x_k)/f(y_i-y_k)
     * prod_{l!=j} f(x_j-y_l)/f(x_j-x_l),
-    assembled as G_{lam+X-Y}(y,x) D(x,y) = D(y,x) C(y,x; lam+X-Y) D(x,y),
-    which is what the product identity yields for the inverse.  The shift
-    lam+X-Y is tested for a kernel zero as the parameter of C(y,x; .).  On
-    a memoized kernel, f(y - x) comes from the f(x - y) table.
+    that is D(y,x) C(y,x; mu) D(x,y), which the product identity yields for
+    the inverse.  Every kernel is odd, so it is -(D(x,y) C(x,y; -mu) D(y,x))
+    transposed: one scaled C over the f(x - y) table, whose parameter test
+    covers the shift.
     """
     x, y = _sets(x, y)
-    shift = _param(lam, x.shape[:-1]) + x.sum(axis=-1) - y.sum(axis=-1)
-    return g_matrix(kernel, y, x, shift) @ d_matrix(kernel, x, y)
+    mu = _param(lam, x.shape[:-1]) + x.sum(axis=-1) - y.sum(axis=-1)
+    what = "x_i - x_k, y_i - y_k, x_i - y_j or lambda + X - Y"
+    return -_transposed(_scaled(kernel, x, y, -mu, True, True, what))
 
 
 def g_matrix(kernel, x, y, lam):
     """G_lam(x, y) = D(x, y) C(x, y; lam)."""
-    x, y = _sets(x, y)
-    lam = _param(lam, x.shape[:-1])
-    f_xy, f_xx, num, f_lam = _d_tables(kernel, x, y, lam, x, "x_i - x_k, x_i - y_j or lambda")
-    d = np.prod(f_xy, axis=-1) / _lagrange_den(kernel, x, f_pairs=f_xx)
-    return _diag(d) @ (num / (f_lam[..., None, None] * f_xy))
+    return _scaled(kernel, x, y, lam, True, False, "x_i - x_k, x_i - y_j or lambda")
 
 
 def h_matrix(kernel, x, y, lam):
     """H_lam(x, y) = C(x, y; lam) D(y, x)."""
-    x, y = _sets(x, y)
-    lam = _param(lam, x.shape[:-1])
-    f_xy, f_yy, num, f_lam = _d_tables(kernel, x, y, lam, y, "y_i - y_k, x_i - y_j or lambda")
-    # f(y_i - x_k) = -f(x_k - y_i), multiplied along a contiguous row as in D(y, x)
-    d = np.prod(np.ascontiguousarray(-_transposed(f_xy)), axis=-1) / _lagrange_den(kernel, y, f_pairs=f_yy)
-    return (num / (f_lam[..., None, None] * f_xy)) @ _diag(d)
+    return _scaled(kernel, x, y, lam, False, True, "y_i - y_k, x_i - y_j or lambda")
 
 
 def k_matrix(x, y):

@@ -86,14 +86,16 @@ class SuiteConfig:
         try:
             n_values = tuple(operator.index(n) for n in self.n_values)
             trials = operator.index(self.trials_per_n)
+            base_seed = operator.index(self.base_seed)
         except TypeError:
-            raise ValueError("n_values and trials_per_n must be integers") from None
+            raise ValueError("n_values, trials_per_n and base_seed must be integers") from None
         if not n_values or min(n_values) < 1 or trials < 1:
             raise ValueError("n_values must be nonempty, and its entries and trials_per_n >= 1")
         if len(set(n_values)) != len(n_values):
             raise ValueError(f"n_values repeats a size: {n_values}")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "trials_per_n", trials)
+        object.__setattr__(self, "base_seed", base_seed)
         tau = complex(self.lattice_tau)
         if not (np.isfinite(tau) and tau.imag > 0):
             raise ValueError("lattice_tau must be finite with Im(lattice_tau) > 0")

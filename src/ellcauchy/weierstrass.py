@@ -85,7 +85,8 @@ def lattice_new(omega, omega_prime):
     Legendre invariant exact up to the eta series error.
 
     Raises :class:`InvalidLattice` unless the periods and their ratio are
-    finite and Im(omega_prime/omega) > 0.
+    finite and Im(omega_prime/omega) > 0, and if theta1'(0), which sigma
+    divides by, underflows (from about Im(omega_prime/omega) = 902).
     """
     omega = complex(omega)
     omega_prime = complex(omega_prime)
@@ -107,6 +108,8 @@ def lattice_new(omega, omega_prime):
     coef.setflags(write=False)
     odd.setflags(write=False)
     d1 = complex(np.sum(coef * odd))
+    if abs(d1) < np.finfo(float).tiny:
+        raise InvalidLattice(f"theta1'(0) underflows at Im(omega'/omega) = {tau.imag:.6g}")
     d3 = -complex(np.sum(coef * odd**3))  # theta1'''(0)
     eta = -(np.pi**2) / (12 * omega) * d3 / d1
     eta_prime = (2 * eta * omega_prime - 1j * np.pi) / (2 * omega)

@@ -627,16 +627,22 @@ class TestOddness:
 
 
 class TestExactCompositions:
-    """The D-based builders share kernel values, and must still equal their
-    defining compositions bit for bit."""
+    """The scaled-C builders share kernel values, and must still equal their
+    defining scalings of C by the diagonals of D bit for bit."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_builders_equal_their_definitions(self, kern, n):
         for k, x, y, lam in kernel_instances(kern, n):
             d = d_matrix(k, x, y)
+            d_xy, d_yx = np.diagonal(d), np.diagonal(d_matrix(k, y, x))
             c = cauchy_matrix(k, x, y, lam)
-            assert np.array_equal(g_matrix(k, x, y, lam), d @ c), k.variant
-            assert np.array_equal(h_matrix(k, x, y, lam), c @ d_matrix(k, y, x)), k.variant
+            assert np.array_equal(g_matrix(k, x, y, lam), d_xy[:, None] * c), k.variant
+            assert np.array_equal(h_matrix(k, x, y, lam), c * d_yx[None, :]), k.variant
+            # D(y,x) C(y,x; mu) D(x,y) read, since every kernel is odd, as
+            # -(D(x,y) C(x,y; -mu) D(y,x)) transposed
+            mu = lam + x.sum() - y.sum()
+            c_mu = cauchy_matrix(k, x, y, -mu)
+            assert np.array_equal(cauchy_inverse_closed(k, x, y, lam), -(d_xy[:, None] * c_mu * d_yx[None, :]).T)
             f_xy = k(x[:, None] - y[None, :])
             f_xx = k(x[:, None] - x[None, :])
             expect = np.diag(np.prod(f_xy, axis=1) / np.prod(f_xx + np.eye(n), axis=1))
@@ -645,15 +651,14 @@ class TestExactCompositions:
 
 class TestSigmaBudget:
     """Each distinct difference goes through sigma once per builder, in one
-    sigma call and one zero-distance call (two each for the inverse, which
-    is G(y, x) D(x, y))."""
+    sigma call and one zero-distance call."""
 
     #: builder -> (call, sigma points at N, sigma calls = zero-distance calls)
     BUDGETS = {
         "d_matrix": (lambda k, x, y, lam: d_matrix(k, x, y), lambda n: (3 * n * n - n) // 2, 1),
         "g_matrix": (g_matrix, lambda n: (5 * n * n - n) // 2 + 1, 1),
         "h_matrix": (h_matrix, lambda n: (5 * n * n - n) // 2 + 1, 1),
-        "cauchy_inverse_closed": (cauchy_inverse_closed, lambda n: 4 * n * n - n + 1, 2),
+        "cauchy_inverse_closed": (cauchy_inverse_closed, lambda n: 3 * n * n - n + 1, 1),
         "gauss_udl": (gauss_udl, lambda n: 4 * n * n, 1),
     }
 

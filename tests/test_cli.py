@@ -110,6 +110,14 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("tau", ["0+940i", "0+3000i"])
+    def test_underflowing_lattice_exits_two(self, tau, capsys):
+        # a lattice whose theta1'(0) underflows is refused, not a traceback
+        assert cli.main(["verify-all", "--n", "1", "--trials", "1", "--tau", tau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_no_report_leaves_out_empty(self, tmp_path):
         out = tmp_path / "rep.txt"
         out.write_text("stale")

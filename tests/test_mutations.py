@@ -45,6 +45,17 @@ def det_shift_flipped(f):
     return wrong
 
 
+def d_scaled_transposed(f):
+    """The scaled-C builder with every D-scaled result (G, H and the closed
+    inverse; C itself is left alone) transposed."""
+
+    def wrong(kern, x, y, lam, left, right, what):
+        scaled = f(kern, x, y, lam, left, right, what)
+        return np.swapaxes(scaled, -1, -2) if left or right else scaled
+
+    return wrong
+
+
 def sign_flipped(f):
     """Pivoted LU that reports the wrong permutation parity."""
 
@@ -68,14 +79,16 @@ MUTANTS = [
     ("g trig at lam+1e-3", (cauchy,), "g_factor_trig", at_shifted_lam, {"factorization": ("trig",)}),
     ("g rational at lam+1e-3", (cauchy,), "g_factor_rat", at_shifted_lam, {"factorization": ("rational",)}),
     (
+        # G, H and the closed inverse are all the one scaled-C builder
         "G transposed",
         (cauchy,),
-        "g_matrix",
-        lambda f: lambda kern, x, y, lam: np.swapaxes(f(kern, x, y, lam), -1, -2),
+        "_scaled",
+        d_scaled_transposed,
         {
             "factorization": FLAT_TAGS,
             "product": FLAT_TAGS,
             "inverse": ("elliptic", "rational"),
+            "transposed": ("elliptic",),
             "degeneration": ("rational",),
         },
     ),
@@ -91,7 +104,14 @@ MUTANTS = [
         (cauchy,),
         "g_matrix",
         lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * y.sum(axis=-1)),
-        {"factorization": FLAT_TAGS, "product": FLAT_TAGS, "inverse": ("elliptic", "rational")},
+        {"factorization": FLAT_TAGS, "product": FLAT_TAGS},
+    ),
+    (
+        "lam-2Y for lam in cauchy_inverse_closed",
+        (cauchy,),
+        "cauchy_inverse_closed",
+        lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * y.sum(axis=-1)),
+        {"inverse": ("elliptic", "rational")},
     ),
     ("lambda_N shifted by 1e-3", (cauchy,), "gauss_lambda_ladder", last_rung_shifted, {"gauss": ("elliptic",)}),
     (

@@ -134,12 +134,11 @@ def test_readme_library_example(capsys):
 #: N = 5 instance, since 5 is not among the sizes), and the two trials of
 #: each (kernel variant, N, third set) are sampled in one sampler call and
 #: checked as one stack, so the sampler runs 25 times, and every builder
-#: and checker once per stack, not once per trial.  Each
-#: builder tests its denominators in one zero-distance call and evaluates
-#: its kernel in at most one call (G and H no longer build C and D apart),
-#: the closed inverse reuses G's tests, an elliptic stack's memo skips the
-#: kernel call of a builder or of a factorization factor's Lagrange
-#: denominator whose argument blocks, or their negated transposes, an
+#: and checker once per stack, not once per trial.  Each builder tests its
+#: denominators in one zero-distance call and evaluates its kernel in at
+#: most one call (C, G, H and the closed inverse are one scaled-C builder),
+#: an elliptic stack's memo skips the kernel call of a builder or of a
+#: factorization factor's Lagrange denominator whose argument blocks an
 #: earlier check on it evaluated, sigma_k takes every k in one call, a
 #: block of sampler rounds makes at most one zero-distance call, an
 #: Instance makes none (the sampler alone keeps the margins), and only the

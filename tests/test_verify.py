@@ -139,6 +139,8 @@ class TestSuiteConfig:
             {"trials_per_n": "3"},
             {"sep_min": 1e-13},
             {"n_values": (2, 2)},
+            {"base_seed": 1.5},
+            {"base_seed": "42"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -645,8 +647,7 @@ class TestSharedInstances:
 
 class TestKernelMemo:
     """An instance's elliptic kernel evaluates each distinct argument block
-    once, up to sign and transposition (f(y - x) is -f(x - y) transposed),
-    whichever builders ask for it and in whatever order."""
+    once, whichever builders ask for it and in whatever order."""
 
     CHECKS = ("determinant", "inverse", "gauss")
 
@@ -659,11 +660,7 @@ class TestKernelMemo:
         def recorded(kernel, *args):
             for a in args:
                 a = np.asarray(a, dtype=complex)
-                keys = [(a.shape, a.tobytes())]
-                if a.ndim > 1:
-                    flipped = -np.swapaxes(a, -1, -2)
-                    keys.append((flipped.shape, flipped.tobytes()))
-                blocks[min(keys)] = a.size
+                blocks[(a.shape, a.tobytes())] = a.size
             return fused(kernel, *args)
 
         def counted(lat, z):
@@ -682,10 +679,10 @@ class TestKernelMemo:
         assert all(r["passed"] for r in reports)
 
     @pytest.mark.parametrize("n", [3, 8])
-    def test_inverse_reads_y_minus_x_from_the_memo(self, monkeypatch, n):
-        # C(x, y; lam) evaluates f(x - y); G(y, x) reads f(y - x) from it and
-        # D(x, y) reads f(x - y): 2N^2 + 1 points for C, N^2 + 1 for the
-        # shifted numerator and f(lam + X - Y), N(N - 1) for both pair sets
+    def test_inverse_reads_x_minus_y_from_the_memo(self, monkeypatch, n):
+        # C(x, y; lam) evaluates f(x - y), and the closed inverse, a scaled
+        # C(x, y; -mu), reads it: 2N^2 + 1 points for C, N^2 + 1 for the
+        # shifted numerator and f(-mu), N(N - 1) for both pair sets
         _, points, _ = self.run(monkeypatch, ["inverse"], n)
         assert points == 4 * n * n - n + 2
 

@@ -68,6 +68,14 @@ class TestLattice:
             with pytest.raises(InvalidLattice):
                 lattice_new(omega, omega_prime)
 
+    def test_theta_derivative_underflow(self):
+        # sigma divides by theta1'(0), subnormal at 940i (sigma would be NaN)
+        # and 0 at 3000i (division by zero); at 900i it is still normal
+        for tau in (940j, 3000j):
+            with pytest.raises(InvalidLattice, match="underflows"):
+                lattice_new(1.0, tau)
+        assert np.isfinite(sigma(lattice_new(1.0, 900j), 0.3 + 0.1j))
+
     def test_nome_inside_unit_disc(self, lat):
         assert abs(lat.nome) < 1
 
