@@ -4,11 +4,14 @@ Hand-rolled LU with partial pivoting serves as the independent oracle for
 the closed-form determinant and inverse formulas, so none of the routines
 here delegate to library factorizations.  Cauchy matrices are notoriously
 ill-conditioned; partial pivoting by maximum magnitude is essential.  The
-factorization takes one matrix; the residual and structure helpers also
-take a stack of matrices (leading axes) and answer per matrix.
+factorization, the determinant, the inverse and the residual and
+structure helpers all take one matrix or a stack of them (leading axes)
+and answer per matrix.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,58 +43,72 @@ def _check_same_dim(a, b):
 
 
 def _lu_factor(a):
-    """In-place Doolittle LU with partial pivoting.
+    """In-place Doolittle LU with partial pivoting, per matrix of a stack.
 
     Returns (lu, perm, sign) where lu packs L (unit diagonal implied) below
     and U on/above the diagonal, perm is the row permutation applied, and
-    sign is the permutation parity.  Does not raise on tiny pivots; callers
-    decide what a singular pivot means.
+    sign is the permutation parity, each with the stack's leading axes.
+    Each member is factored by the same elementwise operations, in the same
+    order, as it would be alone.  Does not raise on tiny pivots; callers
+    decide what a singular pivot means.  A member whose pivot is exactly 0
+    skips that column.
     """
     lu = np.array(a, dtype=complex)
-    n = lu.shape[0]
-    perm = np.arange(n)
-    sign = 1
+    stack, n = lu.shape[:-2], lu.shape[-1]
+    lu = lu.reshape(math.prod(stack), n, n)
+    perm = np.tile(np.arange(n), (len(lu), 1))
+    sign = np.ones(len(lu), dtype=int)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        piv = lu[k, k]
-        if piv == 0:
-            continue
-        lu[k + 1 :, k] /= piv
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, sign
+        p = k + np.argmax(np.abs(lu[:, k:, k]), axis=-1)
+        s = np.flatnonzero(p != k)
+        p = p[s]
+        lu[s, k], lu[s, p] = lu[s, p], lu[s, k]
+        perm[s, k], perm[s, p] = perm[s, p], perm[s, k]
+        sign[s] *= -1
+        piv = lu[:, k, k, None]
+        live = piv != 0
+        col = lu[:, k + 1 :, k]
+        np.divide(col, piv, out=col, where=live)
+        # a skipping member's product is discarded; zeros in place of its
+        # row keep an inf there from warning on 0 * inf
+        row = np.where(live, lu[:, k, k + 1 :], 0)
+        rest = lu[:, k + 1 :, k + 1 :]
+        np.subtract(rest, col[..., None] * row[:, None, :], out=rest, where=live[..., None])
+    return lu.reshape(stack + (n, n)), perm.reshape(stack + (n,)), sign.reshape(stack)
 
 
 def lu_det(a):
-    """Determinant via pivoted LU; returns 0 for singular input."""
-    a = _as_square(a)
-    lu, _, sign = _lu_factor(a)
-    return complex(sign * np.prod(np.diag(lu)))
+    """Determinant via pivoted LU, per matrix of a stack; 0 for a singular
+    matrix.  One matrix gives a Python ``complex``."""
+    lu, _, sign = _lu_factor(_as_square(a, stacked=True))
+    diag = np.ascontiguousarray(np.diagonal(lu, axis1=-2, axis2=-1))
+    return _per_matrix(sign * np.prod(diag, axis=-1))
 
 
 def lu_inverse(a):
-    """Inverse via pivoted LU.
+    """Inverse via pivoted LU, per matrix of a stack.
 
-    Raises :class:`SingularMatrix` if any pivot magnitude falls below
-    ``PIVOT_FLOOR`` times the max-abs entry of the input.
+    Raises :class:`SingularMatrix` if a pivot magnitude falls below
+    ``PIVOT_FLOOR`` times the max-abs entry of its matrix; on a stack, for
+    the first such member in stack order, with the message the call on that
+    member alone gives.
     """
-    a = _as_square(a)
-    n = a.shape[0]
+    a = _as_square(a, stacked=True)
+    n = a.shape[-1]
     lu, perm, _ = _lu_factor(a)
-    threshold = PIVOT_FLOOR * max(np.abs(a).max(), 1e-300)
-    small = np.abs(np.diag(lu)) < threshold
+    threshold = PIVOT_FLOOR * np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
+    small = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) < threshold[..., None]
     if small.any():
-        raise SingularMatrix(f"pivot below {threshold:.3e} at position {int(np.argmax(small))}")
+        small, threshold = small.reshape(-1, n), threshold.reshape(-1)
+        b = int(np.argmax(small.any(axis=-1)))
+        raise SingularMatrix(f"pivot below {threshold[b]:.3e} at position {int(np.argmax(small[b]))}")
     # solve A X = I: permute rows of I, then forward/back substitution
     x = np.eye(n, dtype=complex)[perm]
     for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
+        x[..., k, :] -= (lu[..., k, None, :k] @ x[..., :k, :])[..., 0, :]
     for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1 :] @ x[k + 1 :]
-        x[k] /= lu[k, k]
+        x[..., k, :] -= (lu[..., k, None, k + 1 :] @ x[..., k + 1 :, :])[..., 0, :]
+        x[..., k, :] /= lu[..., k, k, None]
     return x
 
 

@@ -6,7 +6,7 @@ trial or a stack of them, and a kernel tag, and returns
 one of each per member of a stack, and the degeneration checker a rate
 verdict as a third value; determinant and inverse claims are
 additionally cross-checked against the pivoted-LU oracle in
-:mod:`ellcauchy.linalg`, which factors one member at a time, and the
+:mod:`ellcauchy.linalg`, which factors a whole stack in one call, and the
 factorization is checked as a product, with no inverse, by its
 componentwise residual.  The sampler keeps one margin rule for every kernel
 and samples a whole stack of trials in one call: it tests their rounds in
@@ -116,13 +116,6 @@ def _worst(residuals, stack=()):
     ``residuals`` has the stack's shape in front, and any trailing axes."""
     flat = [np.reshape(r, stack + (-1,)) for r in residuals]
     return np.max(np.concatenate(flat, axis=-1), axis=-1)
-
-
-def _each(fn, mats):
-    """``fn`` on each matrix of a stack, or on the one matrix, its results
-    stacked: the LU oracle factors one member at a time."""
-    results = [fn(m) for m in mats.reshape((-1,) + mats.shape[-2:])]
-    return np.reshape(results, mats.shape[:-2] + np.shape(results[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +242,7 @@ def check_determinant(inst, tag):
     x, y, kern = inst.x, inst.y, inst.kernel
     mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
     closed = cauchy.frobenius_det(kern, x, y, inst.lam)
-    return np.abs(_each(linalg.lu_det, mat) - closed), np.abs(closed)
+    return np.abs(linalg.lu_det(mat) - closed), np.abs(closed)
 
 
 def check_inverse(inst, tag):
@@ -259,7 +252,7 @@ def check_inverse(inst, tag):
     mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
     inv = cauchy.cauchy_inverse_closed(kern, x, y, inst.lam)
     r_id = linalg.max_abs_residual(mat @ inv, np.broadcast_to(np.eye(inst.n), inv.shape))
-    r_lu = linalg.rel_residual(inv, _each(linalg.lu_inverse, mat))
+    r_lu = linalg.rel_residual(inv, linalg.lu_inverse(mat))
     return _worst([r_id, r_lu], x.shape[:-1]), 1.0
 
 

@@ -1,10 +1,13 @@
 """Pivoted-LU helpers and residual/structure utilities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ellcauchy import DimensionMismatch, SingularMatrix
 from ellcauchy.linalg import (
+    _as_square,
     lu_det,
     lu_inverse,
     max_abs_residual,
@@ -20,6 +23,50 @@ def cofactor_det_3x3(a):
         - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
         + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
     )
+
+
+def ref_lu_factor(a):
+    """The one-matrix pivoted LU loop, kept to pin the stacked factor's
+    rounding: (lu, perm, sign) for one matrix."""
+    lu = np.array(a, dtype=complex)
+    n = lu.shape[0]
+    perm = np.arange(n)
+    sign = 1
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            sign = -sign
+        piv = lu[k, k]
+        if piv == 0:
+            continue
+        lu[k + 1 :, k] /= piv
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return lu, perm, sign
+
+
+def ref_lu_det(a):
+    lu, _, sign = ref_lu_factor(a)
+    return complex(sign * np.prod(np.diag(lu)))
+
+
+def ref_lu_inverse(a):
+    """The one-matrix substitution on ``ref_lu_factor``, for a nonsingular
+    matrix."""
+    n = a.shape[0]
+    lu, perm, _ = ref_lu_factor(a)
+    x = np.eye(n, dtype=complex)[perm]
+    for k in range(1, n):
+        x[k] -= lu[k, :k] @ x[:k]
+    for k in range(n - 1, -1, -1):
+        x[k] -= lu[k, k + 1 :] @ x[k + 1 :]
+        x[k] /= lu[k, k]
+    return x
+
+
+def complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestDet:
@@ -64,6 +111,61 @@ class TestInverse:
             lu_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrix):
             lu_inverse(np.zeros((3, 3)))
+
+
+class TestStacked:
+    """A (2, 3, N, N) stack answers per member, bit for bit as the
+    one-matrix loop ``ref_lu_factor`` does on that member alone."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_det_and_inverse_match_one_matrix_loop(self, rng, n):
+        a = complex_stack(rng, (2, 3, n, n))
+        if n > 1:
+            a[0, 1, 0, 0] = 0  # its first pivot comes from another row
+        a[1, 0] *= 1e-150
+        dets, invs = lu_det(a), lu_inverse(a)
+        assert dets.shape == (2, 3) and invs.shape == a.shape
+        swapped = 0
+        for b in np.ndindex(2, 3):
+            swapped += (ref_lu_factor(a[b])[1] != np.arange(n)).any()
+            assert dets[b].tobytes() == np.complex128(ref_lu_det(a[b])).tobytes(), b
+            assert invs[b].tobytes() == ref_lu_inverse(a[b]).tobytes(), b
+        assert n == 1 or swapped
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_singular_member_has_zero_det_and_leaves_the_rest(self, rng, n):
+        a = complex_stack(rng, (2, 3, n, n))
+        a[1, 1, :, n // 2] = 0  # exactly singular: a zero pivot column
+        # a first pivot of 0, and an inf in its row that no later step reads
+        a[0, 2, :, 0] = 0
+        a[0, 2, 0, -1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dets = lu_det(a)
+        assert dets[1, 1] == 0 and dets[0, 2] == 0
+        for b in np.ndindex(2, 3):
+            assert dets[b].tobytes() == np.complex128(ref_lu_det(a[b])).tobytes(), b
+
+    def test_one_matrix_gives_python_complex(self, rng):
+        a = complex_stack(rng, (4, 4))
+        assert type(lu_det(a)) is complex
+        assert lu_det(a) == lu_det(a[None])[0]
+
+    def test_first_singular_member_raises_its_own_message(self, rng):
+        a = complex_stack(rng, (4, 3, 3))
+        a[1, 2] = 2 * a[1, 0]
+        a[2] = 0
+        with pytest.raises(SingularMatrix) as one:
+            lu_inverse(a[1])
+        with pytest.raises(SingularMatrix) as stacked:
+            lu_inverse(a)
+        assert str(stacked.value) == str(one.value)
+
+    def test_non_square_stack_raises(self):
+        with pytest.raises(DimensionMismatch):
+            _as_square(np.zeros((2, 3, 4)), stacked=True)
+        with pytest.raises(DimensionMismatch):
+            lu_det(np.zeros((2, 3, 4)))
 
 
 class TestResiduals:
