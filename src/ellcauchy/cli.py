@@ -80,7 +80,7 @@ def parse_args(argv):
     p.add_argument("identity", choices=sorted(verify.REGISTRY))
     _add_suite_flags(p)
 
-    p = sub.add_parser("bench", help="time the sigma kernel and each checker (no assertions)")
+    p = sub.add_parser("bench", help="time the sigma kernel, the sampler and each checker (no assertions)")
     p.add_argument("--tau", type=_parse_complex, default=_DEFAULTS.lattice_tau)
     p.add_argument("--seed", type=int, default=_DEFAULTS.base_seed)
 
@@ -172,7 +172,11 @@ def _bench(args):
             try:
                 if (variant, with_z) not in sampled:
                     kern = cauchy.Kernel(variant, lat)
+                    t0 = time.perf_counter()
                     sampled[variant, with_z] = verify.random_instance(cfg, kern, n, args.seed, with_z)
+                    dt = (time.perf_counter() - t0) * 1e3
+                    drawn = f"sample {variant}{'+z' if with_z else ''} n={n}"
+                    print(f"{drawn:<22} {dt:>10.2f} ms")
                 # the same points on a fresh instance, whose empty memo
                 # credits no check with kernel values an earlier one evaluated
                 inst = dataclasses.replace(sampled[variant, with_z])

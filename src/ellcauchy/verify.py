@@ -11,7 +11,9 @@ factorization is checked as a product, with no inverse, by its
 componentwise residual.  The sampler keeps one margin rule for every kernel
 and samples a whole stack of trials in one call: it tests their rounds in
 blocks, as arrays, and picks bit for bit the instances that a loop over
-single rounds would.
+single rounds would.  Its close-pair screen tests every pair of a small
+block, and sorts and sweeps the points of a large one, so its cost is
+linear in a block's points.
 :meth:`Identity.check` alone decides where a checker runs, times it and
 judges each member's residual into a :class:`Report`.  Everything is a pure
 function of (config, seed), so suite runs are reproducible byte for byte
@@ -37,11 +39,14 @@ from .weierstrass import lattice_distance, lattice_new, sigma, sigma_k
 #: rejection-sampling round limit before SamplingExhausted
 _MAX_ROUNDS = 10_000
 
-#: pair differences one margin test may hold: it caps the rounds of a
-#: sampler block, and so the sampler's memory.  Each complex temporary of
-#: the plane screen is then at most 512 KiB; on a 2-vCPU Xeon VM a budget
-#: of 65,536 made the exhausting ``verify-all --n 20`` take twice as long,
-#: its temporaries outgrowing the cache
+#: complex values one temporary of a margin test may hold: the points of a
+#: sampler block (it caps the block's rounds, unless one round holds more),
+#: the pair differences of an all-pairs screen, and those of one
+#: zero-distance call (at least one round's).  Each is then at most
+#: 512 KiB; on a 2-vCPU Xeon VM, when blocks were capped by their pair
+#: differences, a budget of 65,536 made the exhausting
+#: ``verify-all --n 20`` take twice as long, its temporaries outgrowing the
+#: cache
 _PAIR_BUDGET = 32_768
 
 #: rounds the pending trials of a stack draw in shared blocks; past them the
@@ -123,6 +128,33 @@ def _worst(residuals, stack=()):
 # ---------------------------------------------------------------------------
 
 
+def _sorted_screen(sets, margin):
+    """Whether each round of ``sets`` (sets, rounds, n) has no two points
+    closer than ``margin`` in the plane, by a sort and sweep (Hinrichs,
+    Nievergelt and Schorn, IPL 26, 1988): each round's points are ordered
+    by real part, and its k-th neighbours compared for k = 1, 2, ...,
+    dropping the rounds already rejected, until no real-part gap of the
+    rounds left is below ``margin``.  Rounding is monotone, so every
+    real-part gap at a larger k is at least as large, and ``abs`` (a
+    faithfully rounded hypot) never returns less than the real part of a
+    difference: the pairs left untested are no closer than ``margin``.  So
+    the verdicts are those of the all-pairs screen, which measures the same
+    rounded differences, up to sign."""
+    n_sets, rounds, n = sets.shape
+    pts = sets.transpose(1, 0, 2).reshape(rounds, n_sets * n)
+    pts = np.take_along_axis(pts, np.argsort(pts.real, axis=-1), axis=-1)
+    alive = np.arange(rounds)
+    for k in range(1, n_sets * n):
+        diff = pts[:, k:] - pts[:, :-k]
+        if not (diff.real < margin).any():
+            break
+        keep = ~(np.abs(diff) < margin).any(axis=1)
+        pts, alive = pts[keep], alive[keep]
+    ok = np.zeros(rounds, dtype=bool)
+    ok[alive] = True
+    return ok
+
+
 def _margins_ok(kernel, sets, lam, margin):
     """Whether each sampled round keeps every margin, one verdict per round.
 
@@ -136,31 +168,58 @@ def _margins_ok(kernel, sets, lam, margin):
 
     A zero distance never exceeds the modulus (0 is a zero), so a pair
     closer than ``margin`` in the plane rejects its round without a kernel
-    call.  Every margin of the rounds that pass this screen is measured in
-    one zero-distance call, which also catches a pair that is close only
-    across a period.  Both tests measure each unordered pair once: the zero
-    distance is even.  The points are held point-major, so a pair
-    difference is a difference of two contiguous rows.
+    call.  A block whose pair differences fit ``_PAIR_BUDGET`` screens
+    every pair of every round, and keeps the differences for the kernel
+    call; a larger block screens by :func:`_sorted_screen`, in time and
+    memory linear in its points, with the same verdicts.  Every margin of
+    the rounds that pass the screen is then measured by zero-distance
+    calls of at most ``_PAIR_BUDGET`` pair differences each (or of one
+    round, where one round alone holds more), which also catch a pair
+    that is close only across a period.  Both tests measure each unordered
+    pair once: the zero distance is even.
     """
     sets = np.asarray(sets, dtype=complex)
     n_sets, n = len(sets), sets.shape[-1]
     sets = sets.reshape(n_sets, -1, n)
     lam = np.reshape(lam, -1)
-    pts = sets.transpose(0, 2, 1).reshape(n_sets * n, -1)
-    i, l = cauchy.pair_indices(len(pts))
-    diff = pts[i] - pts[l]
-    ok = ~(np.abs(diff) < margin).any(axis=0)
+    pairs = math.comb(n_sets * n, 2)
+    if sets.shape[1] * pairs <= _PAIR_BUDGET:
+        diff = _round_pair_diffs(sets)
+        ok = ~(np.abs(diff) < margin).any(axis=0)
+    else:
+        diff, ok = None, _sorted_screen(sets, margin)
     kept = np.flatnonzero(ok)
-    if not kept.size:
-        return ok
-    sets, lam = sets[:, kept], lam[kept]
+    chunk = max(1, _PAIR_BUDGET // pairs)  # rounds per zero-distance call
+    for start in range(0, kept.size, chunk):
+        rows = kept[start:start + chunk]
+        # the chunk's temporaries live in the call, and are freed before the next
+        ok[rows] = _kernel_margins(
+            kernel, sets[:, rows], lam[rows], None if diff is None else diff[:, rows]
+        ) >= margin
+    return ok
+
+
+def _round_pair_diffs(sets):
+    """Each round's differences of two of its points, each unordered pair
+    once, shape (pairs, rounds).  The points are held point-major, so a
+    pair difference is a difference of two contiguous rows."""
+    pts = sets.transpose(0, 2, 1).reshape(-1, sets.shape[1])
+    i, l = cauchy.pair_indices(len(pts))
+    return pts[i] - pts[l]
+
+
+def _kernel_margins(kernel, sets, lam, pairs=None):
+    """Each round's smallest zero distance over the differences of two of
+    its points, lambda and its shifts, and the Gauss ladder.  ``pairs``
+    holds the rounds' pair differences if they are already formed."""
+    if pairs is None:
+        pairs = _round_pair_diffs(sets)
     x, y = sets[0], sets[1]
     sums = sets.sum(axis=-1)
-    shifts = np.concatenate([np.zeros((1, kept.size)), sums, sums[:1] - sums[1:2]])
+    shifts = np.concatenate([np.zeros((1, lam.size)), sums, sums[:1] - sums[1:2]])
     lams = cauchy.gauss_lambda_ladder(x, y, lam)
-    args = np.concatenate([diff[:, kept], lam + shifts, lam - shifts, lams.T, (x - y + lams).T])
-    ok[kept] = kernel.zero_distance(args).min(axis=0) >= margin
-    return ok
+    args = np.concatenate([pairs, lam + shifts, lam - shifts, lams.T, (x - y + lams).T])
+    return kernel.zero_distance(args).min(axis=0)
 
 
 def random_instance(cfg, kernel, n, seed, with_z=False):
@@ -179,8 +238,9 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
     trials still pending then draw blocks of rounds that double, together
     until they have drawn ``_SHARED_ROUNDS`` rounds, and after that the
     first pending trial alone, up to ``_MAX_ROUNDS`` rounds each.  No block
-    holds more than ``_PAIR_BUDGET`` pair differences (or more than one
-    round, where one round alone holds more).
+    holds more than ``_PAIR_BUDGET`` points (or more than one round, where
+    one round alone holds more), and :func:`_margins_ok` tests it in time
+    and memory linear in its points.
 
     Raises :class:`SamplingExhausted` if the separation requirement cannot
     be met in the sampling region (or after the round limit).
@@ -203,7 +263,7 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
     )
     rngs = [np.random.default_rng(words) for words in entropy]
     width = 2 * n * n_sets + 2
-    cap = max(1, _PAIR_BUDGET // math.comb(n * n_sets, 2))  # rounds per block
+    cap = max(1, _PAIR_BUDGET // (n * n_sets))  # rounds per block
     sets = np.empty((n_sets, len(rngs), n), dtype=complex)
     lam = np.empty(len(rngs), dtype=complex)
     ok = np.zeros(len(rngs), dtype=bool)

@@ -226,10 +226,21 @@ class TestMain:
         assert cli.main(["bench"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("sigma x2000")
-        # every identity is timed at every size: none skipped, none n/a
-        timed = [line.split()[:2] for line in lines[1:] if line.endswith(" ms")]
-        assert timed == [[name, f"n={n}"] for n in (4, 8, 16, 32) for name in verify.REGISTRY]
-        assert len(lines) == 1 + len(timed) == 33
+        # every sampler call and every identity is timed at every size, a
+        # call on the line before the first check of its instance: none
+        # skipped, none n/a
+        want = []
+        for n in (4, 8, 16, 32):
+            drawn = set()
+            for name, ident in verify.REGISTRY.items():
+                _, variant, with_z = ident.plan[0]
+                if (variant, with_z) not in drawn:
+                    drawn.add((variant, with_z))
+                    want.append(["sample", variant + "+z" * with_z, f"n={n}"])
+                want.append([name, f"n={n}"])
+        assert [line[:22].split() for line in lines[1:]] == want
+        assert all(line.endswith(" ms") for line in lines)
+        assert len(lines) == 1 + len(want) == 45
         # one sample per size, variant and point-set count, shared by the
         # identities (degeneration's is rational), but no two timed checks
         # share an instance: each starts on an empty memo, or none, so none

@@ -281,29 +281,54 @@ class TestSamplerReference:
                     self.assert_member(stack.member(b), want, with_z, (n, with_z, "stack", b))
         assert accepted
 
+    def test_bit_identical_on_the_sorted_screen(self, monkeypatch):
+        # no pair difference fits a budget of 0: every block is one round of
+        # one trial, and takes the sorted screen
+        screens, sorted_screen = [], verify._sorted_screen
+        monkeypatch.setattr(verify, "_PAIR_BUDGET", 0)
+        monkeypatch.setattr(verify, "_sorted_screen", lambda *a: screens.append(1) or sorted_screen(*a))
+        self.test_bit_identical(monkeypatch, "elliptic", self.TAUS[0])
+        assert screens
+
 
 def test_blocks_keep_the_pair_budget(monkeypatch):
-    # a 100-trial stack at N = 20, whose first block exceeds the budget,
-    # and a stack whose one round alone exceeds it
-    pairs = []
-    margins_ok = verify._margins_ok
+    # a 100-trial stack at N = 20, whose blocks outgrow the pair budget and
+    # take the sorted screen, and a stack whose one round alone holds more
+    # pair differences than the budget
+    blocks, calls, per_call = [], [], []
+    margins_ok, zero_distance = verify._margins_ok, Kernel.zero_distance
 
     def recorded(kernel, sets, lam, margin):
         n_sets, rounds, n = np.shape(sets)
-        pairs.append((rounds, math.comb(n_sets * n, 2)))
-        return margins_ok(kernel, sets, lam, margin)
+        blocks.append((rounds, n_sets * n))
+        per_call.append(max(1, verify._PAIR_BUDGET // math.comb(n_sets * n, 2)))
+        try:
+            return margins_ok(kernel, sets, lam, margin)
+        finally:
+            per_call.pop()
+
+    def counted(self, z):
+        if per_call:  # inside a margin test: z is (margins, rounds)
+            calls.append((np.shape(z)[-1], per_call[-1]))
+        return zero_distance(self, z)
 
     monkeypatch.setattr(verify, "_margins_ok", recorded)
+    monkeypatch.setattr(Kernel, "zero_distance", counted)
     cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
     for with_z in (False, True):
         stack = random_instance(cfg, elliptic_kernel(cfg.lattice()), 20, range(100), with_z)
         assert stack.x.shape == (100, 20)
-    assert max(rounds * per_round for rounds, per_round in pairs) <= verify._PAIR_BUDGET
-    assert max(rounds * per_round for rounds, per_round in pairs) > verify._PAIR_BUDGET // 2
-    pairs.clear()
+    assert all(rounds * points <= verify._PAIR_BUDGET or rounds == 1 for rounds, points in blocks)
+    assert max(rounds * points for rounds, points in blocks) > verify._PAIR_BUDGET // 2
+    assert max(rounds * math.comb(points, 2) for rounds, points in blocks) > verify._PAIR_BUDGET
+    assert calls and all(rounds <= cap for rounds, cap in calls)
+    blocks.clear()
+    calls.clear()
     wide = SuiteConfig(sep_min=1e-6)
     random_instance(wide, RATIONAL_KERNEL, 200, range(3), with_z=True)
-    assert pairs and all(rounds == 1 and per_round > verify._PAIR_BUDGET for rounds, per_round in pairs)
+    assert all(rounds * points <= verify._PAIR_BUDGET for rounds, points in blocks)
+    assert math.comb(600, 2) > verify._PAIR_BUDGET
+    assert calls and all(rounds == cap == 1 for rounds, cap in calls)
 
 
 class TestMarginScreen:
@@ -338,6 +363,98 @@ class TestMarginScreen:
         # the same round with the partner moved off the period passes
         moved = [sets[0], sets[1] - 0.3]
         assert verify._margins_ok(kern, moved, lam, margin)
+
+
+class TestSortedScreen:
+    """The sorted close-pair screen of a large block gives the verdicts of
+    the all-pairs screen of a small one, round by round."""
+
+    MARGIN = 0.0625  # a power of two, so a difference can equal it exactly
+    ROUNDS = {
+        "equal real parts": (
+            [0.25, 0.25 + 0.25j, -0.5 + 0.1j, 0.5 - 0.2j],
+            [0.25 - 0.25j, -0.25 + 0.5j, 0.75 + 0.3j, -0.75 - 0.1j],
+        ),
+        "equal real parts, close": (
+            [0.25, 0.25 + 0.25j, -0.5 + 0.1j, 0.5 - 0.2j],
+            [0.25 + 0.03125j, -0.25 + 0.5j, 0.75 + 0.3j, -0.75 - 0.1j],
+        ),
+        "exactly the margin apart": (
+            [0.25, 0.5 + 0.5j, -0.5 + 0.1j, 0.5 - 0.2j],
+            [0.3125, 0.5 + 0.5625j, 0.75 + 0.3j, -0.75 - 0.1j],
+        ),
+        # 0 and 0.04 are close, with three points between them by real part
+        "close across three neighbours": (
+            [0.0, 0.01 + 0.3j, 0.02 + 0.6j, 0.5 - 0.2j],
+            [0.03 - 0.3j, 0.04, 0.75 + 0.3j, -0.75 - 0.1j],
+        ),
+        # every real-part gap is 0, so the sweep runs to k = P - 1
+        "vertical column": (
+            [0.1, 0.1 + 0.1j, 0.1 + 0.2j, 0.1 + 0.3j],
+            [0.1 - 0.1j, 0.1 - 0.2j, 0.1 - 0.3j, 0.1 + 0.4j],
+        ),
+        "duplicate points": (
+            [0.25, 0.5 + 0.5j, -0.5 + 0.1j, 0.5 - 0.2j],
+            [0.25, -0.25 + 0.5j, 0.75 + 0.3j, -0.75 - 0.1j],
+        ),
+        # 0 and 0.02 + 0.03i are close; ordered by imaginary part instead,
+        # -5 + 0.01i lies between them and every real-part gap at k = 2
+        # is at least the margin, so a sweep in that order would stop there
+        "close, out of imaginary order": (
+            [0.0, -5 + 0.01j, 0.3 + 0.02j, 0.02 + 0.03j],
+            [0.5 + 2j, 0.6 + 2.5j, 1.0 + 3j, 1.2 + 3.5j],
+        ),
+    }
+    WANT = [True, False, True, False, True, False, False]
+
+    @pytest.mark.parametrize("budget", [10**6, 0], ids=["all-pairs", "sorted"])
+    def test_crafted_rounds(self, monkeypatch, kern, budget):
+        sets = np.array(list(self.ROUNDS.values()), dtype=complex).transpose(1, 0, 2)
+        lam = np.full(len(self.ROUNDS), 0.37 + 0.21j)
+        want = [reference_margins_ok(kern, list(sets[:, r]), lam[r], self.MARGIN) for r in range(len(lam))]
+        assert want == self.WANT
+        screens, sorted_screen = [], verify._sorted_screen
+        monkeypatch.setattr(verify, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(verify, "_sorted_screen", lambda *a: screens.append(1) or sorted_screen(*a))
+        got = verify._margins_ok(kern, sets, lam, self.MARGIN)
+        assert got.tolist() == want
+        assert len(screens) == (budget == 0)
+
+    @staticmethod
+    def plane_ok(sets, margin):
+        """The all-pairs close-pair screen: no two points of a round closer
+        than ``margin`` in the plane."""
+        pts = np.concatenate(list(sets), axis=-1)
+        i, l = np.triu_indices(pts.shape[-1], 1)
+        return ~(np.abs(pts[:, i] - pts[:, l]) < margin).any(axis=1)
+
+    @staticmethod
+    def assert_screens_agree(sets, margin, want):
+        # the block at once, and each round alone, so that no round's sweep
+        # runs deeper for another's sake
+        assert verify._sorted_screen(sets, margin).tolist() == want.tolist()
+        alone = [verify._sorted_screen(sets[:, r:r + 1], margin)[0] for r in range(sets.shape[1])]
+        assert alone == want.tolist()
+
+    def test_screen_on_crafted_rounds(self):
+        sets = np.array(list(self.ROUNDS.values()), dtype=complex).transpose(1, 0, 2)
+        want = self.plane_ok(sets, self.MARGIN)
+        assert want.tolist() == self.WANT
+        self.assert_screens_agree(sets, self.MARGIN, want)
+
+    def test_screen_on_a_grid(self):
+        # points on a grid of step margin / 2, few columns wide and tall
+        # enough that about half the rounds pass: ties in real part, pairs
+        # exactly the margin apart and duplicates are common, and sweeps go
+        # deep, most of all on the three-column grid
+        rng = np.random.default_rng(5)
+        margin = 0.25
+        for n_sets, n, re_half, im_half in ((2, 1, 1, 2), (2, 5, 2, 60), (3, 8, 1, 500)):
+            nodes = [rng.integers(-half, half + 1, (n_sets, 200, n)) for half in (re_half, im_half)]
+            sets = (nodes[0] + 1j * nodes[1]) * (margin / 2)
+            want = self.plane_ok(sets, margin)
+            assert 0.3 < want.mean() < 0.7
+            self.assert_screens_agree(sets, margin, want)
 
 
 class TestCheckers:
