@@ -315,9 +315,11 @@ def pair_indices(n):
 def _pair_diffs(pts):
     """The differences p_i - p_l on the pairs i < l (last axis), as a
     C-contiguous array: numpy rounds a product along a strided axis apart
-    from one along a contiguous axis."""
+    from one along a contiguous axis.  ``np.take`` gathers along the last
+    axis into new C-contiguous arrays, faster than fancy indexing there on
+    a sampler block of many rounds."""
     i, l = pair_indices(pts.shape[-1])
-    return np.ascontiguousarray(pts[..., i] - pts[..., l])
+    return np.take(pts, i, axis=-1) - np.take(pts, l, axis=-1)
 
 
 def _odd_table(n, f_pairs):
@@ -331,29 +333,25 @@ def _odd_table(n, f_pairs):
     return table
 
 
-def _lagrange_den(kernel, x, what=None, f_pairs=None):
-    """Row products prod_{l!=i} f(x_i - x_l) over the points x, from the
-    values ``f_pairs`` on the pairs i < l when the caller has them (and has
-    zero-tested them).  Otherwise a pair difference at a kernel zero raises
-    :class:`KernelZero` naming ``what``."""
-    n = x.shape[-1]
-    if f_pairs is None:
-        diff = _pair_diffs(x)
-        _require_nonzero(kernel, diff, what)
-        (f_pairs,) = _fused(kernel, diff)
+def _lagrange_den(n, f_pairs):
+    """Row products prod_{l!=i} f(x_i - x_l) over n points, from the values
+    ``f_pairs`` of f on the pairs i < l (last axis)."""
     return np.prod(_odd_table(n, f_pairs), axis=-1)
 
 
 def _over_lagrange(kernel, x, what, cols):
     """``cols`` with row i divided by prod_{l!=i} f(x_i - x_l); a pair
     difference at a kernel zero raises :class:`KernelZero` naming ``what``."""
-    return cols / _lagrange_den(kernel, x, what)[..., :, None]
+    diff = _pair_diffs(x)
+    _require_nonzero(kernel, diff, what)
+    (f_pairs,) = _fused(kernel, diff)
+    return cols / _lagrange_den(x.shape[-1], f_pairs)[..., :, None]
 
 
-def _d_diagonal(kernel, p, f_pq, f_pairs):
+def _d_diagonal(f_pq, f_pairs):
     """The diagonal prod_k f(p_i - q_k) / prod_{l!=i} f(p_i - p_l) of D(p, q),
     from the zero-tested f(p_i - q_k) and f(p_i - p_l) on the pairs i < l."""
-    return np.prod(f_pq, axis=-1) / _lagrange_den(kernel, p, f_pairs=f_pairs)
+    return np.prod(f_pq, axis=-1) / _lagrange_den(f_pq.shape[-2], f_pairs)
 
 
 def _scaled(kernel, x, y, lam, left, right, what):
@@ -369,11 +367,11 @@ def _scaled(kernel, x, y, lam, left, right, what):
     num, f_lam, f_diff, *f_pairs = _fused(kernel, diff + lam[..., None, None], lam, diff, *pairs)
     c = num / (f_lam[..., None, None] * f_diff)
     if left:
-        c = _d_diagonal(kernel, x, f_diff, f_pairs.pop(0))[..., :, None] * c
+        c = _d_diagonal(f_diff, f_pairs.pop(0))[..., :, None] * c
     if right:
         # f(y_j - x_k) = -f(x_k - y_j), multiplied along a contiguous row as in D(y, x)
         f_yx = np.ascontiguousarray(-_transposed(f_diff))
-        c = c * _d_diagonal(kernel, y, f_yx, f_pairs.pop(0))[..., None, :]
+        c = c * _d_diagonal(f_yx, f_pairs.pop(0))[..., None, :]
     return c
 
 
@@ -412,7 +410,7 @@ def d_matrix(kernel, x, y):
     dxy = x[..., :, None] - y[..., None, :]
     dxx = _pair_diffs(x)
     _require_nonzero(kernel, np.concatenate([dxy.ravel(), dxx.ravel()]), "x_i - x_k or x_i - y_k")
-    return _diag(_d_diagonal(kernel, x, *_fused(kernel, dxy, dxx)))
+    return _diag(_d_diagonal(*_fused(kernel, dxy, dxx)))
 
 
 def classic_cauchy_inverse(x, y):

@@ -57,11 +57,7 @@ def _add_suite_flags(p):
         default=_DEFAULTS.lattice_tau,
         help="lattice ratio omega'/omega as a+bi (omega = 1)",
     )
-    p.add_argument(
-        "--kernel",
-        choices=["elliptic", "trig", "rational", "all"],
-        default="all",
-    )
+    p.add_argument("--kernel", choices=[*cauchy.KERNELS, "all"], default="all")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", default=None, help="write the report to this file instead of stdout")
 
@@ -154,17 +150,25 @@ def _run_reports(args, identities):
 
 
 def _bench(args):
+    # every setting is checked, as the suite checks it, before anything is drawn
+    try:
+        cfgs = [
+            verify.SuiteConfig(
+                n_values=(n,), trials_per_n=1, base_seed=args.seed,
+                lattice_tau=args.tau, sep_min=min(_DEFAULTS.sep_min, 0.6 / n),
+            )
+            for n in (4, 8, 16, 32)
+        ]
+    except ValueError as exc:
+        return _error(exc)
     lat = lattice_new(1.0, args.tau)
     rng = np.random.default_rng(args.seed)
     pts = 2 * rng.uniform(-0.4, 0.4, 2000) * lat.omega + 2 * rng.uniform(-0.4, 0.4, 2000) * lat.omega_prime
     t0 = time.perf_counter()
     sigma(lat, pts)
     print(f"{'sigma x2000':<22} {(time.perf_counter() - t0) * 1e3:>10.2f} ms")
-    for n in (4, 8, 16, 32):
-        cfg = verify.SuiteConfig(
-            n_values=(n,), trials_per_n=1, base_seed=args.seed,
-            lattice_tau=args.tau, sep_min=min(_DEFAULTS.sep_min, 0.6 / n),
-        )
+    for cfg in cfgs:
+        (n,) = cfg.n_values
         sampled = {}
         for name, ident in verify.REGISTRY.items():
             label = f"{name} n={n}"

@@ -98,6 +98,9 @@ class SuiteConfig:
             raise ValueError("n_values must be nonempty, and its entries and trials_per_n >= 1")
         if len(set(n_values)) != len(n_values):
             raise ValueError(f"n_values repeats a size: {n_values}")
+        # each trial's seed is one 32-bit word of its RNG seed
+        if base_seed < 0 or base_seed + trials > 2**32:
+            raise ValueError(f"the seeds base_seed .. base_seed + trials_per_n - 1 must lie in 0 .. {2**32 - 1}")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "trials_per_n", trials)
         object.__setattr__(self, "base_seed", base_seed)
@@ -128,8 +131,8 @@ def _worst(residuals, stack=()):
 # ---------------------------------------------------------------------------
 
 
-def _sorted_screen(sets, margin):
-    """Whether each round of ``sets`` (sets, rounds, n) has no two points
+def _sorted_screen(pts, margin):
+    """Whether each round of ``pts`` (rounds, points) has no two points
     closer than ``margin`` in the plane, by a sort and sweep (Hinrichs,
     Nievergelt and Schorn, IPL 26, 1988): each round's points are ordered
     by real part, and its k-th neighbours compared for k = 1, 2, ...,
@@ -140,11 +143,10 @@ def _sorted_screen(sets, margin):
     difference: the pairs left untested are no closer than ``margin``.  So
     the verdicts are those of the all-pairs screen, which measures the same
     rounded differences, up to sign."""
-    n_sets, rounds, n = sets.shape
-    pts = sets.transpose(1, 0, 2).reshape(rounds, n_sets * n)
+    rounds, n = pts.shape
     pts = np.take_along_axis(pts, np.argsort(pts.real, axis=-1), axis=-1)
     alive = np.arange(rounds)
-    for k in range(1, n_sets * n):
+    for k in range(1, n):
         diff = pts[:, k:] - pts[:, :-k]
         if not (diff.real < margin).any():
             break
@@ -166,6 +168,7 @@ def _margins_ok(kernel, sets, lam, margin):
     and lambda_j + x_j - y_j is at least ``margin``.  The rule is the same
     for every kernel.
 
+    Both screens read one round-major view of the points, (rounds, sets * n).
     A zero distance never exceeds the modulus (0 is a zero), so a pair
     closer than ``margin`` in the plane rejects its round without a kernel
     call.  A block whose pair differences fit ``_PAIR_BUDGET`` screens
@@ -182,44 +185,35 @@ def _margins_ok(kernel, sets, lam, margin):
     n_sets, n = len(sets), sets.shape[-1]
     sets = sets.reshape(n_sets, -1, n)
     lam = np.reshape(lam, -1)
+    pts = sets.transpose(1, 0, 2).reshape(-1, n_sets * n)
     pairs = math.comb(n_sets * n, 2)
-    if sets.shape[1] * pairs <= _PAIR_BUDGET:
-        diff = _round_pair_diffs(sets)
-        ok = ~(np.abs(diff) < margin).any(axis=0)
+    if len(pts) * pairs <= _PAIR_BUDGET:
+        diff = cauchy._pair_diffs(pts)
+        ok = ~(np.abs(diff) < margin).any(axis=-1)
     else:
-        diff, ok = None, _sorted_screen(sets, margin)
+        diff, ok = None, _sorted_screen(pts, margin)
     kept = np.flatnonzero(ok)
     chunk = max(1, _PAIR_BUDGET // pairs)  # rounds per zero-distance call
     for start in range(0, kept.size, chunk):
         rows = kept[start:start + chunk]
         # the chunk's temporaries live in the call, and are freed before the next
         ok[rows] = _kernel_margins(
-            kernel, sets[:, rows], lam[rows], None if diff is None else diff[:, rows]
+            kernel, sets[:, rows], lam[rows], cauchy._pair_diffs(pts[rows]) if diff is None else diff[rows]
         ) >= margin
     return ok
 
 
-def _round_pair_diffs(sets):
-    """Each round's differences of two of its points, each unordered pair
-    once, shape (pairs, rounds).  The points are held point-major, so a
-    pair difference is a difference of two contiguous rows."""
-    pts = sets.transpose(0, 2, 1).reshape(-1, sets.shape[1])
-    i, l = cauchy.pair_indices(len(pts))
-    return pts[i] - pts[l]
-
-
-def _kernel_margins(kernel, sets, lam, pairs=None):
+def _kernel_margins(kernel, sets, lam, pairs):
     """Each round's smallest zero distance over the differences of two of
-    its points, lambda and its shifts, and the Gauss ladder.  ``pairs``
-    holds the rounds' pair differences if they are already formed."""
-    if pairs is None:
-        pairs = _round_pair_diffs(sets)
+    its points, ``pairs`` of shape (rounds, pairs), lambda and its shifts,
+    and the Gauss ladder."""
     x, y = sets[0], sets[1]
     sums = sets.sum(axis=-1)
-    shifts = np.concatenate([np.zeros((1, lam.size)), sums, sums[:1] - sums[1:2]])
+    shifts = np.concatenate([np.zeros((1, lam.size)), sums, sums[:1] - sums[1:2]]).T
     lams = cauchy.gauss_lambda_ladder(x, y, lam)
-    args = np.concatenate([pairs, lam + shifts, lam - shifts, lams.T, (x - y + lams).T])
-    return kernel.zero_distance(args).min(axis=0)
+    lam = lam[:, None]
+    args = np.concatenate([pairs, lam + shifts, lam - shifts, lams, x - y + lams], axis=-1)
+    return kernel.zero_distance(args).min(axis=-1)
 
 
 def random_instance(cfg, kernel, n, seed, with_z=False):
@@ -256,10 +250,10 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
             f"{n} points with separation {cfg.sep_min} cannot fit the sampling region"
         )
     # one 32-bit word per entry: the same entropy as the list of ints, which
-    # numpy would coerce word by word, at about two thirds of the cost
+    # numpy would coerce word by word, at about two thirds of the cost (a
+    # seed outside 0 .. 2**32 - 1 raises OverflowError)
     entropy = np.array(
-        [[spec.stream, n, int(with_z), s & 0xFFFFFFFF, cfg.base_seed & 0xFFFFFFFF] for s in seeds.tolist()],
-        dtype=np.uint32,
+        [[spec.stream, n, int(with_z), s, cfg.base_seed] for s in seeds.tolist()], dtype=np.uint32
     )
     rngs = [np.random.default_rng(words) for words in entropy]
     width = 2 * n * n_sets + 2
@@ -364,7 +358,7 @@ def check_factorization(inst, tag):
 def _member_rngs(tag, inst):
     """One seeded generator per member, in stack order: the checker tag and
     the member's (N, seed) pick its stream."""
-    return [np.random.default_rng([tag, inst.n, int(seed) & 0xFFFFFFFF]) for seed in np.ravel(inst.seed)]
+    return [np.random.default_rng([tag, inst.n, int(seed)]) for seed in np.ravel(inst.seed)]
 
 
 def check_gauss(inst, tag):
@@ -437,10 +431,9 @@ def check_monodromy(inst, tag):
     for row, (half, eta) in enumerate(((lat.omega, lat.eta), (lat.omega_prime, lat.eta_prime)), 1):
         expect = -np.exp(2 * eta * (pts + half)) * s[..., 0, :]
         residuals.append(np.abs(s[..., row, :] - expect).max(axis=-1) / np.abs(expect).max(axis=-1))
-        for k in range(n):
-            sk = sks[..., k]
-            b = sign * np.exp(2 * eta * n * (pts[..., :2] + half)) * sk[..., 0, :]
-            residuals.append(np.abs(sk[..., row, :] - b).max(axis=-1) / np.abs(b).max(axis=-1))
+        # sigma_k for every k at once, along the trailing axis
+        b = (sign * np.exp(2 * eta * n * (pts[..., :2] + half)))[..., None] * sks[..., 0, :, :]
+        residuals.append(np.abs(sks[..., row, :, :] - b).max(axis=-2) / np.abs(b).max(axis=-2))
         mult = np.exp(2 * eta * np.asarray(inst.lam)[..., None])
         base = psi[..., 0, :]
         residuals.append(np.abs(psi[..., row, :] - mult * base) / np.abs(mult * base))

@@ -78,6 +78,12 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             cli.parse_args([])
 
+    def test_kernel_choices_are_the_variants(self):
+        parser = argparse.ArgumentParser()
+        cli._add_suite_flags(parser)
+        (kernel,) = [a for a in parser._actions if a.dest == "kernel"]
+        assert kernel.choices == [*cauchy.KERNELS, "all"] == ["elliptic", "trig", "rational", "all"]
+
 
 class TestMain:
     def test_verify_single_identity(self, capsys):
@@ -97,6 +103,8 @@ class TestMain:
             ["--tol", "nan"],
             ["--out", "missing-dir/x.txt"],
             ["--n", "2", "2"],
+            ["--seed", "-5"],
+            ["--seed", "4294967338"],
         ],
         ids=" ".join,
     )
@@ -208,6 +216,15 @@ class TestMain:
         ) == 0
         kernels = {r["kernel"] for r in json.loads(out.read_text())}
         assert kernels == {"rational", "k-rational"}
+
+    @pytest.mark.parametrize("seed", ["-5", "4294967296"])
+    def test_bench_invalid_seed_exits_two(self, seed, monkeypatch, capsys):
+        # checked before sigma or the sampler draws anything
+        monkeypatch.setattr(cli, "sigma", lambda *a: pytest.fail("sigma called"))
+        assert cli.main(["bench", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_bench_smoke(self, capsys, monkeypatch):
         sampled, timed_on = [], []

@@ -141,11 +141,23 @@ class TestSuiteConfig:
             {"n_values": (2, 2)},
             {"base_seed": 1.5},
             {"base_seed": "42"},
+            {"base_seed": -1},
+            {"base_seed": 2**32},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
+
+    def test_seed_range(self):
+        # every trial's seed is a 32-bit word, so seeds never alias modulo 2**32
+        assert SuiteConfig(base_seed=2**32 - 10, trials_per_n=10).base_seed == 2**32 - 10
+        with pytest.raises(ValueError, match="seeds"):
+            SuiteConfig(base_seed=2**32 - 10, trials_per_n=11)
+        cfg = SuiteConfig(n_values=(3,))
+        for seed in (-5, 2**32 + 42):
+            with pytest.raises(OverflowError):
+                random_instance(cfg, RATIONAL_KERNEL, 3, seed)
 
     def test_margin_floor_is_the_builders_zero_test(self):
         # any margin down to the builders' own zero test samples an instance
@@ -308,8 +320,8 @@ def test_blocks_keep_the_pair_budget(monkeypatch):
             per_call.pop()
 
     def counted(self, z):
-        if per_call:  # inside a margin test: z is (margins, rounds)
-            calls.append((np.shape(z)[-1], per_call[-1]))
+        if per_call:  # inside a margin test: z is (rounds, margins)
+            calls.append((np.shape(z)[0], per_call[-1]))
         return zero_distance(self, z)
 
     monkeypatch.setattr(verify, "_margins_ok", recorded)
@@ -421,26 +433,27 @@ class TestSortedScreen:
         assert len(screens) == (budget == 0)
 
     @staticmethod
-    def plane_ok(sets, margin):
+    def plane_ok(pts, margin):
         """The all-pairs close-pair screen: no two points of a round closer
         than ``margin`` in the plane."""
-        pts = np.concatenate(list(sets), axis=-1)
         i, l = np.triu_indices(pts.shape[-1], 1)
         return ~(np.abs(pts[:, i] - pts[:, l]) < margin).any(axis=1)
 
     @staticmethod
-    def assert_screens_agree(sets, margin, want):
+    def assert_screens_agree(pts, margin, want):
         # the block at once, and each round alone, so that no round's sweep
         # runs deeper for another's sake
-        assert verify._sorted_screen(sets, margin).tolist() == want.tolist()
-        alone = [verify._sorted_screen(sets[:, r:r + 1], margin)[0] for r in range(sets.shape[1])]
+        assert verify._sorted_screen(pts, margin).tolist() == want.tolist()
+        alone = [verify._sorted_screen(pts[r:r + 1], margin)[0] for r in range(len(pts))]
         assert alone == want.tolist()
 
     def test_screen_on_crafted_rounds(self):
-        sets = np.array(list(self.ROUNDS.values()), dtype=complex).transpose(1, 0, 2)
-        want = self.plane_ok(sets, self.MARGIN)
+        # round-major, as the margin test hands points to the screens: each
+        # round's sets one after the other
+        pts = np.array(list(self.ROUNDS.values()), dtype=complex).reshape(len(self.ROUNDS), -1)
+        want = self.plane_ok(pts, self.MARGIN)
         assert want.tolist() == self.WANT
-        self.assert_screens_agree(sets, self.MARGIN, want)
+        self.assert_screens_agree(pts, self.MARGIN, want)
 
     def test_screen_on_a_grid(self):
         # points on a grid of step margin / 2, few columns wide and tall
@@ -452,9 +465,10 @@ class TestSortedScreen:
         for n_sets, n, re_half, im_half in ((2, 1, 1, 2), (2, 5, 2, 60), (3, 8, 1, 500)):
             nodes = [rng.integers(-half, half + 1, (n_sets, 200, n)) for half in (re_half, im_half)]
             sets = (nodes[0] + 1j * nodes[1]) * (margin / 2)
-            want = self.plane_ok(sets, margin)
+            pts = sets.transpose(1, 0, 2).reshape(200, n_sets * n)
+            want = self.plane_ok(pts, margin)
             assert 0.3 < want.mean() < 0.7
-            self.assert_screens_agree(sets, margin, want)
+            self.assert_screens_agree(pts, margin, want)
 
 
 class TestCheckers:
