@@ -16,10 +16,12 @@ of one f(x - y) table by the diagonals of D(x,y) and D(y,x).  Each builder
 makes one zero test and one kernel call, over distinct differences only:
 the zero distance is even and every kernel odd, so x_i - x_l and y_i - y_l
 are taken for i < l, and f(y_j - x_i) as -f(x_i - y_j).  The UDL triangles
-are weighted columns and rows of C(x,y;lambda_j) on the Gauss ladder.  The
-parameter-free K and W forms and double-Bloch evaluation are specific to
-one kernel.  One helper divides by the Lagrange denominator, for D, K, W
-and every factorization factor.
+are weighted columns and rows of C(x,y;lambda_j) on the Gauss ladder, and
+the kernel is evaluated on those triangles only: one table
+f(x_r - y_c + lambda_max(r,c)) is U's on and above the diagonal and L's
+below it.  The parameter-free K and W forms and double-Bloch evaluation are
+specific to one kernel.  One helper divides by the Lagrange denominator,
+for D, K, W and every factorization factor.
 
 Every builder and closed form takes a stack of trials as well as one: a
 point set has one axis of points after at most one leading trial axis, the
@@ -38,7 +40,10 @@ values, so the sigma tables that the determinant, inverse and UDL builders
 share are evaluated once per instance.  sin and the identity cost less
 per point than a lookup and are not memoized.  Since the memo keeps
 values, a function patched on a module name (sigma, say) must be in place
-before the instance is built.
+before the instance is built.  Every instance also holds an empty private
+store, in which the checkers keep the whole products several of them read
+(C, its closed determinant and its LU factorization); it too starts empty
+on each new instance.
 """
 
 from __future__ import annotations
@@ -223,7 +228,11 @@ class Instance:
     denominator at a zero.  On a memoized variant ``kernel`` becomes a
     private copy with an empty memo, which lives as long as the instance:
     the builders called with it evaluate each distinct argument block once,
-    for every member of a stack at once; none asks for f(y - x).
+    for every member of a stack at once; none asks for f(y - x).  Every
+    instance also starts with an empty ``_shared`` store, in which the
+    checkers keep the products that several of them read (C(x, y; lam),
+    its closed determinant and its LU factorization), so that each is
+    computed once per instance.
     """
 
     kernel: Kernel
@@ -232,6 +241,9 @@ class Instance:
     lam: complex | np.ndarray
     z: np.ndarray | None = None
     seed: int | np.ndarray = 0
+    #: product name -> value, filled by the checkers; new on every instance,
+    #: ``member`` and ``dataclasses.replace`` included
+    _shared: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         names = ("x", "y") if self.z is None else ("x", "y", "z")
@@ -248,6 +260,7 @@ class Instance:
                 raise DimensionMismatch(f"{name} of shape {value.shape} for a stack of shape {stack}")
             value.setflags(write=False)
             object.__setattr__(self, name, value if stack else value.item())
+        object.__setattr__(self, "_shared", {})
         if self.kernel.spec.memoized:
             kernel = Kernel(self.kernel.variant, self.kernel.lattice)
             object.__setattr__(kernel, "memo", {})
@@ -258,7 +271,8 @@ class Instance:
         return self.x.shape[-1]
 
     def member(self, b):
-        """Member b of a stack as an instance of its own, with a memo of its own."""
+        """Member b of a stack as an instance of its own, with a memo and a
+        store of its own."""
         return Instance(
             kernel=self.kernel,
             x=self.x[b],
@@ -564,15 +578,11 @@ def gauss_udl(kernel, x, y, lam):
         "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b",
     )
 
-    fxx, sxy, fyy, s_cols, s_rows, s_lams = _fused(
-        kernel,
-        dxx,
-        dxy,
-        dyy,
-        dxy + lams[..., None, :],  # f(x_i - y_j + lam_j)
-        dxy + lams[..., :, None],  # f(x_j - y_k + lam_j)
-        lams,
-    )
+    # U needs f(x_i - y_j + lam_j) for i <= j and L f(x_j - y_k + lam_j) for
+    # k <= j: one table of f(x_r - y_c + lam_max(r,c)) holds both, with
+    # their shared diagonal once
+    rung = np.maximum.outer(np.arange(n), np.arange(n))
+    fxx, sxy, fyy, s_tri, s_lams = _fused(kernel, dxx, dxy, dyy, dxy + lams[..., rung], lams)
     # r_u[i, j] = prod_{l>j} f(x_i - x_l)/f(x_i - y_l) and r_l[k, j] =
     # prod_{l>j} f(y_k - y_l)/f(y_k - x_l), 1 at j = N: one cumulative
     # product over the reversed columns, with f(y_k - x_l) = -f(x_l - y_k)
@@ -580,9 +590,11 @@ def gauss_udl(kernel, x, y, lam):
     steps = np.concatenate([np.ones(ratios.shape[:-1] + (1,)), ratios[..., :0:-1]], axis=-1)
     r = np.cumprod(steps, axis=-1)[..., ::-1]
     r_u, r_l = r[..., 0, :, :], r[..., 1, :, :]
-    # a[:, j] is column j and b[j, :] row j of C(x, y; lam_j), weighted
-    a = s_cols / (s_lams[..., None, :] * sxy) * r_u
-    b = s_rows / (s_lams[..., :, None] * sxy) * _transposed(r_l)
+    # a[:, j] is column j and b[j, :] row j of C(x, y; lam_j), weighted, on
+    # and above (a) and on and below (b) the diagonal; their other triangles
+    # are dropped
+    a = s_tri / (s_lams[..., None, :] * sxy) * r_u
+    b = s_tri / (s_lams[..., :, None] * sxy) * _transposed(r_l)
     diag_a = np.diagonal(a, axis1=-2, axis2=-1)
     u = np.triu(a / diag_a[..., None, :])
     l = np.tril(b / np.diagonal(b, axis1=-2, axis2=-1)[..., :, None])

@@ -181,8 +181,9 @@ def _bench(args):
                     dt = (time.perf_counter() - t0) * 1e3
                     drawn = f"sample {variant}{'+z' if with_z else ''} n={n}"
                     print(f"{drawn:<22} {dt:>10.2f} ms")
-                # the same points on a fresh instance, whose empty memo
-                # credits no check with kernel values an earlier one evaluated
+                # the same points on a fresh instance, whose empty memo and
+                # store credit no check with kernel values or products that
+                # an earlier one computed
                 inst = dataclasses.replace(sampled[variant, with_z])
                 t0 = time.perf_counter()
                 ident.check(inst, tag, cfg.tolerance)

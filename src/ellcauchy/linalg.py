@@ -6,7 +6,9 @@ here delegate to library factorizations.  Cauchy matrices are notoriously
 ill-conditioned; partial pivoting by maximum magnitude is essential.  The
 factorization, the determinant, the inverse and the residual and
 structure helpers all take one matrix or a stack of them (leading axes)
-and answer per matrix.
+and answer per matrix.  The determinant and the inverse take the
+factorization of their matrix as a keyword, when the caller already holds
+it, so that one factorization serves both.
 """
 
 from __future__ import annotations
@@ -77,25 +79,28 @@ def _lu_factor(a):
     return lu.reshape(stack + (n, n)), perm.reshape(stack + (n,)), sign.reshape(stack)
 
 
-def lu_det(a):
+def lu_det(a, *, factors=None):
     """Determinant via pivoted LU, per matrix of a stack; 0 for a singular
-    matrix.  One matrix gives a Python ``complex``."""
-    lu, _, sign = _lu_factor(_as_square(a, stacked=True))
+    matrix.  One matrix gives a Python ``complex``.  ``factors``, if given,
+    is ``_lu_factor(a)`` already computed, and is used in its place."""
+    a = _as_square(a, stacked=True)
+    lu, _, sign = _lu_factor(a) if factors is None else factors
     diag = np.ascontiguousarray(np.diagonal(lu, axis1=-2, axis2=-1))
     return _per_matrix(sign * np.prod(diag, axis=-1))
 
 
-def lu_inverse(a):
+def lu_inverse(a, *, factors=None):
     """Inverse via pivoted LU, per matrix of a stack.
 
     Raises :class:`SingularMatrix` if a pivot magnitude falls below
     ``PIVOT_FLOOR`` times the max-abs entry of its matrix; on a stack, for
     the first such member in stack order, with the message the call on that
-    member alone gives.
+    member alone gives.  ``factors``, if given, is ``_lu_factor(a)`` already
+    computed, and is used in its place.
     """
     a = _as_square(a, stacked=True)
     n = a.shape[-1]
-    lu, perm, _ = _lu_factor(a)
+    lu, perm, _ = _lu_factor(a) if factors is None else factors
     threshold = PIVOT_FLOOR * np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
     small = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) < threshold[..., None]
     if small.any():

@@ -7,6 +7,9 @@ one of each per member of a stack, and the degeneration checker a rate
 verdict as a third value; determinant and inverse claims are
 additionally cross-checked against the pivoted-LU oracle in
 :mod:`ellcauchy.linalg`, which factors a whole stack in one call, and the
+determinant, inverse and Gauss checks of one instance share its Cauchy
+matrix, closed determinant and LU factorization, each computed once and
+kept in the instance's store (:func:`_shared`); the
 factorization is checked as a product, with no inverse, by its
 componentwise residual.  The sampler keeps one margin rule for every kernel
 and samples a whole stack of trials in one call: it tests their rounds in
@@ -24,6 +27,7 @@ once, at a fixed size and tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass
@@ -60,7 +64,14 @@ _ABS_SWITCH = 1e-10
 
 @dataclass(frozen=True)
 class Report:
-    """Per-identity verification result for one instance."""
+    """Per-identity verification result for one instance.
+
+    ``elapsed_ms`` is the time of the check on its stack divided among the
+    members.  The products several checks of one stack read (C(x,y;lam),
+    its closed determinant and its LU factorization) are computed once, and
+    charged to the first check that asks for them; ``ellcauchy bench``
+    times each check in full, on a fresh instance.
+    """
 
     identity_name: str
     kernel: str
@@ -94,6 +105,10 @@ class SuiteConfig:
             base_seed = operator.index(self.base_seed)
         except TypeError:
             raise ValueError("n_values, trials_per_n and base_seed must be integers") from None
+        # numbers, not strings that float() and complex() would parse
+        reals = isinstance(self.tolerance, numbers.Real) and isinstance(self.sep_min, numbers.Real)
+        if not (reals and isinstance(self.lattice_tau, numbers.Complex)):
+            raise ValueError("tolerance and sep_min must be real numbers, and lattice_tau a complex number")
         if not n_values or min(n_values) < 1 or trials < 1:
             raise ValueError("n_values must be nonempty, and its entries and trials_per_n >= 1")
         if len(set(n_values)) != len(n_values):
@@ -104,14 +119,17 @@ class SuiteConfig:
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "trials_per_n", trials)
         object.__setattr__(self, "base_seed", base_seed)
-        tau = complex(self.lattice_tau)
+        tau, tolerance, sep_min = complex(self.lattice_tau), float(self.tolerance), float(self.sep_min)
+        object.__setattr__(self, "lattice_tau", tau)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "sep_min", sep_min)
         if not (np.isfinite(tau) and tau.imag > 0):
             raise ValueError("lattice_tau must be finite with Im(lattice_tau) > 0")
-        if not 0 < self.tolerance < math.inf:
+        if not 0 < tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
         # the builders' own zero test: a smaller margin would let the sampler
         # accept an instance that a builder refuses with KernelZero
-        if not cauchy.ZERO_TOL <= self.sep_min < math.inf:
+        if not cauchy.ZERO_TOL <= sep_min < math.inf:
             raise ValueError(f"sep_min must be finite and at least {cauchy.ZERO_TOL}")
 
     def lattice(self):
@@ -290,24 +308,41 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
 # ---------------------------------------------------------------------------
 
 
+def _shared(inst, name):
+    """The instance's product ``name``, computed on the first request and
+    kept, read-only, in its store: ``cauchy_matrix`` or ``frobenius_det`` of
+    (kernel, x, y, lam), or ``_lu_factor`` of that Cauchy matrix.  Each
+    function is looked up by module name at call time, so a wrapper
+    installed on the name sees the one call per instance."""
+    store = inst._shared
+    if name not in store:
+        if name == "_lu_factor":
+            value = linalg._lu_factor(_shared(inst, "cauchy_matrix"))
+        else:
+            value = getattr(cauchy, name)(inst.kernel, inst.x, inst.y, inst.lam)
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        store[name] = value
+    return store[name]
+
+
 def check_determinant(inst, tag):
     """LU determinant of C(x,y;lam) against the closed Frobenius form, on
     the instance's kernel."""
-    x, y, kern = inst.x, inst.y, inst.kernel
-    mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
-    closed = cauchy.frobenius_det(kern, x, y, inst.lam)
-    return np.abs(linalg.lu_det(mat) - closed), np.abs(closed)
+    mat = _shared(inst, "cauchy_matrix")
+    closed = _shared(inst, "frobenius_det")
+    return np.abs(linalg.lu_det(mat, factors=_shared(inst, "_lu_factor")) - closed), np.abs(closed)
 
 
 def check_inverse(inst, tag):
     """Closed-form inverse: residual of C C^-1 against the identity, plus a
     cross-check against the LU inverse."""
-    x, y, kern = inst.x, inst.y, inst.kernel
-    mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
-    inv = cauchy.cauchy_inverse_closed(kern, x, y, inst.lam)
+    mat = _shared(inst, "cauchy_matrix")
+    inv = cauchy.cauchy_inverse_closed(inst.kernel, inst.x, inst.y, inst.lam)
     r_id = linalg.max_abs_residual(mat @ inv, np.broadcast_to(np.eye(inst.n), inv.shape))
-    r_lu = linalg.rel_residual(inv, linalg.lu_inverse(mat))
-    return _worst([r_id, r_lu], x.shape[:-1]), 1.0
+    r_lu = linalg.rel_residual(inv, linalg.lu_inverse(mat, factors=_shared(inst, "_lu_factor")))
+    return _worst([r_id, r_lu], inst.x.shape[:-1]), 1.0
 
 
 def check_product_identity(inst, tag):
@@ -369,7 +404,7 @@ def check_gauss(inst, tag):
     n = inst.n
     stack = x.shape[:-1]
     u, d, l = cauchy.gauss_udl(kern, x, y, inst.lam)
-    mat = cauchy.cauchy_matrix(kern, x, y, inst.lam)
+    mat = _shared(inst, "cauchy_matrix")
     scale = np.abs(mat).max(axis=(-2, -1))
     residuals = [linalg.max_abs_residual(u @ d @ l, mat) / scale]
 
@@ -391,7 +426,7 @@ def check_gauss(inst, tag):
             sums.append(abs(s - cb[i, k]) / sb)
     residuals.append(np.reshape(sums, stack + (3,)))
 
-    det_closed = cauchy.frobenius_det(kern, x, y, inst.lam)
+    det_closed = _shared(inst, "frobenius_det")
     det_diag = np.prod(np.diagonal(d, axis1=-2, axis2=-1), axis=-1)
     residuals.append(np.abs(det_diag - det_closed) / np.abs(det_closed))
     return _worst(residuals, stack), 1.0
@@ -495,7 +530,10 @@ class Identity:
         """Run the checker once on an instance and judge each member's
         residual at this identity's tolerance: a list of :class:`Report`,
         one per member in stack order (one for a single trial), each with
-        the stack's time divided among its members.  A residual or reference
+        the stack's time divided among its members.  That time includes the
+        shared products (C(x,y;lam), its closed determinant, its LU
+        factorization) this check is the first on the instance to ask for,
+        and leaves out those an earlier check computed.  A residual or reference
         magnitude that is not finite fails, and so does a failed rate
         verdict.  Raises ValueError for a kernel tag outside the plan, an
         instance of another variant than the plan names for it, or a

@@ -10,7 +10,9 @@ theta function
 
 with nome q = exp(i pi omega_prime/omega).  Every evaluation first splits
 x = x_red + 2m*omega + 2m'*omega_prime with x_red in the fundamental cell
-and re-applies the quasi-periodicity factors afterwards.
+and re-applies the quasi-periodicity factors afterwards; sigma takes their
+sign (-1)^(m + m' + m m') from an exact float test of whether that whole
+number is even, with no float modulo.
 
 :func:`lattice_new` builds a per-lattice series table (:class:`ThetaSeries`)
 once: the coefficients 2(-1)^n q^{(n+1/2)^2}, the odd multipliers 2n+1,
@@ -166,11 +168,13 @@ def sigma(lat, x):
     xr, m, mp = _reduce(lat, x)
     # eta x_red^2 / (2 omega) + eta_Omega (x_red + Omega/2), with 2 x_red + Omega = x + x_red
     expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
-    # (-1)^(m + m' + m m') is +1 exactly when m and m' are both even, i.e. (m+1)(m'+1) is odd
+    # (-1)^(m + m' + m m') is +1 exactly when that whole number is even, that
+    # is when half of it is whole: an exact float test, with no float modulo
+    half = 0.5 * (m + mp + m * mp)
     pre = t.w1 / (np.pi * t.d1)
-    factor = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo)
+    factor = np.where(np.floor(half) == half, pre, -pre) * np.exp(expo)
     # freed before the series makes its temporaries, to keep the peak memory down
-    del expo, m, mp
+    del expo, m, mp, half
     # theta1(v) = sin v * sum_n coef_n S_n with S_n = sin((2n+1) v) / sin v,
     # which obeys S_{n+1} = a S_n - S_{n-1} from S_0 = 1, S_{-1} = -1, where
     # a = 2 cos 2v = 2 - 4 sin^2 v.  Clenshaw's backward sum

@@ -8,6 +8,7 @@ import pytest
 from ellcauchy import DimensionMismatch, SingularMatrix
 from ellcauchy.linalg import (
     _as_square,
+    _lu_factor,
     lu_det,
     lu_inverse,
     max_abs_residual,
@@ -166,6 +167,32 @@ class TestStacked:
             _as_square(np.zeros((2, 3, 4)), stacked=True)
         with pytest.raises(DimensionMismatch):
             lu_det(np.zeros((2, 3, 4)))
+
+
+class TestGivenFactors:
+    """``factors=_lu_factor(a)`` gives, bit for bit, what the call that
+    factors ``a`` itself gives, singular members and messages included."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_det_and_inverse(self, rng, n):
+        for a in (complex_stack(rng, (n, n)), complex_stack(rng, (2, 3, n, n))):
+            factors = _lu_factor(a)
+            got, ref = lu_det(a, factors=factors), lu_det(a)
+            assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+            assert lu_inverse(a, factors=factors).tobytes() == lu_inverse(a).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_singular_members(self, rng, n):
+        a = complex_stack(rng, (2, 3, n, n))
+        a[1, 1, :, n // 2] = 0
+        a[0, 2] = 0
+        factors = _lu_factor(a)
+        assert lu_det(a, factors=factors).tobytes() == lu_det(a).tobytes()
+        with pytest.raises(SingularMatrix) as given:
+            lu_inverse(a, factors=factors)
+        with pytest.raises(SingularMatrix) as own:
+            lu_inverse(a)
+        assert str(given.value) == str(own.value)
 
 
 class TestResiduals:

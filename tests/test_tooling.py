@@ -141,18 +141,20 @@ def test_readme_library_example(capsys):
 #: factorization factor's Lagrange denominator whose argument blocks an
 #: earlier check on it evaluated, sigma_k takes every k in one call, a
 #: block of sampler rounds makes at most one zero-distance call, an
-#: Instance makes none (the sampler alone keeps the margins), and the LU
-#: oracle takes a whole stack in one call: only the determinant check takes
-#: an LU determinant and only the inverse check inverts by LU, once per
-#: stack, for 2 kernels x 4 sizes (the factorization check forms G g(y),
-#: not g(x) g(y)^-1)
+#: Instance makes none (the sampler alone keeps the margins), the
+#: determinant, inverse and gauss checks of a stack build its Cauchy matrix
+#: and closed determinant once between them, and the LU oracle takes a
+#: whole stack in one call: only the determinant check takes an LU
+#: determinant and only the inverse check inverts by LU, once per stack,
+#: for 2 kernels x 4 sizes, from one factorization per stack (the
+#: factorization check forms G g(y), not g(x) g(y)^-1)
 CALL_CAPS = {
     "verify.random_instance": 25,
     "linalg.lu_det": 8,
     "linalg.lu_inverse": 8,
-    "cauchy.zero_distance": 216,
-    "cauchy.kernel": 146,
-    "weierstrass.lattice_distance": 110,
+    "cauchy.zero_distance": 192,
+    "cauchy.kernel": 138,
+    "weierstrass.lattice_distance": 94,
     "weierstrass.sigma": 64,
     "weierstrass.sigma_k": 12,
 }

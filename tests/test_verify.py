@@ -19,6 +19,7 @@ from ellcauchy import (
     cauchy,
     elliptic_kernel,
     frobenius_det,
+    linalg,
     random_instance,
     run_suite,
     verify,
@@ -143,6 +144,12 @@ class TestSuiteConfig:
             {"base_seed": "42"},
             {"base_seed": -1},
             {"base_seed": 2**32},
+            {"tolerance": "1e-8"},
+            {"tolerance": None},
+            {"sep_min": "a"},
+            {"sep_min": "0.05"},
+            {"lattice_tau": None},
+            {"lattice_tau": "0.3+0.7j"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -774,6 +781,56 @@ class TestSharedInstances:
         # alone
         assert alive == [0] * 19
         assert sizes == [2] * 18 + [1]
+
+
+class TestSharedProducts:
+    """The determinant, inverse and gauss checks of a stack take its Cauchy
+    matrix, closed determinant and LU factorization from the stack's store:
+    each is computed once per stack that uses it, and never for another."""
+
+    WRAPPED = ((cauchy, "cauchy_matrix"), (cauchy, "frobenius_det"), (linalg, "_lu_factor"))
+
+    def test_once_per_stack(self, monkeypatch):
+        cfg = SuiteConfig(n_values=(2, 3), trials_per_n=3)
+        stacks, calls = [], Counter()
+
+        def sampled(cfg, kernel, n, seeds, with_z=False):
+            stacks.append(random_instance(cfg, kernel, n, seeds, with_z))
+            return stacks[-1]
+
+        def counted(name, f):
+            def wrapper(*args):
+                # each call is for the stack being checked
+                stack = stacks[-1]
+                if name == "_lu_factor":
+                    assert args[0] is stack._shared["cauchy_matrix"]
+                else:
+                    assert args[0] is stack.kernel and args[1] is stack.x
+                calls[len(stacks) - 1, name] += 1
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(verify, "random_instance", sampled)
+        for module, name in self.WRAPPED:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        # product adds stacks with a third point set, on trig too, which use none
+        identities = ["determinant", "inverse", "gauss", "product"]
+        reports = run_suite(cfg, identities=identities, kernels={"elliptic", "rational", "trig"})
+        assert len(stacks) == 10 and len(reports) == 54
+        for b, stack in enumerate(stacks):
+            uses = stack.kernel.variant != "trig" and stack.z is None
+            for _, name in self.WRAPPED:
+                assert calls[b, name] == uses, (b, stack.kernel.variant, stack.z is None, name)
+
+    def test_new_instances_start_empty(self):
+        cfg = SuiteConfig(n_values=(3,))
+        stack = random_instance(cfg, elliptic_kernel(cfg.lattice()), 3, range(2))
+        REGISTRY["determinant"].check(stack, "elliptic", cfg.tolerance)
+        assert set(stack._shared) == {"cauchy_matrix", "frobenius_det", "_lu_factor"}
+        assert not stack._shared["cauchy_matrix"].flags.writeable
+        for fresh in (stack.member(0), dataclasses.replace(stack)):
+            assert fresh._shared == {}
 
 
 class TestKernelMemo:

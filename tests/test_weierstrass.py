@@ -1,5 +1,7 @@
 """Sigma/zeta evaluator against independent oracles and quasi-periodicity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,24 @@ def lattice_product_sigma(lat, x, m_max=40):
     s = (2 * lat.omega * ms[:, None] + 2 * lat.omega_prime * ms[None, :]).ravel()
     s = s[np.abs(s) > 1e-12]
     return x * np.exp(np.sum(np.log1p(-x / s) + x / s + x**2 / (2 * s**2)))
+
+
+def modulo_parity_sigma(lat, x):
+    """sigma as it was written with the sign (-1)^(m + m' + m m') taken from
+    the float modulo (m + 1)(m' + 1) % 2, for the bit-for-bit check of the
+    exact even test that replaced it."""
+    t = lat.series
+    x = np.asarray(x, dtype=complex)
+    xr, m, mp = _reduce(lat, x)
+    expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
+    pre = t.w1 / (np.pi * t.d1)
+    factor = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo)
+    s = np.sin(np.pi / t.w1 * xr)
+    a = 2.0 - 4.0 * (s * s)
+    b1 = b2 = 0.0
+    for c in t.coef[:0:-1]:
+        b1, b2 = c + a * b1 - b2, b1
+    return factor * s * (t.coef[0] + (a + 1.0) * b1 - b2)
 
 
 class TestLattice:
@@ -161,6 +181,29 @@ class TestSigma:
         pre = t.w1 / (np.pi * t.d1)
         plain = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo) * theta
         assert np.max(np.abs(sigma(lat, x) - plain) / np.abs(plain)) <= 2e-15
+
+    @pytest.mark.parametrize("tau", [0.3 + 0.7j, 0.1 + 1.3j, 7.3 + 0.9j, 0.5 + 13j, 0.08j])
+    def test_sign_matches_the_modulo_parity(self, tau):
+        # the exact even test of m + m' + m m' picks the sign (-1)^(m + m' + m m')
+        # that (m + 1)(m' + 1) % 2 picked, bit for bit, up to 40 periods out;
+        # far out sigma overflows or underflows, so the finite values of both
+        # signs are counted too
+        lat = lattice_new(1.0, tau)
+        rng = np.random.default_rng(11)
+        m, mp = rng.integers(-40, 41, (2, 4000))
+        x = cell_points(lat, rng, 4000) + 2 * m * lat.omega + 2 * mp * lat.omega_prime
+        with np.errstate(all="ignore"):
+            got, ref = sigma(lat, x), modulo_parity_sigma(lat, x)
+        assert np.array_equal(got, ref, equal_nan=True)
+        finite = np.isfinite(got) & (got != 0)
+        odd = (m + mp + m * mp) % 2 == 1
+        assert (finite & odd).sum() > 20 and (finite & ~odd).sum() > 20
+
+    def test_nan_is_silent(self, lat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(sigma(lat, complex(np.nan, np.nan)))
+            assert np.isnan(sigma(lat, np.array([np.nan, 0.1 + 0.2j]))[0])
 
     def test_stack_is_its_rows(self, lat, rng):
         # stacked builders rely on sigma of a stack equal to sigma of each member
