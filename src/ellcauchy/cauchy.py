@@ -311,8 +311,11 @@ def _fused(kernel, *args):
     return [memo[k] for k in keys]
 
 
-def _require_nonzero(kernel, args, what):
-    d = kernel.zero_distance(args)
+def _require_nonzero(kernel, what, *blocks):
+    """Raise :class:`KernelZero` naming ``what`` if any entry of the
+    argument blocks lies at a kernel zero; one zero-distance call over all
+    of them."""
+    d = kernel.zero_distance(np.concatenate([b.ravel() for b in blocks]))
     if np.any(d < ZERO_TOL):
         raise KernelZero(f"{what} hits a kernel zero")
 
@@ -357,7 +360,7 @@ def _over_lagrange(kernel, x, what, cols):
     """``cols`` with row i divided by prod_{l!=i} f(x_i - x_l); a pair
     difference at a kernel zero raises :class:`KernelZero` naming ``what``."""
     diff = _pair_diffs(x)
-    _require_nonzero(kernel, diff, what)
+    _require_nonzero(kernel, what, diff)
     (f_pairs,) = _fused(kernel, diff)
     return cols / _lagrange_den(x.shape[-1], f_pairs)[..., :, None]
 
@@ -377,7 +380,7 @@ def _scaled(kernel, x, y, lam, left, right, what):
     lam = _param(lam, x.shape[:-1])
     diff = x[..., :, None] - y[..., None, :]
     pairs = [_pair_diffs(pts) for pts, side in ((x, left), (y, right)) if side]
-    _require_nonzero(kernel, np.concatenate([a.ravel() for a in (diff, lam, *pairs)]), what)
+    _require_nonzero(kernel, what, diff, lam, *pairs)
     num, f_lam, f_diff, *f_pairs = _fused(kernel, diff + lam[..., None, None], lam, diff, *pairs)
     c = num / (f_lam[..., None, None] * f_diff)
     if left:
@@ -403,7 +406,7 @@ def classic_cauchy(x, y):
     """The classic matrix with entries 1 / (x_i - y_j)."""
     x, y = _sets(x, y, square=False)
     diff = x[..., :, None] - y[..., None, :]
-    _require_nonzero(RATIONAL_KERNEL, diff, "x_i - y_j")
+    _require_nonzero(RATIONAL_KERNEL, "x_i - y_j", diff)
     return 1.0 / diff
 
 
@@ -411,7 +414,7 @@ def classic_cauchy_det(x, y):
     """Closed-form determinant of the classic Cauchy matrix."""
     x, y = _sets(x, y)
     dxy = x[..., :, None] - y[..., None, :]
-    _require_nonzero(RATIONAL_KERNEL, dxy, "x_a - y_b")
+    _require_nonzero(RATIONAL_KERNEL, "x_a - y_b", dxy)
     # as in frobenius_det, the products keep a last axis
     num = np.prod(_pair_diffs(x), axis=-1, keepdims=True) * np.prod(-_pair_diffs(y), axis=-1, keepdims=True)
     den = np.prod(dxy, axis=(-2, -1), keepdims=True)[..., 0]
@@ -423,7 +426,7 @@ def d_matrix(kernel, x, y):
     x, y = _sets(x, y)
     dxy = x[..., :, None] - y[..., None, :]
     dxx = _pair_diffs(x)
-    _require_nonzero(kernel, np.concatenate([dxy.ravel(), dxx.ravel()]), "x_i - x_k or x_i - y_k")
+    _require_nonzero(kernel, "x_i - x_k or x_i - y_k", dxy, dxx)
     return _diag(_d_diagonal(*_fused(kernel, dxy, dxx)))
 
 
@@ -448,9 +451,7 @@ def frobenius_det(kernel, x, y, lam):
     lam = _param(lam, x.shape[:-1])
     shift = lam + x.sum(axis=-1) - y.sum(axis=-1)
     dxy = x[..., :, None] - y[..., None, :]
-    _require_nonzero(
-        kernel, np.concatenate([dxy.ravel(), lam.ravel(), shift.ravel()]), "x_a - y_b, lambda or lambda + X - Y"
-    )
+    _require_nonzero(kernel, "x_a - y_b, lambda or lambda + X - Y", dxy, lam, shift)
     s_shift, s_lam, dx, dy, s_xy = _fused(kernel, shift, lam, _pair_diffs(x), _pair_diffs(y), dxy)
     # f(y_b - y_a) = -f(y_a - y_b); the products keep a last axis, so that
     # one trial is multiplied as an array, as a stack is (numpy rounds a
@@ -496,7 +497,7 @@ def k_matrix(x, y):
     """
     x, y = _sets(x, y, square=False)
     dxy = x[..., :, None] - y[..., None, :]
-    _require_nonzero(RATIONAL_KERNEL, dxy, "x_i - y_k")
+    _require_nonzero(RATIONAL_KERNEL, "x_i - y_k", dxy)
     row_num = np.prod(dxy, axis=-1)  # prod over all k
     return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", row_num[..., :, None] / dxy)
 
@@ -573,9 +574,7 @@ def gauss_udl(kernel, x, y, lam):
     dxy = x[..., :, None] - y[..., None, :]
     dyy = _pair_diffs(y)
     _require_nonzero(
-        kernel,
-        np.concatenate([a.ravel() for a in (lams, x - y + lams, dxy, dxx, dyy)]),
-        "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b",
+        kernel, "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b", lams, x - y + lams, dxy, dxx, dyy
     )
 
     # U needs f(x_i - y_j + lam_j) for i <= j and L f(x_j - y_k + lam_j) for
@@ -622,7 +621,7 @@ def bloch_eval(lat, poles, coeffs, lam, point):
     if point.shape[: len(stack)] != stack:
         raise DimensionMismatch(f"evaluation points of shape {point.shape} for a stack of shape {stack}")
     kern = elliptic_kernel(lat)
-    _require_nonzero(kern, lam, "lambda")
+    _require_nonzero(kern, "lambda", lam)
     # the stack's axis, then a unit axis for each axis of the evaluation points
     lead = stack + (1,) * (point.ndim - len(stack))
     n = poles.shape[-1]

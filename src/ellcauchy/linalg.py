@@ -23,10 +23,10 @@ from .errors import DimensionMismatch, SingularMatrix
 PIVOT_FLOOR = 1e-14
 
 
-def _as_square(a, stacked=False):
-    """``a`` as a complex square matrix, or with ``stacked`` a stack of them."""
+def _as_square(a):
+    """``a`` as a complex square matrix or a stack of them."""
     a = np.asarray(a, dtype=complex)
-    if not (a.ndim == 2 or stacked and a.ndim > 2) or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
     return a
 
@@ -37,8 +37,8 @@ def _per_matrix(v):
 
 
 def _check_same_dim(a, b):
-    a = _as_square(a, stacked=True)
-    b = _as_square(b, stacked=True)
+    a = _as_square(a)
+    b = _as_square(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     return a, b
@@ -83,7 +83,7 @@ def lu_det(a, *, factors=None):
     """Determinant via pivoted LU, per matrix of a stack; 0 for a singular
     matrix.  One matrix gives a Python ``complex``.  ``factors``, if given,
     is ``_lu_factor(a)`` already computed, and is used in its place."""
-    a = _as_square(a, stacked=True)
+    a = _as_square(a)
     lu, _, sign = _lu_factor(a) if factors is None else factors
     diag = np.ascontiguousarray(np.diagonal(lu, axis1=-2, axis2=-1))
     return _per_matrix(sign * np.prod(diag, axis=-1))
@@ -98,7 +98,7 @@ def lu_inverse(a, *, factors=None):
     member alone gives.  ``factors``, if given, is ``_lu_factor(a)`` already
     computed, and is used in its place.
     """
-    a = _as_square(a, stacked=True)
+    a = _as_square(a)
     n = a.shape[-1]
     lu, perm, _ = _lu_factor(a) if factors is None else factors
     threshold = PIVOT_FLOOR * np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
@@ -139,7 +139,7 @@ def structure_check(a, kind, tol):
     Off-pattern entries must have magnitude below tol; where the pattern
     requires 1 on the diagonal, diagonal entries must be within tol of 1.
     """
-    a = _as_square(a, stacked=True)
+    a = _as_square(a)
     lower = np.abs(np.tril(a, -1)).max(axis=(-2, -1))
     upper = np.abs(np.triu(a, 1)).max(axis=(-2, -1))
     diag_is_one = np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1).max(axis=-1)

@@ -53,11 +53,6 @@ _MAX_ROUNDS = 10_000
 #: cache
 _PAIR_BUDGET = 32_768
 
-#: rounds the pending trials of a stack draw in shared blocks; past them the
-#: first pending trial draws on alone, so a stack that exhausts costs little
-#: more than its first exhausting trial
-_SHARED_ROUNDS = 32
-
 #: reference magnitudes below this switch the pass criterion to absolute
 _ABS_SWITCH = 1e-10
 
@@ -178,13 +173,12 @@ def _sorted_screen(pts, margin):
 def _margins_ok(kernel, sets, lam, margin):
     """Whether each sampled round keeps every margin, one verdict per round.
 
-    ``sets`` holds the point sets with a leading round axis, shape
-    (sets, rounds, n), and ``lam`` one parameter per round; one round may
-    leave the round axis out.  A round keeps its margins when the zero
-    distance of each difference of two of its points, of lambda, of lambda
-    plus and minus each set sum and X - Y, and of the Gauss ladder lambda_j
-    and lambda_j + x_j - y_j is at least ``margin``.  The rule is the same
-    for every kernel.
+    ``sets`` is a block of rounds, shape (sets, rounds, n), and ``lam``
+    holds one parameter per round, shape (rounds,).  A round keeps its
+    margins when the zero distance of each difference of two of its
+    points, of lambda, of lambda plus and minus each set sum and X - Y, and
+    of the Gauss ladder lambda_j and lambda_j + x_j - y_j is at least
+    ``margin``.  The rule is the same for every kernel.
 
     Both screens read one round-major view of the points, (rounds, sets * n).
     A zero distance never exceeds the modulus (0 is a zero), so a pair
@@ -199,10 +193,7 @@ def _margins_ok(kernel, sets, lam, margin):
     that is close only across a period.  Both tests measure each unordered
     pair once: the zero distance is even.
     """
-    sets = np.asarray(sets, dtype=complex)
-    n_sets, n = len(sets), sets.shape[-1]
-    sets = sets.reshape(n_sets, -1, n)
-    lam = np.reshape(lam, -1)
+    n_sets, _, n = sets.shape
     pts = sets.transpose(1, 0, 2).reshape(-1, n_sets * n)
     pairs = math.comb(n_sets * n, 2)
     if len(pts) * pairs <= _PAIR_BUDGET:
@@ -246,13 +237,18 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
     exactly as per-coordinate ``Generator.uniform`` calls would, and each
     trial takes its first admissible round.  Rounds are drawn and tested
     in blocks, as arrays, and the instances are bit for bit those of one
-    round at a time.  The first block is one round for every trial; the
-    trials still pending then draw blocks of rounds that double, together
-    until they have drawn ``_SHARED_ROUNDS`` rounds, and after that the
-    first pending trial alone, up to ``_MAX_ROUNDS`` rounds each.  No block
-    holds more than ``_PAIR_BUDGET`` points (or more than one round, where
-    one round alone holds more), and :func:`_margins_ok` tests it in time
-    and memory linear in its points.
+    round at a time.  One rule makes every block: the first ``cap // size``
+    pending trials, in seed order, each draw ``size`` rounds, where ``cap``
+    is the rounds that fit ``_PAIR_BUDGET`` points (at least one) and
+    ``size`` is one more than the rounds the first pending trial has
+    drawn, at most ``cap`` and at most what it has left of
+    ``_MAX_ROUNDS``.  So a trial's rounds double with each block until a
+    block holds ``cap`` rounds, no block holds more than ``_PAIR_BUDGET``
+    points (or more than one round, where one round alone holds more), and
+    :func:`_margins_ok` tests a block in time and memory linear in its
+    points.  The first block is one round for each trial the cap admits,
+    and a block shrinks to one trial as its rounds grow, so a stack that
+    exhausts costs little more than its first exhausting trial.
 
     Raises :class:`SamplingExhausted` if the separation requirement cannot
     be met in the sampling region (or after the round limit).
@@ -288,7 +284,7 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
         if head >= _MAX_ROUNDS:
             raise SamplingExhausted(f"no admissible instance after {_MAX_ROUNDS} rounds")
         size = min(head + 1, cap, _MAX_ROUNDS - head)
-        group = pending[:1] if head >= _SHARED_ROUNDS else pending[:cap // size]
+        group = pending[:cap // size]
         draws = np.concatenate([rngs[b].random((size, width)) for b in group])
         uv = draws[:, :-2].reshape(len(draws), n_sets, 2, n)
         block_sets = spec.points(lat, uv[:, :, 0], uv[:, :, 1]).swapaxes(0, 1)
@@ -679,7 +675,7 @@ def run_suite(cfg, identities=None, kernels=None):
         else:
             sizes, seeds_of = [n for n in cfg.n_values if ident.n_cap is None or n <= ident.n_cap], trials
         for tag, variant, with_z in ident.plan:
-            if kernels and tag.removeprefix("k-") not in kernels:
+            if kernels is not None and tag.removeprefix("k-") not in kernels:
                 continue
             for n in sizes:
                 seeds, todo = jobs.setdefault((variant, n, with_z), ({}, []))

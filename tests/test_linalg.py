@@ -164,7 +164,7 @@ class TestStacked:
 
     def test_non_square_stack_raises(self):
         with pytest.raises(DimensionMismatch):
-            _as_square(np.zeros((2, 3, 4)), stacked=True)
+            _as_square(np.zeros((2, 3, 4)))
         with pytest.raises(DimensionMismatch):
             lu_det(np.zeros((2, 3, 4)))
 

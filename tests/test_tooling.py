@@ -116,8 +116,8 @@ def test_one_zero_distance_call_per_round(round_calls, variant):
 @pytest.mark.parametrize("variant", list(test_verify.TestMarginScreen.CASES))
 def test_close_pair_needs_no_call(round_calls, variant):
     kern, sets, lam = test_verify.TestMarginScreen.CASES[variant]
-    close = [sets[0], np.append(sets[1][1:], sets[0][0] + 0.01)]
-    assert not verify._margins_ok(kern, close, lam, SuiteConfig().sep_min)
+    close = test_verify.TestMarginScreen.block([sets[0], np.append(sets[1][1:], sets[0][0] + 0.01)], lam)
+    assert verify._margins_ok(kern, *close, SuiteConfig().sep_min).tolist() == [False]
     assert round_calls == [0]
 
 

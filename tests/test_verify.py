@@ -350,6 +350,46 @@ def test_blocks_keep_the_pair_budget(monkeypatch):
     assert calls and all(rounds == cap == 1 for rounds, cap in calls)
 
 
+class TestBlockSchedule:
+    """Every block is drawn by the first ``cap // size`` pending trials,
+    however many rounds they have drawn."""
+
+    @staticmethod
+    def blocks(monkeypatch):
+        """The rounds of each block the sampler tests, in order."""
+        rounds, margins_ok = [], verify._margins_ok
+
+        def recorded(kernel, sets, lam, margin):
+            rounds.append(np.shape(sets)[1])
+            return margins_ok(kernel, sets, lam, margin)
+
+        monkeypatch.setattr(verify, "_margins_ok", recorded)
+        return rounds
+
+    def test_rounds_double_while_the_cap_admits_every_trial(self, monkeypatch):
+        # after k blocks each pending trial has drawn 2**k - 1 rounds, so a
+        # stack whose slowest trial takes R rounds takes ceil(log2(R + 1))
+        # blocks (R = 1,461 here: 11 blocks)
+        cfg = SuiteConfig(sep_min=0.15)
+        kern = elliptic_kernel(cfg.lattice())
+        seeds = range(42, 52)
+        taken = [reference_sample(cfg, kern, 8, seed)[2] for seed in seeds]
+        blocks = self.blocks(monkeypatch)
+        random_instance(cfg, kern, 8, seeds)
+        # block k: 2**k rounds of each trial still pending
+        count = math.ceil(math.log2(max(taken) + 1))
+        assert blocks == [2**k * sum(r >= 2**k for r in taken) for k in range(count)]
+        assert count == 11
+
+    def test_an_exhausting_stack_costs_about_one_trial(self, monkeypatch):
+        # as its rounds grow, a block shrinks to the first pending trial alone
+        cfg = SuiteConfig(sep_min=0.05)
+        blocks = self.blocks(monkeypatch)
+        with pytest.raises(SamplingExhausted, match="rounds"):
+            random_instance(cfg, elliptic_kernel(cfg.lattice()), 20, range(42, 52), with_z=True)
+        assert verify._MAX_ROUNDS <= sum(blocks) < 1.25 * verify._MAX_ROUNDS
+
+
 class TestMarginScreen:
     """A pair closer than the margin only across a period is rejected by
     the all-pairs test after the plane-distance screen."""
@@ -369,6 +409,12 @@ class TestMarginScreen:
         ),
     }
 
+    @staticmethod
+    def block(sets, lam):
+        """One round as the margin test takes a block: points of shape
+        (sets, 1, n) and one parameter."""
+        return np.array(sets, dtype=complex)[:, None], np.array([lam])
+
     @pytest.mark.parametrize("variant", list(CASES))
     def test_rejects_pair_a_period_apart(self, variant):
         kern, sets, lam = self.CASES[variant]
@@ -378,10 +424,10 @@ class TestMarginScreen:
         np.fill_diagonal(diff, np.inf)
         assert diff.min() > 10 * margin
         assert separation(kern, pts) == pytest.approx(0.02)
-        assert not verify._margins_ok(kern, sets, lam, margin)
+        assert verify._margins_ok(kern, *self.block(sets, lam), margin).tolist() == [False]
         # the same round with the partner moved off the period passes
         moved = [sets[0], sets[1] - 0.3]
-        assert verify._margins_ok(kern, moved, lam, margin)
+        assert verify._margins_ok(kern, *self.block(moved, lam), margin).tolist() == [True]
 
 
 class TestSortedScreen:
@@ -616,6 +662,16 @@ class TestRunSuite:
     def test_kernel_filter(self, small):
         reports = run_suite(small, identities=["product"], kernels={"trig"})
         assert reports and {r.kernel for r in reports} == {"trig"}
+
+    def test_empty_selections_select_nothing(self, monkeypatch):
+        # no kernel selects no check, as no identity does, and no stack is
+        # sampled
+        sampled = []
+        monkeypatch.setattr(verify, "random_instance", lambda *a: sampled.append(a))
+        cfg = SuiteConfig(n_values=(2,), trials_per_n=1)
+        assert run_suite(cfg, kernels=set()) == []
+        assert run_suite(cfg, identities=[]) == []
+        assert sampled == []
 
     @pytest.mark.parametrize(
         "kwargs, name",
