@@ -18,9 +18,10 @@ single rounds would.  Its close-pair screen tests every pair of a small
 block, and sorts and sweeps the points of a large one, so its cost is
 linear in a block's points.
 :meth:`Identity.check` alone decides where a checker runs, times it and
-judges each member's residual into a :class:`Report`.  Everything is a pure
-function of (config, seed), so suite runs are reproducible byte for byte
-(timings aside).  Degeneration is a registry entry like the rest, checked
+judges each member's residual into a :class:`Report`.  The checkers read
+only their instance and draw no random numbers of their own, so everything
+is a pure function of (config, seed), and suite runs are reproducible byte
+for byte (timings aside).  Degeneration is a registry entry like the rest, checked
 once, at a fixed size and tolerance.
 """
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import cauchy, linalg
 from .cauchy import RATIONAL_KERNEL, TRIG_KERNEL, Instance, Kernel
 from .errors import SamplingExhausted
-from .weierstrass import lattice_distance, lattice_new, sigma, sigma_k
+from .weierstrass import lattice_new, sigma, sigma_k
 
 #: rejection-sampling round limit before SamplingExhausted
 _MAX_ROUNDS = 10_000
@@ -95,11 +96,17 @@ class SuiteConfig:
 
     def __post_init__(self):
         try:
-            n_values = tuple(operator.index(n) for n in self.n_values)
+            n_values = tuple(self.n_values)
+            given = (*n_values, self.trials_per_n, self.base_seed, self.tolerance, self.sep_min)
+            n_values = tuple(operator.index(n) for n in n_values)
             trials = operator.index(self.trials_per_n)
             base_seed = operator.index(self.base_seed)
         except TypeError:
             raise ValueError("n_values, trials_per_n and base_seed must be integers") from None
+        # a bool is an int, and so a number: tolerance=True would read as 1.0
+        # (lattice_tau=True is refused below, as Im(1) = 0)
+        if any(isinstance(v, bool) for v in given):
+            raise ValueError("n_values, trials_per_n, base_seed, tolerance and sep_min take numbers, not bools")
         # numbers, not strings that float() and complex() would parse
         reals = isinstance(self.tolerance, numbers.Real) and isinstance(self.sep_min, numbers.Real)
         if not (reals and isinstance(self.lattice_tau, numbers.Complex)):
@@ -386,16 +393,11 @@ def check_factorization(inst, tag):
     return _worst([np.abs(lhs @ gy - gx) / (np.abs(lhs) @ np.abs(gy))], x.shape[:-1]), 1.0
 
 
-def _member_rngs(tag, inst):
-    """One seeded generator per member, in stack order: the checker tag and
-    the member's (N, seed) pick its stream."""
-    return [np.random.default_rng([tag, inst.n, int(seed)]) for seed in np.ravel(inst.seed)]
-
-
 def check_gauss(inst, tag):
     """UDL decomposition: product residual, triangular/diagonal structure,
-    the element-sum form of the decomposition at random entries, and the
-    determinant consistency prod_j D_jj = Frobenius determinant."""
+    the element-sum form of the decomposition at the entries (0, 0),
+    (0, N-1) and (N-1, 0), and the determinant consistency
+    prod_j D_jj = Frobenius determinant."""
     x, y, kern = inst.x, inst.y, inst.kernel
     n = inst.n
     stack = x.shape[:-1]
@@ -411,16 +413,11 @@ def check_gauss(inst, tag):
     )
     residuals.append(np.where(structured, 0.0, 1.0))
 
-    # element-sum form: C_ik = sum_{j >= max(i,k)} U_ij D_jj L_jk, at three
-    # seeded entries of each member
-    sums = []
-    members = zip(_member_rngs(3, inst), *(a.reshape((-1, n, n)) for a in (u, d, l, mat)), np.ravel(scale))
-    for rng, ub, db, lb, cb, sb in members:
-        for _ in range(3):
-            i, k = int(rng.integers(n)), int(rng.integers(n))
-            s = sum(ub[i, j] * db[j, j] * lb[j, k] for j in range(max(i, k), n))
-            sums.append(abs(s - cb[i, k]) / sb)
-    residuals.append(np.reshape(sums, stack + (3,)))
+    # element-sum form: C_ik = sum_{j >= max(i,k)} U_ij D_jj L_jk, its terms
+    # added in order of j
+    for i, k in ((0, 0), (0, n - 1), (n - 1, 0)):
+        s = sum(u[..., i, j] * d[..., j, j] * l[..., j, k] for j in range(max(i, k), n))
+        residuals.append(np.abs(s - mat[..., i, k]) / scale)
 
     det_closed = _shared(inst, "frobenius_det")
     det_diag = np.prod(np.diagonal(d, axis1=-2, axis2=-1), axis=-1)
@@ -429,33 +426,21 @@ def check_gauss(inst, tag):
 
 
 def check_monodromy(inst, tag):
-    """Quasi-periodicity multipliers: sigma under both period shifts, the
-    sigma_k family for k = 1..N, and the Bloch multipliers of a random pole
-    expansion, all at seeded random points."""
+    """Quasi-periodicity multipliers at the instance's points: sigma at x
+    and y, the sigma_k family for k = 1..N at x_1 and y_1, and the Bloch
+    multipliers of the expansion with poles x and coefficients y at the
+    points y, under both period shifts.  The sampler keeps every x_i - y_j
+    at least ``sep_min`` from the lattice, so no point is near a pole."""
     lat = inst.kernel.lattice
-    n = inst.n
-    stack = inst.x.shape[:-1]
-    poles = inst.x.reshape(-1, n)
-
-    # per member: five points, N pole coefficients and three evaluation
-    # points at least 0.05 from the poles
-    pts, coeffs, ws = [], [], []
-    for rng, member_poles in zip(_member_rngs(4, inst), poles):
-        pts.append(2 * rng.uniform(-0.4, 0.4, 5) * lat.omega + 2 * rng.uniform(-0.4, 0.4, 5) * lat.omega_prime)
-        coeffs.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        member_ws = []
-        while len(member_ws) < 3:
-            w = complex(2 * rng.uniform(-0.4, 0.4) * lat.omega + 2 * rng.uniform(-0.4, 0.4) * lat.omega_prime)
-            if lattice_distance(lat, w - member_poles).min() >= 0.05:
-                member_ws.append(w)
-        ws.append(member_ws)
-    pts, coeffs, ws = (np.reshape(a, stack + np.shape(a)[1:]) for a in (pts, coeffs, ws))
+    x, y, n = inst.x, inst.y, inst.n
+    pts = np.concatenate([x, y], axis=-1)
+    firsts = pts[..., ::n]  # x_1 and y_1
 
     # axis -2 (after the stack): unshifted, shifted by 2 omega, shifted by 2 omega'
     shifts = np.array([0, 2 * lat.omega, 2 * lat.omega_prime])[:, None]
     s = sigma(lat, pts[..., None, :] + shifts)
-    sks = sigma_k(lat, n, np.arange(1, n + 1), pts[..., None, :2] + shifts)
-    psi = cauchy.bloch_eval(lat, inst.x, coeffs, inst.lam, ws[..., None, :] + shifts)
+    sks = sigma_k(lat, n, np.arange(1, n + 1), firsts[..., None, :] + shifts)
+    psi = cauchy.bloch_eval(lat, x, y, inst.lam, y[..., None, :] + shifts)
 
     residuals = []
     sign = (-1.0) ** n
@@ -463,12 +448,12 @@ def check_monodromy(inst, tag):
         expect = -np.exp(2 * eta * (pts + half)) * s[..., 0, :]
         residuals.append(np.abs(s[..., row, :] - expect).max(axis=-1) / np.abs(expect).max(axis=-1))
         # sigma_k for every k at once, along the trailing axis
-        b = (sign * np.exp(2 * eta * n * (pts[..., :2] + half)))[..., None] * sks[..., 0, :, :]
+        b = (sign * np.exp(2 * eta * n * (firsts + half)))[..., None] * sks[..., 0, :, :]
         residuals.append(np.abs(sks[..., row, :, :] - b).max(axis=-2) / np.abs(b).max(axis=-2))
         mult = np.exp(2 * eta * np.asarray(inst.lam)[..., None])
         base = psi[..., 0, :]
         residuals.append(np.abs(psi[..., row, :] - mult * base) / np.abs(mult * base))
-    return _worst(residuals, stack), 1.0
+    return _worst(residuals, x.shape[:-1]), 1.0
 
 
 def check_degeneration(inst, tag):

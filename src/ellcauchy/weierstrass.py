@@ -88,7 +88,10 @@ def lattice_new(omega, omega_prime):
 
     Raises :class:`InvalidLattice` unless the periods and their ratio are
     finite and Im(omega_prime/omega) > 0, and if theta1'(0), which sigma
-    divides by, underflows (from about Im(omega_prime/omega) = 902).
+    divides by, underflows (from about Im(omega_prime/omega) = 902), or
+    its alternating sum cancels so far that its rounding bound, eps times
+    the sum of the terms' moduli, exceeds 1e-9 of it (thin lattices, from
+    about Im(omega_prime/omega) = 0.04 down), where eta would be wrong.
     """
     omega = complex(omega)
     omega_prime = complex(omega_prime)
@@ -112,6 +115,9 @@ def lattice_new(omega, omega_prime):
     d1 = complex(np.sum(coef * odd))
     if abs(d1) < np.finfo(float).tiny:
         raise InvalidLattice(f"theta1'(0) underflows at Im(omega'/omega) = {tau.imag:.6g}")
+    # on thin lattices the alternating theta1'(0) sum cancels, and eta with it
+    if np.finfo(float).eps * np.abs(coef * odd).sum() > 1e-9 * abs(d1):
+        raise InvalidLattice(f"theta1'(0) cancels too far for eta at Im(omega'/omega) = {tau.imag:.6g}")
     d3 = -complex(np.sum(coef * odd**3))  # theta1'''(0)
     eta = -(np.pi**2) / (12 * omega) * d3 / d1
     eta_prime = (2 * eta * omega_prime - 1j * np.pi) / (2 * omega)

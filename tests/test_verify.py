@@ -150,6 +150,11 @@ class TestSuiteConfig:
             {"sep_min": "0.05"},
             {"lattice_tau": None},
             {"lattice_tau": "0.3+0.7j"},
+            {"tolerance": True},
+            {"trials_per_n": True},
+            {"n_values": (True, 2)},
+            {"sep_min": True},
+            {"base_seed": False},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -625,16 +630,39 @@ class TestCheckers:
         assert math.isnan(verify._worst(residuals))
 
     def test_nan_monodromy_residuals_fail(self):
-        # on the thin lattice sigma_k underflows to 0 at two instances, and
-        # its multiplier comparison divides 0 by 0 (an array divide: the
-        # trials of a size are checked as one stack)
+        # on the thin lattice sigma_k at both shifted points, and its expected
+        # multiple, underflow to 0 at three instances, and the multiplier
+        # comparison divides 0 by 0 (an array divide: the trials of a size
+        # are checked as one stack)
         cfg = SuiteConfig(lattice_tau=0.08j, n_values=(1, 2, 3, 4), trials_per_n=3)
         with pytest.warns(RuntimeWarning, match="invalid value encountered in divide"):
             reports = run_suite(cfg, identities=["monodromy"])
         failed = [r for r in reports if not r.passed]
-        assert {(r.n, r.seed) for r in failed} == {(3, 43), (4, 44)}
+        assert {(r.n, r.seed) for r in failed} == {(3, 44), (4, 43), (4, 44)}
         assert all(math.isnan(r.rel_residual) for r in failed)
         assert len(reports) == 12
+
+    def test_checkers_build_no_generator(self, cfg, monkeypatch):
+        # every random number a check reads is one the sampler drew
+        lat = cfg.lattice()
+        stacks = [
+            (ident, tag, random_instance(cfg, Kernel(variant, lat), 3, [42, 43], with_z))
+            for ident in REGISTRY.values()
+            for tag, variant, with_z in ident.plan
+        ]
+        calls = Counter()  # (identity, kernel tag) -> generators built
+        default_rng = np.random.default_rng
+        check = None
+
+        def counted(*args, **kwargs):
+            calls[check] += 1
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        for ident, tag, stack in stacks:
+            check = ident.name, tag
+            ident.check(stack, tag, cfg.tolerance)
+        assert not calls, calls
 
     def test_report_roundtrip(self, cfg, kern):
         (rep,) = REGISTRY["determinant"].check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)

@@ -96,6 +96,17 @@ class TestLattice:
                 lattice_new(1.0, tau)
         assert np.isfinite(sigma(lattice_new(1.0, 900j), 0.3 + 0.1j))
 
+    @pytest.mark.parametrize("tau", [0.04j, 0.02j, 0.01j, 0.5 + 0.01j])
+    def test_thin_lattice_cancellation(self, tau):
+        # the alternating theta1'(0) sum cancels: eta would be wrong
+        # (relative error 1.6e-9 at 0.04i, 0.12 at 0.02i against mpmath)
+        with pytest.raises(InvalidLattice, match="cancels"):
+            lattice_new(1.0, tau)
+
+    @pytest.mark.parametrize("tau", [0.08j, 0.05j, 0.5 + 0.02j, 7.3 + 0.9j])
+    def test_thin_lattice_kept(self, tau):
+        assert np.isfinite(lattice_new(1.0, tau).eta)
+
     def test_nome_inside_unit_disc(self, lat):
         assert abs(lat.nome) < 1
 
@@ -352,6 +363,25 @@ def test_sigma_matches_mpmath(tau, region, tol):
     ref = np.array([mp_sigma(mpmath, lat, p) for p in x])
     assert np.all(ref != 0) and np.all(np.isfinite(ref))
     assert np.max(np.abs(sigma(lat, x) - ref) / np.abs(ref)) <= tol
+
+
+def test_eta_matches_mpmath_on_thin_lattices():
+    # every thin lattice lattice_new accepts carries eta to 1e-9 or better;
+    # the rest it refuses as cancelling
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(26)
+    taus = rng.uniform(-0.5, 0.5, 150) + 1j * 10 ** rng.uniform(-2, -1, 150)
+    errors = []
+    for tau in taus:
+        try:
+            lat = lattice_new(1.0, tau)
+        except InvalidLattice:
+            continue
+        with mpmath.workdps(40):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            ref = complex(-(mpmath.pi**2) / 12 * mpmath.jtheta(1, 0, q, 3) / mpmath.jtheta(1, 0, q, 1))
+        errors.append(abs(lat.eta - ref) / abs(ref))
+    assert len(errors) == 142 and max(errors) < 1e-9
 
 
 # ---------------------------------------------------------------------------
