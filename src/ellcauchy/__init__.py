@@ -32,8 +32,6 @@ from .errors import (
     EllCauchyError,
     InvalidLattice,
     KernelZero,
-    PoleAtLatticePoint,
-    PoleProximity,
     SamplingExhausted,
     SingularMatrix,
 )

@@ -19,9 +19,10 @@ are taken for i < l, and f(y_j - x_i) as -f(x_i - y_j).  The UDL triangles
 are weighted columns and rows of C(x,y;lambda_j) on the Gauss ladder, and
 the kernel is evaluated on those triangles only: one table
 f(x_r - y_c + lambda_max(r,c)) is U's on and above the diagonal and L's
-below it.  The parameter-free K and W forms and double-Bloch evaluation are
-specific to one kernel.  One helper divides by the Lagrange denominator,
-for D, K, W and every factorization factor.
+below it.  The parameter-free K and W forms are specific to one kernel.
+A double-Bloch expansion is evaluated as rows of the elliptic C(w, x; lambda)
+from that same builder, with its zero test.  One helper divides by the
+Lagrange denominator, for D, K, W and every factorization factor.
 
 Every builder and closed form takes a stack of trials as well as one: a
 point set has one axis of points after at most one leading trial axis, the
@@ -54,11 +55,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, KernelZero, PoleProximity
-from .weierstrass import Lattice, lattice_distance, sigma, sigma_k
-
-#: denominator arguments closer than this to a kernel zero raise KernelZero
-ZERO_TOL = 1e-12
+from .errors import DimensionMismatch, KernelZero
+from .weierstrass import ZERO_TOL, Lattice, lattice_distance, sigma, sigma_k
 
 
 def _points(x):
@@ -604,34 +602,25 @@ def gauss_udl(kernel, x, y, lam):
 def bloch_eval(lat, poles, coeffs, lam, point):
     """Evaluate a double-Bloch function from its pole expansion.
 
-    psi(w) = sum_i c_i sigma(w - x_i + lam) / (sigma(lam) sigma(w - x_i));
-    under full-period shifts psi picks up the multipliers exp(2 eta lam)
-    and exp(2 eta' lam).  Elementwise over ``point``; all points go
-    through one sigma call.  For a stack of expansions (poles and
-    coefficients of shape (B, N), lam of shape (B,)), ``point`` has the
-    stack's axis in front.
+    psi(w) = sum_i c_i sigma(w - x_i + lam) / (sigma(lam) sigma(w - x_i)),
+    the row C(w, x; lam) c of the elliptic Cauchy matrix, which the one
+    builder forms and zero-tests (a point within ``ZERO_TOL`` of a pole
+    raises :class:`KernelZero`); under full-period shifts psi picks up the
+    multipliers exp(2 eta lam) and exp(2 eta' lam).  Elementwise over
+    ``point``.  For a stack of expansions (poles and coefficients of shape
+    (B, N), lam of shape (B,)), ``point`` has the stack's axis in front.
     """
     poles = _points(poles)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != poles.shape:
         raise DimensionMismatch(f"{coeffs.size} coefficients for {poles.size} poles")
     stack = poles.shape[:-1]
-    lam = _param(lam, stack)
     point = np.asarray(point, dtype=complex)
     if point.shape[: len(stack)] != stack:
         raise DimensionMismatch(f"evaluation points of shape {point.shape} for a stack of shape {stack}")
-    kern = elliptic_kernel(lat)
-    _require_nonzero(kern, "lambda", lam)
-    # the stack's axis, then a unit axis for each axis of the evaluation points
-    lead = stack + (1,) * (point.ndim - len(stack))
-    n = poles.shape[-1]
-    diff = point[..., None] - poles.reshape(lead + (n,))
-    d = lattice_distance(lat, diff)
-    if np.any(d < 1e-10):
-        raise PoleProximity(f"evaluation point within {d.min():.3e} of a pole")
-    lam = lam.reshape(lead + (1,))
-    s_num, s_lam, s_diff = _fused(kern, diff + lam, lam, diff)
-    psi = (coeffs.reshape(lead + (n,)) * s_num / (s_lam * s_diff)).sum(axis=-1)
+    w = point.reshape(stack + (-1,))
+    rows = _scaled(elliptic_kernel(lat), w, poles, lam, False, False, "w - x_i or lambda")
+    psi = (coeffs[..., None, :] * rows).sum(axis=-1).reshape(point.shape)
     return complex(psi) if point.ndim == 0 else psi
 
 

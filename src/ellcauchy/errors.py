@@ -9,10 +9,6 @@ class InvalidLattice(EllCauchyError):
     """Period pair does not define a lattice with Im(omega'/omega) > 0."""
 
 
-class PoleAtLatticePoint(EllCauchyError):
-    """Evaluation requested at (or too close to) a lattice point."""
-
-
 class DimensionMismatch(EllCauchyError):
     """Matrix operands have incompatible shapes."""
 
@@ -22,11 +18,8 @@ class SingularMatrix(EllCauchyError):
 
 
 class KernelZero(EllCauchyError):
-    """A denominator argument hit a zero of the kernel function."""
-
-
-class PoleProximity(EllCauchyError):
-    """Evaluation point too close to a pole of the expansion."""
+    """An argument hit a zero of the kernel function: a builder's
+    denominator, or a pole of zeta (a zero of sigma)."""
 
 
 class SamplingExhausted(EllCauchyError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidLattice, PoleAtLatticePoint
+from .errors import InvalidLattice, KernelZero
 
 #: hard cap on theta-series terms; only very thin lattices (|q| near 1) reach it
 _MAX_TERMS = 64
@@ -45,8 +45,9 @@ _MAX_TERMS = 64
 #: truncation bound on the theta-series terms kept in the per-lattice table
 SERIES_TOL = 1e-15
 
-#: proximity threshold (in cell-reduced coordinates) for "is a lattice point"
-LATTICE_POINT_TOL = 1e-12
+#: arguments closer than this to a kernel zero (for sigma, a lattice point)
+#: raise KernelZero: zeta's poles and every builder's denominators
+ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,13 +203,13 @@ def zeta_w(lat, x):
     Uses zeta(x_red) = eta*x_red/omega + (pi/(2 omega)) theta1'(v)/theta1(v)
     plus the additive shift 2m*eta + 2m'*eta_prime.
 
-    Raises :class:`PoleAtLatticePoint` within ``LATTICE_POINT_TOL`` of a
-    lattice point.
+    Raises :class:`KernelZero` within ``ZERO_TOL`` of a lattice point, the
+    zeros of sigma.
     """
     t = lat.series
     xr, m, mp = _reduce(lat, complex(x))
-    if abs(xr) < LATTICE_POINT_TOL:
-        raise PoleAtLatticePoint(f"zeta pole at lattice point, x = {x}")
+    if abs(xr) < ZERO_TOL:
+        raise KernelZero(f"zeta pole at lattice point, x = {x}")
     arg = np.pi / t.w1 * xr * t.odd
     ratio = np.sum(t.coef * t.odd * np.cos(arg)) / np.sum(t.coef * np.sin(arg))
     z = lat.eta * xr / lat.omega + np.pi / t.w1 * ratio

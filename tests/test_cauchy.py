@@ -12,7 +12,6 @@ from ellcauchy import (
     DimensionMismatch,
     Instance,
     KernelZero,
-    PoleProximity,
     RATIONAL_KERNEL,
     SuiteConfig,
     TRIG_KERNEL,
@@ -502,8 +501,16 @@ class TestBloch:
                 bloch_eval(lat, [0.1, 0.2], coeffs, 0.3, 0.5)
 
     def test_pole_proximity(self, lat):
-        with pytest.raises(PoleProximity):
-            bloch_eval(lat, [0.3], [1.0], 0.2, 0.3 + 1e-12)
+        # the builders' zero test: 1e-13 from a pole is within ZERO_TOL
+        with pytest.raises(KernelZero):
+            bloch_eval(lat, [0.3], [1.0], 0.2, 0.3 + 1e-13)
+
+    def test_row_of_the_cauchy_matrix_near_a_pole(self, lat):
+        # 5e-11 from a pole is outside ZERO_TOL: psi(w) is the row C(w, x; lam) c
+        poles, c, lam = [0.3, -0.2 + 0.1j], np.array([1.0, 0.5 - 0.2j]), 0.2
+        w = 0.3 + 5e-11
+        row = (c * cauchy_matrix(elliptic_kernel(lat), [w], poles, lam)).sum(axis=-1)[0]
+        assert bloch_eval(lat, poles, c, lam, w) == row
 
     def test_transport_consistency(self, lat, rng):
         # psi(w) * prod sigma(w-x_i)/sigma(w-y_i) equals the expansion over

@@ -149,14 +149,15 @@ def test_readme_library_example(capsys):
 #: for 2 kernels x 4 sizes, from one factorization per stack (the
 #: factorization check forms G g(y), not g(x) g(y)^-1).  No checker draws
 #: points of its own: monodromy reads the instance's, so it makes no
-#: lattice-distance call per candidate point
+#: lattice-distance call per candidate point, and its Bloch expansion is
+#: rows of the scaled-C builder, with that builder's one zero-distance call
 CALL_CAPS = {
     "verify.random_instance": 25,
     "linalg.lu_det": 8,
     "linalg.lu_inverse": 8,
     "cauchy.zero_distance": 192,
     "cauchy.kernel": 138,
-    "weierstrass.lattice_distance": 70,
+    "weierstrass.lattice_distance": 66,
     "weierstrass.sigma": 64,
     "weierstrass.sigma_k": 12,
 }

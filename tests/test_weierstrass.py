@@ -10,7 +10,7 @@ from ellcauchy import (
     SuiteConfig,
     TRIG_KERNEL,
     InvalidLattice,
-    PoleAtLatticePoint,
+    KernelZero,
     lattice_new,
     sigma,
     sigma_k,
@@ -247,9 +247,9 @@ class TestZeta:
             assert abs(zeta_w(lat, x) - fd) < 1e-6
 
     def test_pole_at_lattice_point(self, lat):
-        with pytest.raises(PoleAtLatticePoint):
+        with pytest.raises(KernelZero):
             zeta_w(lat, 0.0)
-        with pytest.raises(PoleAtLatticePoint):
+        with pytest.raises(KernelZero):
             zeta_w(lat, 2 * lat.omega + 2 * lat.omega_prime)
 
 
