@@ -36,14 +36,16 @@ value that is one number per trial is kept as an array, never a scalar.
 An :class:`Instance` (one trial or a stack of them) checks only shapes; the
 sampler keeps the margins.  On the elliptic kernel an instance also owns a
 memo of kernel values: its kernel is a private copy whose ``memo`` maps
-each argument block (shape and bytes) a builder has evaluated to its
-values, so the sigma tables that the determinant, inverse and UDL builders
-share are evaluated once per instance.  sin and the identity cost less
-per point than a lookup and are not memoized.  Since the memo keeps
-values, a function patched on a module name (sigma, say) must be in place
-before the instance is built.  Every instance also holds an empty private
-store, in which the checkers keep the whole products several of them read
-(C, its closed determinant and its LU factorization); it too starts empty
+each block (shape and bytes) a builder has evaluated or zero-tested to its
+values and a mark that it passed the test, so the sigma tables and zero
+tests that the determinant, inverse and UDL builders share are made once
+per instance (a block first evaluated as a numerator is still tested where
+a builder divides by it).  sin and the identity cost less per point than a
+lookup and are not memoized.  Since the memo keeps values, a function
+patched on a module name (sigma, say) must be in place before the
+instance is built.  Every instance also holds an empty private store, in
+which the checkers keep the whole products several of them read (C, its
+closed determinant and its LU factorization); it too starts empty
 on each new instance.
 """
 
@@ -182,8 +184,8 @@ class Kernel:
 
     variant: str  # a key of KERNELS
     lattice: Lattice | None = None  # read by the elliptic variant only
-    #: argument block (shape, bytes) -> kernel values; set only on the
-    #: private copy an :class:`Instance` of a memoized variant holds
+    #: block (shape, bytes) -> [kernel values or None, zero test passed];
+    #: set only on the private copy an :class:`Instance` of a memoized variant holds
     memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -226,11 +228,12 @@ class Instance:
     denominator at a zero.  On a memoized variant ``kernel`` becomes a
     private copy with an empty memo, which lives as long as the instance:
     the builders called with it evaluate each distinct argument block once,
-    for every member of a stack at once; none asks for f(y - x).  Every
-    instance also starts with an empty ``_shared`` store, in which the
-    checkers keep the products that several of them read (C(x, y; lam),
-    its closed determinant and its LU factorization), so that each is
-    computed once per instance.
+    and zero-test each distinct denominator block until it passes, for all
+    members of a stack at once; none asks for f(y - x).  Every instance also
+    starts with an empty ``_shared`` store, in which the checkers keep the
+    products that several of them read (C(x, y; lam), its closed
+    determinant and its LU factorization), so that each is computed once
+    per instance.
     """
 
     kernel: Kernel
@@ -281,41 +284,40 @@ class Instance:
         )
 
 
-def _split(vals, args):
-    """The flat values ``vals`` cut into one array per argument, each in its
-    argument's shape."""
-    out, start = [], 0
-    for a in args:
-        out.append(vals[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return out
-
-
-def _fused(kernel, *args):
-    """Evaluate the kernel once over several argument arrays; one result per
-    argument, each in its argument's shape.  A kernel with a memo looks each
-    block up by its shape and bytes, sends only the blocks it does not hold
-    through the one call and keeps their values, read-only."""
-    args = [np.asarray(a, dtype=complex) for a in args]
+def _fused(kernel, what, tested, *args):
+    """Zero-test the blocks ``tested`` in one zero-distance call (an entry at
+    a kernel zero raises :class:`KernelZero` naming ``what``), then evaluate
+    the kernel over the blocks ``args`` in at most one call: one result per
+    argument, in its shape, read-only.  A kernel with a memo keeps one entry
+    [values, passed] per distinct block, keyed by its shape and bytes, tests
+    only the blocks that have not passed, marks them once they pass (a failed
+    block is never marked) and evaluates only the blocks without values."""
     memo = kernel.memo
-    if memo is None:
-        return _split(kernel(np.concatenate([a.ravel() for a in args])), args)
-    keys = [(a.shape, a.tobytes()) for a in args]
-    todo = {key: a for key, a in zip(keys, args) if key not in memo}
-    if todo:
-        vals = kernel(np.concatenate([a.ravel() for a in todo.values()]))
-        vals.setflags(write=False)
-        memo.update(zip(todo, _split(vals, todo.values())))
-    return [memo[k] for k in keys]
-
-
-def _require_nonzero(kernel, what, *blocks):
-    """Raise :class:`KernelZero` naming ``what`` if any entry of the
-    argument blocks lies at a kernel zero; one zero-distance call over all
-    of them."""
-    d = kernel.zero_distance(np.concatenate([b.ravel() for b in blocks]))
-    if np.any(d < ZERO_TOL):
+    if memo is None:  # every block of this call is tested and evaluated as given
+        untested, todo = tested, args
+    else:
+        # one key per block object, so that a block tested and evaluated here has one
+        key = {i: (b.shape, b.tobytes()) for i, b in {id(b): b for b in (*tested, *args)}.items()}
+        entry = {k: memo.get(k, [None, False]) for k in key.values()}
+        untested = list({key[id(t)]: t for t in tested if not entry[key[id(t)]][1]}.values())
+        todo = list({key[id(a)]: a for a in args if entry[key[id(a)]][0] is None}.values())
+    if untested and np.any(kernel.zero_distance(np.concatenate([t.ravel() for t in untested])) < ZERO_TOL):
         raise KernelZero(f"{what} hits a kernel zero")
+    vals, start = [], 0
+    if todo:
+        flat = kernel(np.concatenate([a.ravel() for a in todo]))
+        flat.setflags(write=False)
+        for a in todo:
+            vals.append(flat[start:start + a.size].reshape(a.shape))
+            start += a.size
+    if memo is None:
+        return vals
+    for t in tested:
+        entry[key[id(t)]][1] = True
+    for a, v in zip(todo, vals):
+        entry[key[id(a)]][0] = v
+    memo.update(entry)
+    return [entry[key[id(a)]][0] for a in args]
 
 
 @functools.lru_cache(maxsize=64)
@@ -358,8 +360,7 @@ def _over_lagrange(kernel, x, what, cols):
     """``cols`` with row i divided by prod_{l!=i} f(x_i - x_l); a pair
     difference at a kernel zero raises :class:`KernelZero` naming ``what``."""
     diff = _pair_diffs(x)
-    _require_nonzero(kernel, what, diff)
-    (f_pairs,) = _fused(kernel, diff)
+    (f_pairs,) = _fused(kernel, what, [diff], diff)
     return cols / _lagrange_den(x.shape[-1], f_pairs)[..., :, None]
 
 
@@ -378,8 +379,9 @@ def _scaled(kernel, x, y, lam, left, right, what):
     lam = _param(lam, x.shape[:-1])
     diff = x[..., :, None] - y[..., None, :]
     pairs = [_pair_diffs(pts) for pts, side in ((x, left), (y, right)) if side]
-    _require_nonzero(kernel, what, diff, lam, *pairs)
-    num, f_lam, f_diff, *f_pairs = _fused(kernel, diff + lam[..., None, None], lam, diff, *pairs)
+    num, f_lam, f_diff, *f_pairs = _fused(
+        kernel, what, [diff, lam, *pairs], diff + lam[..., None, None], lam, diff, *pairs
+    )
     c = num / (f_lam[..., None, None] * f_diff)
     if left:
         c = _d_diagonal(f_diff, f_pairs.pop(0))[..., :, None] * c
@@ -404,7 +406,7 @@ def classic_cauchy(x, y):
     """The classic matrix with entries 1 / (x_i - y_j)."""
     x, y = _sets(x, y, square=False)
     diff = x[..., :, None] - y[..., None, :]
-    _require_nonzero(RATIONAL_KERNEL, "x_i - y_j", diff)
+    _fused(RATIONAL_KERNEL, "x_i - y_j", [diff])
     return 1.0 / diff
 
 
@@ -412,7 +414,7 @@ def classic_cauchy_det(x, y):
     """Closed-form determinant of the classic Cauchy matrix."""
     x, y = _sets(x, y)
     dxy = x[..., :, None] - y[..., None, :]
-    _require_nonzero(RATIONAL_KERNEL, "x_a - y_b", dxy)
+    _fused(RATIONAL_KERNEL, "x_a - y_b", [dxy])
     # as in frobenius_det, the products keep a last axis
     num = np.prod(_pair_diffs(x), axis=-1, keepdims=True) * np.prod(-_pair_diffs(y), axis=-1, keepdims=True)
     den = np.prod(dxy, axis=(-2, -1), keepdims=True)[..., 0]
@@ -424,8 +426,7 @@ def d_matrix(kernel, x, y):
     x, y = _sets(x, y)
     dxy = x[..., :, None] - y[..., None, :]
     dxx = _pair_diffs(x)
-    _require_nonzero(kernel, "x_i - x_k or x_i - y_k", dxy, dxx)
-    return _diag(_d_diagonal(*_fused(kernel, dxy, dxx)))
+    return _diag(_d_diagonal(*_fused(kernel, "x_i - x_k or x_i - y_k", [dxy, dxx], dxy, dxx)))
 
 
 def classic_cauchy_inverse(x, y):
@@ -449,8 +450,10 @@ def frobenius_det(kernel, x, y, lam):
     lam = _param(lam, x.shape[:-1])
     shift = lam + x.sum(axis=-1) - y.sum(axis=-1)
     dxy = x[..., :, None] - y[..., None, :]
-    _require_nonzero(kernel, "x_a - y_b, lambda or lambda + X - Y", dxy, lam, shift)
-    s_shift, s_lam, dx, dy, s_xy = _fused(kernel, shift, lam, _pair_diffs(x), _pair_diffs(y), dxy)
+    what = "x_a - y_b, lambda or lambda + X - Y"
+    s_shift, s_lam, dx, dy, s_xy = _fused(
+        kernel, what, [dxy, lam, shift], shift, lam, _pair_diffs(x), _pair_diffs(y), dxy
+    )
     # f(y_b - y_a) = -f(y_a - y_b); the products keep a last axis, so that
     # one trial is multiplied as an array, as a stack is (numpy rounds a
     # product of two complex scalars apart from the same product in an array)
@@ -495,7 +498,7 @@ def k_matrix(x, y):
     """
     x, y = _sets(x, y, square=False)
     dxy = x[..., :, None] - y[..., None, :]
-    _require_nonzero(RATIONAL_KERNEL, "x_i - y_k", dxy)
+    _fused(RATIONAL_KERNEL, "x_i - y_k", [dxy])
     row_num = np.prod(dxy, axis=-1)  # prod over all k
     return _over_lagrange(RATIONAL_KERNEL, x, "x_i - x_l", row_num[..., :, None] / dxy)
 
@@ -571,15 +574,14 @@ def gauss_udl(kernel, x, y, lam):
     dxx = _pair_diffs(x)
     dxy = x[..., :, None] - y[..., None, :]
     dyy = _pair_diffs(y)
-    _require_nonzero(
-        kernel, "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b", lams, x - y + lams, dxy, dxx, dyy
-    )
-
+    what = "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b"
     # U needs f(x_i - y_j + lam_j) for i <= j and L f(x_j - y_k + lam_j) for
     # k <= j: one table of f(x_r - y_c + lam_max(r,c)) holds both, with
-    # their shared diagonal once
+    # their shared diagonal once; x_j - y_j + lam_j is tested, not evaluated
     rung = np.maximum.outer(np.arange(n), np.arange(n))
-    fxx, sxy, fyy, s_tri, s_lams = _fused(kernel, dxx, dxy, dyy, dxy + lams[..., rung], lams)
+    fxx, sxy, fyy, s_tri, s_lams = _fused(
+        kernel, what, [lams, x - y + lams, dxy, dxx, dyy], dxx, dxy, dyy, dxy + lams[..., rung], lams
+    )
     # r_u[i, j] = prod_{l>j} f(x_i - x_l)/f(x_i - y_l) and r_l[k, j] =
     # prod_{l>j} f(y_k - y_l)/f(y_k - x_l), 1 at j = N: one cumulative
     # product over the reversed columns, with f(y_k - x_l) = -f(x_l - y_k)

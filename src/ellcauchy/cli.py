@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -90,13 +91,9 @@ def _render_text(reports):
     lines = [header, "-" * len(header)]
     worst = {}  # (identity, kernel, n) -> [worst rel residual, its tolerance, all passed]
     for r in reports:
-        key = (r.identity_name, r.kernel, r.n)
-        cur = worst.get(key)
-        if cur is None:
-            worst[key] = [r.rel_residual, r.tolerance, r.passed]
-            continue
+        cur = worst.setdefault((r.identity_name, r.kernel, r.n), [-math.inf, r.tolerance, True])
         # a NaN residual is the worst, as in verify._worst
-        if r.rel_residual > cur[0] or np.isnan(r.rel_residual):
+        if r.rel_residual > cur[0] or math.isnan(r.rel_residual):
             cur[0], cur[1] = r.rel_residual, r.tolerance
         cur[2] = cur[2] and r.passed
     for (name, kern, n), (res, tol, ok) in sorted(worst.items()):

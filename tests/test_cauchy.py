@@ -102,6 +102,55 @@ class TestInstance:
             d_matrix(k, inst.x, inst.y)
 
 
+class TestZeroMarks:
+    """An elliptic instance's memo marks each block that passed a zero test,
+    so that no later builder tests it again; a block that was only
+    evaluated, or that failed, is tested by the next builder dividing by it."""
+
+    X_PAIRS = re.escape("x_i - x_l hits a kernel zero")
+
+    @staticmethod
+    def coincident(kern):
+        # x_1 = x_2: the x pairs are numerators of the Frobenius determinant
+        # and the Lagrange denominator of g(x)
+        x, y = [0.1 + 0.05j, 0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.2j, 0.25 + 0.3j, -0.1 - 0.3j]
+        return Instance(kern, x, y, 0.21 + 0.33j)
+
+    @staticmethod
+    def passed(inst, block):
+        return inst.kernel.memo.get((block.shape, block.tobytes()), (None, False))[1]
+
+    def test_numerator_then_denominator(self, kern):
+        inst = self.coincident(kern)
+        assert frobenius_det(inst.kernel, inst.x, inst.y, inst.lam) == 0
+        with pytest.raises(KernelZero, match=self.X_PAIRS):
+            g_factor(inst.kernel, inst.x, inst.lam)
+
+    def test_denominator_then_numerator(self, kern):
+        inst = self.coincident(kern)
+        with pytest.raises(KernelZero, match=self.X_PAIRS):
+            g_factor(inst.kernel, inst.x, inst.lam)
+        assert frobenius_det(inst.kernel, inst.x, inst.y, inst.lam) == 0
+        with pytest.raises(KernelZero, match=self.X_PAIRS):
+            g_factor(inst.kernel, inst.x, inst.lam)
+
+    def test_failed_block_raises_again(self, kern):
+        inst = self.coincident(kern)
+        builds = (
+            (lambda: g_factor(inst.kernel, inst.x, inst.lam), "x_i - x_l"),
+            (lambda: d_matrix(inst.kernel, inst.x, inst.y), "x_i - x_k or x_i - y_k"),
+            (lambda: g_matrix(inst.kernel, inst.x, inst.y, inst.lam), "x_i - x_k, x_i - y_j or lambda"),
+        )
+        for build, what in builds:
+            with pytest.raises(KernelZero, match=re.escape(f"{what} hits a kernel zero")):
+                build()
+        # nothing of a failed call is marked; the same blocks pass in C
+        diff = inst.x[:, None] - inst.y[None, :]
+        assert not self.passed(inst, cauchy._pair_diffs(inst.x)) and not self.passed(inst, diff)
+        cauchy_matrix(inst.kernel, inst.x, inst.y, inst.lam)
+        assert self.passed(inst, diff) and not self.passed(inst, cauchy._pair_diffs(inst.x))
+
+
 class TestClassic:
     def test_small_example(self):
         m = classic_cauchy([2.0, 3.0], [0.0, 1.0])
@@ -436,8 +485,10 @@ def ref_gauss_udl(kernel, x, y, lam):
     dxx = cauchy._pair_diffs(x)
     dxy = x[..., :, None] - y[..., None, :]
     dyy = cauchy._pair_diffs(y)
+    what = "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b"
     fxx, sxy, fyy, s_cols, s_rows, s_lams = cauchy._fused(
-        kernel, dxx, dxy, dyy, dxy + lams[..., None, :], dxy + lams[..., :, None], lams
+        kernel, what, [lams, x - y + lams, dxy, dxx, dyy],
+        dxx, dxy, dyy, dxy + lams[..., None, :], dxy + lams[..., :, None], lams,
     )
     ratios = np.stack(
         [cauchy._odd_table(n, fxx) / sxy, cauchy._odd_table(n, fyy) / -cauchy._transposed(sxy)], axis=-3

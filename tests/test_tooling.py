@@ -135,10 +135,11 @@ def test_readme_library_example(capsys):
 #: each (kernel variant, N, third set) are sampled in one sampler call and
 #: checked as one stack, so the sampler runs 25 times, and every builder
 #: and checker once per stack, not once per trial.  Each builder tests its
-#: denominators in one zero-distance call and evaluates its kernel in at
-#: most one call (C, G, H and the closed inverse are one scaled-C builder),
-#: an elliptic stack's memo skips the kernel call of a builder or of a
-#: factorization factor's Lagrange denominator whose argument blocks an
+#: denominators in at most one zero-distance call and evaluates its kernel
+#: in at most one call, both in one helper (C, G, H and the closed inverse
+#: are one scaled-C builder), an elliptic stack's memo skips the zero test
+#: of a block a builder on it passed and the kernel call of a builder or of
+#: a factorization factor's Lagrange denominator whose argument blocks an
 #: earlier check on it evaluated, sigma_k takes every k in one call, a
 #: block of sampler rounds makes at most one zero-distance call, an
 #: Instance makes none (the sampler alone keeps the margins), the
@@ -155,9 +156,9 @@ CALL_CAPS = {
     "verify.random_instance": 25,
     "linalg.lu_det": 8,
     "linalg.lu_inverse": 8,
-    "cauchy.zero_distance": 192,
+    "cauchy.zero_distance": 180,
     "cauchy.kernel": 138,
-    "weierstrass.lattice_distance": 66,
+    "weierstrass.lattice_distance": 54,
     "weierstrass.sigma": 64,
     "weierstrass.sigma_k": 12,
 }

@@ -929,11 +929,11 @@ class TestKernelMemo:
         blocks, points = {}, []
         fused, sigma = cauchy._fused, cauchy.sigma
 
-        def recorded(kernel, *args):
+        def recorded(kernel, what, tested, *args):
             for a in args:
                 a = np.asarray(a, dtype=complex)
                 blocks[(a.shape, a.tobytes())] = a.size
-            return fused(kernel, *args)
+            return fused(kernel, what, tested, *args)
 
         def counted(lat, z):
             points.append(np.size(z))
@@ -949,6 +949,33 @@ class TestKernelMemo:
         reports, points, distinct = self.run(monkeypatch, self.CHECKS)
         assert points == distinct
         assert all(r["passed"] for r in reports)
+
+    @pytest.mark.parametrize("names, with_z", [(CHECKS, False), (("product", "transposed"), True)])
+    def test_each_block_tested_once(self, monkeypatch, names, with_z):
+        # the builders ask for zero tests of repeated blocks, but the memo
+        # marks each block that passed, so the lattice-distance points are
+        # the entries of the distinct tested blocks
+        cfg = SuiteConfig()
+        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42, with_z)
+        blocks, asked, points = {}, [], []
+        fused, lattice_distance = cauchy._fused, cauchy.lattice_distance
+
+        def recorded(kernel, what, tested, *args):
+            for t in tested:
+                blocks[(t.shape, t.tobytes())] = t.size
+                asked.append(t.size)
+            return fused(kernel, what, tested, *args)
+
+        def counted(lat, z):
+            points.append(np.size(z))
+            return lattice_distance(lat, z)
+
+        with monkeypatch.context() as m:
+            m.setattr(cauchy, "_fused", recorded)
+            m.setattr(cauchy, "lattice_distance", counted)
+            reports = [r for name in names for r in REGISTRY[name].check(inst, "elliptic", cfg.tolerance)]
+        assert sum(points) == sum(blocks.values()) < sum(asked)
+        assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_inverse_reads_x_minus_y_from_the_memo(self, monkeypatch, n):
