@@ -126,13 +126,13 @@ class KernelSpec:
     points: Callable  # (lat, u, v) -> points, elementwise from uniform [0, 1) draws per coordinate
     lam: Callable  # (lat, u, v) -> parameters, elementwise from uniform [0, 1) draws per coordinate
     area: Callable  # lat -> area of the point-sampling region
-    stream: int  # first word of the sampler's RNG seed
+    stream: int  # first word of the key of the sampler's per-trial stream
     memoized: bool  # an Instance memoizes its values: sigma costs more per point than a lookup, sin and z less
 
 
 def _uniform(lo, hi, u):
-    """Map uniform [0, 1) draws to [lo, hi) exactly as
-    ``Generator.uniform(lo, hi)`` does, draw by draw."""
+    """Map uniform [0, 1) draws to [lo, hi) as ``lo + (hi - lo) * u``,
+    draw by draw."""
     return lo + (hi - lo) * u
 
 

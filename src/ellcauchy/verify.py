@@ -18,11 +18,14 @@ single rounds would.  Its close-pair screen tests every pair of a small
 block, and sorts and sweeps the points of a large one, so its cost is
 linear in a block's points.
 :meth:`Identity.check` alone decides where a checker runs, times it and
-judges each member's residual into a :class:`Report`.  The checkers read
-only their instance and draw no random numbers of their own, so everything
-is a pure function of (config, seed), and suite runs are reproducible byte
-for byte (timings aside).  Degeneration is a registry entry like the rest, checked
-once, at a fixed size and tolerance.
+judges each member's residual into a :class:`Report`.  The sampler draws
+each trial's rounds from a SplitMix64 stream defined here
+(:func:`_stream`), not from ``numpy.random``, so its instances do not move
+with the NumPy release; the checkers read only their instance and draw no
+random numbers of their own, so everything is a pure function of (config,
+seed), and suite runs are reproducible byte for byte (timings aside).
+Degeneration is a registry entry like the rest, checked once, at a fixed
+size and tolerance.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class SuiteConfig:
             raise ValueError("n_values must be nonempty, and its entries and trials_per_n >= 1")
         if len(set(n_values)) != len(n_values):
             raise ValueError(f"n_values repeats a size: {n_values}")
-        # each trial's seed is one 32-bit word of its RNG seed
+        # each trial's seed is one 32-bit word of its random stream's key
         if base_seed < 0 or base_seed + trials > 2**32:
             raise ValueError(f"the seeds base_seed .. base_seed + trials_per_n - 1 must lie in 0 .. {2**32 - 1}")
         object.__setattr__(self, "n_values", n_values)
@@ -232,17 +235,76 @@ def _kernel_margins(kernel, sets, lam, pairs):
     return kernel.zero_distance(args).min(axis=-1)
 
 
+#: SplitMix64's increment, the odd integer nearest 2**64 over the golden ratio
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+#: (shift, multiplier) steps of SplitMix64's finalizer, Stafford's Mix13:
+#: each xor-shifts and then multiplies, and the last only xor-shifts
+_MIX_STEPS = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)), (31, None))
+
+
+def _mix(z):
+    """SplitMix64's finalizer, in place on the uint64 array ``z``.  Array
+    products wrap modulo 2**64 silently, as the generator wants (a 0-d
+    product would warn)."""
+    t = np.empty_like(z)
+    for shift, mult in _MIX_STEPS:
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        if mult is not None:
+            z *= mult
+    return z
+
+
+def _stream_keys(words):
+    """The SplitMix64 state of each row of ``words``, a uint64 array: a
+    row's state starts at 0 and folds in its words in order, each as
+    ``key = mix(key ^ (word + gamma))``.  A word outside 0 .. 2**32 - 1
+    raises OverflowError."""
+    words = [[operator.index(w) for w in row] for row in words]
+    if any(not 0 <= w < 2**32 for row in words for w in row):
+        raise OverflowError("each word of a stream's key must lie in 0 .. 2**32 - 1")
+    cols = np.array(words, dtype=np.uint64).T
+    cols += _GAMMA
+    key = np.zeros(cols.shape[1], dtype=np.uint64)
+    for col in cols:
+        key ^= col
+        _mix(key)
+    return key
+
+
+def _stream(keys, start, count):
+    """Draws ``start`` .. ``start + count - 1`` of the SplitMix64 stream
+    (Steele, Lea and Flood, OOPSLA 2014) of each state in ``keys``, one row
+    of ``count`` uniform [0, 1) floats per state.
+
+    Draw d is ``(mix(key + (d + 1) gamma) >> 11) * 2**-53``: SplitMix64's
+    (d + 1)-th output for state ``key``, mapped to [0, 1) as
+    ``Generator.random`` maps a 64-bit word.  ``start`` is one offset, or
+    one per state.  Every row is evaluated at once, in place, in uint64
+    arithmetic on arrays, so no draw depends on another row."""
+    z = np.empty((keys.size, count), dtype=np.uint64)
+    np.add(np.asarray(start, dtype=np.uint64)[..., None], np.arange(1, count + 1, dtype=np.uint64), out=z)
+    z *= _GAMMA
+    z += keys[:, None]
+    _mix(z)
+    z >>= 11
+    return z * 2.0**-53
+
+
 def random_instance(cfg, kernel, n, seed, with_z=False):
     """Deterministically sample an :class:`Instance` meeting all margins:
     one trial for an int ``seed``, and for a sequence of seeds their stack,
     with the members in seed order.
 
-    Each trial draws its rounds in order on its own RNG stream.  A round is
-    one row of uniforms: for each point set, n draws for the first
-    coordinate and then n for the second, and the parameter's two draws
-    last.  The kernel's ``points`` and ``lam`` maps turn them into samples
-    exactly as per-coordinate ``Generator.uniform`` calls would, and each
-    trial takes its first admissible round.  Rounds are drawn and tested
+    Each trial draws its rounds in order on its own SplitMix64 stream
+    (:func:`_stream`), keyed by the words (kernel stream, n, with_z, seed,
+    base seed), so a trial's instance depends on these five words alone,
+    whatever stack it is drawn in.  A round is one row of uniforms: for
+    each point set, n draws for the first coordinate and then n for the
+    second, and the parameter's two draws last.  The kernel's ``points``
+    and ``lam`` maps turn them into samples, and each trial takes its first
+    admissible round.  Rounds are drawn and tested
     in blocks, as arrays, and the instances are bit for bit those of one
     round at a time.  One rule makes every block: the first ``cap // size``
     pending trials, in seed order, each draw ``size`` rounds, where ``cap``
@@ -270,19 +332,14 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
         raise SamplingExhausted(
             f"{n} points with separation {cfg.sep_min} cannot fit the sampling region"
         )
-    # one 32-bit word per entry: the same entropy as the list of ints, which
-    # numpy would coerce word by word, at about two thirds of the cost (a
-    # seed outside 0 .. 2**32 - 1 raises OverflowError)
-    entropy = np.array(
-        [[spec.stream, n, int(with_z), s, cfg.base_seed] for s in seeds.tolist()], dtype=np.uint32
-    )
-    rngs = [np.random.default_rng(words) for words in entropy]
+    # a seed outside 0 .. 2**32 - 1 raises OverflowError
+    keys = _stream_keys([[spec.stream, n, int(with_z), s, cfg.base_seed] for s in seeds.tolist()])
     width = 2 * n * n_sets + 2
     cap = max(1, _PAIR_BUDGET // (n * n_sets))  # rounds per block
-    sets = np.empty((n_sets, len(rngs), n), dtype=complex)
-    lam = np.empty(len(rngs), dtype=complex)
-    ok = np.zeros(len(rngs), dtype=bool)
-    drawn = np.zeros(len(rngs), dtype=int)  # rounds drawn per trial
+    sets = np.empty((n_sets, len(keys), n), dtype=complex)
+    lam = np.empty(len(keys), dtype=complex)
+    ok = np.zeros(len(keys), dtype=bool)
+    drawn = np.zeros(len(keys), dtype=int)  # rounds drawn per trial
     while not ok.all():
         # a prefix of the pending trials, in seed order, draws one block:
         # no later pending trial has drawn more rounds than the first
@@ -292,7 +349,7 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
             raise SamplingExhausted(f"no admissible instance after {_MAX_ROUNDS} rounds")
         size = min(head + 1, cap, _MAX_ROUNDS - head)
         group = pending[:cap // size]
-        draws = np.concatenate([rngs[b].random((size, width)) for b in group])
+        draws = _stream(keys[group], drawn[group] * width, size * width).reshape(-1, width)
         uv = draws[:, :-2].reshape(len(draws), n_sets, 2, n)
         block_sets = spec.points(lat, uv[:, :, 0], uv[:, :, 1]).swapaxes(0, 1)
         block_lam = spec.lam(lat, draws[:, -2], draws[:, -1])
@@ -499,9 +556,9 @@ class Identity:
 
     def tolerance(self, tag, n, base=SuiteConfig.tolerance):
         """Tolerance ladder: the fixed tolerance of the tag, if any, else the
-        identity's factor times ``base`` (determinant and monodromy checks
-        involve no matrix inversion and are 10x tighter), with scalar N=1
-        cases capped at 1e-12."""
+        identity's factor times ``base`` (the determinant, factorization and
+        monodromy checks involve no matrix inversion and are 10x tighter),
+        with scalar N=1 cases capped at 1e-12."""
         if self.fixed_tol is not None:
             return self.fixed_tol[tag]
         t = base * self.tol_factor
@@ -591,6 +648,7 @@ REGISTRY = {
             ),
             lambda inst, tag: check_factorization(inst, tag),
             n_cap=6,  # the record counts pinned in perfbench/workloads.py assume this cap
+            tol_factor=0.1,
         ),
         Identity(
             "gauss",

@@ -151,15 +151,25 @@ def test_readme_library_example(capsys):
 #: factorization check forms G g(y), not g(x) g(y)^-1).  No checker draws
 #: points of its own: monodromy reads the instance's, so it makes no
 #: lattice-distance call per candidate point, and its Bloch expansion is
-#: rows of the scaled-C builder, with that builder's one zero-distance call
+#: rows of the scaled-C builder, with that builder's one zero-distance call.
+#: The sampled instances set the rest: the sampler's blocks (one
+#: zero-distance call each, unless every round's close-pair screen rejects)
+#: and the memo hits of argument blocks that round to the bytes of a block
+#: already evaluated.  On the SplitMix64 sample two elliptic stacks take a
+#: block more each, one takes a block fewer, whose rounds the close-pair
+#: screen had all rejected, and a trig stack takes a block fewer
+#: (zero_distance 180 -> 181, lattice_distance 54 -> 56), and at N = 1 one
+#: argument block of the transposed check on the elliptic stack with a
+#: third set rounds to one an earlier builder evaluated (kernel 138 -> 137,
+#: sigma 64 -> 63)
 CALL_CAPS = {
     "verify.random_instance": 25,
     "linalg.lu_det": 8,
     "linalg.lu_inverse": 8,
-    "cauchy.zero_distance": 180,
-    "cauchy.kernel": 138,
-    "weierstrass.lattice_distance": 54,
-    "weierstrass.sigma": 64,
+    "cauchy.zero_distance": 181,
+    "cauchy.kernel": 137,
+    "weierstrass.lattice_distance": 56,
+    "weierstrass.sigma": 63,
     "weierstrass.sigma_k": 12,
 }
 
