@@ -160,7 +160,7 @@ def _bench(args):
         return _error(exc)
     lat = lattice_new(1.0, args.tau)
     # 2000 points of the cell shrunk to 80 %, from the sampler's stream
-    draws = verify._stream(verify._stream_keys([[args.seed]]), 0, 4000).reshape(2, -1)
+    draws = verify._stream(verify._stream_keys([args.seed]), 0, 4000).reshape(2, -1)
     u, v = cauchy._uniform(-0.4, 0.4, draws)
     pts = 2 * u * lat.omega + 2 * v * lat.omega_prime
     t0 = time.perf_counter()

@@ -14,9 +14,11 @@ factorization is checked as a product, with no inverse, by its
 componentwise residual.  The sampler keeps one margin rule for every kernel
 and samples a whole stack of trials in one call: it tests their rounds in
 blocks, as arrays, and picks bit for bit the instances that a loop over
-single rounds would.  Its close-pair screen tests every pair of a small
-block, and sorts and sweeps the points of a large one, so its cost is
-linear in a block's points.
+single rounds would.  Its first block draws three rounds of each trial,
+and each later block one more than the first pending trial has drawn.
+Its close-pair screen tests every pair of a small block, and sorts and
+sweeps the points of a large one, so its cost is linear in a block's
+points.
 :meth:`Identity.check` alone decides where a checker runs, times it and
 judges each member's residual into a :class:`Report`.  The sampler draws
 each trial's rounds from a SplitMix64 stream defined here
@@ -238,6 +240,9 @@ def _kernel_margins(kernel, sets, lam, pairs):
 #: SplitMix64's increment, the odd integer nearest 2**64 over the golden ratio
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
+#: the same increment, and the 64-bit mask, for the Python-int fold
+_GAMMA_INT, _MASK = int(_GAMMA), 2**64 - 1
+
 #: (shift, multiplier) steps of SplitMix64's finalizer, Stafford's Mix13:
 #: each xor-shifts and then multiplies, and the last only xor-shifts
 _MIX_STEPS = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)), (31, None))
@@ -256,21 +261,32 @@ def _mix(z):
     return z
 
 
-def _stream_keys(words):
-    """The SplitMix64 state of each row of ``words``, a uint64 array: a
-    row's state starts at 0 and folds in its words in order, each as
-    ``key = mix(key ^ (word + gamma))``.  A word outside 0 .. 2**32 - 1
-    raises OverflowError."""
-    words = [[operator.index(w) for w in row] for row in words]
-    if any(not 0 <= w < 2**32 for row in words for w in row):
+def _stream_keys(shared, columns=()):
+    """The SplitMix64 state of each row of ``columns``, a uint64 array with
+    one state per row (one state if there are no columns).  A row's state
+    starts at 0 and folds in its words in order, each as
+    ``key = mix(key ^ (word + gamma))``: first the words of ``shared``,
+    which every row has, as one Python-int fold, and then each column, a
+    sequence of one word per row, as one array pass.  A word outside
+    0 .. 2**32 - 1 raises OverflowError."""
+    shared = [operator.index(w) for w in shared]
+    columns = [[operator.index(w) for w in col] for col in columns]
+    if any(not 0 <= w < 2**32 for col in (shared, *columns) for w in col):
         raise OverflowError("each word of a stream's key must lie in 0 .. 2**32 - 1")
-    cols = np.array(words, dtype=np.uint64).T
-    cols += _GAMMA
-    key = np.zeros(cols.shape[1], dtype=np.uint64)
-    for col in cols:
-        key ^= col
-        _mix(key)
-    return key
+    key = 0
+    for w in shared:
+        key ^= (w + _GAMMA_INT) & _MASK
+        for shift, mult in _MIX_STEPS:
+            key ^= key >> shift
+            if mult is not None:
+                key = key * int(mult) & _MASK
+    keys = np.full(len(columns[0]) if columns else 1, key, dtype=np.uint64)
+    for col in columns:
+        col = np.array(col, dtype=np.uint64)
+        col += _GAMMA
+        keys ^= col
+        _mix(keys)
+    return keys
 
 
 def _stream(keys, start, count):
@@ -300,7 +316,8 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
     Each trial draws its rounds in order on its own SplitMix64 stream
     (:func:`_stream`), keyed by the words (kernel stream, n, with_z, seed,
     base seed), so a trial's instance depends on these five words alone,
-    whatever stack it is drawn in.  A round is one row of uniforms: for
+    whatever stack it is drawn in; the first three are the same for every
+    trial of a call, and are folded once.  A round is one row of uniforms: for
     each point set, n draws for the first coordinate and then n for the
     second, and the parameter's two draws last.  The kernel's ``points``
     and ``lam`` maps turn them into samples, and each trial takes its first
@@ -310,14 +327,16 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
     pending trials, in seed order, each draw ``size`` rounds, where ``cap``
     is the rounds that fit ``_PAIR_BUDGET`` points (at least one) and
     ``size`` is one more than the rounds the first pending trial has
-    drawn, at most ``cap`` and at most what it has left of
-    ``_MAX_ROUNDS``.  So a trial's rounds double with each block until a
-    block holds ``cap`` rounds, no block holds more than ``_PAIR_BUDGET``
-    points (or more than one round, where one round alone holds more), and
-    :func:`_margins_ok` tests a block in time and memory linear in its
-    points.  The first block is one round for each trial the cap admits,
-    and a block shrinks to one trial as its rounds grow, so a stack that
-    exhausts costs little more than its first exhausting trial.
+    drawn, or 3 if it has drawn none, at most ``cap`` and at most what it
+    has left of ``_MAX_ROUNDS``.  So a pending trial has drawn 3, 7,
+    15, ... rounds after each block (the rule's first two blocks, 1 round
+    and 2, drawn as one) until a block holds ``cap`` rounds, no block holds
+    more than ``_PAIR_BUDGET`` points (or more than one round, where one
+    round alone holds more), and :func:`_margins_ok` tests a block in time
+    and memory linear in its points.  The first block is three rounds for
+    each trial the cap admits, and a block shrinks to one trial as its
+    rounds grow, so a stack that exhausts costs little more than its first
+    exhausting trial.
 
     Raises :class:`SamplingExhausted` if the separation requirement cannot
     be met in the sampling region (or after the round limit).
@@ -333,7 +352,7 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
             f"{n} points with separation {cfg.sep_min} cannot fit the sampling region"
         )
     # a seed outside 0 .. 2**32 - 1 raises OverflowError
-    keys = _stream_keys([[spec.stream, n, int(with_z), s, cfg.base_seed] for s in seeds.tolist()])
+    keys = _stream_keys([spec.stream, n, int(with_z)], [seeds.tolist(), [cfg.base_seed] * seeds.size])
     width = 2 * n * n_sets + 2
     cap = max(1, _PAIR_BUDGET // (n * n_sets))  # rounds per block
     sets = np.empty((n_sets, len(keys), n), dtype=complex)
@@ -347,7 +366,8 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
         head = drawn[pending[0]]
         if head >= _MAX_ROUNDS:
             raise SamplingExhausted(f"no admissible instance after {_MAX_ROUNDS} rounds")
-        size = min(head + 1, cap, _MAX_ROUNDS - head)
+        # the first block draws the rounds of the rule's first two, 1 and 2
+        size = min(head + 1 if head else 1 + 2, cap, _MAX_ROUNDS - head)
         group = pending[:cap // size]
         draws = _stream(keys[group], drawn[group] * width, size * width).reshape(-1, width)
         uv = draws[:, :-2].reshape(len(draws), n_sets, 2, n)

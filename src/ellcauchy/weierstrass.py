@@ -22,7 +22,9 @@ term 0, so the table keeps a fixed number of terms: the smallest K with
 |q|^{K^2} (2K+1)^3 below ``SERIES_TOL``, the cube covering the weights of
 the theta1'''(0) sum.  A sigma call then costs one cell reduction, one sin
 and one exp per point, and the K - 1 multiply-adds of a Clenshaw
-recurrence in cos 2v, with temporaries the size of its input.
+recurrence in cos 2v, over slabs of at most 8,192 points, so that no
+temporary of a call reaches the size at which NumPy reorders a product in
+place, and each point's value is the same in a call of any size.
 :func:`zeta_w` and the constant eta read the same table.
 
 The constant eta = zeta(omega) comes from theta1'''(0)/theta1'(0);
@@ -44,6 +46,13 @@ _MAX_TERMS = 64
 
 #: truncation bound on the theta-series terms kept in the per-lattice table
 SERIES_TOL = 1e-15
+
+#: points per slab of a sigma call.  NumPy evaluates ``c * t`` in place on
+#: a temporary ``t`` of at least 256 KiB (16,384 complex values), as
+#: ``t * c``, and its complex product rounds the two operand orders apart,
+#: so a call that large gave some points other values than a smaller call
+#: did; slabs half that size keep every temporary below it
+_SIGMA_SLAB = 8_192
 
 #: arguments closer than this to a kernel zero (for sigma, a lattice point)
 #: raise KernelZero: zeta's poles and every builder's denominators
@@ -167,11 +176,26 @@ def sigma(lat, x):
     The series is summed by Clenshaw's recurrence in a = 2 cos 2v
     (Clenshaw, MTAC 9, 1955): one sin per point, taken by ``np.sin`` so
     that sigma keeps its relative accuracy near lattice points, and K - 1
-    multiply-adds.  Sigma of a stack equals sigma of each of its members
-    bit for bit.
+    multiply-adds.  A call evaluates its points in slabs of at most
+    ``_SIGMA_SLAB``, so each point's value is the same in a call of any
+    size, and sigma of a stack equals sigma of each of its members bit for
+    bit.
     """
-    t = lat.series
     x = np.asarray(x, dtype=complex)
+    if x.size <= _SIGMA_SLAB:
+        out = _sigma_slab(lat, x)
+        return complex(out) if x.ndim == 0 else out
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _SIGMA_SLAB):
+        out[start:start + _SIGMA_SLAB] = _sigma_slab(lat, flat[start:start + _SIGMA_SLAB])
+    return out.reshape(x.shape)
+
+
+def _sigma_slab(lat, x):
+    """Sigma of the complex array ``x``, as :func:`sigma` documents it, in
+    one pass of whole-array operations."""
+    t = lat.series
     xr, m, mp = _reduce(lat, x)
     # eta x_red^2 / (2 omega) + eta_Omega (x_red + Omega/2), with 2 x_red + Omega = x + x_red
     expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
@@ -193,8 +217,7 @@ def sigma(lat, x):
     b1 = b2 = 0.0
     for c in t.coef[:0:-1]:
         b1, b2 = c + a * b1 - b2, b1
-    out = factor * s * (t.coef[0] + (a + 1.0) * b1 - b2)
-    return complex(out) if x.ndim == 0 else out
+    return factor * s * (t.coef[0] + (a + 1.0) * b1 - b2)
 
 
 def zeta_w(lat, x):

@@ -823,6 +823,14 @@ class TestStackedMembers:
                     member = tuple(a[b] for a in stacked) if isinstance(stacked, tuple) else stacked[b]
                     assert_bits_equal(member, single, (name, n, b))
 
+    def test_large_elliptic_stack(self, lat):
+        # 40 trials at N = 16: the stack's sigma call holds more than 16,384
+        # points, past NumPy's in-place temporaries
+        members, stack = stacked_members(lat, "elliptic", 16, 40)
+        stacked = cauchy_matrix(stack.kernel, stack.x, stack.y, stack.lam)
+        for b, m in enumerate(members):
+            assert_bits_equal(stacked[b], cauchy_matrix(m.kernel, m.x, m.y, m.lam), b)
+
     @pytest.mark.parametrize("size", [1, 3])
     def test_bloch_eval_per_member(self, lat, size):
         members, stack = stacked_members(lat, "elliptic", 4, size)

@@ -350,6 +350,25 @@ class TestSamplerReference:
                     self.assert_member(stack.member(b), want, with_z, (n, with_z, "stack", b))
         assert accepted
 
+    def test_first_block_ends_the_stack(self, monkeypatch):
+        # rational trials at N = 20 that take 1, 2 or 3 rounds: each takes
+        # the first admissible round of the first block, 3 rounds of every
+        # trial, and the stack ends in that block
+        cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
+        kern = Kernel("rational", cfg.lattice())
+        seeds = list(range(1, 6))
+        taken, blocks = [], TestBlockSchedule.blocks(monkeypatch)
+        for with_z in (False, True):
+            wants = [reference_sample(cfg, kern, 20, seed, with_z) for seed in seeds]
+            taken += [want[2] for want in wants]
+            blocks.clear()
+            stack = random_instance(cfg, kern, 20, seeds, with_z)
+            assert blocks == [3 * len(seeds)]
+            for b, want in enumerate(wants):
+                self.assert_member(stack.member(b), want, with_z, (with_z, "stack", b))
+                self.assert_member(random_instance(cfg, kern, 20, seeds[b], with_z), want, with_z, (with_z, b))
+        assert {1, 2, 3} == set(taken)
+
     def test_bit_identical_on_the_sorted_screen(self, monkeypatch):
         # no pair difference fits a budget of 0: every block is one round of
         # one trial, and takes the sorted screen
@@ -371,25 +390,39 @@ class TestStream:
         assert got.tolist() == [[(w >> 11) * 2.0**-53 for w in words]]
 
     def test_matches_the_scalar_generator(self):
+        # rows share their first three words, as a sampler call's trials do
         rng = np.random.default_rng(29)
-        words = rng.integers(0, 2**32, (6, 5)).tolist()
-        words[0] = [0, 0, 0, 0, 0]
-        words[1] = [2**32 - 1] * 5
-        keys = verify._stream_keys(words)
-        starts = rng.integers(0, 10**6, len(words))
-        got = verify._stream(keys, starts, 40)
-        for row, (w, start) in enumerate(zip(words, starts.tolist())):
-            ref = SplitMix64(w)
-            assert int(keys[row]) == ref.state
-            ref.state = (ref.state + start * GAMMA) & MASK
-            assert got[row].tolist() == [ref.random() for _ in range(40)], w
-        # one offset for every state
-        assert verify._stream(keys, 7, 3).tolist() == [r[7:10] for r in verify._stream(keys, 0, 10).tolist()]
+        prefixes = rng.integers(0, 2**32, (3, 3)).tolist()
+        prefixes[0], prefixes[1] = [0, 0, 0], [2**32 - 1] * 3
+        for prefix in prefixes:
+            tails = rng.integers(0, 2**32, (6, 2)).tolist()
+            tails[0], tails[1] = [0, 0], [2**32 - 1] * 2
+            words = [prefix + tail for tail in tails]
+            keys = verify._stream_keys(prefix, [list(col) for col in zip(*tails)])
+            starts = rng.integers(0, 10**6, len(words))
+            got = verify._stream(keys, starts, 40)
+            for row, (w, start) in enumerate(zip(words, starts.tolist())):
+                ref = SplitMix64(w)
+                assert int(keys[row]) == ref.state
+                # every split of the five words into shared words and
+                # columns folds the same state
+                for j in range(6):
+                    assert verify._stream_keys(w[:j], [[v] for v in w[j:]]).tolist() == [ref.state], (w, j)
+                ref.state = (ref.state + start * GAMMA) & MASK
+                assert got[row].tolist() == [ref.random() for _ in range(40)], w
+            # one offset for every state
+            assert verify._stream(keys, 7, 3).tolist() == [r[7:10] for r in verify._stream(keys, 0, 10).tolist()]
 
     def test_rejects_words_beyond_32_bits(self):
         for word in (-1, 2**32):
-            with pytest.raises(OverflowError):
-                verify._stream_keys([[0, 1, 0, word, 42]])
+            for shared, columns in (
+                ([0, 1, 0, word, 42], ()),
+                ([0, 1, word], [[3, 4], [42, 42]]),
+                ([0, 1, 0], [[3, word], [42, 42]]),
+                ([0, 1, 0], [[3, 4], [word, 42]]),
+            ):
+                with pytest.raises(OverflowError):
+                    verify._stream_keys(shared, columns)
 
     @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
     def test_trial_alone_and_in_a_stack(self, cfg, variant):
@@ -472,19 +505,22 @@ class TestBlockSchedule:
         return rounds
 
     def test_rounds_double_while_the_cap_admits_every_trial(self, monkeypatch):
-        # after k blocks each pending trial has drawn 2**k - 1 rounds, so a
-        # stack whose slowest trial takes R rounds takes ceil(log2(R + 1))
-        # blocks (R = 325 here: 9 blocks)
+        # the first block draws 3 rounds of each trial, and every later one
+        # one more than each pending trial has drawn, so after k blocks
+        # each has drawn 2**(k + 1) - 1: a stack whose slowest trial takes
+        # R rounds takes the fewest blocks that reach R (R = 325 here: 8)
         cfg = SuiteConfig(sep_min=0.15)
         kern = elliptic_kernel(cfg.lattice())
         seeds = range(42, 52)
         taken = [reference_sample(cfg, kern, 8, seed)[2] for seed in seeds]
         blocks = self.blocks(monkeypatch)
         random_instance(cfg, kern, 8, seeds)
-        # block k: 2**k rounds of each trial still pending
-        count = math.ceil(math.log2(max(taken) + 1))
-        assert blocks == [2**k * sum(r >= 2**k for r in taken) for k in range(count)]
-        assert count == 9
+        drawn = [0, 3]  # rounds a pending trial has drawn before each block, and after the last
+        while drawn[-1] < max(taken):
+            drawn.append(2 * drawn[-1] + 1)
+        # a trial is pending in a block while it has drawn fewer rounds than it takes
+        assert blocks == [(end - start) * sum(r > start for r in taken) for start, end in zip(drawn, drawn[1:])]
+        assert max(taken) == 325 and len(blocks) == 8
 
     def test_an_exhausting_stack_costs_about_one_trial(self, monkeypatch):
         # as its rounds grow, a block shrinks to the first pending trial alone

@@ -223,6 +223,14 @@ class TestSigma:
         for i in np.ndindex(3, 4):
             assert np.array_equal(got[i], sigma(lat, x[i]))
 
+    def test_call_size_moves_no_value(self, lat, rng):
+        # a call past NumPy's 256 KiB in-place temporaries (16,384 complex
+        # values) gives each point the value of a small call
+        x = 3 * cell_points(lat, rng, 20_000)
+        pieces = np.concatenate([sigma(lat, x[i:i + 1000]) for i in range(0, x.size, 1000)])
+        assert sigma(lat, x).tobytes() == pieces.tobytes()
+        assert sigma(lat, x.reshape(40, 500)).tobytes() == pieces.tobytes()
+
     def test_matches_lattice_product(self, lat, rng):
         # slow-converging direct product; loose tolerance
         pts = 0.5 * cell_points(lat, rng, 20)
