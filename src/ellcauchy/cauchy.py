@@ -44,9 +44,8 @@ a builder divides by it).  sin and the identity cost less per point than a
 lookup and are not memoized.  Since the memo keeps values, a function
 patched on a module name (sigma, say) must be in place before the
 instance is built.  Every instance also holds an empty private store, in
-which the checkers keep the whole products several of them read (C, its
-closed determinant and its LU factorization); it too starts empty
-on each new instance.
+which the checkers keep the whole products several of them read (C and
+its closed determinant); it too starts empty on each new instance.
 """
 
 from __future__ import annotations
@@ -231,9 +230,8 @@ class Instance:
     and zero-test each distinct denominator block until it passes, for all
     members of a stack at once; none asks for f(y - x).  Every instance also
     starts with an empty ``_shared`` store, in which the checkers keep the
-    products that several of them read (C(x, y; lam), its closed
-    determinant and its LU factorization), so that each is computed once
-    per instance.
+    products that several of them read (C(x, y; lam) and its closed
+    determinant), so that each is computed once per instance.
     """
 
     kernel: Kernel

@@ -1,14 +1,13 @@
 """Minimal dense complex linear algebra.
 
 Hand-rolled LU with partial pivoting serves as the independent oracle for
-the closed-form determinant and inverse formulas, so none of the routines
-here delegate to library factorizations.  Cauchy matrices are notoriously
-ill-conditioned; partial pivoting by maximum magnitude is essential.  The
-factorization, the determinant, the inverse and the residual and
-structure helpers all take one matrix or a stack of them (leading axes)
-and answer per matrix.  The determinant and the inverse take the
-factorization of their matrix as a keyword, when the caller already holds
-it, so that one factorization serves both.
+the closed-form determinant, so none of the routines here delegate to
+library factorizations.  Cauchy matrices are notoriously ill-conditioned;
+partial pivoting by maximum magnitude is essential.  Every matrix
+identity A B = R is judged by one residual, :func:`backward_error`.  The
+LU inverse, :func:`rel_residual` and :func:`structure_check` serve the
+tests alone, as oracles.  Every routine takes one matrix or a stack of
+them (leading axes) and answers per matrix.
 """
 
 from __future__ import annotations
@@ -79,28 +78,25 @@ def _lu_factor(a):
     return lu.reshape(stack + (n, n)), perm.reshape(stack + (n,)), sign.reshape(stack)
 
 
-def lu_det(a, *, factors=None):
+def lu_det(a):
     """Determinant via pivoted LU, per matrix of a stack; 0 for a singular
-    matrix.  One matrix gives a Python ``complex``.  ``factors``, if given,
-    is ``_lu_factor(a)`` already computed, and is used in its place."""
-    a = _as_square(a)
-    lu, _, sign = _lu_factor(a) if factors is None else factors
+    matrix.  One matrix gives a Python ``complex``."""
+    lu, _, sign = _lu_factor(_as_square(a))
     diag = np.ascontiguousarray(np.diagonal(lu, axis1=-2, axis2=-1))
     return _per_matrix(sign * np.prod(diag, axis=-1))
 
 
-def lu_inverse(a, *, factors=None):
+def lu_inverse(a):
     """Inverse via pivoted LU, per matrix of a stack.
 
     Raises :class:`SingularMatrix` if a pivot magnitude falls below
     ``PIVOT_FLOOR`` times the max-abs entry of its matrix; on a stack, for
     the first such member in stack order, with the message the call on that
-    member alone gives.  ``factors``, if given, is ``_lu_factor(a)`` already
-    computed, and is used in its place.
+    member alone gives.
     """
     a = _as_square(a)
     n = a.shape[-1]
-    lu, perm, _ = _lu_factor(a) if factors is None else factors
+    lu, perm, _ = _lu_factor(a)
     threshold = PIVOT_FLOOR * np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
     small = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) < threshold[..., None]
     if small.any():
@@ -121,6 +117,21 @@ def max_abs_residual(a, b):
     """Entrywise max |a_ij - b_ij|, per matrix of a stack."""
     a, b = _check_same_dim(a, b)
     return _per_matrix(np.abs(a - b).max(axis=(-2, -1)))
+
+
+def backward_error(a, b, r):
+    """The componentwise backward error of ``a @ b`` as ``r``, per matrix of
+    a stack: max_ij |a b - r|_ij / (|a| |b|)_ij (Oettli and Prager, Numer.
+    Math. 6, 1964; Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 7.2).  An entry 0/0 reads 0, x/0 with x != 0 reads inf, and a NaN
+    in ``a``, ``b`` or ``r`` gives NaN.  ``r`` broadcasts against the
+    product."""
+    num = np.abs(np.matmul(a, b) - r)
+    den = np.matmul(np.abs(a), np.abs(b))
+    # where den is 0, the ratio keeps inf for num > 0 and num itself else
+    ratio = np.where(num > 0, np.inf, num)
+    np.divide(num, den, out=ratio, where=den != 0)
+    return _per_matrix(ratio.max(axis=(-2, -1)))
 
 
 def rel_residual(a, b):

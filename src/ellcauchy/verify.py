@@ -4,18 +4,20 @@ Each checker takes a seeded random :class:`~ellcauchy.cauchy.Instance`, one
 trial or a stack of them, and a kernel tag, and returns
 ``(abs_residual, reference_magnitude)`` for the two sides of an identity,
 one of each per member of a stack, and the degeneration checker a rate
-verdict as a third value; determinant and inverse claims are
-additionally cross-checked against the pivoted-LU oracle in
-:mod:`ellcauchy.linalg`, which factors a whole stack in one call, and the
-determinant, inverse and Gauss checks of one instance share its Cauchy
-matrix, closed determinant and LU factorization, each computed once and
-kept in the instance's store (:func:`_shared`); the
-factorization is checked as a product, with no inverse, by its
-componentwise residual.  The sampler keeps one margin rule for every kernel
-and samples a whole stack of trials in one call: it tests their rounds in
-blocks, as arrays, and picks bit for bit the instances that a loop over
-single rounds would.  Its first block draws three rounds of each trial,
-and each later block one more than the first pending trial has drawn.
+verdict as a third value.  The determinant is checked against the
+pivoted-LU oracle in :mod:`ellcauchy.linalg`, which factors a whole stack
+in one call.  Every matrix identity A B = R (the inverse as C X = I, the
+product, transposed and factorization identities, and the Gauss
+decomposition as (U D) L = C) is judged by one residual, its componentwise
+backward error :func:`~ellcauchy.linalg.backward_error`, with no inverse
+formed.  The determinant, inverse and Gauss checks of one instance share
+its Cauchy matrix and closed determinant, each computed once and kept in
+the instance's store (:func:`_shared`).  The sampler keeps one margin
+rule for every kernel and samples a whole stack of trials in one call: it
+tests their rounds in blocks, as arrays, and picks bit for bit the
+instances that a loop over single rounds would.  Its first block draws
+three rounds of each trial, and each later block one more than the first
+pending trial has drawn.
 Its close-pair screen tests every pair of a small block, and sorts and
 sweeps the points of a large one, so its cost is linear in a block's
 points.
@@ -68,10 +70,10 @@ class Report:
     """Per-identity verification result for one instance.
 
     ``elapsed_ms`` is the time of the check on its stack divided among the
-    members.  The products several checks of one stack read (C(x,y;lam),
-    its closed determinant and its LU factorization) are computed once, and
-    charged to the first check that asks for them; ``ellcauchy bench``
-    times each check in full, on a fresh instance.
+    members.  The products several checks of one stack read (C(x,y;lam)
+    and its closed determinant) are computed once, and charged to the first
+    check that asks for them; ``ellcauchy bench`` times each check in full,
+    on a fresh instance.
     """
 
     identity_name: str
@@ -391,18 +393,14 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
 def _shared(inst, name):
     """The instance's product ``name``, computed on the first request and
     kept, read-only, in its store: ``cauchy_matrix`` or ``frobenius_det`` of
-    (kernel, x, y, lam), or ``_lu_factor`` of that Cauchy matrix.  Each
-    function is looked up by module name at call time, so a wrapper
-    installed on the name sees the one call per instance."""
+    (kernel, x, y, lam).  Each function is looked up by module name at call
+    time, so a wrapper installed on the name sees the one call per
+    instance."""
     store = inst._shared
     if name not in store:
-        if name == "_lu_factor":
-            value = linalg._lu_factor(_shared(inst, "cauchy_matrix"))
-        else:
-            value = getattr(cauchy, name)(inst.kernel, inst.x, inst.y, inst.lam)
-        for part in value if isinstance(value, tuple) else (value,):
-            if isinstance(part, np.ndarray):
-                part.setflags(write=False)
+        value = getattr(cauchy, name)(inst.kernel, inst.x, inst.y, inst.lam)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
         store[name] = value
     return store[name]
 
@@ -412,17 +410,14 @@ def check_determinant(inst, tag):
     the instance's kernel."""
     mat = _shared(inst, "cauchy_matrix")
     closed = _shared(inst, "frobenius_det")
-    return np.abs(linalg.lu_det(mat, factors=_shared(inst, "_lu_factor")) - closed), np.abs(closed)
+    return np.abs(linalg.lu_det(mat) - closed), np.abs(closed)
 
 
 def check_inverse(inst, tag):
-    """Closed-form inverse: residual of C C^-1 against the identity, plus a
-    cross-check against the LU inverse."""
-    mat = _shared(inst, "cauchy_matrix")
+    """Closed-form inverse X of C: the backward error of C X as the
+    identity."""
     inv = cauchy.cauchy_inverse_closed(inst.kernel, inst.x, inst.y, inst.lam)
-    r_id = linalg.max_abs_residual(mat @ inv, np.broadcast_to(np.eye(inst.n), inv.shape))
-    r_lu = linalg.rel_residual(inv, linalg.lu_inverse(mat, factors=_shared(inst, "_lu_factor")))
-    return _worst([r_id, r_lu], inst.x.shape[:-1]), 1.0
+    return linalg.backward_error(_shared(inst, "cauchy_matrix"), inv, np.eye(inst.n)), 1.0
 
 
 def check_product_identity(inst, tag):
@@ -430,15 +425,14 @@ def check_product_identity(inst, tag):
     tag the parameter-free limit matrices K satisfy K(x,y)K(y,z) = K(x,z)."""
     x, y, z = inst.x, inst.y, inst.z
     if tag == "k-rational":
-        lhs = cauchy.k_matrix(x, y) @ cauchy.k_matrix(y, z)
-        rhs = cauchy.k_matrix(x, z)
+        a, b, rhs = cauchy.k_matrix(x, y), cauchy.k_matrix(y, z), cauchy.k_matrix(x, z)
     else:
         lam = inst.lam
         kern = inst.kernel
         y_sum, z_sum = y.sum(axis=-1), z.sum(axis=-1)
-        lhs = cauchy.g_matrix(kern, x, y, lam + y_sum) @ cauchy.g_matrix(kern, y, z, lam + z_sum)
+        a, b = cauchy.g_matrix(kern, x, y, lam + y_sum), cauchy.g_matrix(kern, y, z, lam + z_sum)
         rhs = cauchy.g_matrix(kern, x, z, lam + z_sum)
-    return linalg.max_abs_residual(lhs, rhs), np.abs(rhs).max(axis=(-2, -1))
+    return linalg.backward_error(a, b, rhs), 1.0
 
 
 def check_transposed_identity(inst, tag):
@@ -448,17 +442,14 @@ def check_transposed_identity(inst, tag):
     lam = inst.lam
     kern = inst.kernel
     x_sum = x.sum(axis=-1)
-    lhs = cauchy.h_matrix(kern, x, y, lam - x_sum) @ cauchy.h_matrix(kern, y, z, lam - y.sum(axis=-1))
-    rhs = -cauchy.h_matrix(kern, x, z, lam - x_sum)
-    return linalg.max_abs_residual(lhs, rhs), np.abs(rhs).max(axis=(-2, -1))
+    a, b = cauchy.h_matrix(kern, x, y, lam - x_sum), cauchy.h_matrix(kern, y, z, lam - y.sum(axis=-1))
+    return linalg.backward_error(a, b, -cauchy.h_matrix(kern, x, z, lam - x_sum)), 1.0
 
 
 def check_factorization(inst, tag):
     """G_{lam+Y}(x,y) = g_lam(x) g_lam(y)^-1 with both on the instance's
     kernel, checked without an inverse as G g(y) = g(x); under the
-    k-rational tag, K(x,y) W(y) = W(x).  The residual is componentwise, max |G g(y) - g(x)|
-    over |G| |g(y)| (the Oettli-Prager backward error; Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 7.2)."""
+    k-rational tag, K(x,y) W(y) = W(x)."""
     x, y = inst.x, inst.y
     if tag == "k-rational":
         lhs = cauchy.k_matrix(x, y)
@@ -467,39 +458,19 @@ def check_factorization(inst, tag):
         kern = inst.kernel
         lhs = cauchy.g_matrix(kern, x, y, inst.lam + y.sum(axis=-1))
         gx, gy = cauchy.g_factor(kern, x, inst.lam), cauchy.g_factor(kern, y, inst.lam)
-    return _worst([np.abs(lhs @ gy - gx) / (np.abs(lhs) @ np.abs(gy))], x.shape[:-1]), 1.0
+    return linalg.backward_error(lhs, gy, gx), 1.0
 
 
 def check_gauss(inst, tag):
-    """UDL decomposition: product residual, triangular/diagonal structure,
-    the element-sum form of the decomposition at the entries (0, 0),
-    (0, N-1) and (N-1, 0), and the determinant consistency
-    prod_j D_jj = Frobenius determinant."""
-    x, y, kern = inst.x, inst.y, inst.kernel
-    n = inst.n
-    stack = x.shape[:-1]
-    u, d, l = cauchy.gauss_udl(kern, x, y, inst.lam)
-    mat = _shared(inst, "cauchy_matrix")
-    scale = np.abs(mat).max(axis=(-2, -1))
-    residuals = [linalg.max_abs_residual(u @ d @ l, mat) / scale]
-
-    structured = (
-        linalg.structure_check(u, "unit_upper", 1e-12)
-        & linalg.structure_check(l, "unit_lower", 1e-12)
-        & linalg.structure_check(d, "diagonal", 1e-12)
-    )
-    residuals.append(np.where(structured, 0.0, 1.0))
-
-    # element-sum form: C_ik = sum_{j >= max(i,k)} U_ij D_jj L_jk, its terms
-    # added in order of j
-    for i, k in ((0, 0), (0, n - 1), (n - 1, 0)):
-        s = sum(u[..., i, j] * d[..., j, j] * l[..., j, k] for j in range(max(i, k), n))
-        residuals.append(np.abs(s - mat[..., i, k]) / scale)
-
+    """UDL decomposition: the worse of the backward error of (U D) L as C
+    and the determinant consistency prod_j D_jj = Frobenius determinant.
+    U and L are the triangles of matrices divided by their own diagonals,
+    so their structure holds exactly and is not checked."""
+    u, d, l = cauchy.gauss_udl(inst.kernel, inst.x, inst.y, inst.lam)
+    product = linalg.backward_error(u @ d, l, _shared(inst, "cauchy_matrix"))
     det_closed = _shared(inst, "frobenius_det")
     det_diag = np.prod(np.diagonal(d, axis1=-2, axis2=-1), axis=-1)
-    residuals.append(np.abs(det_diag - det_closed) / np.abs(det_closed))
-    return _worst(residuals, stack), 1.0
+    return _worst([product, np.abs(det_diag - det_closed) / np.abs(det_closed)], inst.x.shape[:-1]), 1.0
 
 
 def check_monodromy(inst, tag):
@@ -589,9 +560,9 @@ class Identity:
         residual at this identity's tolerance: a list of :class:`Report`,
         one per member in stack order (one for a single trial), each with
         the stack's time divided among its members.  That time includes the
-        shared products (C(x,y;lam), its closed determinant, its LU
-        factorization) this check is the first on the instance to ask for,
-        and leaves out those an earlier check computed.  A residual or reference
+        shared products (C(x,y;lam) and its closed determinant) this check
+        is the first on the instance to ask for, and leaves out those an
+        earlier check computed.  A residual or reference
         magnitude that is not finite fails, and so does a failed rate
         verdict.  Raises ValueError for a kernel tag outside the plan, an
         instance of another variant than the plan names for it, or a

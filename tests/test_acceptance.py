@@ -125,10 +125,10 @@ def test_criterion_07_factorization_and_gauge():
 
 def test_criterion_08_gauss_decomposition():
     t0 = time.perf_counter()
-    # check_gauss folds product, structure (at 1e-12), element sums and the
-    # diagonal-product determinant into one residual
+    # check_gauss takes the worse of the backward error of (U D) L as C and
+    # the diagonal-product determinant's distance from the closed one
     worst = _suite_worst(["gauss"])
-    _gate(8, f"UDL residual {worst:.2e} < 1e-8 incl. structure and det checks",
+    _gate(8, f"UDL residual {worst:.2e} < 1e-8 incl. the det check",
           worst < 1e-8, time.perf_counter() - t0, 10.0)
 
 

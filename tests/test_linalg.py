@@ -1,14 +1,15 @@
-"""Pivoted-LU helpers and residual/structure utilities."""
+"""Pivoted-LU helpers, the backward error and residual/structure utilities."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from ellcauchy import DimensionMismatch, SingularMatrix
+from ellcauchy import DimensionMismatch, SingularMatrix, SuiteConfig, cauchy, run_suite
 from ellcauchy.linalg import (
     _as_square,
-    _lu_factor,
+    backward_error,
     lu_det,
     lu_inverse,
     max_abs_residual,
@@ -169,30 +170,67 @@ class TestStacked:
             lu_det(np.zeros((2, 3, 4)))
 
 
-class TestGivenFactors:
-    """``factors=_lu_factor(a)`` gives, bit for bit, what the call that
-    factors ``a`` itself gives, singular members and messages included."""
+class TestBackwardError:
+    """max_ij |a b - r|_ij / (|a| |b|)_ij per matrix, with 0/0 read as 0,
+    x/0 as inf and NaN kept; no rule warns."""
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_det_and_inverse(self, rng, n):
-        for a in (complex_stack(rng, (n, n)), complex_stack(rng, (2, 3, n, n))):
-            factors = _lu_factor(a)
-            got, ref = lu_det(a, factors=factors), lu_det(a)
-            assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
-            assert lu_inverse(a, factors=factors).tobytes() == lu_inverse(a).tobytes()
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_singular_members(self, rng, n):
-        a = complex_stack(rng, (2, 3, n, n))
-        a[1, 1, :, n // 2] = 0
-        a[0, 2] = 0
-        factors = _lu_factor(a)
-        assert lu_det(a, factors=factors).tobytes() == lu_det(a).tobytes()
-        with pytest.raises(SingularMatrix) as given:
-            lu_inverse(a, factors=factors)
-        with pytest.raises(SingularMatrix) as own:
-            lu_inverse(a)
-        assert str(given.value) == str(own.value)
+    def test_zero_over_zero_reads_zero(self):
+        # every off-diagonal entry is 0/0
+        assert backward_error(np.eye(3), 2 * np.eye(3), 2 * np.eye(3)) == 0
+
+    def test_nonzero_over_zero_reads_inf(self):
+        r = np.eye(3, dtype=complex)
+        r[0, 2] = 1e-300
+        assert backward_error(np.eye(3), np.eye(3), r) == math.inf
+
+    @pytest.mark.parametrize("operand", range(3))
+    def test_a_nan_anywhere_reads_nan(self, rng, operand):
+        mats = [complex_stack(rng, (3, 3)) for _ in range(3)]
+        mats[operand][1, 2] = np.nan
+        assert math.isnan(backward_error(*mats))
+
+    def test_member_matches_the_call_on_it_alone(self, rng):
+        a, b, r = (complex_stack(rng, (2, 3, 5, 5)) for _ in range(3))
+        a[0, 1] = b[0, 1] = r[0, 1] = np.eye(5)  # 0/0 entries
+        r[1, 0, 2, 3] += 1e-9
+        b[1, 2, :, 4] = 0  # x/0 in column 4
+        r[0, 2, 1, 1] = np.nan
+        got = backward_error(a, b, r)
+        assert got.shape == (2, 3) and got[0, 1] == 0 and got[1, 2] == math.inf and math.isnan(got[0, 2])
+        for m in np.ndindex(2, 3):
+            alone = backward_error(a[m], b[m], r[m])
+            assert type(alone) is float and np.float64(alone).tobytes() == got[m].tobytes(), m
+
+    def test_matches_the_inline_formula(self, rng):
+        # the factorization check's formula before the helper, on a stack
+        # with no zero entry
+        a, b, r = (complex_stack(rng, (4, 6, 6)) for _ in range(3))
+        inline = (np.abs(a @ b - r) / (np.abs(a) @ np.abs(b))).reshape(4, -1).max(axis=-1)
+        assert backward_error(a, b, r).tobytes() == inline.tobytes()
+
+    @pytest.mark.parametrize("wrong, reads", [("zero column", math.inf), ("nan entry", math.nan)])
+    def test_an_inf_or_nan_record_fails(self, monkeypatch, wrong, reads):
+        closed = cauchy.cauchy_inverse_closed
+
+        def broken(*args):
+            inv = np.array(closed(*args))
+            if wrong == "zero column":
+                inv[..., -1] = 0  # C X - I is -1 at (N, N), over |C| |X| = 0
+            else:
+                inv[..., 0, 0] = np.nan
+            return inv
+
+        monkeypatch.setattr(cauchy, "cauchy_inverse_closed", broken)
+        reports = run_suite(SuiteConfig(n_values=(1, 3), trials_per_n=2), identities=["inverse"])
+        assert len(reports) == 8 and not any(r.passed for r in reports)
+        for r in reports:
+            assert (r.rel_residual == reads) or (math.isnan(reads) and math.isnan(r.rel_residual)), r
 
 
 class TestResiduals:

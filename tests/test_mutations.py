@@ -56,6 +56,19 @@ def d_scaled_transposed(f):
     return wrong
 
 
+def u_below_diagonal(f):
+    """The UDL decomposition with 1e-3 added to U's entry (N-1, 0), below
+    its diagonal."""
+
+    def wrong(kern, x, y, lam):
+        u, d, l = f(kern, x, y, lam)
+        u = u.copy()
+        u[..., -1, 0] += 1e-3
+        return u, d, l
+
+    return wrong
+
+
 def sign_flipped(f):
     """Pivoted LU that reports the wrong permutation parity."""
 
@@ -113,7 +126,16 @@ MUTANTS = [
         lambda f: lambda kern, x, y, lam: f(kern, x, y, lam - 2 * y.sum(axis=-1)),
         {"inverse": ("elliptic", "rational")},
     ),
+    (
+        "closed inverse at lam(1+1e-3)",
+        (cauchy,),
+        "cauchy_inverse_closed",
+        lambda f: lambda kern, x, y, lam: f(kern, x, y, lam * (1 + 1e-3)),
+        {"inverse": ("elliptic", "rational")},
+    ),
     ("lambda_N shifted by 1e-3", (cauchy,), "gauss_lambda_ladder", last_rung_shifted, {"gauss": ("elliptic",)}),
+    # the sizes of CFG start at 2, so the entry is off the diagonal
+    ("U nonzero below its diagonal", (cauchy,), "gauss_udl", u_below_diagonal, {"gauss": ("elliptic",)}),
     (
         "squared Lagrange denominator",
         (cauchy,),

@@ -148,9 +148,11 @@ def test_readme_library_example(capsys):
 #: determinant, inverse and gauss checks of a stack build its Cauchy matrix
 #: and closed determinant once between them, and the LU oracle takes a
 #: whole stack in one call: only the determinant check takes an LU
-#: determinant and only the inverse check inverts by LU, once per stack,
-#: for 2 kernels x 4 sizes, from one factorization per stack (the
-#: factorization check forms G g(y), not g(x) g(y)^-1).  No checker draws
+#: determinant, once per stack, for 2 kernels x 4 sizes.  No check inverts
+#: by LU or tests a structure: every matrix identity is judged by its
+#: backward error, which forms no inverse (the inverse check C X = I, the
+#: factorization check G g(y) = g(x)), and the Gauss factors' structure
+#: holds by construction.  No checker draws
 #: points of its own: monodromy reads the instance's, so it makes no
 #: lattice-distance call per candidate point, and its Bloch expansion is
 #: rows of the scaled-C builder, with that builder's one zero-distance call.
@@ -171,7 +173,8 @@ def test_readme_library_example(capsys):
 CALL_CAPS = {
     "verify.random_instance": 25,
     "linalg.lu_det": 8,
-    "linalg.lu_inverse": 8,
+    "linalg.lu_inverse": 0,
+    "linalg.structure_check": 0,
     "cauchy.zero_distance": 176,
     "cauchy.kernel": 137,
     "weierstrass.lattice_distance": 52,

@@ -1018,8 +1018,9 @@ class TestSharedInstances:
 
 class TestSharedProducts:
     """The determinant, inverse and gauss checks of a stack take its Cauchy
-    matrix, closed determinant and LU factorization from the stack's store:
-    each is computed once per stack that uses it, and never for another."""
+    matrix and closed determinant from the stack's store: each is computed
+    once per stack that uses it, and never for another.  The determinant
+    check alone factors the Cauchy matrix, once per stack."""
 
     WRAPPED = ((cauchy, "cauchy_matrix"), (cauchy, "frobenius_det"), (linalg, "_lu_factor"))
 
@@ -1060,7 +1061,7 @@ class TestSharedProducts:
         cfg = SuiteConfig(n_values=(3,))
         stack = random_instance(cfg, elliptic_kernel(cfg.lattice()), 3, range(2))
         REGISTRY["determinant"].check(stack, "elliptic", cfg.tolerance)
-        assert set(stack._shared) == {"cauchy_matrix", "frobenius_det", "_lu_factor"}
+        assert set(stack._shared) == {"cauchy_matrix", "frobenius_det"}
         assert not stack._shared["cauchy_matrix"].flags.writeable
         for fresh in (stack.member(0), dataclasses.replace(stack)):
             assert fresh._shared == {}
