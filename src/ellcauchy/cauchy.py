@@ -217,7 +217,8 @@ RATIONAL_KERNEL = Kernel("rational")
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One random verification instance, or a stack of them: kernel, point
-    sets, parameter.
+    sets, parameter.  The sampler always draws z; one built by hand may
+    leave it None, and the identities that read it then refuse it.
 
     The point sets become read-only complex arrays of one nonempty size.
     A stack of B trials has sets of shape (B, N) and ``lam`` and ``seed``
@@ -231,7 +232,7 @@ class Instance:
     members of a stack at once; none asks for f(y - x).  Every instance also
     starts with an empty ``_shared`` store, in which the checkers keep the
     products that several of them read (C(x, y; lam) and its closed
-    determinant), so that each is computed once per instance.
+    determinant), so each is computed once per instance.
     """
 
     kernel: Kernel

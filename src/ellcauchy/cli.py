@@ -171,19 +171,17 @@ def _bench(args):
         sampled = {}
         for name, ident in verify.REGISTRY.items():
             label = f"{name} n={n}"
-            tag, variant, with_z = ident.plan[0]
+            tag, variant, _ = ident.plan[0]
             try:
-                if (variant, with_z) not in sampled:
-                    kern = cauchy.Kernel(variant, lat)
+                if variant not in sampled:
                     t0 = time.perf_counter()
-                    sampled[variant, with_z] = verify.random_instance(cfg, kern, n, args.seed, with_z)
+                    sampled[variant] = verify.random_instance(cfg, cauchy.Kernel(variant, lat), n, args.seed)
                     dt = (time.perf_counter() - t0) * 1e3
-                    drawn = f"sample {variant}{'+z' if with_z else ''} n={n}"
-                    print(f"{drawn:<22} {dt:>10.2f} ms")
+                    print(f"{f'sample {variant} n={n}':<22} {dt:>10.2f} ms")
                 # the same points on a fresh instance, whose empty memo and
                 # store credit no check with kernel values or products that
                 # an earlier one computed
-                inst = dataclasses.replace(sampled[variant, with_z])
+                inst = dataclasses.replace(sampled[variant])
                 t0 = time.perf_counter()
                 ident.check(inst, tag, cfg.tolerance)
                 dt = (time.perf_counter() - t0) * 1e3

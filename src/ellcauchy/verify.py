@@ -10,9 +10,10 @@ in one call.  Every matrix identity A B = R (the inverse as C X = I, the
 product, transposed and factorization identities, and the Gauss
 decomposition as (U D) L = C) is judged by one residual, its componentwise
 backward error :func:`~ellcauchy.linalg.backward_error`, with no inverse
-formed.  The determinant, inverse and Gauss checks of one instance share
-its Cauchy matrix and closed determinant, each computed once and kept in
-the instance's store (:func:`_shared`).  The sampler keeps one margin
+formed (the inverse also as X C = I).  All identities of a trial read one
+instance (x, y, z, lambda); its determinant, inverse and Gauss checks
+share its Cauchy matrix and closed determinant, each computed once and
+kept in its store (:func:`_shared`).  The sampler keeps one margin
 rule for every kernel and samples a whole stack of trials in one call: it
 tests their rounds in blocks, as arrays, and picks bit for bit the
 instances that a loop over single rounds would.  Its first block draws
@@ -65,9 +66,9 @@ _PAIR_BUDGET = 32_768
 _ABS_SWITCH = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
-    """Per-identity verification result for one instance.
+    """Per-identity verification result for one instance, in slots.
 
     ``elapsed_ms`` is the time of the check on its stack divided among the
     members.  The products several checks of one stack read (C(x,y;lam)
@@ -310,22 +311,23 @@ def _stream(keys, start, count):
     return z * 2.0**-53
 
 
-def random_instance(cfg, kernel, n, seed, with_z=False):
+def random_instance(cfg, kernel, n, seed):
     """Deterministically sample an :class:`Instance` meeting all margins:
     one trial for an int ``seed``, and for a sequence of seeds their stack,
-    with the members in seed order.
+    with the members in seed order, each with point sets x, y, z.
 
     Each trial draws its rounds in order on its own SplitMix64 stream
-    (:func:`_stream`), keyed by the words (kernel stream, n, with_z, seed,
-    base seed), so a trial's instance depends on these five words alone,
-    whatever stack it is drawn in; the first three are the same for every
-    trial of a call, and are folded once.  A round is one row of uniforms: for
-    each point set, n draws for the first coordinate and then n for the
-    second, and the parameter's two draws last.  The kernel's ``points``
-    and ``lam`` maps turn them into samples, and each trial takes its first
-    admissible round.  Rounds are drawn and tested
-    in blocks, as arrays, and the instances are bit for bit those of one
-    round at a time.  One rule makes every block: the first ``cap // size``
+    (:func:`_stream`), keyed by the words (kernel stream, n, 1, seed, base
+    seed; the 1 once marked a third point set), so a trial's instance
+    depends on these five words alone, whatever stack it is drawn in; the
+    first three are the same for every trial of a call, and are folded
+    once.  A round is one row of uniforms: for x, y and z, n draws for the
+    first coordinate and then n for the second, and the parameter's two
+    draws last.  The kernel's ``points`` and ``lam`` maps turn them into
+    samples, and each trial takes its first admissible round.  Rounds are
+    drawn and tested in blocks, as arrays, and the instances are bit for
+    bit those of one round at a time.  One rule makes every block: the
+    first ``cap // size``
     pending trials, in seed order, each draw ``size`` rounds, where ``cap``
     is the rounds that fit ``_PAIR_BUDGET`` points (at least one) and
     ``size`` is one more than the rounds the first pending trial has
@@ -348,16 +350,13 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
     if n < 1 or not seeds.size:
         raise ValueError("n must be >= 1, and a sequence of seeds nonempty")
     spec, lat = kernel.spec, kernel.lattice
-    n_sets = 3 if with_z else 2
-    if n * n_sets * cfg.sep_min**2 > spec.area(lat):
-        raise SamplingExhausted(
-            f"{n} points with separation {cfg.sep_min} cannot fit the sampling region"
-        )
+    if 3 * n * cfg.sep_min**2 > spec.area(lat):
+        raise SamplingExhausted(f"{n} points with separation {cfg.sep_min} cannot fit the sampling region")
     # a seed outside 0 .. 2**32 - 1 raises OverflowError
-    keys = _stream_keys([spec.stream, n, int(with_z)], [seeds.tolist(), [cfg.base_seed] * seeds.size])
-    width = 2 * n * n_sets + 2
-    cap = max(1, _PAIR_BUDGET // (n * n_sets))  # rounds per block
-    sets = np.empty((n_sets, len(keys), n), dtype=complex)
+    keys = _stream_keys([spec.stream, n, 1], [seeds.tolist(), [cfg.base_seed] * seeds.size])
+    width = 6 * n + 2  # x, y and z, each as two rows of n, and lambda's two
+    cap = max(1, _PAIR_BUDGET // (3 * n))  # rounds per block
+    sets = np.empty((3, len(keys), n), dtype=complex)
     lam = np.empty(len(keys), dtype=complex)
     ok = np.zeros(len(keys), dtype=bool)
     drawn = np.zeros(len(keys), dtype=int)  # rounds drawn per trial
@@ -372,7 +371,7 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
         size = min(head + 1 if head else 1 + 2, cap, _MAX_ROUNDS - head)
         group = pending[:cap // size]
         draws = _stream(keys[group], drawn[group] * width, size * width).reshape(-1, width)
-        uv = draws[:, :-2].reshape(len(draws), n_sets, 2, n)
+        uv = draws[:, :-2].reshape(len(draws), 3, 2, n)
         block_sets = spec.points(lat, uv[:, :, 0], uv[:, :, 1]).swapaxes(0, 1)
         block_lam = spec.lam(lat, draws[:, -2], draws[:, -1])
         passed = _margins_ok(kernel, block_sets, block_lam, cfg.sep_min).reshape(len(group), size)
@@ -382,7 +381,7 @@ def random_instance(cfg, kernel, n, seed, with_z=False):
         sets[:, took], lam[took], ok[took] = block_sets[:, first], block_lam[first], True
     if single:
         sets, lam, seeds = sets[:, 0], lam[0], seed
-    return Instance(kernel=kernel, x=sets[0], y=sets[1], z=sets[2] if with_z else None, lam=lam, seed=seeds)
+    return Instance(kernel=kernel, x=sets[0], y=sets[1], z=sets[2], lam=lam, seed=seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +413,11 @@ def check_determinant(inst, tag):
 
 
 def check_inverse(inst, tag):
-    """Closed-form inverse X of C: the backward error of C X as the
-    identity."""
+    """Closed-form inverse X of C: the worse backward error of C X and of
+    X C as the identity."""
     inv = cauchy.cauchy_inverse_closed(inst.kernel, inst.x, inst.y, inst.lam)
-    return linalg.backward_error(_shared(inst, "cauchy_matrix"), inv, np.eye(inst.n)), 1.0
+    mat, eye = _shared(inst, "cauchy_matrix"), np.eye(inst.n)
+    return np.maximum(linalg.backward_error(mat, inv, eye), linalg.backward_error(inv, mat, eye)), 1.0
 
 
 def check_product_identity(inst, tag):
@@ -567,13 +567,13 @@ class Identity:
         verdict.  Raises ValueError for a kernel tag outside the plan, an
         instance of another variant than the plan names for it, or a
         missing third point set."""
-        plan = {t: (variant, with_z) for t, variant, with_z in self.plan}
+        plan = {t: (variant, needs_z) for t, variant, needs_z in self.plan}
         if tag not in plan:
             raise ValueError(f"{self.name} does not run on the {tag} kernel")
-        variant, with_z = plan[tag]
+        variant, needs_z = plan[tag]
         if inst.kernel.variant != variant:
             raise ValueError(f"{self.name} on {tag} got a {inst.kernel.variant} instance")
-        if with_z and inst.z is None:
+        if needs_z and inst.z is None:
             raise ValueError(f"{self.name} needs a third point set")
         t0 = time.perf_counter()
         out = self.checker(inst, tag)
@@ -675,15 +675,15 @@ def run_suite(cfg, identities=None, kernels=None):
     in the set.  An unknown or repeated identity name, or an unknown kernel
     variant, raises ValueError naming it.  Each check is judged by
     :meth:`Identity.check` at base tolerance ``cfg.tolerance``.  The checks
-    are grouped by stack (instance variant, N, third point set or not); an
-    identity with a fixed size checks only the stack's first member, the
-    base seed's instance.  Each stack is sampled in one
-    :func:`random_instance` call, as one
+    are grouped by stack, one per (instance variant, N), so every identity
+    of one (kernel, N, seed) reads one instance; an identity with a fixed
+    size checks only the stack's first member, the base seed's instance.
+    Each stack is sampled in one :func:`random_instance` call, as one
     :class:`~ellcauchy.cauchy.Instance` with a leading trial axis, each
-    trial on its own RNG stream.  Every
-    identity and kernel tag that uses the stack checks it in one call, and
-    the stack is dropped before the next is sampled, so only one stack, with
-    its memo of kernel values, is held at a time.  A function patched on a
+    trial on its own RNG stream.  Every identity and kernel tag that uses
+    the stack checks it in one call, sharing its kernel memo and product
+    store, and the stack is dropped before the next is sampled, so only
+    one stack is held at a time.  A function patched on a
     module name reaches every check as long as it is in place before this
     call builds the instances.
 
@@ -701,24 +701,24 @@ def run_suite(cfg, identities=None, kernels=None):
         raise ValueError(f"identities repeats a name: {repeated}")
     lat = cfg.lattice()
     trials = [cfg.base_seed + trial for trial in range(cfg.trials_per_n)]
-    jobs = {}  # stack key -> (seeds, [(identity, kernel tag)] in the order of names)
+    jobs = {}  # (variant, n) -> (seeds, [(identity, kernel tag)] in the order of names)
     for name in names:
         ident = REGISTRY[name]
         if ident.fixed_n:
             sizes, seeds_of = [ident.fixed_n], trials[:1]
         else:
             sizes, seeds_of = [n for n in cfg.n_values if ident.n_cap is None or n <= ident.n_cap], trials
-        for tag, variant, with_z in ident.plan:
+        for tag, variant, _ in ident.plan:
             if kernels is not None and tag.removeprefix("k-") not in kernels:
                 continue
             for n in sizes:
-                seeds, todo = jobs.setdefault((variant, n, with_z), ({}, []))
+                seeds, todo = jobs.setdefault((variant, n), ({}, []))
                 seeds.update(dict.fromkeys(seeds_of))
                 todo.append((ident, tag))
 
     reports = []
-    for (variant, n, with_z), (seeds, todo) in jobs.items():
-        stack = random_instance(cfg, Kernel(variant, lat), n, list(seeds), with_z)
+    for (variant, n), (seeds, todo) in jobs.items():
+        stack = random_instance(cfg, Kernel(variant, lat), n, list(seeds))
         for ident, tag in todo:
             # every stack starts with the base seed, whichever entry made it
             reports.extend(ident.check(stack.member(0) if ident.fixed_n else stack, tag, cfg.tolerance))

@@ -230,9 +230,9 @@ class TestMain:
         sampled, timed_on = [], []
         random_instance, check = verify.random_instance, verify.Identity.check
 
-        def counted(cfg, kernel, n, seed, with_z=False):
-            sampled.append((kernel.variant, n, with_z))
-            return random_instance(cfg, kernel, n, seed, with_z)
+        def counted(cfg, kernel, n, seed):
+            sampled.append((kernel.variant, n))
+            return random_instance(cfg, kernel, n, seed)
 
         def recorded(ident, inst, tag, base_tol):
             timed_on.append((inst, copy.copy(inst.kernel.memo)))
@@ -250,20 +250,19 @@ class TestMain:
         for n in (4, 8, 16, 32):
             drawn = set()
             for name, ident in verify.REGISTRY.items():
-                _, variant, with_z = ident.plan[0]
-                if (variant, with_z) not in drawn:
-                    drawn.add((variant, with_z))
-                    want.append(["sample", variant + "+z" * with_z, f"n={n}"])
+                _, variant, _ = ident.plan[0]
+                if variant not in drawn:
+                    drawn.add(variant)
+                    want.append(["sample", variant, f"n={n}"])
                 want.append([name, f"n={n}"])
         assert [line[:22].split() for line in lines[1:]] == want
         assert all(line.endswith(" ms") for line in lines)
-        assert len(lines) == 1 + len(want) == 45
-        # one sample per size, variant and point-set count, shared by the
-        # identities (degeneration's is rational), but no two timed checks
-        # share an instance: each starts on an empty memo, or none, so none
-        # is timed on kernel values an earlier check evaluated
-        shapes = [("elliptic", False), ("elliptic", True), ("rational", False)]
-        assert sorted(sampled) == sorted((v, n, z) for n in (4, 8, 16, 32) for v, z in shapes)
+        assert len(lines) == 1 + len(want) == 41
+        # one sample per size and variant, shared by the identities
+        # (degeneration's is rational), but no two timed checks share an
+        # instance: each starts on an empty memo, or none, so none is timed
+        # on kernel values an earlier check evaluated
+        assert sorted(sampled) == sorted((v, n) for n in (4, 8, 16, 32) for v in ("elliptic", "rational"))
         assert len(timed_on) == 32
         assert len({id(inst) for inst, _ in timed_on}) == len(timed_on)
         assert [memo for _, memo in timed_on] == [{}, {}, {}, {}, {}, {}, {}, None] * 4

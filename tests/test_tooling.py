@@ -49,8 +49,7 @@ def test_tracer_targets_resolve():
     assert not missing, f"tracer targets missing from the package: {missing}"
 
 
-@pytest.mark.parametrize("with_z", [False, True])
-def test_round_hook_counts_rounds(with_z):
+def test_round_hook_counts_rounds():
     # elliptic-dense instances at N = 20: the hook fires once per block of
     # rounds, so at least once and at most once per round the reference
     # loop draws, and the hooked sampler draws the reference's instance
@@ -61,17 +60,16 @@ def test_round_hook_counts_rounds(with_z):
     rec = tracer.Tracer()
     hooked, rounds = [], []
     for seed in range(1, 6):
-        sets, lam, taken = reference_sample(cfg, kern, 20, seed, with_z)
+        sets, lam, taken = reference_sample(cfg, kern, 20, seed)
         rounds.append(taken)
         rec.reset()
         rec.install()
         try:
-            inst = random_instance(cfg, kern, 20, seed, with_z)
+            inst = random_instance(cfg, kern, 20, seed)
         finally:
             rec.uninstall()
         hooked.append(rec.counts[counter])
-        got = [inst.x, inst.y] + ([inst.z] if with_z else [])
-        assert [s.tobytes() for s in got] == [s.tobytes() for s in sets] and inst.lam == lam
+        assert [s.tobytes() for s in (inst.x, inst.y, inst.z)] == [s.tobytes() for s in sets] and inst.lam == lam
     assert all(1 <= h <= r for h, r in zip(hooked, rounds)), (hooked, rounds)
     assert sum(rounds) > 2 * len(rounds)
     assert sum(hooked) < sum(rounds)
@@ -105,12 +103,11 @@ def test_one_zero_distance_call_per_round(round_calls, variant):
     # a close pair rejects a round without a kernel call; every other
     # margin of a block's rounds is measured in one call.  At separation
     # 0.03 every rational trial here takes at most 3 rounds, its first
-    # block, so the rational calls run at 0.05, where they take 3 to 113
+    # block, so the rational calls run at 0.05, where they take 9 to 113
     cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.05 if variant == "rational" else 0.03)
     kern = Kernel(variant, cfg.lattice())
     for seed in range(1, 6):
-        for with_z in (False, True):
-            random_instance(cfg, kern, 20, seed, with_z)
+        random_instance(cfg, kern, 20, seed)
     assert len(round_calls) > 10
     assert max(round_calls) <= 1
 
@@ -132,10 +129,11 @@ def test_readme_library_example(capsys):
 
 
 #: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
-#: each of the 48 distinct instances is sampled once (and degeneration's
-#: N = 5 instance, since 5 is not among the sizes), and the two trials of
-#: each (kernel variant, N, third set) are sampled in one sampler call and
-#: checked as one stack, so the sampler runs 25 times, and every builder
+#: each of the 24 distinct instances, each with its third point set, is
+#: sampled once (and degeneration's N = 5 instance, since 5 is not among
+#: the sizes), and the two trials of each (kernel variant, N) are sampled
+#: in one sampler call and checked as one stack by every identity, so the
+#: sampler runs 13 times, and every builder
 #: and checker once per stack, not once per trial.  Each builder tests its
 #: denominators in at most one zero-distance call and evaluates its kernel
 #: in at most one call, both in one helper (C, G, H and the closed inverse
@@ -150,9 +148,9 @@ def test_readme_library_example(capsys):
 #: whole stack in one call: only the determinant check takes an LU
 #: determinant, once per stack, for 2 kernels x 4 sizes.  No check inverts
 #: by LU or tests a structure: every matrix identity is judged by its
-#: backward error, which forms no inverse (the inverse check C X = I, the
-#: factorization check G g(y) = g(x)), and the Gauss factors' structure
-#: holds by construction.  No checker draws
+#: backward error, which forms no inverse (the inverse checks C X = I and
+#: X C = I, the factorization check G g(y) = g(x)), and the Gauss factors'
+#: structure holds by construction.  No checker draws
 #: points of its own: monodromy reads the instance's, so it makes no
 #: lattice-distance call per candidate point, and its Bloch expansion is
 #: rows of the scaled-C builder, with that builder's one zero-distance call.
@@ -169,22 +167,28 @@ def test_readme_library_example(capsys):
 #: trial (the old first two blocks, 1 round and 2), every stack of this
 #: grid ends in its first block: 30 -> 25 blocks, and one zero-distance
 #: call fewer for each block saved (181 -> 176; lattice_distance, the
-#: elliptic stacks' share, 56 -> 52)
+#: elliptic stacks' share, 56 -> 52).  Since one stack per (variant, N)
+#: carries x, y, z and lambda for every identity, the stacks without a
+#: third set are gone: random_instance 25 -> 13, blocks 25 -> 13,
+#: zero_distance 176 -> 160, lattice_distance 52 -> 44, and the product and
+#: transposed checks read the kernel values of f(x - y), the pair tables and
+#: f(lambda) from the memo of the stack the other checks filled (kernel
+#: 137 -> 133, sigma 63 -> 59)
 CALL_CAPS = {
-    "verify.random_instance": 25,
+    "verify.random_instance": 13,
     "linalg.lu_det": 8,
     "linalg.lu_inverse": 0,
     "linalg.structure_check": 0,
-    "cauchy.zero_distance": 176,
-    "cauchy.kernel": 137,
-    "weierstrass.lattice_distance": 52,
-    "weierstrass.sigma": 63,
+    "cauchy.zero_distance": 160,
+    "cauchy.kernel": 133,
+    "weierstrass.lattice_distance": 44,
+    "weierstrass.sigma": 59,
     "weierstrass.sigma_k": 12,
 }
 
 
 #: blocks of sampler rounds in the same run (the round hook's count)
-ROUND_CAP = 25
+ROUND_CAP = 13
 
 
 def test_call_counts_do_not_grow():

@@ -1,6 +1,8 @@
 """Sampler determinism, checker dispatch, and suite reproducibility."""
 
+import csv
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -21,6 +23,7 @@ from ellcauchy import (
     SamplingExhausted,
     SuiteConfig,
     cauchy,
+    cli,
     elliptic_kernel,
     frobenius_det,
     linalg,
@@ -134,19 +137,19 @@ def reference_margins_ok(kernel, sets, lam, margin):
     return np.min(kernel.zero_distance(x - y + lams)) >= margin
 
 
-def reference_sample(cfg, kernel, n, seed, with_z=False):
-    """``(sets, lam, rounds)`` of the reference rejection loop; raises
-    SamplingExhausted like :func:`random_instance`."""
+def reference_sample(cfg, kernel, n, seed):
+    """``(sets, lam, rounds)`` of the reference rejection loop, with the
+    three point sets x, y, z; raises SamplingExhausted like
+    :func:`random_instance`."""
     spec, lat = kernel.spec, kernel.lattice
     points, lam_of = REF_SAMPLERS[kernel.variant]
-    n_sets = 3 if with_z else 2
-    if n * n_sets * cfg.sep_min**2 > spec.area(lat):
+    if 3 * n * cfg.sep_min**2 > spec.area(lat):
         raise SamplingExhausted(
             f"{n} points with separation {cfg.sep_min} cannot fit the sampling region"
         )
-    rng = SplitMix64([spec.stream, n, int(with_z), seed, cfg.base_seed])
+    rng = SplitMix64([spec.stream, n, 1, seed, cfg.base_seed])
     for rounds in range(1, verify._MAX_ROUNDS + 1):
-        sets = [points(rng, lat, n) for _ in range(n_sets)]
+        sets = [points(rng, lat, n) for _ in range(3)]
         lam = lam_of(rng, lat)
         if reference_margins_ok(kernel, sets, lam, cfg.sep_min):
             return sets, lam, rounds
@@ -254,9 +257,18 @@ class TestToleranceLadder:
 
 
 class TestRandomInstance:
+    def test_pinned_values(self, cfg, kern):
+        # the key's constant third word, 1: the values that the instances
+        # drawn with a third point set have always had
+        inst = random_instance(cfg, kern, 3, 42)
+        assert inst.x[0] == 0.17829051469614676 - 0.26206079092933837j
+        assert inst.y[2] == 0.30496749359370157 - 0.23657972776247815j
+        assert inst.z[1] == -0.16616012938526015 + 0.14019857846799694j
+        assert inst.lam == -0.8443630738799718 - 0.4555398306916951j
+
     def test_deterministic(self, cfg, kern):
-        a = random_instance(cfg, kern, 4, 7, with_z=True)
-        b = random_instance(cfg, kern, 4, 7, with_z=True)
+        a = random_instance(cfg, kern, 4, 7)
+        b = random_instance(cfg, kern, 4, 7)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.z, b.z)
@@ -270,7 +282,7 @@ class TestRandomInstance:
     def test_margins_enforced(self, cfg, kern):
         for seed in range(5):
             inst = random_instance(cfg, kern, 5, seed)
-            pts = np.concatenate([inst.x, inst.y])
+            pts = np.concatenate([inst.x, inst.y, inst.z])
             d = kern.zero_distance(pts[:, None] - pts[None, :])
             np.fill_diagonal(d, np.inf)
             assert d.min() >= cfg.sep_min
@@ -308,11 +320,9 @@ class TestSamplerReference:
             return str(exc)
 
     @staticmethod
-    def assert_member(got, want, with_z, case):
+    def assert_member(got, want, case):
         sets, lam, _ = want
-        got_sets = [got.x, got.y] + ([got.z] if with_z else [])
-        assert [s.tobytes() for s in got_sets] == [s.tobytes() for s in sets], case
-        assert with_z or got.z is None, case
+        assert [s.tobytes() for s in (got.x, got.y, got.z)] == [s.tobytes() for s in sets], case
         assert np.array([got.lam]).tobytes() == np.array([lam]).tobytes(), case
 
     @pytest.mark.parametrize(
@@ -329,45 +339,41 @@ class TestSamplerReference:
             # the elliptic-dense separation scaling; 0.05 up to n = 12
             cfg = SuiteConfig(lattice_tau=tau, sep_min=min(0.05, 0.6 / n))
             kern = Kernel(variant, cfg.lattice())
-            for with_z in (False, True):
-                wants = [self.outcome(lambda: reference_sample(cfg, kern, n, seed, with_z)) for seed in self.SEEDS]
-                for seed, want in zip(self.SEEDS, wants):
-                    got = self.outcome(lambda: random_instance(cfg, kern, n, seed, with_z))
-                    case = (n, with_z, seed)
-                    if isinstance(want, str):
-                        assert got == want, case
-                        continue
-                    accepted += 1
-                    self.assert_member(got, want, with_z, case)
-                # the stack raises the message of its first exhausted seed
-                stack = self.outcome(lambda: random_instance(cfg, kern, n, list(self.SEEDS), with_z))
-                exhausted = [want for want in wants if isinstance(want, str)]
-                if exhausted:
-                    assert stack == exhausted[0], (n, with_z)
+            wants = [self.outcome(lambda: reference_sample(cfg, kern, n, seed)) for seed in self.SEEDS]
+            for seed, want in zip(self.SEEDS, wants):
+                got = self.outcome(lambda: random_instance(cfg, kern, n, seed))
+                case = (n, seed)
+                if isinstance(want, str):
+                    assert got == want, case
                     continue
-                assert list(stack.seed) == list(self.SEEDS)
-                for b, want in enumerate(wants):
-                    self.assert_member(stack.member(b), want, with_z, (n, with_z, "stack", b))
+                accepted += 1
+                self.assert_member(got, want, case)
+            # the stack raises the message of its first exhausted seed
+            stack = self.outcome(lambda: random_instance(cfg, kern, n, list(self.SEEDS)))
+            exhausted = [want for want in wants if isinstance(want, str)]
+            if exhausted:
+                assert stack == exhausted[0], n
+                continue
+            assert list(stack.seed) == list(self.SEEDS)
+            for b, want in enumerate(wants):
+                self.assert_member(stack.member(b), want, (n, "stack", b))
         assert accepted
 
     def test_first_block_ends_the_stack(self, monkeypatch):
         # rational trials at N = 20 that take 1, 2 or 3 rounds: each takes
         # the first admissible round of the first block, 3 rounds of every
         # trial, and the stack ends in that block
-        cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
+        cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.02)
         kern = Kernel("rational", cfg.lattice())
-        seeds = list(range(1, 6))
-        taken, blocks = [], TestBlockSchedule.blocks(monkeypatch)
-        for with_z in (False, True):
-            wants = [reference_sample(cfg, kern, 20, seed, with_z) for seed in seeds]
-            taken += [want[2] for want in wants]
-            blocks.clear()
-            stack = random_instance(cfg, kern, 20, seeds, with_z)
-            assert blocks == [3 * len(seeds)]
-            for b, want in enumerate(wants):
-                self.assert_member(stack.member(b), want, with_z, (with_z, "stack", b))
-                self.assert_member(random_instance(cfg, kern, 20, seeds[b], with_z), want, with_z, (with_z, b))
-        assert {1, 2, 3} == set(taken)
+        seeds = list(range(1, 8))
+        blocks = TestBlockSchedule.blocks(monkeypatch)
+        wants = [reference_sample(cfg, kern, 20, seed) for seed in seeds]
+        stack = random_instance(cfg, kern, 20, seeds)
+        assert blocks == [3 * len(seeds)]
+        for b, want in enumerate(wants):
+            self.assert_member(stack.member(b), want, ("stack", b))
+            self.assert_member(random_instance(cfg, kern, 20, seeds[b]), want, b)
+        assert {1, 2, 3} == {want[2] for want in wants}
 
     def test_bit_identical_on_the_sorted_screen(self, monkeypatch):
         # no pair difference fits a budget of 0: every block is one round of
@@ -428,12 +434,11 @@ class TestStream:
     def test_trial_alone_and_in_a_stack(self, cfg, variant):
         # a trial's instance depends on its own words alone
         kern = Kernel(variant, cfg.lattice())
-        for with_z in (False, True):
-            stack = random_instance(cfg, kern, 5, [46, 42, 44, 43], with_z)
-            for b, seed in enumerate(stack.seed.tolist()):
-                alone, member = random_instance(cfg, kern, 5, seed, with_z), stack.member(b)
-                for name in ("x", "y", "z", "lam"):
-                    assert np.array_equal(getattr(alone, name), getattr(member, name)), (seed, name)
+        stack = random_instance(cfg, kern, 5, [46, 42, 44, 43])
+        for b, seed in enumerate(stack.seed.tolist()):
+            alone, member = random_instance(cfg, kern, 5, seed), stack.member(b)
+            for name in ("x", "y", "z", "lam"):
+                assert np.array_equal(getattr(alone, name), getattr(member, name)), (seed, name)
 
     def test_cli_never_imports_numpy_random(self):
         # a fresh interpreter: numpy imports numpy.random only on first use
@@ -472,9 +477,8 @@ def test_blocks_keep_the_pair_budget(monkeypatch):
     monkeypatch.setattr(verify, "_margins_ok", recorded)
     monkeypatch.setattr(Kernel, "zero_distance", counted)
     cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
-    for with_z in (False, True):
-        stack = random_instance(cfg, elliptic_kernel(cfg.lattice()), 20, range(100), with_z)
-        assert stack.x.shape == (100, 20)
+    stack = random_instance(cfg, elliptic_kernel(cfg.lattice()), 20, range(100))
+    assert stack.x.shape == (100, 20)
     assert all(rounds * points <= verify._PAIR_BUDGET or rounds == 1 for rounds, points in blocks)
     assert max(rounds * points for rounds, points in blocks) > verify._PAIR_BUDGET // 2
     assert max(rounds * math.comb(points, 2) for rounds, points in blocks) > verify._PAIR_BUDGET
@@ -482,7 +486,7 @@ def test_blocks_keep_the_pair_budget(monkeypatch):
     blocks.clear()
     calls.clear()
     wide = SuiteConfig(sep_min=1e-6)
-    random_instance(wide, RATIONAL_KERNEL, 200, range(3), with_z=True)
+    random_instance(wide, RATIONAL_KERNEL, 200, range(3))
     assert all(rounds * points <= verify._PAIR_BUDGET for rounds, points in blocks)
     assert math.comb(600, 2) > verify._PAIR_BUDGET
     assert calls and all(rounds == cap == 1 for rounds, cap in calls)
@@ -508,8 +512,8 @@ class TestBlockSchedule:
         # the first block draws 3 rounds of each trial, and every later one
         # one more than each pending trial has drawn, so after k blocks
         # each has drawn 2**(k + 1) - 1: a stack whose slowest trial takes
-        # R rounds takes the fewest blocks that reach R (R = 325 here: 8)
-        cfg = SuiteConfig(sep_min=0.15)
+        # R rounds takes the fewest blocks that reach R (R = 400 here: 8)
+        cfg = SuiteConfig(sep_min=0.09)
         kern = elliptic_kernel(cfg.lattice())
         seeds = range(42, 52)
         taken = [reference_sample(cfg, kern, 8, seed)[2] for seed in seeds]
@@ -520,14 +524,14 @@ class TestBlockSchedule:
             drawn.append(2 * drawn[-1] + 1)
         # a trial is pending in a block while it has drawn fewer rounds than it takes
         assert blocks == [(end - start) * sum(r > start for r in taken) for start, end in zip(drawn, drawn[1:])]
-        assert max(taken) == 325 and len(blocks) == 8
+        assert max(taken) == 400 and len(blocks) == 8
 
     def test_an_exhausting_stack_costs_about_one_trial(self, monkeypatch):
         # as its rounds grow, a block shrinks to the first pending trial alone
         cfg = SuiteConfig(sep_min=0.05)
         blocks = self.blocks(monkeypatch)
         with pytest.raises(SamplingExhausted, match="rounds"):
-            random_instance(cfg, elliptic_kernel(cfg.lattice()), 20, range(42, 52), with_z=True)
+            random_instance(cfg, elliptic_kernel(cfg.lattice()), 20, range(42, 52))
         assert verify._MAX_ROUNDS <= sum(blocks) < 1.25 * verify._MAX_ROUNDS
 
 
@@ -674,8 +678,8 @@ class TestCheckers:
         for name, ident in REGISTRY.items():
             if ident.fixed_n is not None:
                 continue
-            for tag, variant, with_z in ident.plan:
-                inst = random_instance(cfg, Kernel(variant, lat), 1, 3, with_z)
+            for tag, variant, _ in ident.plan:
+                inst = random_instance(cfg, Kernel(variant, lat), 1, 3)
                 (rep,) = ident.check(inst, tag, cfg.tolerance)
                 assert rep.passed, (name, tag)
                 assert rep.rel_residual <= 1e-12, (name, tag)
@@ -717,7 +721,8 @@ class TestCheckers:
 
     @pytest.mark.parametrize("name", ["product", "transposed"])
     def test_check_rejects_missing_third_set(self, cfg, kern, name):
-        inst = random_instance(cfg, kern, 3, 2, with_z=False)
+        # a hand-built instance without z: the sampler always draws one
+        inst = dataclasses.replace(random_instance(cfg, kern, 3, 2), z=None)
         with pytest.raises(ValueError, match="needs a third point set"):
             REGISTRY[name].check(inst, "elliptic", cfg.tolerance)
 
@@ -772,7 +777,7 @@ class TestCheckers:
 
     def test_nan_monodromy_residuals_fail(self):
         # on the thin lattice sigma_k at both shifted points, and its expected
-        # multiple, underflow to 0 at three instances, and the multiplier
+        # multiple, underflow to 0 at one instance, and the multiplier
         # comparison divides 0 by 0 (an array divide: the trials of a size
         # are checked as one stack)
         cfg = SuiteConfig(lattice_tau=0.08j, n_values=(1, 2, 3, 4), trials_per_n=3)
@@ -780,18 +785,18 @@ class TestCheckers:
             reports = run_suite(cfg, identities=["monodromy"])
         failed = {(r.n, r.seed) for r in reports if not r.passed}
         nan = {(r.n, r.seed) for r in reports if math.isnan(r.rel_residual)}
-        assert nan == {(4, 42), (4, 43), (4, 44)}
-        # one more record misses the tolerance with a finite residual (9.1e-9)
-        assert failed == nan | {(3, 43)}
+        assert nan == {(4, 43)}
+        # every other record passes, the worst at 1.2e-13
+        assert failed == nan
         assert len(reports) == 12
 
     def test_checkers_build_no_generator(self, cfg, monkeypatch):
         # every random number a check reads is one the sampler drew
         lat = cfg.lattice()
         stacks = [
-            (ident, tag, random_instance(cfg, Kernel(variant, lat), 3, [42, 43], with_z))
+            (ident, tag, random_instance(cfg, Kernel(variant, lat), 3, [42, 43]))
             for ident in REGISTRY.values()
-            for tag, variant, with_z in ident.plan
+            for tag, variant, _ in ident.plan
         ]
         calls = Counter()  # (identity, kernel tag, function) -> calls
         check = None
@@ -816,6 +821,17 @@ class TestCheckers:
     def test_report_roundtrip(self, cfg, kern):
         (rep,) = REGISTRY["determinant"].check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)
         assert Report(**rep.to_dict()) == rep
+
+    def test_report_is_slotted(self, cfg, kern):
+        # a record keeps its fields in slots, and round-trips through
+        # dataclasses.replace and the CSV report
+        (rep,) = REGISTRY["inverse"].check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)
+        assert not hasattr(rep, "__dict__")
+        assert dataclasses.replace(rep) == rep
+        assert dataclasses.replace(rep, passed=False) == Report(**{**rep.to_dict(), "passed": False})
+        (row,) = csv.DictReader(io.StringIO(cli._render_csv([rep])))
+        parse = {"str": str, "int": int, "float": float, "bool": lambda v: {"True": True, "False": False}[v]}
+        assert Report(**{f.name: parse[f.type](row[f.name]) for f in dataclasses.fields(Report)}) == rep
 
 
 @pytest.fixture(scope="module")
@@ -942,43 +958,82 @@ def reference_run_suite(cfg):
         # a fixed-size identity is checked once, on the base seed
         sizes = [ident.fixed_n] if ident.fixed_n else cfg.n_values
         trials = 1 if ident.fixed_n else cfg.trials_per_n
-        for tag, variant, with_z in ident.plan:
+        for tag, variant, _ in ident.plan:
             for n in sizes:
                 if ident.n_cap is not None and n > ident.n_cap:
                     continue
                 for trial in range(trials):
-                    inst = random_instance(cfg, Kernel(variant, lat), n, cfg.base_seed + trial, with_z)
+                    inst = random_instance(cfg, Kernel(variant, lat), n, cfg.base_seed + trial)
                     reports.extend(ident.check(inst, tag, cfg.tolerance))
     reports.sort(key=lambda r: (r.identity_name, r.kernel, r.n, r.seed))
     return reports
 
 
 class TestSharedInstances:
-    """run_suite samples each (kernel variant, N, third set) stack in one
-    sampler call, each trial of it once, hands the stack to every identity
-    and kernel tag that uses it, and drops it before the next."""
+    """run_suite samples each (kernel variant, N) stack in one sampler
+    call, each trial of it once, hands the stack to every identity and
+    kernel tag that uses it, and drops it before the next."""
 
     def test_one_sample_per_instance(self, monkeypatch):
         cfg = SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)
         sampled, calls = Counter(), []
 
-        def counted(cfg, kernel, n, seeds, with_z=False):
+        def counted(cfg, kernel, n, seeds):
             calls.append(len(seeds))
             for seed in seeds:
-                sampled[kernel.variant, n, seed, with_z] += 1
-            return random_instance(cfg, kernel, n, seeds, with_z)
+                sampled[kernel.variant, n, seed] += 1
+            return random_instance(cfg, kernel, n, seeds)
 
         monkeypatch.setattr(verify, "random_instance", counted)
         reports = run_suite(cfg)
         # 5 is not among the sizes, so degeneration's rational N = 5
         # instance is sampled for it alone
-        degeneration = ("rational", 5, cfg.base_seed, False)
+        degeneration = ("rational", 5, cfg.base_seed)
         assert sampled.pop(degeneration) == 1
-        # 4 sizes x 2 trials of: elliptic, trig and rational with and
-        # without a third point set, one call per stack of two trials
-        assert len(sampled) == 48 and set(sampled.values()) == {1}
-        assert calls == [2] * 24 + [1]
+        # 4 sizes x 2 trials of elliptic, trig and rational, one call per
+        # (variant, N) stack of two trials
+        assert len(sampled) == 24 and set(sampled.values()) == {1}
+        assert calls == [2] * 12 + [1]
         assert strip_timing(reports) == strip_timing(reference_run_suite(cfg))
+
+    def test_identities_of_a_trial_read_one_instance(self, monkeypatch):
+        # the Cauchy matrix of the determinant, inverse and gauss checks and
+        # the G matrices of the product and factorization checks of one
+        # (kernel, N, seed) read one x, y, z and lambda: G(x, y) at
+        # lambda + Y, and G(y, z) and G(x, z) at lambda + Z
+        cfg = SuiteConfig(n_values=(2, 3), trials_per_n=3)
+        seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials_per_n)
+        calls = []  # (builder, variant, x, y, lambda) of each call, as arrays
+
+        def recorded(name):
+            build = getattr(cauchy, name)
+
+            def wrapper(kern, a, b, lam):
+                calls.append((name, kern.variant, *(np.asarray(v, dtype=complex) for v in (a, b, lam))))
+                return build(kern, a, b, lam)
+
+            monkeypatch.setattr(cauchy, name, wrapper)
+
+        recorded("cauchy_matrix")
+        recorded("g_matrix")
+        identities = [name for name in REGISTRY if name != "degeneration"]
+        run_suite(cfg, identities=identities, kernels={"elliptic", "rational"})
+        cs, gs = {}, {}  # (variant, N, seed) -> {(x, y, lambda) bytes}
+        for name, variant, a, b, lam in calls:
+            if name == "cauchy_matrix":
+                lam = lam + b.sum(axis=-1)  # G(x, y)'s parameter, lambda + Y
+            for m, seed in enumerate(seeds):
+                row = a[m].tobytes(), b[m].tobytes(), lam[m].tobytes()
+                (cs if name == "cauchy_matrix" else gs).setdefault((variant, a.shape[-1], seed), set()).add(row)
+        assert cs.keys() == gs.keys() and len(cs) == 2 * 2 * 3
+        for key, rows in cs.items():
+            ((x, y, lam_y),) = rows
+            zs = {b for _, b, _ in gs[key]} - {y}
+            assert len(zs) == 1, key
+            (z,) = zs
+            assert {(a, b) for a, b, _ in gs[key]} == {(x, y), (y, z), (x, z)}, key
+            assert {lam for _, b, lam in gs[key] if b == y} == {lam_y}, key
+            assert len({lam for _, b, lam in gs[key] if b == z}) == 1, key
 
     def test_degeneration_shares_its_instance(self, monkeypatch):
         # degeneration runs on the rational N = 5 instance the rational
@@ -986,34 +1041,34 @@ class TestSharedInstances:
         cfg = SuiteConfig(n_values=(5,), trials_per_n=1)
         sampled = Counter()
 
-        def counted(cfg, kernel, n, seeds, with_z=False):
+        def counted(cfg, kernel, n, seeds):
             for seed in seeds:
-                sampled[kernel.variant, n, seed, with_z] += 1
-            return random_instance(cfg, kernel, n, seeds, with_z)
+                sampled[kernel.variant, n, seed] += 1
+            return random_instance(cfg, kernel, n, seeds)
 
         monkeypatch.setattr(verify, "random_instance", counted)
         reports = run_suite(cfg, identities=["determinant", "degeneration"], kernels={"rational"})
-        assert sampled == {("rational", 5, cfg.base_seed, False): 1}
+        assert sampled == {("rational", 5, cfg.base_seed): 1}
         assert len(reports) == 2 and all(r.passed for r in reports)
 
     def test_one_stack_at_a_time(self, monkeypatch):
         cfg = SuiteConfig(n_values=(1, 2, 3), trials_per_n=2)
         sampled, alive, sizes = [], [], []
 
-        def tracked(cfg, kernel, n, seeds, with_z=False):
+        def tracked(cfg, kernel, n, seeds):
             alive.append(sum(ref() is not None for ref in sampled))
             sizes.append(len(seeds))
-            stack = random_instance(cfg, kernel, n, seeds, with_z)
+            stack = random_instance(cfg, kernel, n, seeds)
             sampled.append(weakref.ref(stack))
             return stack
 
         monkeypatch.setattr(verify, "random_instance", tracked)
         run_suite(cfg)
-        # no earlier stack is alive while one is sampled: 18 stacks of two
+        # no earlier stack is alive while one is sampled: 9 stacks of two
         # trials, then degeneration's rational N = 5 stack of the base seed
         # alone
-        assert alive == [0] * 19
-        assert sizes == [2] * 18 + [1]
+        assert alive == [0] * 10
+        assert sizes == [2] * 9 + [1]
 
 
 class TestSharedProducts:
@@ -1028,8 +1083,8 @@ class TestSharedProducts:
         cfg = SuiteConfig(n_values=(2, 3), trials_per_n=3)
         stacks, calls = [], Counter()
 
-        def sampled(cfg, kernel, n, seeds, with_z=False):
-            stacks.append(random_instance(cfg, kernel, n, seeds, with_z))
+        def sampled(cfg, kernel, n, seeds):
+            stacks.append(random_instance(cfg, kernel, n, seeds))
             return stacks[-1]
 
         def counted(name, f):
@@ -1048,14 +1103,14 @@ class TestSharedProducts:
         monkeypatch.setattr(verify, "random_instance", sampled)
         for module, name in self.WRAPPED:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        # product adds stacks with a third point set, on trig too, which use none
+        # product adds the trig stacks, which use none
         identities = ["determinant", "inverse", "gauss", "product"]
         reports = run_suite(cfg, identities=identities, kernels={"elliptic", "rational", "trig"})
-        assert len(stacks) == 10 and len(reports) == 54
+        assert len(stacks) == 6 and len(reports) == 54
         for b, stack in enumerate(stacks):
-            uses = stack.kernel.variant != "trig" and stack.z is None
+            uses = stack.kernel.variant != "trig"
             for _, name in self.WRAPPED:
-                assert calls[b, name] == uses, (b, stack.kernel.variant, stack.z is None, name)
+                assert calls[b, name] == uses, (b, stack.kernel.variant, name)
 
     def test_new_instances_start_empty(self):
         cfg = SuiteConfig(n_values=(3,))
@@ -1100,13 +1155,13 @@ class TestKernelMemo:
         assert points == distinct
         assert all(r["passed"] for r in reports)
 
-    @pytest.mark.parametrize("names, with_z", [(CHECKS, False), (("product", "transposed"), True)])
-    def test_each_block_tested_once(self, monkeypatch, names, with_z):
+    @pytest.mark.parametrize("names", [CHECKS, ("product", "transposed")])
+    def test_each_block_tested_once(self, monkeypatch, names):
         # the builders ask for zero tests of repeated blocks, but the memo
         # marks each block that passed, so the lattice-distance points are
         # the entries of the distinct tested blocks
         cfg = SuiteConfig()
-        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42, with_z)
+        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42)
         blocks, asked, points = {}, [], []
         fused, lattice_distance = cauchy._fused, cauchy.lattice_distance
 
@@ -1178,16 +1233,16 @@ class TestStacks:
         ident = REGISTRY[name]
         # degeneration, cheap, at every default size
         sizes = range(1, 9) if ident.fixed_n else (1, 2, 5)
-        for tag, variant, with_z in ident.plan:
+        for tag, variant, _ in ident.plan:
             for n in sizes:
                 kern = Kernel(variant, lat)
-                members = [random_instance(cfg, kern, n, seed, with_z) for seed in range(40, 40 + size)]
-                stack = random_instance(cfg, kern, n, range(40, 40 + size), with_z)
+                members = [random_instance(cfg, kern, n, seed) for seed in range(40, 40 + size)]
+                stack = random_instance(cfg, kern, n, range(40, 40 + size))
                 stacked = [np.broadcast_to(v, (size,)) for v in ident.checker(stack, tag)]
                 reports = ident.check(stack, tag, cfg.tolerance)
                 assert [r.seed for r in reports] == list(range(40, 40 + size))
                 for b, m in enumerate(members):
-                    assert stack.x[b].tobytes() + stack.y[b].tobytes() == m.x.tobytes() + m.y.tobytes()
+                    assert all(getattr(stack, s)[b].tobytes() == getattr(m, s).tobytes() for s in "xyz")
                     assert stack.lam[b] == m.lam and stack.seed[b] == m.seed
                     single = ident.checker(m, tag)
                     for got, want in zip(stacked, single):
