@@ -49,29 +49,37 @@ def test_tracer_targets_resolve():
     assert not missing, f"tracer targets missing from the package: {missing}"
 
 
-def test_round_hook_counts_rounds():
+@pytest.mark.parametrize("stacked", [False, True])
+def test_round_hook_counts_rounds(stacked):
     # elliptic-dense instances at N = 20: the hook fires once per block of
     # rounds, so at least once and at most once per round the reference
-    # loop draws, and the hooked sampler draws the reference's instance
+    # loop draws, and the hooked sampler draws the reference's instances,
+    # one trial per call or all five trials as one stack
     tracer = load_tracer()
     cfg = SuiteConfig(n_values=(20,), base_seed=1, sep_min=0.03)
     kern = elliptic_kernel(cfg.lattice())
     counter = tracer.ROUND_HOOK[2]
     rec = tracer.Tracer()
+    seeds = list(range(1, 6))
+    refs = [reference_sample(cfg, kern, 20, seed) for seed in seeds]
+    calls = [seeds] if stacked else [[seed] for seed in seeds]
     hooked, rounds = [], []
-    for seed in range(1, 6):
-        sets, lam, taken = reference_sample(cfg, kern, 20, seed)
-        rounds.append(taken)
+    for call in calls:
+        rounds.append(sum(refs[seed - 1][2] for seed in call))
         rec.reset()
         rec.install()
         try:
-            inst = random_instance(cfg, kern, 20, seed)
+            inst = random_instance(cfg, kern, 20, call if stacked else call[0])
         finally:
             rec.uninstall()
         hooked.append(rec.counts[counter])
-        assert [s.tobytes() for s in (inst.x, inst.y, inst.z)] == [s.tobytes() for s in sets] and inst.lam == lam
+        for m, seed in enumerate(call):
+            sets, lam, _ = refs[seed - 1]
+            got = [s[m] if stacked else s for s in (inst.x, inst.y, inst.z)]
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in sets]
+            assert (inst.lam[m] if stacked else inst.lam) == lam
     assert all(1 <= h <= r for h, r in zip(hooked, rounds)), (hooked, rounds)
-    assert sum(rounds) > 2 * len(rounds)
+    assert sum(rounds) > 2 * len(seeds)
     assert sum(hooked) < sum(rounds)
 
 
