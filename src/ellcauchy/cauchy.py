@@ -33,7 +33,8 @@ complex product keeps its operand order (numpy's multiply rounds a*b and
 b*a apart), each product over an axis runs along a contiguous one, and a
 value that is one number per trial is kept as an array, never a scalar.
 
-An :class:`Instance` (one trial or a stack of them) checks only shapes; the
+An :class:`Instance` (one trial or a stack of them) always holds x, y, z
+and lambda, and checks only their shapes and that they are numbers; the
 sampler keeps the margins.  On the elliptic kernel an instance also owns a
 memo of kernel values: its kernel is a private copy whose ``memo`` maps
 each block (shape and bytes) a builder has evaluated or zero-tested to its
@@ -51,6 +52,7 @@ its closed determinant); it too starts empty on each new instance.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,11 +62,22 @@ from .errors import DimensionMismatch, KernelZero
 from .weierstrass import ZERO_TOL, Lattice, lattice_distance, sigma, sigma_k
 
 
+def _numbers(a, what):
+    """An array-like of numbers as a complex array.  Anything else (None, a
+    string, a bool, an object) raises TypeError naming ``what`` and its
+    dtype, where a cast to complex would read it as NaN or parse it."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iufc":
+        raise TypeError(f"{what} must be numbers, not of dtype {arr.dtype}")
+    return arr if arr.dtype == complex else arr.astype(complex)
+
+
 def _points(x):
     """Any array-like of complex points as a complex array: one axis of
     points after at most one leading trial axis.  A set with more axes
-    raises :class:`DimensionMismatch`."""
-    pts = np.atleast_1d(np.asarray(x, dtype=complex))
+    raises :class:`DimensionMismatch`, and one that is not numbers
+    TypeError."""
+    pts = np.atleast_1d(_numbers(x, "a point set"))
     if pts.ndim > 2:
         raise DimensionMismatch(
             f"a point set has one axis of points and at most one trial axis, not {pts.ndim} axes"
@@ -87,8 +100,9 @@ def _sets(*sets, square=True):
 
 def _param(lam, stack):
     """The parameter as a complex array of the stack's shape (0-d for one
-    trial); any other shape raises :class:`DimensionMismatch`."""
-    lam = np.asarray(lam, dtype=complex)
+    trial); any other shape raises :class:`DimensionMismatch`, and a
+    parameter that is not a number TypeError."""
+    lam = _numbers(lam, "the parameter")
     if lam.shape != stack:
         raise DimensionMismatch(f"a parameter of shape {lam.shape} for a stack of shape {stack}")
     return lam
@@ -217,45 +231,52 @@ RATIONAL_KERNEL = Kernel("rational")
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One random verification instance, or a stack of them: kernel, point
-    sets, parameter.  The sampler always draws z; one built by hand may
-    leave it None, and the identities that read it then refuse it.
+    sets x, y and z, and parameter lam.
 
     The point sets become read-only complex arrays of one nonempty size.
     A stack of B trials has sets of shape (B, N) and ``lam`` and ``seed``
     arrays of shape (B,); one trial has sets of shape (N,), a complex
-    ``lam`` and an int ``seed``.  Their margins from the kernel zeros are
-    the sampler's to keep; a builder raises :class:`KernelZero` on any
-    denominator at a zero.  On a memoized variant ``kernel`` becomes a
-    private copy with an empty memo, which lives as long as the instance:
-    the builders called with it evaluate each distinct argument block once,
-    and zero-test each distinct denominator block until it passes, for all
-    members of a stack at once; none asks for f(y - x).  Every instance also
-    starts with an empty ``_shared`` store, in which the checkers keep the
-    products that several of them read (C(x, y; lam) and its closed
-    determinant), so each is computed once per instance.
+    ``lam`` and an int ``seed``.  Point sets or a ``lam`` that are not
+    numbers raise TypeError, and a seed that is not an integer ValueError.
+    Their margins from the kernel zeros are the sampler's to keep; a
+    builder raises :class:`KernelZero` on any denominator at a zero.  On a
+    memoized variant ``kernel`` becomes a private copy with an empty memo,
+    which lives as long as the instance: the builders called with it
+    evaluate each distinct argument block once, and zero-test each distinct
+    denominator block until it passes, for all members of a stack at once;
+    none asks for f(y - x).  Every instance also starts with an empty
+    ``_shared`` store, in which the checkers keep the products that several
+    of them read (C(x, y; lam) and its closed determinant), so each is
+    computed once per instance.
     """
 
     kernel: Kernel
     x: np.ndarray
     y: np.ndarray
     lam: complex | np.ndarray
-    z: np.ndarray | None = None
+    z: np.ndarray
     seed: int | np.ndarray = 0
     #: product name -> value, filled by the checkers; new on every instance,
     #: ``member`` and ``dataclasses.replace`` included
     _shared: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        names = ("x", "y") if self.z is None else ("x", "y", "z")
-        sets = [pts.copy() for pts in _sets(*(getattr(self, name) for name in names))]
-        for name, pts in zip(names, sets):
+        for name, pts in zip("xyz", _sets(self.x, self.y, self.z)):
+            pts = pts.copy()
             pts.setflags(write=False)
             object.__setattr__(self, name, pts)
         if self.x.shape[-1] == 0:
             raise ValueError("point sets must be nonempty")
+        seed = np.array(self.seed)
+        try:
+            for s in seed.ravel().tolist():
+                if isinstance(s, bool):  # an int to operator.index: seed=True would read as 1
+                    raise TypeError
+                operator.index(s)
+        except TypeError:
+            raise ValueError(f"a seed must be an integer, not {self.seed!r}") from None
         stack = self.x.shape[:-1]
-        for name, dtype in (("lam", complex), ("seed", None)):
-            value = np.array(getattr(self, name), dtype=dtype)
+        for name, value in (("lam", np.array(_numbers(self.lam, "lam"))), ("seed", seed)):
             if value.shape != stack:
                 raise DimensionMismatch(f"{name} of shape {value.shape} for a stack of shape {stack}")
             value.setflags(write=False)
@@ -278,7 +299,7 @@ class Instance:
             x=self.x[b],
             y=self.y[b],
             lam=self.lam[b],
-            z=None if self.z is None else self.z[b],
+            z=self.z[b],
             seed=self.seed[b],
         )
 
@@ -612,7 +633,7 @@ def bloch_eval(lat, poles, coeffs, lam, point):
     (B, N), lam of shape (B,)), ``point`` has the stack's axis in front.
     """
     poles = _points(poles)
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = _numbers(coeffs, "the coefficients")
     if coeffs.shape != poles.shape:
         raise DimensionMismatch(f"{coeffs.size} coefficients for {poles.size} poles")
     stack = poles.shape[:-1]

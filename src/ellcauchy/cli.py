@@ -171,7 +171,7 @@ def _bench(args):
         sampled = {}
         for name, ident in verify.REGISTRY.items():
             label = f"{name} n={n}"
-            tag, variant, _ = ident.plan[0]
+            tag, variant = ident.plan[0]
             try:
                 if variant not in sampled:
                     t0 = time.perf_counter()

@@ -23,8 +23,8 @@ Its close-pair screen tests every pair of a small block, and sorts and
 sweeps the points of a large one, so its cost is linear in a block's
 points.
 :meth:`Identity.check` alone decides where a checker runs, times it and
-judges each member's residual into a :class:`Report`.  The sampler draws
-each trial's rounds from a SplitMix64 stream defined here
+judges a whole stack at once, as arrays, into one :class:`Report` per
+member.  The sampler draws each trial's rounds from a SplitMix64 stream defined here
 (:func:`_stream`), not from ``numpy.random``, so its instances do not move
 with the NumPy release; the checkers read only their instance and draw no
 random numbers of their own, so everything is a pure function of (config,
@@ -62,7 +62,8 @@ _MAX_ROUNDS = 10_000
 #: cache
 _PAIR_BUDGET = 32_768
 
-#: reference magnitudes below this switch the pass criterion to absolute
+#: a closed determinant of modulus below this is judged by its absolute
+#: difference: :func:`check_determinant` reports a reference magnitude of 1
 _ABS_SWITCH = 1e-10
 
 
@@ -406,10 +407,12 @@ def _shared(inst, name):
 
 def check_determinant(inst, tag):
     """LU determinant of C(x,y;lam) against the closed Frobenius form, on
-    the instance's kernel."""
+    the instance's kernel, at reference magnitude |closed|, or 1 where that
+    is below ``_ABS_SWITCH`` (or NaN)."""
     mat = _shared(inst, "cauchy_matrix")
     closed = _shared(inst, "frobenius_det")
-    return np.abs(linalg.lu_det(mat) - closed), np.abs(closed)
+    ref = np.abs(closed)
+    return np.abs(linalg.lu_det(mat) - closed), np.where(ref >= _ABS_SWITCH, ref, 1.0)
 
 
 def check_inverse(inst, tag):
@@ -538,7 +541,7 @@ class Identity:
 
     name: str
     doc: str  # the catalogue line printed by ``ellcauchy list``
-    plan: tuple  # (kernel tag, instance variant, needs a third point set): the only kernels it runs on
+    plan: tuple  # (kernel tag, instance variant) pairs: the only kernels it runs on
     checker: Callable  # (inst, kernel tag) -> (abs residual, reference magnitude[, rate verdict]), per member
     n_cap: int | None = None  # larger point counts are not checked
     tol_factor: float = 1.0  # multiplies the base tolerance
@@ -556,38 +559,36 @@ class Identity:
         return min(t, 1e-12) if n == 1 else t
 
     def check(self, inst, tag, base_tol):
-        """Run the checker once on an instance and judge each member's
-        residual at this identity's tolerance: a list of :class:`Report`,
-        one per member in stack order (one for a single trial), each with
-        the stack's time divided among its members.  That time includes the
-        shared products (C(x,y;lam) and its closed determinant) this check
-        is the first on the instance to ask for, and leaves out those an
-        earlier check computed.  A residual or reference
-        magnitude that is not finite fails, and so does a failed rate
-        verdict.  Raises ValueError for a kernel tag outside the plan, an
-        instance of another variant than the plan names for it, or a
-        missing third point set."""
-        plan = {t: (variant, needs_z) for t, variant, needs_z in self.plan}
+        """Run the checker once on an instance and judge the whole stack at
+        this identity's tolerance: a list of :class:`Report`, one per member
+        in stack order (one for a single trial), each with the stack's time
+        divided among its members.  That time includes the shared products
+        (C(x,y;lam) and its closed determinant) this check is the first on
+        the instance to ask for, and leaves out those an earlier check
+        computed.  A member's relative residual is its absolute residual
+        over its reference magnitude; it fails if that exceeds the
+        tolerance, either is not finite or its rate verdict fails.  Raises
+        ValueError for a kernel tag outside the plan, or an instance of
+        another variant than the plan names for it."""
+        plan = dict(self.plan)
         if tag not in plan:
             raise ValueError(f"{self.name} does not run on the {tag} kernel")
-        variant, needs_z = plan[tag]
-        if inst.kernel.variant != variant:
+        if inst.kernel.variant != plan[tag]:
             raise ValueError(f"{self.name} on {tag} got a {inst.kernel.variant} instance")
-        if needs_z and inst.z is None:
-            raise ValueError(f"{self.name} needs a third point set")
         t0 = time.perf_counter()
         out = self.checker(inst, tag)
         seeds = np.ravel(inst.seed)
         elapsed_ms = (time.perf_counter() - t0) * 1e3 / seeds.size
         tol = float(self.tolerance(tag, inst.n, base_tol))
         # a checker without a rate verdict passes it
-        abs_res, ref_mag, rate_ok = (np.broadcast_to(v, seeds.shape) for v in (*out, True)[:3])
-        reports = []
-        for seed, a, r, ok in zip(seeds, abs_res, ref_mag, rate_ok):
-            rel = float(a / r if r >= _ABS_SWITCH else a)
-            passed = bool(ok) and rel <= tol and math.isfinite(a) and math.isfinite(r)
-            reports.append(Report(self.name, tag, inst.n, int(seed), float(a), rel, tol, passed, elapsed_ms))
-        return reports
+        abs_res, ref_mag, rate_ok = (*out, True)[:3]
+        abs_res, ref_mag = (np.broadcast_to(np.asarray(v, dtype=float), seeds.shape) for v in (abs_res, ref_mag))
+        rel = abs_res / ref_mag
+        passed = rate_ok & (rel <= tol) & np.isfinite(abs_res) & np.isfinite(ref_mag)
+        return [
+            Report(self.name, tag, inst.n, seed, a, r, tol, ok, elapsed_ms)
+            for seed, a, r, ok in zip(seeds.tolist(), abs_res.tolist(), rel.tolist(), passed.tolist())
+        ]
 
 
 #: name -> identity, in catalogue order.  The checkers are looked up by
@@ -601,42 +602,32 @@ REGISTRY = {
         Identity(
             "determinant",
             "det C(x,y;L) = s(L+X-Y)/s(L) * prod_{a<b} s(x_a-x_b) s(y_b-y_a) / prod_{a,b} s(x_a-y_b)",
-            (("elliptic", "elliptic", False), ("rational", "rational", False)),
+            (("elliptic", "elliptic"), ("rational", "rational")),
             lambda inst, tag: check_determinant(inst, tag),
             tol_factor=0.1,
         ),
         Identity(
             "inverse",
             "C(x,y;L)^-1 = D(y,x) C(y,x; L+X-Y) D(x,y), entrywise closed form",
-            (("elliptic", "elliptic", False), ("rational", "rational", False)),
+            (("elliptic", "elliptic"), ("rational", "rational")),
             lambda inst, tag: check_inverse(inst, tag),
         ),
         Identity(
             "product",
             "G_{L+Y}(x,y) G_{L+Z}(y,z) = G_{L+Z}(x,z); K(x,y)K(y,z) = K(x,z) in the parameter-free limit",
-            (
-                ("elliptic", "elliptic", True),
-                ("trig", "trig", True),
-                ("rational", "rational", True),
-                ("k-rational", "rational", True),
-            ),
+            (("elliptic", "elliptic"), ("trig", "trig"), ("rational", "rational"), ("k-rational", "rational")),
             lambda inst, tag: check_product_identity(inst, tag),
         ),
         Identity(
             "transposed",
             "H_{L-X}(x,y) H_{L-Y}(y,z) = -H_{L-X}(x,z) with H_L(x,y) = C(x,y;L) D(y,x)",
-            (("elliptic", "elliptic", True),),
+            (("elliptic", "elliptic"),),
             lambda inst, tag: check_transposed_identity(inst, tag),
         ),
         Identity(
             "factorization",
             "G_{L+Y}(x,y) = g_L(x) g_L(y)^-1 (elliptic/trig/rational); K(x,y) = W(x) W(y)^-1",
-            (
-                ("elliptic", "elliptic", False),
-                ("trig", "trig", False),
-                ("rational", "rational", False),
-                ("k-rational", "rational", False),
-            ),
+            (("elliptic", "elliptic"), ("trig", "trig"), ("rational", "rational"), ("k-rational", "rational")),
             lambda inst, tag: check_factorization(inst, tag),
             n_cap=6,  # the record counts pinned in perfbench/workloads.py assume this cap
             tol_factor=0.1,
@@ -644,13 +635,13 @@ REGISTRY = {
         Identity(
             "gauss",
             "C = U D L with unit upper/lower triangular U, L and diagonal D",
-            (("elliptic", "elliptic", False),),
+            (("elliptic", "elliptic"),),
             lambda inst, tag: check_gauss(inst, tag),
         ),
         Identity(
             "monodromy",
             "multipliers of sigma, sigma_k and Bloch expansions under full-period shifts",
-            (("elliptic", "elliptic", False),),
+            (("elliptic", "elliptic"),),
             lambda inst, tag: check_monodromy(inst, tag),
             n_cap=6,  # the record counts pinned in perfbench/workloads.py assume this cap
             tol_factor=0.1,
@@ -658,7 +649,7 @@ REGISTRY = {
         Identity(
             "degeneration",
             "rational G_L(x,y) -> K(x,y) as L -> oo at O(1/L); trig G(ex,ey;eL) -> rational G as e -> 0 at O(e^2)",
-            (("rational", "rational", False), ("trig", "rational", False)),
+            (("rational", "rational"), ("trig", "rational")),
             lambda inst, tag: check_degeneration(inst, tag),
             fixed_n=5,
             fixed_tol={"rational": 1e-4, "trig": 1e-3},
@@ -708,7 +699,7 @@ def run_suite(cfg, identities=None, kernels=None):
             sizes, seeds_of = [ident.fixed_n], trials[:1]
         else:
             sizes, seeds_of = [n for n in cfg.n_values if ident.n_cap is None or n <= ident.n_cap], trials
-        for tag, variant, _ in ident.plan:
+        for tag, variant in ident.plan:
             if kernels is not None and tag.removeprefix("k-") not in kernels:
                 continue
             for n in sizes:

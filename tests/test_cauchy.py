@@ -54,7 +54,7 @@ def sample_sets(lat, rng, n, count=2):
 class TestInstance:
     def test_properties(self):
         x = np.array([1.0, 2.0 + 1j])
-        inst = Instance(RATIONAL_KERNEL, x, [0.5j, -1.0], 0.7)
+        inst = Instance(RATIONAL_KERNEL, x, [0.5j, -1.0], 0.7, [0.3, -0.4j])
         assert inst.n == 2
         assert inst.x.dtype == complex and np.array_equal(inst.x, x)
         with pytest.raises(ValueError):
@@ -67,17 +67,19 @@ class TestInstance:
         # kernel zeros are the sampler's, and the builders raise KernelZero
         # on a denominator at a zero
         with pytest.raises(ValueError):
-            Instance(RATIONAL_KERNEL, [], [], 0.7)
+            Instance(RATIONAL_KERNEL, [], [], 0.7, [])
         with pytest.raises(DimensionMismatch):
-            Instance(RATIONAL_KERNEL, [1.0, 2.0], [0.5j], 0.7)
-        inst = Instance(RATIONAL_KERNEL, [1.0, 1.0], [0.5j, -1.0], 0.7)
+            Instance(RATIONAL_KERNEL, [1.0, 2.0], [0.5j], 0.7, [0.3, -0.4j])
+        with pytest.raises(DimensionMismatch):
+            Instance(RATIONAL_KERNEL, [1.0, 2.0], [0.5j, -1.0], 0.7, [0.3])
+        inst = Instance(RATIONAL_KERNEL, [1.0, 1.0], [0.5j, -1.0], 0.7, [0.3, -0.4j])
         for build in (g_matrix, cauchy_inverse_closed, gauss_udl):
             with pytest.raises(KernelZero):
                 build(inst.kernel, inst.x, inst.y, inst.lam)
         with pytest.raises(KernelZero):
             d_matrix(inst.kernel, inst.x, inst.y)
         # lambda = 1e-9 is farther than ZERO_TOL from a kernel zero; 0 is one
-        near, at = (Instance(RATIONAL_KERNEL, [1.0], [0.5j], lam) for lam in (1e-9, 0.0))
+        near, at = (Instance(RATIONAL_KERNEL, [1.0], [0.5j], lam, [0.3]) for lam in (1e-9, 0.0))
         assert np.isfinite(cauchy_matrix(near.kernel, near.x, near.y, near.lam)).all()
         with pytest.raises(KernelZero):
             cauchy_matrix(at.kernel, at.x, at.y, at.lam)
@@ -94,12 +96,61 @@ class TestInstance:
             x[1] = x[0] + period
         else:
             y[1] = x[0] + period
-        inst = Instance(k, x, y, 0.21 + 0.33j)
+        inst = Instance(k, x, y, 0.21 + 0.33j, [0.05 - 0.3j, -0.1 + 0.2j])
         for build in (g_matrix, gauss_udl):
             with pytest.raises(KernelZero):
                 build(k, inst.x, inst.y, inst.lam)
         with pytest.raises(KernelZero):
             d_matrix(k, inst.x, inst.y)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), True, np.True_, "7", None, [1, 2.5], [True, False]])
+    def test_seed_is_an_integer(self, seed):
+        # a record names its seed: 1.5 read as 1, True as 1 and "7" as 7
+        x, y, z = [[0.1, 0.2]] * 2, [[1.1, 1.2]] * 2, [[2.1, 2.2]] * 2
+        stack = np.ndim(seed) > 0
+        with pytest.raises(ValueError, match="a seed must be an integer"):
+            Instance(RATIONAL_KERNEL, x if stack else x[0], y if stack else y[0], [0.7] * 2 if stack else 0.7,
+                     z if stack else z[0], seed=seed)
+
+    def test_integer_seeds(self):
+        x, y, z = [0.1, 0.2], [1.1, 1.2], [2.1, 2.2]
+        for seed in (7, np.int64(7), np.uint32(7)):
+            got = Instance(RATIONAL_KERNEL, x, y, 0.7, z, seed=seed).seed
+            assert got == 7 and type(got) is int
+        stack = Instance(RATIONAL_KERNEL, [x] * 2, [y] * 2, [0.7] * 2, [z] * 2, seed=np.array([3, 4], dtype=np.uint64))
+        assert stack.seed.tolist() == [3, 4]
+
+
+class TestNotNumbers:
+    """A point set, parameter or coefficient that is not numbers is refused,
+    where a cast to complex reads None as NaN and parses a string."""
+
+    @pytest.mark.parametrize("bad", [None, "2", [True], np.array([0.5], dtype=object)])
+    def test_point_sets(self, bad):
+        with pytest.raises(TypeError, match="a point set must be numbers, not of dtype"):
+            cauchy_matrix(RATIONAL_KERNEL, bad, [0.5j], 0.7)
+        with pytest.raises(TypeError, match="a point set must be numbers"):
+            k_matrix([0.5j], bad)
+        with pytest.raises(TypeError, match="a point set must be numbers"):
+            Instance(RATIONAL_KERNEL, [0.1], [0.5j], 0.7, bad)
+
+    @pytest.mark.parametrize("bad", [None, "0.7", True])
+    def test_parameter(self, bad):
+        with pytest.raises(TypeError, match="the parameter must be numbers"):
+            cauchy_matrix(RATIONAL_KERNEL, [0.1], [0.5j], bad)
+        with pytest.raises(TypeError, match="lam must be numbers"):
+            Instance(RATIONAL_KERNEL, [0.1], [0.5j], bad, [0.3])
+
+    @pytest.mark.parametrize("bad", [None, "1", [True]])
+    def test_bloch_coefficients(self, lat, bad):
+        with pytest.raises(TypeError, match="the coefficients must be numbers"):
+            bloch_eval(lat, [0.1 + 0.05j], bad, 0.21 + 0.33j, 0.3 - 0.2j)
+
+    def test_numbers_of_every_kind(self):
+        # ints, unsigned ints, floats and complex numbers all read as complex
+        want = cauchy_matrix(RATIONAL_KERNEL, [1.0, 2.0], [0.5j, -1.0], 0.5)
+        for x in ([1, 2], np.array([1, 2], dtype=np.uint8), np.array([1, 2], dtype=np.float32)):
+            assert np.array_equal(cauchy_matrix(RATIONAL_KERNEL, x, [0.5j, -1.0], 0.5), want)
 
 
 class TestZeroMarks:
@@ -114,7 +165,7 @@ class TestZeroMarks:
         # x_1 = x_2: the x pairs are numerators of the Frobenius determinant
         # and the Lagrange denominator of g(x)
         x, y = [0.1 + 0.05j, 0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.2j, 0.25 + 0.3j, -0.1 - 0.3j]
-        return Instance(kern, x, y, 0.21 + 0.33j)
+        return Instance(kern, x, y, 0.21 + 0.33j, [0.05 - 0.3j, -0.1 + 0.2j, 0.2 + 0.15j])
 
     @staticmethod
     def passed(inst, block):
@@ -658,15 +709,17 @@ class TestOneAxis:
 
     def test_instance(self):
         with pytest.raises(DimensionMismatch):
-            Instance(RATIONAL_KERNEL, self.THREE_AXES, self.THREE_AXES + 2.0, 0.7)
-        x, y = [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2], [1.3, 1.4]]
+            Instance(RATIONAL_KERNEL, self.THREE_AXES, self.THREE_AXES + 2.0, 0.7, self.THREE_AXES + 4.0)
+        x, y, z = [[0.1, 0.2], [0.3, 0.4]], [[1.1, 1.2], [1.3, 1.4]], [[2.1, 2.2], [2.3, 2.4]]
         with pytest.raises(DimensionMismatch):
-            Instance(RATIONAL_KERNEL, x, y[:1], [0.7, 0.8], seed=[1, 2])
+            Instance(RATIONAL_KERNEL, x, y[:1], [0.7, 0.8], z, seed=[1, 2])
+        with pytest.raises(DimensionMismatch):
+            Instance(RATIONAL_KERNEL, x, y, [0.7, 0.8], z[:1], seed=[1, 2])
         # lam and seed take the stack's shape
         with pytest.raises(DimensionMismatch):
-            Instance(RATIONAL_KERNEL, x, y, 0.7, seed=[1, 2])
+            Instance(RATIONAL_KERNEL, x, y, 0.7, z, seed=[1, 2])
         with pytest.raises(DimensionMismatch):
-            Instance(RATIONAL_KERNEL, x, y, [0.7, 0.8], seed=[1, 2, 3])
+            Instance(RATIONAL_KERNEL, x, y, [0.7, 0.8], z, seed=[1, 2, 3])
 
     def test_ladder_pairs_sets_of_one_size(self):
         with pytest.raises(DimensionMismatch):

@@ -250,7 +250,7 @@ class TestMain:
         for n in (4, 8, 16, 32):
             drawn = set()
             for name, ident in verify.REGISTRY.items():
-                _, variant, _ = ident.plan[0]
+                _, variant = ident.plan[0]
                 if variant not in drawn:
                     drawn.add(variant)
                     want.append(["sample", variant, f"n={n}"])

@@ -678,7 +678,7 @@ class TestCheckers:
         for name, ident in REGISTRY.items():
             if ident.fixed_n is not None:
                 continue
-            for tag, variant, _ in ident.plan:
+            for tag, variant in ident.plan:
                 inst = random_instance(cfg, Kernel(variant, lat), 1, 3)
                 (rep,) = ident.check(inst, tag, cfg.tolerance)
                 assert rep.passed, (name, tag)
@@ -721,10 +721,17 @@ class TestCheckers:
 
     @pytest.mark.parametrize("name", ["product", "transposed"])
     def test_check_rejects_missing_third_set(self, cfg, kern, name):
-        # a hand-built instance without z: the sampler always draws one
-        inst = dataclasses.replace(random_instance(cfg, kern, 3, 2), z=None)
-        with pytest.raises(ValueError, match="needs a third point set"):
-            REGISTRY[name].check(inst, "elliptic", cfg.tolerance)
+        # the identities that read z never see an instance without it: every
+        # instance holds z, and at N = 1 a None would otherwise read as the
+        # point set [nan]
+        for n in cfg.n_values:
+            inst = random_instance(cfg, kern, n, 2)
+            with pytest.raises(TypeError, match="a point set must be numbers, not of dtype object"):
+                dataclasses.replace(inst, z=None)
+            with pytest.raises(TypeError, match="missing 1 required positional argument: 'z'"):
+                cauchy.Instance(inst.kernel, inst.x, inst.y, inst.lam)
+            (rep,) = REGISTRY[name].check(inst, "elliptic", cfg.tolerance)
+            assert rep.passed, (name, n)
 
     def test_degeneration_reports(self, cfg):
         inst = random_instance(cfg, RATIONAL_KERNEL, 5, cfg.base_seed)
@@ -764,12 +771,54 @@ class TestCheckers:
         assert strip_timing(ident.check(inst, "trig", cfg.tolerance)) == strip_timing(before["trig"])
 
     @pytest.mark.parametrize(
-        "abs_res, ref_mag", [(math.nan, 1.0), (math.inf, 1.0), (1e-20, math.inf), (1e-20, math.nan)]
+        "abs_res, ref_mag",
+        [
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (1e-20, math.inf),
+            (1e-20, math.nan),
+            pytest.param([math.nan, math.inf, 1e-20, 1e-20, 5e-9], [1.0, 1.0, math.inf, math.nan, 1.0], id="stack"),
+        ],
     )
     def test_non_finite_residual_fails(self, cfg, kern, abs_res, ref_mag):
-        ident = dataclasses.replace(REGISTRY["inverse"], checker=lambda inst, tag: (abs_res, ref_mag))
-        (rep,) = ident.check(random_instance(cfg, kern, 2, 0), "elliptic", 1e-8)
-        assert not rep.passed
+        def judged(inst, abs_res, ref_mag):
+            ident = dataclasses.replace(REGISTRY["inverse"], checker=lambda inst, tag: (abs_res, ref_mag))
+            return ident.check(inst, "elliptic", 1e-8)
+
+        if np.ndim(abs_res) == 0:
+            (rep,) = judged(random_instance(cfg, kern, 2, 0), abs_res, ref_mag)
+            assert not rep.passed
+            return
+        # the stack is judged at once, and each member as it is alone
+        stack = random_instance(cfg, kern, 2, list(range(len(abs_res))))
+        reports = judged(stack, np.array(abs_res), np.array(ref_mag))
+        assert [r.passed for r in reports] == [False, False, False, False, True]
+        for b, rep in enumerate(reports):
+            # by repr, where NaN equals NaN
+            assert repr(strip_timing([rep])) == repr(strip_timing(judged(stack.member(b), abs_res[b], ref_mag[b])))
+
+    def test_integer_residuals_are_reported_as_floats(self, cfg, kern):
+        ident = dataclasses.replace(REGISTRY["inverse"], checker=lambda inst, tag: (0, np.array([1, 2])))
+        reports = ident.check(random_instance(cfg, kern, 2, [0, 1]), "elliptic", 1e-8)
+        assert [(r.abs_residual, r.rel_residual, r.passed) for r in reports] == [(0.0, 0.0, True)] * 2
+        assert all(type(r.abs_residual) is float and type(r.rel_residual) is float for r in reports)
+
+    def test_determinant_absolute_branch(self):
+        # a closed determinant of modulus below _ABS_SWITCH is judged by its
+        # absolute difference, which the record writes out as its relative
+        # residual too; ROADMAP item 6 (a determinant judge that knows C's
+        # conditioning) replaces this rule
+        cfg = SuiteConfig(n_values=(7,), trials_per_n=5, base_seed=10, lattice_tau=3j)
+        reports = run_suite(cfg, identities=["determinant"], kernels={"elliptic"})
+        stack = random_instance(cfg, elliptic_kernel(cfg.lattice()), 7, [10, 11, 12, 13, 14])
+        closed = np.abs(frobenius_det(stack.kernel, stack.x, stack.y, stack.lam))
+        assert [r.seed for r in reports] == [10, 11, 12, 13, 14]
+        assert all(r.passed for r in reports)
+        for rep, ref in zip(reports[:4], closed[:4]):
+            assert ref >= verify._ABS_SWITCH and rep.rel_residual == rep.abs_residual / ref
+        assert closed[4] < verify._ABS_SWITCH
+        assert reports[4].rel_residual == reports[4].abs_residual
+        assert 1e-26 < reports[4].abs_residual < 2e-26
 
     @pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 2.0]])
     def test_worst_keeps_nan(self, residuals):
@@ -796,7 +845,7 @@ class TestCheckers:
         stacks = [
             (ident, tag, random_instance(cfg, Kernel(variant, lat), 3, [42, 43]))
             for ident in REGISTRY.values()
-            for tag, variant, _ in ident.plan
+            for tag, variant in ident.plan
         ]
         calls = Counter()  # (identity, kernel tag, function) -> calls
         check = None
@@ -958,7 +1007,7 @@ def reference_run_suite(cfg):
         # a fixed-size identity is checked once, on the base seed
         sizes = [ident.fixed_n] if ident.fixed_n else cfg.n_values
         trials = 1 if ident.fixed_n else cfg.trials_per_n
-        for tag, variant, _ in ident.plan:
+        for tag, variant in ident.plan:
             for n in sizes:
                 if ident.n_cap is not None and n > ident.n_cap:
                     continue
@@ -1233,7 +1282,7 @@ class TestStacks:
         ident = REGISTRY[name]
         # degeneration, cheap, at every default size
         sizes = range(1, 9) if ident.fixed_n else (1, 2, 5)
-        for tag, variant, _ in ident.plan:
+        for tag, variant in ident.plan:
             for n in sizes:
                 kern = Kernel(variant, lat)
                 members = [random_instance(cfg, kern, n, seed) for seed in range(40, 40 + size)]
