@@ -35,18 +35,24 @@ value that is one number per trial is kept as an array, never a scalar.
 
 An :class:`Instance` (one trial or a stack of them) always holds x, y, z
 and lambda, and checks only their shapes and that they are numbers; the
-sampler keeps the margins.  On the elliptic kernel an instance also owns a
-memo of kernel values: its kernel is a private copy whose ``memo`` maps
-each block (shape and bytes) a builder has evaluated or zero-tested to its
-values and a mark that it passed the test, so the sigma tables and zero
-tests that the determinant, inverse and UDL builders share are made once
-per instance (a block first evaluated as a numerator is still tested where
-a builder divides by it).  sin and the identity cost less per point than a
-lookup and are not memoized.  Since the memo keeps values, a function
-patched on a module name (sigma, say) must be in place before the
-instance is built.  Every instance also holds an empty private store, in
-which the checkers keep the whole products several of them read (C and
-its closed determinant); it too starts empty on each new instance.
+sampler keeps the margins.  Every instance holds a private copy of its
+kernel.  The sampler marks the copy of each instance it returns as
+``margined``: it has measured every block a builder zero-tests on that
+stack, so the builders called with that kernel skip their zero test.  A
+hand-built instance, a ``dataclasses.replace`` copy and a builder called
+with any other kernel keep the test and :class:`KernelZero`.  On the
+elliptic kernel the copy also holds a memo of kernel values, whose
+``memo`` maps each block (shape and bytes) a builder has evaluated or
+zero-tested to its values and a mark that it passed the test, so the sigma
+tables that the determinant, inverse and UDL builders share are made once
+per instance, and on an unmarked instance so are their zero tests (a block
+first evaluated as a numerator is still tested where a builder divides by
+it).  sin and the identity cost less per point than a lookup and are not
+memoized.  Since the memo keeps values, a function patched on a module
+name (sigma, say) must be in place before the instance is built.  Every
+instance also holds an empty private store, in which the checkers keep
+the whole products several of them read (C, its closed determinant,
+G_{lam+Y}(x, y) and K(x, y)); it too starts empty on each new instance.
 """
 
 from __future__ import annotations
@@ -58,18 +64,9 @@ from typing import Callable
 
 import numpy as np
 
+from ._input import as_numbers
 from .errors import DimensionMismatch, KernelZero
 from .weierstrass import ZERO_TOL, Lattice, lattice_distance, sigma, sigma_k
-
-
-def _numbers(a, what):
-    """An array-like of numbers as a complex array.  Anything else (None, a
-    string, a bool, an object) raises TypeError naming ``what`` and its
-    dtype, where a cast to complex would read it as NaN or parse it."""
-    arr = np.asarray(a)
-    if arr.dtype.kind not in "iufc":
-        raise TypeError(f"{what} must be numbers, not of dtype {arr.dtype}")
-    return arr if arr.dtype == complex else arr.astype(complex)
 
 
 def _points(x):
@@ -77,7 +74,7 @@ def _points(x):
     points after at most one leading trial axis.  A set with more axes
     raises :class:`DimensionMismatch`, and one that is not numbers
     TypeError."""
-    pts = np.atleast_1d(_numbers(x, "a point set"))
+    pts = np.atleast_1d(as_numbers(x, "a point set"))
     if pts.ndim > 2:
         raise DimensionMismatch(
             f"a point set has one axis of points and at most one trial axis, not {pts.ndim} axes"
@@ -102,7 +99,7 @@ def _param(lam, stack):
     """The parameter as a complex array of the stack's shape (0-d for one
     trial); any other shape raises :class:`DimensionMismatch`, and a
     parameter that is not a number TypeError."""
-    lam = _numbers(lam, "the parameter")
+    lam = as_numbers(lam, "the parameter")
     if lam.shape != stack:
         raise DimensionMismatch(f"a parameter of shape {lam.shape} for a stack of shape {stack}")
     return lam
@@ -193,13 +190,23 @@ KERNELS = {
 
 @dataclass(frozen=True)
 class Kernel:
-    """Sigma-like function selector: elliptic sigma, sin, or identity."""
+    """Sigma-like function selector: elliptic sigma, sin, or identity.
+
+    Calling it, or its :meth:`zero_distance`, on input that is not numbers
+    raises TypeError.  The ``memo`` and the ``margined`` mark are set on an
+    instance's private copy only, never by a constructor, and take no part
+    in comparison or repr.
+    """
 
     variant: str  # a key of KERNELS
     lattice: Lattice | None = None  # read by the elliptic variant only
     #: block (shape, bytes) -> [kernel values or None, zero test passed];
     #: set only on the private copy an :class:`Instance` of a memoized variant holds
     memo: dict | None = field(default=None, init=False, repr=False, compare=False)
+    #: the sampler measured every block a builder zero-tests on this kernel's
+    #: stack, so :func:`_fused` skips its zero test; set only by
+    #: ``verify.random_instance`` on the private copy its instance holds
+    margined: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in KERNELS:
@@ -213,11 +220,11 @@ class Kernel:
         return KERNELS[self.variant]
 
     def __call__(self, z):
-        return self.spec.f(self.lattice, np.asarray(z, dtype=complex))
+        return self.spec.f(self.lattice, as_numbers(z, "a kernel argument"))
 
     def zero_distance(self, z):
         """Elementwise distance from z to the nearest zero of the kernel."""
-        return self.spec.zero_distance(self.lattice, np.asarray(z, dtype=complex))
+        return self.spec.zero_distance(self.lattice, as_numbers(z, "a kernel argument"))
 
 
 def elliptic_kernel(lat):
@@ -238,16 +245,19 @@ class Instance:
     arrays of shape (B,); one trial has sets of shape (N,), a complex
     ``lam`` and an int ``seed``.  Point sets or a ``lam`` that are not
     numbers raise TypeError, and a seed that is not an integer ValueError.
-    Their margins from the kernel zeros are the sampler's to keep; a
-    builder raises :class:`KernelZero` on any denominator at a zero.  On a
-    memoized variant ``kernel`` becomes a private copy with an empty memo,
-    which lives as long as the instance: the builders called with it
-    evaluate each distinct argument block once, and zero-test each distinct
-    denominator block until it passes, for all members of a stack at once;
-    none asks for f(y - x).  Every instance also starts with an empty
-    ``_shared`` store, in which the checkers keep the products that several
-    of them read (C(x, y; lam) and its closed determinant), so each is
-    computed once per instance.
+    Their margins from the kernel zeros are the sampler's to keep.
+    ``kernel`` becomes a private copy, which lives as long as the instance;
+    it starts unmarked, so a builder called with it raises
+    :class:`KernelZero` on any denominator at a zero, until
+    ``verify.random_instance`` marks the copy of an instance it sampled as
+    ``margined`` (``member`` keeps the mark).  On a memoized variant the
+    copy has an empty memo: the builders called with it evaluate each
+    distinct argument block once, and zero-test each distinct denominator
+    block until it passes, for all members of a stack at once; none asks
+    for f(y - x).  Every instance also starts with an empty ``_shared``
+    store, in which the checkers keep the products that several of them
+    read (C(x, y; lam), its closed determinant, G_{lam+Y}(x, y) and
+    K(x, y)), so each is computed once per instance.
     """
 
     kernel: Kernel
@@ -276,16 +286,16 @@ class Instance:
         except TypeError:
             raise ValueError(f"a seed must be an integer, not {self.seed!r}") from None
         stack = self.x.shape[:-1]
-        for name, value in (("lam", np.array(_numbers(self.lam, "lam"))), ("seed", seed)):
+        for name, value in (("lam", np.array(as_numbers(self.lam, "lam"))), ("seed", seed)):
             if value.shape != stack:
                 raise DimensionMismatch(f"{name} of shape {value.shape} for a stack of shape {stack}")
             value.setflags(write=False)
             object.__setattr__(self, name, value if stack else value.item())
         object.__setattr__(self, "_shared", {})
-        if self.kernel.spec.memoized:
-            kernel = Kernel(self.kernel.variant, self.kernel.lattice)
+        kernel = Kernel(self.kernel.variant, self.kernel.lattice)
+        if kernel.spec.memoized:
             object.__setattr__(kernel, "memo", {})
-            object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "kernel", kernel)
 
     @property
     def n(self):
@@ -293,8 +303,8 @@ class Instance:
 
     def member(self, b):
         """Member b of a stack as an instance of its own, with a memo and a
-        store of its own."""
-        return Instance(
+        store of its own, and the stack's margin mark."""
+        inst = Instance(
             kernel=self.kernel,
             x=self.x[b],
             y=self.y[b],
@@ -302,6 +312,8 @@ class Instance:
             z=self.z[b],
             seed=self.seed[b],
         )
+        object.__setattr__(inst.kernel, "margined", self.kernel.margined)
+        return inst
 
 
 def _fused(kernel, what, tested, *args):
@@ -311,7 +323,17 @@ def _fused(kernel, what, tested, *args):
     argument, in its shape, read-only.  A kernel with a memo keeps one entry
     [values, passed] per distinct block, keyed by its shape and bytes, tests
     only the blocks that have not passed, marks them once they pass (a failed
-    block is never marked) and evaluates only the blocks without values."""
+    block is never marked) and evaluates only the blocks without values.
+
+    A ``margined`` kernel, a sampled instance's, is not zero-tested at all:
+    every block a builder tests on its stack (the differences of two points
+    of x, y and z, lambda and its shifts by a set sum, and the Gauss ladder)
+    is one the sampler measured at ``sep_min`` >= ``ZERO_TOL``.  Only the
+    shift lambda + X - Y is rounded apart: the sampler forms lambda + (X - Y),
+    the Frobenius determinant and the closed inverse (lambda + X) - Y, which
+    matters only for a ``sep_min`` within rounding of ``ZERO_TOL``."""
+    if kernel.margined:
+        tested = ()
     memo = kernel.memo
     if memo is None:  # every block of this call is tested and evaluated as given
         untested, todo = tested, args
@@ -633,7 +655,7 @@ def bloch_eval(lat, poles, coeffs, lam, point):
     (B, N), lam of shape (B,)), ``point`` has the stack's axis in front.
     """
     poles = _points(poles)
-    coeffs = _numbers(coeffs, "the coefficients")
+    coeffs = as_numbers(coeffs, "the coefficients")
     if coeffs.shape != poles.shape:
         raise DimensionMismatch(f"{coeffs.size} coefficients for {poles.size} poles")
     stack = poles.shape[:-1]

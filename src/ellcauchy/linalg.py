@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from ._input import as_numbers
 from .errors import DimensionMismatch, SingularMatrix
 
 #: pivots below this multiple of the max-abs entry count as singular
@@ -23,8 +24,9 @@ PIVOT_FLOOR = 1e-14
 
 
 def _as_square(a):
-    """``a`` as a complex square matrix or a stack of them."""
-    a = np.asarray(a, dtype=complex)
+    """``a`` as a complex square matrix or a stack of them; input that is
+    not numbers raises TypeError."""
+    a = as_numbers(a, "a matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
     return a

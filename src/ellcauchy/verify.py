@@ -12,13 +12,16 @@ decomposition as (U D) L = C) is judged by one residual, its componentwise
 backward error :func:`~ellcauchy.linalg.backward_error`, with no inverse
 formed (the inverse also as X C = I).  All identities of a trial read one
 instance (x, y, z, lambda); its determinant, inverse and Gauss checks
-share its Cauchy matrix and closed determinant, each computed once and
-kept in its store (:func:`_shared`).  The sampler keeps one margin
-rule for every kernel and samples a whole stack of trials in one call: it
-tests their rounds in blocks, as arrays, and picks bit for bit the
-instances that a loop over single rounds would.  Its first block draws
-three rounds of each trial, and each later block one more than the first
-pending trial has drawn.
+share its Cauchy matrix and closed determinant, and its product and
+factorization checks G_{lambda+Y}(x, y) and, on the k-rational tag,
+K(x, y), each computed once and kept in its store (:func:`_shared`).  The
+sampler keeps one margin rule for every kernel and samples a whole stack
+of trials in one call: it tests their rounds in blocks, as arrays, and
+picks bit for bit the instances that a loop over single rounds would.
+Those margins are the stack's zero test: the sampler marks the kernel of
+each instance it returns, and the builders skip their own zero test on
+it.  Its first block draws three rounds of each trial, and each later
+block one more than the first pending trial has drawn.
 Its close-pair screen tests every pair of a small block, and sorts and
 sweeps the points of a large one, so its cost is linear in a block's
 points.
@@ -72,10 +75,11 @@ class Report:
     """Per-identity verification result for one instance, in slots.
 
     ``elapsed_ms`` is the time of the check on its stack divided among the
-    members.  The products several checks of one stack read (C(x,y;lam)
-    and its closed determinant) are computed once, and charged to the first
-    check that asks for them; ``ellcauchy bench`` times each check in full,
-    on a fresh instance.
+    members.  The products several checks of one stack read (C(x,y;lam),
+    its closed determinant, G_{lam+Y}(x,y) and K(x,y)) are computed once,
+    and charged to the first check that asks for them, and a sampled
+    stack's builders make no zero test; ``ellcauchy bench`` times each check
+    in full, zero tests included, on a fresh, unmarked instance.
     """
 
     identity_name: str
@@ -138,8 +142,9 @@ class SuiteConfig:
             raise ValueError("lattice_tau must be finite with Im(lattice_tau) > 0")
         if not 0 < tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
-        # the builders' own zero test: a smaller margin would let the sampler
-        # accept an instance that a builder refuses with KernelZero
+        # the builders' own zero test, which the sampler's margins stand in
+        # for on a sampled stack: a smaller margin would let the sampler
+        # accept an instance whose builders divide by a kernel zero
         if not cauchy.ZERO_TOL <= sep_min < math.inf:
             raise ValueError(f"sep_min must be finite and at least {cauchy.ZERO_TOL}")
 
@@ -343,6 +348,12 @@ def random_instance(cfg, kernel, n, seed):
     rounds grow, so a stack that exhausts costs little more than its first
     exhausting trial.
 
+    The instance's kernel copy is marked ``margined``: every block a
+    builder zero-tests on it (the differences of two points of x, y and z,
+    lambda and its shifts by a set sum, and the Gauss ladder) is one
+    :func:`_margins_ok` measured at ``sep_min`` >= ``ZERO_TOL``, so the
+    builders skip that test (see ``cauchy._fused``).
+
     Raises :class:`SamplingExhausted` if the separation requirement cannot
     be met in the sampling region (or after the round limit).
     """
@@ -382,7 +393,10 @@ def random_instance(cfg, kernel, n, seed):
         sets[:, took], lam[took], ok[took] = block_sets[:, first], block_lam[first], True
     if single:
         sets, lam, seeds = sets[:, 0], lam[0], seed
-    return Instance(kernel=kernel, x=sets[0], y=sets[1], z=sets[2], lam=lam, seed=seeds)
+    inst = Instance(kernel=kernel, x=sets[0], y=sets[1], z=sets[2], lam=lam, seed=seeds)
+    # every block a builder zero-tests on the stack was measured above
+    object.__setattr__(inst.kernel, "margined", True)
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +404,26 @@ def random_instance(cfg, kernel, n, seed):
 # ---------------------------------------------------------------------------
 
 
+#: name of a ``cauchy`` function -> its arguments on an instance, for the
+#: products that several checks read
+_PRODUCTS = {
+    "cauchy_matrix": lambda inst: (inst.kernel, inst.x, inst.y, inst.lam),
+    "frobenius_det": lambda inst: (inst.kernel, inst.x, inst.y, inst.lam),
+    "g_matrix": lambda inst: (inst.kernel, inst.x, inst.y, inst.lam + inst.y.sum(axis=-1)),
+    "k_matrix": lambda inst: (inst.x, inst.y),
+}
+
+
 def _shared(inst, name):
     """The instance's product ``name``, computed on the first request and
-    kept, read-only, in its store: ``cauchy_matrix`` or ``frobenius_det`` of
-    (kernel, x, y, lam).  Each function is looked up by module name at call
-    time, so a wrapper installed on the name sees the one call per
-    instance."""
+    kept, read-only, in its store: C(x,y;lam) (``cauchy_matrix``), its
+    closed determinant (``frobenius_det``), G_{lam+Y}(x,y) (``g_matrix``)
+    and K(x,y) (``k_matrix``), with the arguments ``_PRODUCTS`` gives.  Each
+    function is looked up by module name at call time, so a wrapper
+    installed on the name sees the one call per instance."""
     store = inst._shared
     if name not in store:
-        value = getattr(cauchy, name)(inst.kernel, inst.x, inst.y, inst.lam)
+        value = getattr(cauchy, name)(*_PRODUCTS[name](inst))
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
         store[name] = value
@@ -428,13 +453,11 @@ def check_product_identity(inst, tag):
     tag the parameter-free limit matrices K satisfy K(x,y)K(y,z) = K(x,z)."""
     x, y, z = inst.x, inst.y, inst.z
     if tag == "k-rational":
-        a, b, rhs = cauchy.k_matrix(x, y), cauchy.k_matrix(y, z), cauchy.k_matrix(x, z)
+        a, b, rhs = _shared(inst, "k_matrix"), cauchy.k_matrix(y, z), cauchy.k_matrix(x, z)
     else:
-        lam = inst.lam
-        kern = inst.kernel
-        y_sum, z_sum = y.sum(axis=-1), z.sum(axis=-1)
-        a, b = cauchy.g_matrix(kern, x, y, lam + y_sum), cauchy.g_matrix(kern, y, z, lam + z_sum)
-        rhs = cauchy.g_matrix(kern, x, z, lam + z_sum)
+        lam_z, kern = inst.lam + z.sum(axis=-1), inst.kernel
+        a, b = _shared(inst, "g_matrix"), cauchy.g_matrix(kern, y, z, lam_z)
+        rhs = cauchy.g_matrix(kern, x, z, lam_z)
     return linalg.backward_error(a, b, rhs), 1.0
 
 
@@ -455,12 +478,11 @@ def check_factorization(inst, tag):
     k-rational tag, K(x,y) W(y) = W(x)."""
     x, y = inst.x, inst.y
     if tag == "k-rational":
-        lhs = cauchy.k_matrix(x, y)
+        lhs = _shared(inst, "k_matrix")
         gx, gy = cauchy.w_matrix(x), cauchy.w_matrix(y)
     else:
-        kern = inst.kernel
-        lhs = cauchy.g_matrix(kern, x, y, inst.lam + y.sum(axis=-1))
-        gx, gy = cauchy.g_factor(kern, x, inst.lam), cauchy.g_factor(kern, y, inst.lam)
+        lhs = _shared(inst, "g_matrix")
+        gx, gy = cauchy.g_factor(inst.kernel, x, inst.lam), cauchy.g_factor(inst.kernel, y, inst.lam)
     return linalg.backward_error(lhs, gy, gx), 1.0
 
 
@@ -563,11 +585,12 @@ class Identity:
         this identity's tolerance: a list of :class:`Report`, one per member
         in stack order (one for a single trial), each with the stack's time
         divided among its members.  That time includes the shared products
-        (C(x,y;lam) and its closed determinant) this check is the first on
-        the instance to ask for, and leaves out those an earlier check
-        computed.  A member's relative residual is its absolute residual
-        over its reference magnitude; it fails if that exceeds the
-        tolerance, either is not finite or its rate verdict fails.  Raises
+        (C(x,y;lam), its closed determinant, G_{lam+Y}(x,y) and K(x,y)) this
+        check is the first on the instance to ask for, and leaves out those
+        an earlier check computed.  A member's relative residual is its
+        absolute residual over its reference magnitude; it fails if that
+        exceeds the tolerance, either is not finite or its rate verdict
+        fails.  Raises
         ValueError for a kernel tag outside the plan, or an instance of
         another variant than the plan names for it."""
         plan = dict(self.plan)
@@ -671,7 +694,8 @@ def run_suite(cfg, identities=None, kernels=None):
     size checks only the stack's first member, the base seed's instance.
     Each stack is sampled in one :func:`random_instance` call, as one
     :class:`~ellcauchy.cauchy.Instance` with a leading trial axis, each
-    trial on its own RNG stream.  Every identity and kernel tag that uses
+    trial on its own RNG stream, on the lattice ``cfg.lattice()``, which is
+    built only if some stack is elliptic: the flat kernels read none.  Every identity and kernel tag that uses
     the stack checks it in one call, sharing its kernel memo and product
     store, and the stack is dropped before the next is sampled, so only
     one stack is held at a time.  A function patched on a
@@ -690,7 +714,6 @@ def run_suite(cfg, identities=None, kernels=None):
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"identities repeats a name: {repeated}")
-    lat = cfg.lattice()
     trials = [cfg.base_seed + trial for trial in range(cfg.trials_per_n)]
     jobs = {}  # (variant, n) -> (seeds, [(identity, kernel tag)] in the order of names)
     for name in names:
@@ -707,6 +730,9 @@ def run_suite(cfg, identities=None, kernels=None):
                 seeds.update(dict.fromkeys(seeds_of))
                 todo.append((ident, tag))
 
+    # only the elliptic kernel reads the lattice, so a run without it
+    # builds none, and no lattice that lattice_new refuses aborts it
+    lat = cfg.lattice() if any(variant == "elliptic" for variant, _ in jobs) else None
     reports = []
     for (variant, n), (seeds, todo) in jobs.items():
         stack = random_instance(cfg, Kernel(variant, lat), n, list(seeds))

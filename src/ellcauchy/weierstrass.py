@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._input import as_numbers
 from .errors import InvalidLattice, KernelZero
 
 #: hard cap on theta-series terms; only very thin lattices (|q| near 1) reach it
@@ -179,9 +180,9 @@ def sigma(lat, x):
     multiply-adds.  A call evaluates its points in slabs of at most
     ``_SIGMA_SLAB``, so each point's value is the same in a call of any
     size, and sigma of a stack equals sigma of each of its members bit for
-    bit.
+    bit.  Input that is not numbers raises TypeError.
     """
-    x = np.asarray(x, dtype=complex)
+    x = as_numbers(x, "a sigma argument")
     if x.size <= _SIGMA_SLAB:
         out = _sigma_slab(lat, x)
         return complex(out) if x.ndim == 0 else out

@@ -1,5 +1,6 @@
 """Matrix builders: closed forms, transposition/gauge symmetries, limits."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -152,6 +153,18 @@ class TestNotNumbers:
         for x in ([1, 2], np.array([1, 2], dtype=np.uint8), np.array([1, 2], dtype=np.float32)):
             assert np.array_equal(cauchy_matrix(RATIONAL_KERNEL, x, [0.5j, -1.0], 0.5), want)
 
+    @pytest.mark.parametrize("bad", [None, "2", [True], np.array([0.5], dtype=object)])
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_kernel_arguments(self, lat, variant, bad):
+        kern = Kernel(variant, lat)
+        for f in (kern, kern.zero_distance):
+            with pytest.raises(TypeError, match="a kernel argument must be numbers, not of dtype"):
+                f(bad)
+
+    def test_kernel_arguments_of_every_kind(self):
+        for z in (2, np.uint8(2), np.float32(2.0), 2.0 + 0j):
+            assert RATIONAL_KERNEL(z) == 2 and RATIONAL_KERNEL.zero_distance(z) == 2
+
 
 class TestZeroMarks:
     """An elliptic instance's memo marks each block that passed a zero test,
@@ -200,6 +213,58 @@ class TestZeroMarks:
         assert not self.passed(inst, cauchy._pair_diffs(inst.x)) and not self.passed(inst, diff)
         cauchy_matrix(inst.kernel, inst.x, inst.y, inst.lam)
         assert self.passed(inst, diff) and not self.passed(inst, cauchy._pair_diffs(inst.x))
+
+
+class TestMarginMark:
+    """A sampled instance's kernel is marked as measured by the sampler, so
+    its builders make no zero test; no constructor sets the mark, so a
+    hand-built instance, a replaced one and a direct builder call keep it."""
+
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_set_by_the_sampler_alone(self, lat, variant):
+        kern = Kernel(variant, lat)
+        with pytest.raises(TypeError):
+            Kernel(variant, lat, margined=True)
+        stack = random_instance(SuiteConfig(), kern, 3, range(2))
+        # every instance holds a private copy of its kernel, flat kernels too
+        assert stack.kernel.margined and stack.kernel is not kern and not kern.margined
+        assert stack.member(1).kernel.margined and stack.member(1).kernel is not stack.kernel
+        assert stack.kernel == kern and repr(stack.kernel) == repr(kern)
+        for fresh in (
+            dataclasses.replace(stack),
+            Instance(stack.kernel, stack.x, stack.y, stack.lam, stack.z, stack.seed),
+        ):
+            assert not fresh.kernel.margined and not fresh.member(0).kernel.margined
+
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_marked_builders_make_no_zero_test(self, monkeypatch, lat, variant):
+        inst = random_instance(SuiteConfig(), Kernel(variant, lat), 4, range(3))
+        fresh = dataclasses.replace(inst)
+        calls = []
+        zero_distance = Kernel.zero_distance
+
+        def counted(self, z):
+            calls.append(self)
+            return zero_distance(self, z)
+
+        def build(i):
+            return cauchy_matrix(i.kernel, i.x, i.y, i.lam), *gauss_udl(i.kernel, i.x, i.y, i.lam)
+
+        monkeypatch.setattr(Kernel, "zero_distance", counted)
+        got = build(inst)
+        assert calls == []
+        want = build(fresh)
+        assert calls and all(k is fresh.kernel for k in calls)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_hand_built_instance_still_raises(self):
+        # the sampled instance's points, with x_2 moved onto x_1 by hand
+        inst = random_instance(SuiteConfig(), RATIONAL_KERNEL, 3, 5)
+        x = inst.x.copy()
+        x[1] = x[0]
+        bad = Instance(inst.kernel, x, inst.y, inst.lam, inst.z, inst.seed)
+        with pytest.raises(KernelZero, match="x_i - x_l"):
+            g_factor(bad.kernel, bad.x, bad.lam)
 
 
 class TestClassic:

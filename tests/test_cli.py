@@ -126,6 +126,18 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("kernel", ["trig", "rational"])
+    def test_flat_kernel_run_reads_no_lattice(self, kernel, capsys):
+        # lattice_new refuses this thin lattice, which neither flat kernel
+        # reads: a run on one finishes, and a run on the elliptic kernel
+        # still exits 2 with the lattice's message
+        args = ["verify-all", "--tau", "0+0.01i", "--n", "2", "--trials", "1"]
+        assert cli.main([*args, "--kernel", kernel]) == 0
+        assert capsys.readouterr().out.endswith(" checks, 0 failed\n")
+        assert cli.main([*args, "--kernel", "elliptic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cancels too far for eta" in captured.err
+
     def test_no_report_leaves_out_empty(self, tmp_path):
         out = tmp_path / "rep.txt"
         out.write_text("stale")

@@ -246,6 +246,24 @@ class TestResiduals:
         assert rel_residual(1.001 * a, a) == pytest.approx(0.001)
 
 
+class TestNotNumbers:
+    """A matrix that is not numbers is refused, where a cast to complex
+    reads None as NaN and parses a string."""
+
+    @pytest.mark.parametrize("bad", [[[None]], [["1"]], [[True]], np.array([[1.0]], dtype=object)])
+    def test_refused(self, bad):
+        with pytest.raises(TypeError, match="a matrix must be numbers, not of dtype"):
+            lu_det(bad)
+        with pytest.raises(TypeError, match="a matrix must be numbers"):
+            max_abs_residual(bad, [[1]])
+        with pytest.raises(TypeError, match="a matrix must be numbers"):
+            lu_inverse(bad)
+
+    def test_numbers_of_every_kind(self):
+        for a in ([[2]], np.array([[2]], dtype=np.uint8), np.array([[2.0]], dtype=np.float32)):
+            assert lu_det(a) == 2 and max_abs_residual(a, [[2j]]) == abs(2 - 2j)
+
+
 class TestStructure:
     def test_unit_upper(self):
         u = np.array([[1.0, 2.0], [0.0, 1.0]])

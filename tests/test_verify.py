@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 from ellcauchy import (
     RATIONAL_KERNEL,
     TRIG_KERNEL,
+    Instance,
     Kernel,
     Report,
     SamplingExhausted,
@@ -1161,6 +1163,44 @@ class TestSharedProducts:
             for _, name in self.WRAPPED:
                 assert calls[b, name] == uses, (b, stack.kernel.variant, name)
 
+    def test_g_and_k_once_per_stack(self, monkeypatch):
+        # the product and factorization checks of a stack read one
+        # G_{lam+Y}(x, y) on every kernel, and on the rational stacks one
+        # K(x, y) under the k-rational tag: each is built once, and both
+        # checks pass that one array to the backward error
+        cfg = SuiteConfig(n_values=(2, 3), trials_per_n=3)
+        stacks, built, read = [], Counter(), Counter()
+
+        def sampled(cfg, kernel, n, seeds):
+            stacks.append(random_instance(cfg, kernel, n, seeds))
+            return stacks[-1]
+
+        def counted(name, f):
+            def wrapper(*args):
+                stack = stacks[-1]
+                kern, (a, b, *_) = (args[0], args[1:]) if name == "g_matrix" else (stack.kernel, args)
+                built[len(stacks) - 1, name] += kern is stack.kernel and a is stack.x and b is stack.y
+                return f(*args)
+
+            return wrapper
+
+        def backward_error(a, b, r, residual=linalg.backward_error):
+            read[id(a)] += 1
+            return residual(a, b, r)
+
+        monkeypatch.setattr(verify, "random_instance", sampled)
+        for name in ("g_matrix", "k_matrix"):
+            monkeypatch.setattr(cauchy, name, counted(name, getattr(cauchy, name)))
+        monkeypatch.setattr(linalg, "backward_error", backward_error)
+        reports = run_suite(cfg, identities=["product", "factorization"])
+        assert len(stacks) == 6 and len(reports) == 2 * 4 * 2 * 3
+        for b, stack in enumerate(stacks):
+            names = {"g_matrix", "k_matrix"} if stack.kernel.variant == "rational" else {"g_matrix"}
+            assert set(stack._shared) == names
+            for name in ("g_matrix", "k_matrix"):
+                assert built[b, name] == (name in names), (b, name)
+            assert all(read[id(stack._shared[name])] == 2 for name in names)
+
     def test_new_instances_start_empty(self):
         cfg = SuiteConfig(n_values=(3,))
         stack = random_instance(cfg, elliptic_kernel(cfg.lattice()), 3, range(2))
@@ -1169,6 +1209,57 @@ class TestSharedProducts:
         assert not stack._shared["cauchy_matrix"].flags.writeable
         for fresh in (stack.member(0), dataclasses.replace(stack)):
             assert fresh._shared == {}
+
+
+class TestMarginsCoverTheBuilders:
+    """Every zero distance a builder measures through a sampled stack's own
+    kernel is one the sampler measured, at least ``sep_min`` (up to the
+    rounding of the shift lambda + X - Y): this is what lets a stack's
+    marked kernel skip its builders' zero tests.  Measured with the mark
+    cleared, so that every builder makes its test; a checker that zero-tests
+    a block the sampler never measured fails here."""
+
+    CASES = {
+        **{
+            f"seed {seed}, tau {tau}": (SuiteConfig(base_seed=seed, lattice_tau=tau), None, None)
+            for seed in (42, 7)
+            for tau in (0.3 + 0.7j, 3j, 7.3 + 0.9j)
+        },
+        # one stack of the elliptic-dense benchmark workload's shape
+        "elliptic-dense": (
+            SuiteConfig(n_values=(20,), base_seed=11, sep_min=0.6 / 20),
+            ["determinant", "inverse", "gauss", "product", "transposed"],
+            {"elliptic"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_tested_block_was_measured(self, monkeypatch, case):
+        cfg, identities, kernels = self.CASES[case]
+        stacks, seen = [], []
+        zero_distance = Kernel.zero_distance
+
+        def unmarked(cfg, kernel, n, seeds):
+            stack = random_instance(cfg, kernel, n, seeds)
+            assert stack.kernel.margined
+            object.__setattr__(stack.kernel, "margined", False)
+            stacks.append(stack.kernel)
+            return stack
+
+        def measured(self, z):
+            dist = zero_distance(self, z)
+            if any(self is k for k in stacks):
+                seen.append(np.min(dist, initial=np.inf))
+            return dist
+
+        monkeypatch.setattr(verify, "random_instance", unmarked)
+        monkeypatch.setattr(Kernel, "zero_distance", measured)
+        with warnings.catch_warnings():
+            # at tau = 7.3+0.9i, sigma_k overflows in monodromy
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_suite(cfg, identities=identities, kernels=kernels)
+        assert len(seen) > len(stacks) > 0
+        assert min(seen) >= cfg.sep_min * (1 - 4 * np.finfo(float).eps), case
 
 
 class TestKernelMemo:
@@ -1204,13 +1295,11 @@ class TestKernelMemo:
         assert points == distinct
         assert all(r["passed"] for r in reports)
 
-    @pytest.mark.parametrize("names", [CHECKS, ("product", "transposed")])
-    def test_each_block_tested_once(self, monkeypatch, names):
-        # the builders ask for zero tests of repeated blocks, but the memo
-        # marks each block that passed, so the lattice-distance points are
-        # the entries of the distinct tested blocks
+    @staticmethod
+    def zero_tests(monkeypatch, inst, names):
+        """The blocks the builders ask to zero-test and the lattice-distance
+        points they measure, checking ``names`` on ``inst``."""
         cfg = SuiteConfig()
-        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42)
         blocks, asked, points = {}, [], []
         fused, lattice_distance = cauchy._fused, cauchy.lattice_distance
 
@@ -1228,8 +1317,29 @@ class TestKernelMemo:
             m.setattr(cauchy, "_fused", recorded)
             m.setattr(cauchy, "lattice_distance", counted)
             reports = [r for name in names for r in REGISTRY[name].check(inst, "elliptic", cfg.tolerance)]
-        assert sum(points) == sum(blocks.values()) < sum(asked)
         assert all(r.passed for r in reports)
+        return blocks, asked, points
+
+    @pytest.mark.parametrize("names", [CHECKS, ("product", "transposed")])
+    def test_each_block_tested_once(self, monkeypatch, names):
+        # on a hand-built instance, which no sampler has measured, the
+        # builders ask for zero tests of repeated blocks, but the memo marks
+        # each block that passed, so the lattice-distance points are the
+        # entries of the distinct tested blocks
+        cfg = SuiteConfig()
+        s = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42)
+        inst = Instance(elliptic_kernel(cfg.lattice()), s.x, s.y, s.lam, s.z, s.seed)
+        blocks, asked, points = self.zero_tests(monkeypatch, inst, names)
+        assert sum(points) == sum(blocks.values()) < sum(asked)
+
+    @pytest.mark.parametrize("names", [CHECKS, ("product", "transposed")])
+    def test_sampled_blocks_are_not_tested(self, monkeypatch, names):
+        # the sampler measured every block the builders ask to zero-test on
+        # its instance, so they make no lattice-distance call
+        cfg = SuiteConfig()
+        inst = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42)
+        blocks, asked, points = self.zero_tests(monkeypatch, inst, names)
+        assert asked and points == []
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_inverse_reads_x_minus_y_from_the_memo(self, monkeypatch, n):

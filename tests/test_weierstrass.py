@@ -147,6 +147,17 @@ class TestSigma:
     def test_zero(self, lat):
         assert sigma(lat, 0.0) == 0.0
 
+    @pytest.mark.parametrize("bad", [None, "0.5", True, [0.5, None]])
+    def test_not_numbers_are_refused(self, lat, bad):
+        # a cast to complex would read None as NaN and parse a string
+        with pytest.raises(TypeError, match="a sigma argument must be numbers, not of dtype"):
+            sigma(lat, bad)
+
+    def test_numbers_of_every_kind(self, lat):
+        want = sigma(lat, 0.5 + 0j)
+        assert sigma(lat, np.float32(0.5)) == want and sigma(lat, 0.5) == want
+        assert sigma(lat, 1) == sigma(lat, np.uint8(1))
+
     def test_small_argument(self, lat):
         assert abs(sigma(lat, 1e-4) / 1e-4 - 1) < 1e-12
 
