@@ -320,7 +320,9 @@ def _fused(kernel, what, tested, *args):
     """Zero-test the blocks ``tested`` in one zero-distance call (an entry at
     a kernel zero raises :class:`KernelZero` naming ``what``), then evaluate
     the kernel over the blocks ``args`` in at most one call: one result per
-    argument, in its shape, read-only.  A kernel with a memo keeps one entry
+    argument, in its shape, read-only.  Empty blocks (the pair differences
+    of one point) go to neither call, and an empty argument gets an empty
+    result.  A kernel with a memo keeps one entry
     [values, passed] per distinct block, keyed by its shape and bytes, tests
     only the blocks that have not passed, marks them once they pass (a failed
     block is never marked) and evaluates only the blocks without values.
@@ -343,11 +345,13 @@ def _fused(kernel, what, tested, *args):
         entry = {k: memo.get(k, [None, False]) for k in key.values()}
         untested = list({key[id(t)]: t for t in tested if not entry[key[id(t)]][1]}.values())
         todo = list({key[id(a)]: a for a in args if entry[key[id(a)]][0] is None}.values())
-    if untested and np.any(kernel.zero_distance(np.concatenate([t.ravel() for t in untested])) < ZERO_TOL):
+    blocks = [t.ravel() for t in untested if t.size]
+    if blocks and np.any(kernel.zero_distance(np.concatenate(blocks)) < ZERO_TOL):
         raise KernelZero(f"{what} hits a kernel zero")
     vals, start = [], 0
     if todo:
-        flat = kernel(np.concatenate([a.ravel() for a in todo]))
+        flat = np.concatenate([a.ravel() for a in todo])
+        flat = kernel(flat) if flat.size else np.empty(0, dtype=complex)
         flat.setflags(write=False)
         for a in todo:
             vals.append(flat[start:start + a.size].reshape(a.shape))
@@ -653,13 +657,14 @@ def bloch_eval(lat, poles, coeffs, lam, point):
     multipliers exp(2 eta lam) and exp(2 eta' lam).  Elementwise over
     ``point``.  For a stack of expansions (poles and coefficients of shape
     (B, N), lam of shape (B,)), ``point`` has the stack's axis in front.
+    Poles, coefficients, lam or points that are not numbers raise TypeError.
     """
     poles = _points(poles)
     coeffs = as_numbers(coeffs, "the coefficients")
     if coeffs.shape != poles.shape:
         raise DimensionMismatch(f"{coeffs.size} coefficients for {poles.size} poles")
     stack = poles.shape[:-1]
-    point = np.asarray(point, dtype=complex)
+    point = as_numbers(point, "an evaluation point")
     if point.shape[: len(stack)] != stack:
         raise DimensionMismatch(f"evaluation points of shape {point.shape} for a stack of shape {stack}")
     w = point.reshape(stack + (-1,))
@@ -672,7 +677,8 @@ def bloch_transport(lat, x, y, lam, coeffs):
     """Transport pole-expansion coefficients from poles x to poles y.
 
     Returns b = G_lam(y, x) c; the transported expansion carries the
-    shifted parameter lam - X + Y.
+    shifted parameter lam - X + Y.  Input that is not numbers raises
+    TypeError.
     """
-    c = np.asarray(coeffs, dtype=complex)
+    c = as_numbers(coeffs, "the coefficients")
     return (g_matrix(elliptic_kernel(lat), y, x, lam) @ c[..., None])[..., 0]

@@ -26,8 +26,9 @@ Its close-pair screen tests every pair of a small block, and sorts and
 sweeps the points of a large one, so its cost is linear in a block's
 points.
 :meth:`Identity.check` alone decides where a checker runs, times it and
-judges a whole stack at once, as arrays, into one :class:`Report` per
-member.  The sampler draws each trial's rounds from a SplitMix64 stream defined here
+judges a whole stack in one loop over its members, in Python floats, into
+one :class:`Report` per member.  The sampler draws each trial's rounds
+from a SplitMix64 stream defined here
 (:func:`_stream`), not from ``numpy.random``, so its instances do not move
 with the NumPy release; the checkers read only their instance and draw no
 random numbers of their own, so everything is a pure function of (config,
@@ -70,10 +71,12 @@ _PAIR_BUDGET = 32_768
 _ABS_SWITCH = 1e-10
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Report:
     """Per-identity verification result for one instance, in slots.
 
+    A plain slotted record, not a frozen one, so that a stack's records are
+    cheap to build: its fields can be assigned, and it has no hash.
     ``elapsed_ms`` is the time of the check on its stack divided among the
     members.  The products several checks of one stack read (C(x,y;lam),
     its closed determinant, G_{lam+Y}(x,y) and K(x,y)) are computed once,
@@ -587,12 +590,15 @@ class Identity:
         divided among its members.  That time includes the shared products
         (C(x,y;lam), its closed determinant, G_{lam+Y}(x,y) and K(x,y)) this
         check is the first on the instance to ask for, and leaves out those
-        an earlier check computed.  A member's relative residual is its
-        absolute residual over its reference magnitude; it fails if that
+        an earlier check computed.  The checker's values become Python
+        lists once, a value given once for the stack repeated for every
+        member, and each member is judged in Python floats: its relative
+        residual is its absolute residual over its reference magnitude, in
+        the bits numpy's float64 division gives (a zero reference gives an
+        infinite or NaN residual, with no warning), and it fails if that
         exceeds the tolerance, either is not finite or its rate verdict
-        fails.  Raises
-        ValueError for a kernel tag outside the plan, or an instance of
-        another variant than the plan names for it."""
+        fails.  Raises ValueError for a kernel tag outside the plan, or an
+        instance of another variant than the plan names for it."""
         plan = dict(self.plan)
         if tag not in plan:
             raise ValueError(f"{self.name} does not run on the {tag} kernel")
@@ -600,18 +606,43 @@ class Identity:
             raise ValueError(f"{self.name} on {tag} got a {inst.kernel.variant} instance")
         t0 = time.perf_counter()
         out = self.checker(inst, tag)
-        seeds = np.ravel(inst.seed)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3 / seeds.size
-        tol = float(self.tolerance(tag, inst.n, base_tol))
+        seeds = np.ravel(inst.seed).tolist()
+        size = len(seeds)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3 / size
+        n = inst.n
+        tol = float(self.tolerance(tag, n, base_tol))
         # a checker without a rate verdict passes it
         abs_res, ref_mag, rate_ok = (*out, True)[:3]
-        abs_res, ref_mag = (np.broadcast_to(np.asarray(v, dtype=float), seeds.shape) for v in (abs_res, ref_mag))
-        rel = abs_res / ref_mag
-        passed = rate_ok & (rel <= tol) & np.isfinite(abs_res) & np.isfinite(ref_mag)
-        return [
-            Report(self.name, tag, inst.n, seed, a, r, tol, ok, elapsed_ms)
-            for seed, a, r, ok in zip(seeds.tolist(), abs_res.tolist(), rel.tolist(), passed.tolist())
-        ]
+        columns = (_per_member(v, dtype, size) for v, dtype in ((abs_res, float), (ref_mag, float), (rate_ok, bool)))
+        reports = []
+        for seed, a, r, rate in zip(seeds, *columns):
+            rel = _quotient(a, r)
+            passed = rate and rel <= tol and math.isfinite(a) and math.isfinite(r)
+            reports.append(Report(self.name, tag, n, seed, a, rel, tol, passed, elapsed_ms))
+        return reports
+
+
+def _per_member(value, dtype, size):
+    """A checker's value as a list of ``size`` Python floats or bools, one
+    per member of a stack: a value given once for the stack is repeated.
+    Any other shape raises ValueError."""
+    value = np.asarray(value, dtype=dtype)
+    if value.ndim == 0:
+        return [value.item()] * size
+    if value.shape != (size,):
+        raise ValueError(f"a checker value of shape {value.shape} for {size} members")
+    return value.tolist()
+
+
+def _quotient(a, r):
+    """a / r in IEEE double arithmetic, the bits of numpy's float64
+    division: Python divides two floats as C does, and only a zero ``r``,
+    where Python raises, goes to numpy (x / 0 is inf of the sign of the
+    quotient, 0 / 0 and NaN / 0 are NaN), with its warnings off."""
+    if r:
+        return a / r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(a) / r)
 
 
 #: name -> identity, in catalogue order.  The checkers are looked up by

@@ -32,6 +32,7 @@ from ellcauchy import (
     h_matrix,
     k_matrix,
     random_instance,
+    run_suite,
     w_matrix,
 )
 from ellcauchy import cauchy, linalg, sigma
@@ -146,6 +147,16 @@ class TestNotNumbers:
     def test_bloch_coefficients(self, lat, bad):
         with pytest.raises(TypeError, match="the coefficients must be numbers"):
             bloch_eval(lat, [0.1 + 0.05j], bad, 0.21 + 0.33j, 0.3 - 0.2j)
+
+    @pytest.mark.parametrize("bad", [None, "0.5", True, [0.3, None]])
+    def test_bloch_points(self, lat, bad):
+        with pytest.raises(TypeError, match="an evaluation point must be numbers"):
+            bloch_eval(lat, [0.1 + 0.05j], [1.0], 0.21 + 0.33j, bad)
+
+    @pytest.mark.parametrize("bad", [None, "1", [True]])
+    def test_transported_coefficients(self, lat, bad):
+        with pytest.raises(TypeError, match="the coefficients must be numbers"):
+            bloch_transport(lat, [0.1 + 0.05j], [0.3 - 0.2j], 0.21 + 0.33j, bad)
 
     def test_numbers_of_every_kind(self):
         # ints, unsigned ints, floats and complex numbers all read as complex
@@ -265,6 +276,37 @@ class TestMarginMark:
         bad = Instance(inst.kernel, x, inst.y, inst.lam, inst.z, inst.seed)
         with pytest.raises(KernelZero, match="x_i - x_l"):
             g_factor(bad.kernel, bad.x, bad.lam)
+
+
+class TestEmptyBlocks:
+    """The pair differences of one point are an empty block: it goes to
+    neither the kernel nor its zero distance, and gets an empty result."""
+
+    def test_no_call_on_an_empty_block(self, monkeypatch):
+        sizes = {"__call__": [], "zero_distance": []}
+        for name, seen in sizes.items():
+
+            def counted(self, z, method=getattr(Kernel, name), seen=seen):
+                seen.append(np.size(z))
+                return method(self, z)
+
+            monkeypatch.setattr(Kernel, name, counted)
+        reports = run_suite(SuiteConfig(n_values=(1,), trials_per_n=2))
+        assert reports and all(r.passed for r in reports)
+        assert all(seen and 0 not in seen for seen in sizes.values()), sizes
+
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_empty_result(self, monkeypatch, lat, variant):
+        inst = Instance(Kernel(variant, lat), [0.1 + 0.05j], [0.3 - 0.2j], 0.21 + 0.33j, [0.05 - 0.3j])
+        empty, lam = cauchy._pair_diffs(np.ones((2, 1), dtype=complex)), np.array([0.21 + 0.33j])
+        for kern in (inst.kernel, Kernel(variant, lat)):  # with a memo, and without
+            f_empty, f_lam = cauchy._fused(kern, "w", [empty, lam], empty, lam)
+            assert f_empty.shape == empty.shape == (2, 0) and not f_empty.flags.writeable
+            assert np.array_equal(f_lam, kern(lam))
+            monkeypatch.setattr(Kernel, "__call__", lambda self, z: pytest.fail("kernel called"))
+            (f_empty,) = cauchy._fused(kern, "w", [empty], empty)
+            assert f_empty.shape == (2, 0) and not f_empty.flags.writeable
+            monkeypatch.undo()
 
 
 class TestClassic:

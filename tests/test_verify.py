@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellcauchy import (
     RATIONAL_KERNEL,
@@ -883,6 +886,122 @@ class TestCheckers:
         (row,) = csv.DictReader(io.StringIO(cli._render_csv([rep])))
         parse = {"str": str, "int": int, "float": float, "bool": lambda v: {"True": True, "False": False}[v]}
         assert Report(**{f.name: parse[f.type](row[f.name]) for f in dataclasses.fields(Report)}) == rep
+        # a plain slotted record: its fields can be assigned, no other
+        # attribute can, and it has no hash
+        with pytest.raises(AttributeError):
+            rep.note = "x"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rep)
+        passed = rep.passed
+        rep.passed = not passed
+        assert rep.passed is not passed
+
+
+def reference_judge(ident, inst, tag, base_tol, out):
+    """The stack judge as array expressions, with numpy's division warnings
+    off: the reference for the per-member loop of Identity.check.  One
+    record per member, as a tuple of every field but elapsed_ms."""
+    seeds = np.ravel(inst.seed)
+    tol = float(ident.tolerance(tag, inst.n, base_tol))
+    abs_res, ref_mag, rate_ok = (*out, True)[:3]
+    abs_res, ref_mag = (np.broadcast_to(np.asarray(v, dtype=float), seeds.shape) for v in (abs_res, ref_mag))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rel = abs_res / ref_mag
+    passed = rate_ok & (rel <= tol) & np.isfinite(abs_res) & np.isfinite(ref_mag)
+    return [
+        (ident.name, tag, inst.n, seed, a, r, tol, ok)
+        for seed, a, r, ok in zip(seeds.tolist(), abs_res.tolist(), rel.tolist(), passed.tolist())
+    ]
+
+
+def record_bits(record):
+    """A record's fields with their types, each float as its 64 bits, so
+    that NaN equals NaN of the same bits and 0.0 differs from -0.0."""
+    return tuple((type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in record)
+
+
+def judged(inst, out, base_tol=1e-8):
+    """The records of Identity.check for a checker that returns ``out``, and
+    those of the reference judge, both as record_bits."""
+    ident = dataclasses.replace(REGISTRY["inverse"], checker=lambda inst, tag: out)
+    got = ident.check(inst, "rational", base_tol)
+    assert all(r.elapsed_ms >= 0.0 for r in got)
+    names = [f.name for f in dataclasses.fields(Report) if f.name != "elapsed_ms"]
+    return (
+        [record_bits([getattr(r, name) for name in names]) for r in got],
+        [record_bits(r) for r in reference_judge(ident, inst, "rational", base_tol, out)],
+    )
+
+
+#: a residual or reference magnitude: the special values, ints, and any float
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-8, 1.0, 5e-324, 1e308]),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def checker_outputs(draw, members):
+    """What a checker may return for a stack of ``members`` (None for one
+    trial): each value once for the stack or, on a stack, once per member
+    (an array, of ints if every entry is one), with or without a rate
+    verdict."""
+
+    def value(kind):
+        if members is not None and draw(st.booleans()):
+            return np.array(draw(st.lists(kind, min_size=members, max_size=members)))
+        one = draw(kind)
+        return draw(st.sampled_from([one, np.array(one)]))
+
+    out = (value(VALUES), value(VALUES))
+    if draw(st.booleans()):
+        out += (value(st.booleans()),)
+    return out
+
+
+class TestJudge:
+    """Identity.check judges each member in Python floats into the records
+    the array judge gives, bit for bit, with no warning."""
+
+    @pytest.fixture(scope="class")
+    def stacks(self, cfg):
+        return {
+            members: random_instance(cfg, RATIONAL_KERNEL, 2, 0 if members is None else list(range(members)))
+            for members in (None, 1, 4)
+        }
+
+    @pytest.mark.parametrize("members", [None, 1, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), base_tol=st.sampled_from([1e-8, 1.0, 1e300]))
+    def test_matches_the_array_judge(self, stacks, members, data, base_tol):
+        out = data.draw(checker_outputs(members))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = judged(stacks[members], out, base_tol)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "abs_res, rel", [(1e-20, math.inf), (math.inf, math.inf), (0.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_zero_reference(self, stacks, abs_res, rel):
+        # a zero reference magnitude gives the quotient numpy gives, with
+        # no RuntimeWarning, and a failed record (the sign of a zero is
+        # left to the comparison with the array judge)
+        ident = dataclasses.replace(REGISTRY["inverse"], checker=lambda inst, tag: (abs_res, 0.0))
+        for members, stack in stacks.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reports = ident.check(stack, "rational", 1e-8)
+            assert len(reports) == (members or 1)
+            for rep in reports:
+                assert not rep.passed
+                assert math.isnan(rep.rel_residual) if math.isnan(rel) else rep.rel_residual == rel
+
+    def test_values_of_another_shape_are_refused(self, stacks):
+        ident = dataclasses.replace(REGISTRY["inverse"], checker=lambda inst, tag: (np.zeros(3), 1.0))
+        with pytest.raises(ValueError, match=r"a checker value of shape \(3,\) for 4 members"):
+            ident.check(stacks[4], "rational", 1e-8)
 
 
 @pytest.fixture(scope="module")

@@ -308,6 +308,55 @@ class TestSigmaK:
             assert np.array_equal(sigma_k(lat, n, ks, x), stacked)
 
 
+class TestNotNumbers:
+    """Every entry point refuses input that is not numbers, where a cast to
+    complex reads None as NaN and parses a string, and an index read as a
+    number takes bools and fractions."""
+
+    @pytest.mark.parametrize("bad", [None, "0.2", True, [0.2, None]])
+    def test_sigma_k_points(self, lat, bad):
+        with pytest.raises(TypeError, match="a sigma_k argument must be numbers, not of dtype"):
+            sigma_k(lat, 3, 1, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3", None, np.float64(3.0)])
+    def test_sigma_k_size(self, lat, bad):
+        with pytest.raises(TypeError, match="N must be an integer"):
+            sigma_k(lat, bad, 1, 0.2)
+
+    @pytest.mark.parametrize("bad", [1.5, True, [1.0, 2.0], "1", None])
+    def test_sigma_k_indices(self, lat, bad):
+        with pytest.raises(TypeError, match="k must be integers, not of dtype"):
+            sigma_k(lat, 3, bad, 0.2)
+
+    def test_sigma_k_integers_of_every_kind(self, lat):
+        want = sigma_k(lat, 3, 2, 0.2 + 0j)
+        assert sigma_k(lat, np.int64(3), np.uint8(2), np.float32(0.2)) == sigma_k(lat, 3, 2, np.float32(0.2))
+        assert sigma_k(lat, np.uint8(3), [2], 0.2) == np.array([want])
+
+    @pytest.mark.parametrize("bad", [None, "0.5", True, np.array(0.5, dtype=object)])
+    def test_zeta(self, lat, bad):
+        with pytest.raises(TypeError, match="a zeta argument must be numbers, not of dtype"):
+            zeta_w(lat, bad)
+
+    def test_zeta_takes_one_number(self, lat):
+        with pytest.raises(TypeError, match="a zeta argument must be one number, not an array of shape"):
+            zeta_w(lat, [0.5])
+        want = zeta_w(lat, float(np.float32(0.5)))
+        assert zeta_w(lat, np.float32(0.5)) == zeta_w(lat, np.array(0.5, np.float32)) == want
+
+    @pytest.mark.parametrize("bad", [None, "1", True, [1.0]])
+    def test_lattice_periods(self, bad):
+        with pytest.raises(TypeError, match="omega must be"):
+            lattice_new(bad, 0.3 + 0.7j)
+        with pytest.raises(TypeError, match="omega_prime must be"):
+            lattice_new(1.0, "0.3+0.7j" if bad == "1" else bad)
+
+    def test_lattice_periods_of_every_kind(self):
+        want = lattice_new(1.0, 0.3 + 0.7j)
+        assert lattice_new(1, np.complex128(0.3 + 0.7j)) == want
+        assert lattice_new(np.float32(1.0), np.array(0.3 + 0.7j)) == want
+
+
 def test_lattice_distance(lat):
     assert lattice_distance(lat, 2 * lat.omega) < 1e-13
     assert abs(lattice_distance(lat, 0.1) - 0.1) < 1e-13
