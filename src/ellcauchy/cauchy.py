@@ -40,19 +40,17 @@ kernel.  The sampler marks the copy of each instance it returns as
 ``margined``: it has measured every block a builder zero-tests on that
 stack, so the builders called with that kernel skip their zero test.  A
 hand-built instance, a ``dataclasses.replace`` copy and a builder called
-with any other kernel keep the test and :class:`KernelZero`.  On the
-elliptic kernel the copy also holds a memo of kernel values, whose
-``memo`` maps each block (shape and bytes) a builder has evaluated or
-zero-tested to its values and a mark that it passed the test, so the sigma
-tables that the determinant, inverse and UDL builders share are made once
-per instance, and on an unmarked instance so are their zero tests (a block
-first evaluated as a numerator is still tested where a builder divides by
-it).  sin and the identity cost less per point than a lookup and are not
-memoized.  Since the memo keeps values, a function patched on a module
-name (sigma, say) must be in place before the instance is built.  Every
-instance also holds an empty private store, in which the checkers keep
-the whole products several of them read (C, its closed determinant,
-G_{lam+Y}(x, y) and K(x, y)); it too starts empty on each new instance.
+with any other kernel keep the test and :class:`KernelZero`, on every
+call.  On the elliptic kernel the copy also holds a memo of kernel values,
+whose ``memo`` maps each block (shape and bytes) a builder has evaluated
+to its values, so the sigma tables that the determinant, inverse and UDL
+builders share are made once per instance.  sin and the identity cost
+less per point than a lookup and are not memoized.  Since the memo keeps
+values, a function patched on a module name (sigma, say) must be in place
+before the instance is built.  Every instance also holds an empty private
+store, in which the checkers keep the whole products several of them read
+(C, its closed determinant, G_{lam+Y}(x, y) and K(x, y)); it too starts
+empty on each new instance.
 """
 
 from __future__ import annotations
@@ -200,8 +198,8 @@ class Kernel:
 
     variant: str  # a key of KERNELS
     lattice: Lattice | None = None  # read by the elliptic variant only
-    #: block (shape, bytes) -> [kernel values or None, zero test passed];
-    #: set only on the private copy an :class:`Instance` of a memoized variant holds
+    #: block (shape, bytes) -> its kernel values; set only on the private
+    #: copy an :class:`Instance` of a memoized variant holds
     memo: dict | None = field(default=None, init=False, repr=False, compare=False)
     #: the sampler measured every block a builder zero-tests on this kernel's
     #: stack, so :func:`_fused` skips its zero test; set only by
@@ -248,13 +246,12 @@ class Instance:
     Their margins from the kernel zeros are the sampler's to keep.
     ``kernel`` becomes a private copy, which lives as long as the instance;
     it starts unmarked, so a builder called with it raises
-    :class:`KernelZero` on any denominator at a zero, until
+    :class:`KernelZero` on any denominator at a zero, on every call, until
     ``verify.random_instance`` marks the copy of an instance it sampled as
     ``margined`` (``member`` keeps the mark).  On a memoized variant the
     copy has an empty memo: the builders called with it evaluate each
-    distinct argument block once, and zero-test each distinct denominator
-    block until it passes, for all members of a stack at once; none asks
-    for f(y - x).  Every instance also starts with an empty ``_shared``
+    distinct argument block once, for all members of a stack at once; none
+    asks for f(y - x).  Every instance also starts with an empty ``_shared``
     store, in which the checkers keep the products that several of them
     read (C(x, y; lam), its closed determinant, G_{lam+Y}(x, y) and
     K(x, y)), so each is computed once per instance.
@@ -322,10 +319,9 @@ def _fused(kernel, what, tested, *args):
     the kernel over the blocks ``args`` in at most one call: one result per
     argument, in its shape, read-only.  Empty blocks (the pair differences
     of one point) go to neither call, and an empty argument gets an empty
-    result.  A kernel with a memo keeps one entry
-    [values, passed] per distinct block, keyed by its shape and bytes, tests
-    only the blocks that have not passed, marks them once they pass (a failed
-    block is never marked) and evaluates only the blocks without values.
+    result.  A kernel with a memo keeps the values of each distinct block,
+    keyed by its shape and bytes, and evaluates only the blocks it has no
+    values for; it keeps no outcome of a zero test.
 
     A ``margined`` kernel, a sampled instance's, is not zero-tested at all:
     every block a builder tests on its stack (the differences of two points
@@ -333,37 +329,23 @@ def _fused(kernel, what, tested, *args):
     is one the sampler measured at ``sep_min`` >= ``ZERO_TOL``.  Only the
     shift lambda + X - Y is rounded apart: the sampler forms lambda + (X - Y),
     the Frobenius determinant and the closed inverse (lambda + X) - Y, which
-    matters only for a ``sep_min`` within rounding of ``ZERO_TOL``."""
-    if kernel.margined:
-        tested = ()
-    memo = kernel.memo
-    if memo is None:  # every block of this call is tested and evaluated as given
-        untested, todo = tested, args
-    else:
-        # one key per block object, so that a block tested and evaluated here has one
-        key = {i: (b.shape, b.tobytes()) for i, b in {id(b): b for b in (*tested, *args)}.items()}
-        entry = {k: memo.get(k, [None, False]) for k in key.values()}
-        untested = list({key[id(t)]: t for t in tested if not entry[key[id(t)]][1]}.values())
-        todo = list({key[id(a)]: a for a in args if entry[key[id(a)]][0] is None}.values())
-    blocks = [t.ravel() for t in untested if t.size]
+    matters only for a ``sep_min`` within rounding of ``ZERO_TOL``.  Any
+    other kernel tests every nonempty block it is given, on every call."""
+    blocks = [] if kernel.margined else [t.ravel() for t in tested if t.size]
     if blocks and np.any(kernel.zero_distance(np.concatenate(blocks)) < ZERO_TOL):
         raise KernelZero(f"{what} hits a kernel zero")
-    vals, start = [], 0
+    memo = {} if kernel.memo is None else kernel.memo  # without one, this call's own, by position
+    keys = range(len(args)) if kernel.memo is None else [(a.shape, a.tobytes()) for a in args]
+    todo = {k: a for k, a in zip(keys, args) if k not in memo}
     if todo:
-        flat = np.concatenate([a.ravel() for a in todo])
+        flat = np.concatenate([a.ravel() for a in todo.values()])
         flat = kernel(flat) if flat.size else np.empty(0, dtype=complex)
         flat.setflags(write=False)
-        for a in todo:
-            vals.append(flat[start:start + a.size].reshape(a.shape))
+        start = 0
+        for k, a in todo.items():
+            memo[k] = flat[start:start + a.size].reshape(a.shape)
             start += a.size
-    if memo is None:
-        return vals
-    for t in tested:
-        entry[key[id(t)]][1] = True
-    for a, v in zip(todo, vals):
-        entry[key[id(a)]][0] = v
-    memo.update(entry)
-    return [entry[key[id(a)]][0] for a in args]
+    return [memo[k] for k in keys]
 
 
 @functools.lru_cache(maxsize=64)

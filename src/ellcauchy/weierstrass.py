@@ -170,8 +170,9 @@ def _reduce(lat, x):
 
 
 def lattice_distance(lat, x):
-    """Distance from x to the nearest lattice point (elementwise)."""
-    xr, _, _ = _reduce(lat, x)
+    """Distance from x to the nearest lattice point (elementwise).  Input
+    that is not numbers raises TypeError."""
+    xr, _, _ = _reduce(lat, as_numbers(x, "a lattice_distance argument"))
     return np.abs(xr)
 
 

@@ -177,53 +177,64 @@ class TestNotNumbers:
             assert RATIONAL_KERNEL(z) == 2 and RATIONAL_KERNEL.zero_distance(z) == 2
 
 
-class TestZeroMarks:
-    """An elliptic instance's memo marks each block that passed a zero test,
-    so that no later builder tests it again; a block that was only
-    evaluated, or that failed, is tested by the next builder dividing by it."""
+class TestCoincidentPoints:
+    """On a hand-built instance with x_1 = x_2, every builder that divides
+    by f(x_1 - x_2) raises :class:`KernelZero` on every call, on every
+    variant and whatever was built on the instance before: the x pairs are
+    tested by each builder that divides by them, whether an earlier one
+    evaluated them as numerators or failed on them."""
 
-    X_PAIRS = re.escape("x_i - x_l hits a kernel zero")
-
-    @staticmethod
-    def coincident(kern):
-        # x_1 = x_2: the x pairs are numerators of the Frobenius determinant
-        # and the Lagrange denominator of g(x)
-        x, y = [0.1 + 0.05j, 0.1 + 0.05j, -0.2 + 0.1j], [0.3 - 0.2j, 0.25 + 0.3j, -0.1 - 0.3j]
-        return Instance(kern, x, y, 0.21 + 0.33j, [0.05 - 0.3j, -0.1 + 0.2j, 0.2 + 0.15j])
+    X = [0.1 + 0.05j, 0.1 + 0.05j, -0.2 + 0.1j]
 
     @staticmethod
-    def passed(inst, block):
-        return inst.kernel.memo.get((block.shape, block.tobytes()), (None, False))[1]
+    def instance(lat, variant, x):
+        y, z = [0.3 - 0.2j, 0.25 + 0.3j, -0.1 - 0.3j], [0.05 - 0.3j, -0.1 + 0.2j, 0.2 + 0.15j]
+        return Instance(Kernel(variant, lat), x, y, 0.21 + 0.33j, z)
 
-    def test_numerator_then_denominator(self, kern):
-        inst = self.coincident(kern)
-        assert frobenius_det(inst.kernel, inst.x, inst.y, inst.lam) == 0
-        with pytest.raises(KernelZero, match=self.X_PAIRS):
-            g_factor(inst.kernel, inst.x, inst.lam)
+    @staticmethod
+    def dividers(inst):
+        """Each builder that divides by f(x_i - x_l), with the blocks its
+        :class:`KernelZero` names."""
+        k, x, y, lam = inst.kernel, inst.x, inst.y, inst.lam
+        return [
+            (lambda: g_factor(k, x, lam), "x_i - x_l"),
+            (lambda: d_matrix(k, x, y), "x_i - x_k or x_i - y_k"),
+            (lambda: g_matrix(k, x, y, lam), "x_i - x_k, x_i - y_j or lambda"),
+            (lambda: cauchy_inverse_closed(k, x, y, lam), "x_i - x_k, y_i - y_k, x_i - y_j or lambda + X - Y"),
+            (lambda: gauss_udl(k, x, y, lam), "lambda_j, x_j - y_j + lambda_j, x_a - y_b, x_a - x_b or y_a - y_b"),
+        ]
 
-    def test_denominator_then_numerator(self, kern):
-        inst = self.coincident(kern)
-        with pytest.raises(KernelZero, match=self.X_PAIRS):
-            g_factor(inst.kernel, inst.x, inst.lam)
-        assert frobenius_det(inst.kernel, inst.x, inst.y, inst.lam) == 0
-        with pytest.raises(KernelZero, match=self.X_PAIRS):
-            g_factor(inst.kernel, inst.x, inst.lam)
-
-    def test_failed_block_raises_again(self, kern):
-        inst = self.coincident(kern)
-        builds = (
-            (lambda: g_factor(inst.kernel, inst.x, inst.lam), "x_i - x_l"),
-            (lambda: d_matrix(inst.kernel, inst.x, inst.y), "x_i - x_k or x_i - y_k"),
-            (lambda: g_matrix(inst.kernel, inst.x, inst.y, inst.lam), "x_i - x_k, x_i - y_j or lambda"),
-        )
+    @staticmethod
+    def each_raises(builds):
         for build, what in builds:
             with pytest.raises(KernelZero, match=re.escape(f"{what} hits a kernel zero")):
                 build()
-        # nothing of a failed call is marked; the same blocks pass in C
-        diff = inst.x[:, None] - inst.y[None, :]
-        assert not self.passed(inst, cauchy._pair_diffs(inst.x)) and not self.passed(inst, diff)
+
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_numerator_then_denominator(self, lat, variant):
+        inst = self.instance(lat, variant, self.X)
+        # the x pairs are numerators of the Frobenius determinant
+        assert frobenius_det(inst.kernel, inst.x, inst.y, inst.lam) == 0
+        self.each_raises(self.dividers(inst))
+
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_denominator_then_numerator(self, lat, variant):
+        inst = self.instance(lat, variant, self.X)
+        self.each_raises(self.dividers(inst))
+        assert frobenius_det(inst.kernel, inst.x, inst.y, inst.lam) == 0
+        self.each_raises(self.dividers(inst)[::-1])
+
+    @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])
+    def test_failed_block_raises_again(self, lat, variant):
+        inst = self.instance(lat, variant, self.X)
+        builds = self.dividers(inst)
+        self.each_raises(builds + builds[::-1])
+        # C reads no x pair: it builds, and its f(x - y) is no reason to pass
         cauchy_matrix(inst.kernel, inst.x, inst.y, inst.lam)
-        assert self.passed(inst, diff) and not self.passed(inst, cauchy._pair_diffs(inst.x))
+        self.each_raises(builds)
+        # with x_2 moved off x_1, every one of them builds
+        for build, _ in self.dividers(self.instance(lat, variant, [self.X[0], 0.15 - 0.2j, self.X[2]])):
+            build()
 
 
 class TestMarginMark:

@@ -145,15 +145,15 @@ def test_readme_library_example(capsys):
 #: and checker once per stack, not once per trial.  Each builder tests its
 #: denominators in at most one zero-distance call and evaluates its kernel
 #: in at most one call, both in one helper (C, G, H and the closed inverse
-#: are one scaled-C builder), an elliptic stack's memo skips the zero test
-#: of a block a builder on it passed and the kernel call of a builder or of
-#: a factorization factor's Lagrange denominator whose argument blocks an
-#: earlier check on it evaluated, sigma_k takes every k in one call, a
-#: block of sampler rounds makes at most one zero-distance call, an
-#: Instance makes none (the sampler alone keeps the margins), the
-#: determinant, inverse and gauss checks of a stack build its Cauchy matrix
-#: and closed determinant once between them, and the LU oracle takes a
-#: whole stack in one call: only the determinant check takes an LU
+#: are one scaled-C builder), an elliptic stack's memo skips the kernel
+#: call of a builder or of a factorization factor's Lagrange denominator
+#: whose argument blocks an earlier check on it evaluated, sigma_k takes
+#: every k in one call, a block of sampler rounds makes at most one
+#: zero-distance call, an Instance makes none (the sampler alone keeps the
+#: margins), the determinant, inverse and gauss checks of a stack build its
+#: Cauchy matrix and closed determinant once between them, and the LU
+#: oracle takes a whole stack in one call: only the determinant check
+#: takes an LU
 #: determinant, once per stack, for 2 kernels x 4 sizes.  No check inverts
 #: by LU or tests a structure: every matrix identity is judged by its
 #: backward error, which forms no inverse (the inverse checks C X = I and

@@ -344,6 +344,12 @@ class TestNotNumbers:
         want = zeta_w(lat, float(np.float32(0.5)))
         assert zeta_w(lat, np.float32(0.5)) == zeta_w(lat, np.array(0.5, np.float32)) == want
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    def test_lattice_distance(self, lat, bad):
+        # a cast to complex would parse "0.5" and read True as 1 and None as NaN
+        with pytest.raises(TypeError, match="a lattice_distance argument must be numbers, not of dtype"):
+            lattice_distance(lat, bad)
+
     @pytest.mark.parametrize("bad", [None, "1", True, [1.0]])
     def test_lattice_periods(self, bad):
         with pytest.raises(TypeError, match="omega must be"):
@@ -360,6 +366,7 @@ class TestNotNumbers:
 def test_lattice_distance(lat):
     assert lattice_distance(lat, 2 * lat.omega) < 1e-13
     assert abs(lattice_distance(lat, 0.1) - 0.1) < 1e-13
+    assert lattice_distance(lat, 1) == lattice_distance(lat, np.uint8(1)) == lattice_distance(lat, 1.0 + 0j)
 
 
 # ---------------------------------------------------------------------------
