@@ -1439,15 +1439,17 @@ class TestKernelMemo:
         assert all(r.passed for r in reports)
         return blocks, asked, points
 
-    def test_every_asked_block_is_tested(self, monkeypatch):
+    @pytest.mark.parametrize("names", [CHECKS, ("product", "transposed")])
+    def test_each_block_tested_once(self, monkeypatch, names):
         # on a hand-built instance, which no sampler has measured, the
-        # builders ask for zero tests of repeated blocks, and each ask is
-        # measured: the memo keeps values, not the outcome of a test, so
-        # the lattice-distance points are the entries of every asked block
+        # builders ask for zero tests of repeated blocks, and each ask tests
+        # its block once: the memo keeps values, not the outcome of a test,
+        # so the lattice-distance points are the entries of every asked
+        # block, a block asked twice counted twice
         cfg = SuiteConfig()
         s = random_instance(cfg, elliptic_kernel(cfg.lattice()), 8, 42)
         inst = Instance(elliptic_kernel(cfg.lattice()), s.x, s.y, s.lam, s.z, s.seed)
-        blocks, asked, points = self.zero_tests(monkeypatch, inst, (*self.CHECKS, "product", "transposed"))
+        blocks, asked, points = self.zero_tests(monkeypatch, inst, names)
         assert sum(points) == sum(asked) > sum(blocks.values())
 
     @pytest.mark.parametrize("names", [CHECKS, ("product", "transposed")])
