@@ -56,13 +56,12 @@ empty on each new instance.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ._input import as_numbers
+from ._input import as_integers, as_numbers
 from .errors import DimensionMismatch, KernelZero
 from .weierstrass import ZERO_TOL, Lattice, lattice_distance, sigma, sigma_k
 
@@ -233,6 +232,14 @@ TRIG_KERNEL = Kernel("trig")
 RATIONAL_KERNEL = Kernel("rational")
 
 
+def _seeds(seed):
+    """Seeds as integers: anything else, which a record would misname, raises ValueError."""
+    try:
+        return as_integers(seed, "a seed")
+    except TypeError:
+        raise ValueError(f"a seed must be an integer, not {seed!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One random verification instance, or a stack of them: kernel, point
@@ -274,16 +281,8 @@ class Instance:
             object.__setattr__(self, name, pts)
         if self.x.shape[-1] == 0:
             raise ValueError("point sets must be nonempty")
-        seed = np.array(self.seed)
-        try:
-            for s in seed.ravel().tolist():
-                if isinstance(s, bool):  # an int to operator.index: seed=True would read as 1
-                    raise TypeError
-                operator.index(s)
-        except TypeError:
-            raise ValueError(f"a seed must be an integer, not {self.seed!r}") from None
         stack = self.x.shape[:-1]
-        for name, value in (("lam", np.array(as_numbers(self.lam, "lam"))), ("seed", seed)):
+        for name, value in (("lam", np.array(as_numbers(self.lam, "lam"))), ("seed", np.array(_seeds(self.seed)))):
             if value.shape != stack:
                 raise DimensionMismatch(f"{name} of shape {value.shape} for a stack of shape {stack}")
             value.setflags(write=False)

@@ -40,15 +40,14 @@ size and tolerance.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from . import cauchy, linalg
+from ._input import as_integer, as_integers, as_number
 from .cauchy import RATIONAL_KERNEL, TRIG_KERNEL, Instance, Kernel
 from .errors import SamplingExhausted
 from .weierstrass import lattice_new, sigma, sigma_k
@@ -112,21 +111,11 @@ class SuiteConfig:
 
     def __post_init__(self):
         try:
-            n_values = tuple(self.n_values)
-            given = (*n_values, self.trials_per_n, self.base_seed, self.tolerance, self.sep_min)
-            n_values = tuple(operator.index(n) for n in n_values)
-            trials = operator.index(self.trials_per_n)
-            base_seed = operator.index(self.base_seed)
-        except TypeError:
-            raise ValueError("n_values, trials_per_n and base_seed must be integers") from None
-        # a bool is an int, and so a number: tolerance=True would read as 1.0
-        # (lattice_tau=True is refused below, as Im(1) = 0)
-        if any(isinstance(v, bool) for v in given):
-            raise ValueError("n_values, trials_per_n, base_seed, tolerance and sep_min take numbers, not bools")
-        # numbers, not strings that float() and complex() would parse
-        reals = isinstance(self.tolerance, numbers.Real) and isinstance(self.sep_min, numbers.Real)
-        if not (reals and isinstance(self.lattice_tau, numbers.Complex)):
-            raise ValueError("tolerance and sep_min must be real numbers, and lattice_tau a complex number")
+            n_values = tuple(as_integer(n, "each of n_values") for n in self.n_values)
+            trials, base_seed = (as_integer(getattr(self, f), f) for f in ("trials_per_n", "base_seed"))
+            tolerance, tau, sep_min = (as_number(getattr(self, f), f) for f in ("tolerance", "lattice_tau", "sep_min"))
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
         if not n_values or min(n_values) < 1 or trials < 1:
             raise ValueError("n_values must be nonempty, and its entries and trials_per_n >= 1")
         if len(set(n_values)) != len(n_values):
@@ -134,22 +123,17 @@ class SuiteConfig:
         # each trial's seed is one 32-bit word of its random stream's key
         if base_seed < 0 or base_seed + trials > 2**32:
             raise ValueError(f"the seeds base_seed .. base_seed + trials_per_n - 1 must lie in 0 .. {2**32 - 1}")
-        object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "trials_per_n", trials)
-        object.__setattr__(self, "base_seed", base_seed)
-        tau, tolerance, sep_min = complex(self.lattice_tau), float(self.tolerance), float(self.sep_min)
-        object.__setattr__(self, "lattice_tau", tau)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "sep_min", sep_min)
         if not (np.isfinite(tau) and tau.imag > 0):
             raise ValueError("lattice_tau must be finite with Im(lattice_tau) > 0")
-        if not 0 < tolerance < math.inf:
-            raise ValueError("tolerance must be finite and positive")
+        if tolerance.imag or not 0 < tolerance.real < math.inf:
+            raise ValueError("tolerance must be real, finite and positive")
         # the builders' own zero test, which the sampler's margins stand in
         # for on a sampled stack: a smaller margin would let the sampler
         # accept an instance whose builders divide by a kernel zero
-        if not cauchy.ZERO_TOL <= sep_min < math.inf:
-            raise ValueError(f"sep_min must be finite and at least {cauchy.ZERO_TOL}")
+        if sep_min.imag or not cauchy.ZERO_TOL <= sep_min.real < math.inf:
+            raise ValueError(f"sep_min must be real, finite and at least {cauchy.ZERO_TOL}")
+        for f, value in zip(fields(self), (n_values, trials, base_seed, tolerance.real, tau, sep_min.real)):
+            object.__setattr__(self, f.name, value)
 
     def lattice(self):
         return lattice_new(1.0, self.lattice_tau)
@@ -208,31 +192,25 @@ def _margins_ok(kernel, sets, lam, margin):
     A zero distance never exceeds the modulus (0 is a zero), so a pair
     closer than ``margin`` in the plane rejects its round without a kernel
     call.  A block whose pair differences fit ``_PAIR_BUDGET`` screens
-    every pair of every round, and keeps the differences for the kernel
-    call; a larger block screens by :func:`_sorted_screen`, in time and
-    memory linear in its points, with the same verdicts.  Every margin of
-    the rounds that pass the screen is then measured by zero-distance
-    calls of at most ``_PAIR_BUDGET`` pair differences each (or of one
-    round, where one round alone holds more), which also catch a pair
-    that is close only across a period.  Both tests measure each unordered
-    pair once: the zero distance is even.
+    every pair of every round; a larger block screens by
+    :func:`_sorted_screen`, in time and memory linear in its points, with
+    the same verdicts.  Every margin of the rounds that pass the screen is
+    then measured by zero-distance calls of at most ``_PAIR_BUDGET`` pair
+    differences each (or of one round, where one round alone holds more),
+    which also catch a pair that is close only across a period.  Both tests
+    measure each unordered pair once: the zero distance is even.
     """
     n_sets, _, n = sets.shape
     pts = sets.transpose(1, 0, 2).reshape(-1, n_sets * n)
     pairs = math.comb(n_sets * n, 2)
-    if len(pts) * pairs <= _PAIR_BUDGET:
-        diff = cauchy._pair_diffs(pts)
-        ok = ~(np.abs(diff) < margin).any(axis=-1)
-    else:
-        diff, ok = None, _sorted_screen(pts, margin)
+    small = len(pts) * pairs <= _PAIR_BUDGET
+    ok = ~(np.abs(cauchy._pair_diffs(pts)) < margin).any(axis=-1) if small else _sorted_screen(pts, margin)
     kept = np.flatnonzero(ok)
     chunk = max(1, _PAIR_BUDGET // pairs)  # rounds per zero-distance call
     for start in range(0, kept.size, chunk):
         rows = kept[start:start + chunk]
         # the chunk's temporaries live in the call, and are freed before the next
-        ok[rows] = _kernel_margins(
-            kernel, sets[:, rows], lam[rows], cauchy._pair_diffs(pts[rows]) if diff is None else diff[rows]
-        ) >= margin
+        ok[rows] = _kernel_margins(kernel, sets[:, rows], lam[rows], cauchy._pair_diffs(pts[rows])) >= margin
     return ok
 
 
@@ -281,8 +259,8 @@ def _stream_keys(shared, columns=()):
     which every row has, as one Python-int fold, and then each column, a
     sequence of one word per row, as one array pass.  A word outside
     0 .. 2**32 - 1 raises OverflowError."""
-    shared = [operator.index(w) for w in shared]
-    columns = [[operator.index(w) for w in col] for col in columns]
+    shared = [as_integer(w, "a key word") for w in shared]
+    columns = [as_integers(col, "a key word").tolist() for col in columns]
     if any(not 0 <= w < 2**32 for col in (shared, *columns) for w in col):
         raise OverflowError("each word of a stream's key must lie in 0 .. 2**32 - 1")
     key = 0
@@ -358,17 +336,17 @@ def random_instance(cfg, kernel, n, seed):
     builders skip that test (see ``cauchy._fused``).
 
     Raises :class:`SamplingExhausted` if the separation requirement cannot
-    be met in the sampling region (or after the round limit).
+    be met in the sampling region (or after the round limit).  Before any
+    draw, an ``n`` that is not one integer raises TypeError, a seed that is
+    not an integer ValueError, and one outside 0 .. 2**32 - 1 OverflowError.
     """
-    single = np.ndim(seed) == 0
-    seeds = np.ravel(seed)
+    n, seeds = as_integer(n, "n"), cauchy._seeds(seed)
     if n < 1 or not seeds.size:
         raise ValueError("n must be >= 1, and a sequence of seeds nonempty")
     spec, lat = kernel.spec, kernel.lattice
     if 3 * n * cfg.sep_min**2 > spec.area(lat):
         raise SamplingExhausted(f"{n} points with separation {cfg.sep_min} cannot fit the sampling region")
-    # a seed outside 0 .. 2**32 - 1 raises OverflowError
-    keys = _stream_keys([spec.stream, n, 1], [seeds.tolist(), [cfg.base_seed] * seeds.size])
+    keys = _stream_keys([spec.stream, n, 1], [seeds.ravel(), np.full(seeds.size, cfg.base_seed)])
     width = 6 * n + 2  # x, y and z, each as two rows of n, and lambda's two
     cap = max(1, _PAIR_BUDGET // (3 * n))  # rounds per block
     sets = np.empty((3, len(keys), n), dtype=complex)
@@ -394,9 +372,9 @@ def random_instance(cfg, kernel, n, seed):
         done = passed.any(axis=1)
         took, first = group[done], passed.argmax(axis=1)[done] + size * np.flatnonzero(done)
         sets[:, took], lam[took], ok[took] = block_sets[:, first], block_lam[first], True
-    if single:
-        sets, lam, seeds = sets[:, 0], lam[0], seed
-    inst = Instance(kernel=kernel, x=sets[0], y=sets[1], z=sets[2], lam=lam, seed=seeds)
+    if seeds.ndim == 0:
+        sets, lam = sets[:, 0], lam[0]
+    inst = Instance(kernel=kernel, x=sets[0], y=sets[1], z=sets[2], lam=lam, seed=seeds.reshape(lam.shape))
     # every block a builder zero-tests on the stack was measured above
     object.__setattr__(inst.kernel, "margined", True)
     return inst

@@ -35,12 +35,11 @@ sentinel throughout the test suite.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._input import as_numbers
+from ._input import as_integer, as_integers, as_number, as_numbers
 from .errors import InvalidLattice, KernelZero
 
 #: hard cap on theta-series terms; only very thin lattices (|q| near 1) reach it
@@ -91,15 +90,6 @@ class Lattice:
     series: ThetaSeries = field(repr=False, compare=False)
 
 
-def _number(x, what):
-    """One number as a Python complex.  Anything else (an array, None, a
-    string, a bool) raises TypeError naming ``what``."""
-    arr = as_numbers(x, what)
-    if arr.ndim:
-        raise TypeError(f"{what} must be one number, not an array of shape {arr.shape}")
-    return complex(arr)
-
-
 def lattice_new(omega, omega_prime):
     """Build a :class:`Lattice` with its derived constants and theta table.
 
@@ -115,7 +105,7 @@ def lattice_new(omega, omega_prime):
     about Im(omega_prime/omega) = 0.04 down), where eta would be wrong.
     A period that is not one number raises TypeError.
     """
-    omega, omega_prime = _number(omega, "omega"), _number(omega_prime, "omega_prime")
+    omega, omega_prime = as_number(omega, "omega"), as_number(omega_prime, "omega_prime")
     if omega == 0 or omega_prime == 0:
         raise InvalidLattice("periods must be nonzero")
     tau = omega_prime / omega
@@ -242,7 +232,7 @@ def zeta_w(lat, x):
     zeros of sigma, and TypeError for an ``x`` that is not one number.
     """
     t = lat.series
-    xr, m, mp = _reduce(lat, _number(x, "a zeta argument"))
+    xr, m, mp = _reduce(lat, as_number(x, "a zeta argument"))
     if abs(xr) < ZERO_TOL:
         raise KernelZero(f"zeta pole at lattice point, x = {x}")
     arg = np.pi / t.w1 * xr * t.odd
@@ -261,18 +251,10 @@ def sigma_k(lat, n_size, k, x):
     multiplier (-1)^N exp(2 eta N (x + omega)) (and the primed analogue).
     Elementwise over x and over an array k of indices in 1..N, whose axes
     come last; all factors of all points and all k go through one sigma call.
-    N and k must be integers (a bool or a float raises TypeError), and x
-    numbers (see :func:`sigma`).
+    N and k must be integers (a bool or a float, also among the k, raises
+    TypeError), and x numbers (see :func:`sigma`).
     """
-    try:
-        if isinstance(n_size, bool):  # an int to operator.index: True would read as N = 1
-            raise TypeError
-        n_size = operator.index(n_size)
-    except TypeError:
-        raise TypeError(f"N must be an integer, not {n_size!r}") from None
-    k = np.asarray(k)
-    if k.dtype.kind not in "iu":
-        raise TypeError(f"k must be integers, not of dtype {k.dtype}")
+    n_size, k = as_integer(n_size, "N"), as_integers(k, "k")
     if np.any((k < 1) | (k > n_size)):
         raise ValueError(f"k = {k} outside 1..{n_size}")
     x = as_numbers(x, "a sigma_k argument")

@@ -105,7 +105,9 @@ class TestInstance:
         with pytest.raises(KernelZero):
             d_matrix(k, inst.x, inst.y)
 
-    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), True, np.True_, "7", None, [1, 2.5], [True, False]])
+    @pytest.mark.parametrize(
+        "seed", [1.5, np.float64(1.0), True, np.True_, "7", None, [1, 2.5], [True, False], [1, True]]
+    )
     def test_seed_is_an_integer(self, seed):
         # a record names its seed: 1.5 read as 1, True as 1 and "7" as 7
         x, y, z = [[0.1, 0.2]] * 2, [[1.1, 1.2]] * 2, [[2.1, 2.2]] * 2
@@ -121,6 +123,11 @@ class TestInstance:
             assert got == 7 and type(got) is int
         stack = Instance(RATIONAL_KERNEL, [x] * 2, [y] * 2, [0.7] * 2, [z] * 2, seed=np.array([3, 4], dtype=np.uint64))
         assert stack.seed.tolist() == [3, 4]
+
+    def test_seeds_no_one_dtype_holds(self):
+        # numpy reads [-1, 2**63] as floats; the seeds keep their values
+        x, y, z = [[0.1, 0.2]] * 2, [[1.1, 1.2]] * 2, [[2.1, 2.2]] * 2
+        assert Instance(RATIONAL_KERNEL, x, y, [0.7] * 2, z, seed=[-1, 2**63]).seed.tolist() == [-1, 2**63]
 
 
 class TestNotNumbers:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -307,6 +308,20 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(cfg, kern, 3, [])
 
+    @pytest.mark.parametrize(
+        "n, seed, error",
+        [(True, 1, TypeError), (np.True_, 1, TypeError), (2.0, 1, TypeError),
+         (3, [1, True], ValueError), (3, [1, 2.5], ValueError)],
+    )
+    def test_rejects_non_integers_before_drawing(self, monkeypatch, cfg, kern, n, seed, error):
+        # [1, True] would sample seed 1 twice, as if two trials
+        def drawn(*args):
+            raise AssertionError("drew rounds for input that is not integers")
+
+        monkeypatch.setattr(verify, "_stream", drawn)
+        with pytest.raises(error, match="must be an integer"):
+            random_instance(cfg, kern, n, seed)
+
 
 class TestSamplerReference:
     """The block-drawn sampler with its close-pair screen reproduces the
@@ -444,6 +459,13 @@ class TestStream:
             alone, member = random_instance(cfg, kern, 5, seed), stack.member(b)
             for name in ("x", "y", "z", "lam"):
                 assert np.array_equal(getattr(alone, name), getattr(member, name)), (seed, name)
+
+    def test_input_rules_have_one_home(self):
+        # every test of outside input is one of the rules in ellcauchy._input
+        rule = re.compile(r"operator\.index|isinstance\([^)]*bool|import numbers|dtype\.kind")
+        package = Path(verify.__file__).resolve().parent
+        homes = {path.name for path in package.glob("*.py") if rule.search(path.read_text())}
+        assert homes == {"_input.py"}
 
     def test_cli_never_imports_numpy_random(self):
         # a fresh interpreter: numpy imports numpy.random only on first use

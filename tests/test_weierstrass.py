@@ -323,7 +323,7 @@ class TestNotNumbers:
         with pytest.raises(TypeError, match="N must be an integer"):
             sigma_k(lat, bad, 1, 0.2)
 
-    @pytest.mark.parametrize("bad", [1.5, True, [1.0, 2.0], "1", None])
+    @pytest.mark.parametrize("bad", [1.5, True, [1.0, 2.0], "1", None, [1, True]])
     def test_sigma_k_indices(self, lat, bad):
         with pytest.raises(TypeError, match="k must be integers, not of dtype"):
             sigma_k(lat, 3, bad, 0.2)
