@@ -14,10 +14,9 @@ and re-applies the quasi-periodicity factors afterwards; sigma takes their
 sign (-1)^(m + m' + m m') from an exact float test of whether that whole
 number is even, with no float modulo.
 
-:func:`lattice_new` builds a per-lattice series table (:class:`ThetaSeries`)
-once: the coefficients 2(-1)^n q^{(n+1/2)^2}, the odd multipliers 2n+1,
-theta1'(0), and the periods 2*omega, 2*omega_prime and their ratio.  In the
-fundamental cell, term n of the theta1 series is at most |q|^{n^2} times
+:func:`lattice_new` builds a per-lattice series table once, into the
+:class:`Lattice`: the coefficients 2(-1)^n q^{(n+1/2)^2}, the odd
+multipliers 2n+1 and theta1'(0).  In the fundamental cell, term n of the theta1 series is at most |q|^{n^2} times
 term 0, so the table keeps a fixed number of terms: the smallest K with
 |q|^{K^2} (2K+1)^3 below ``SERIES_TOL``, the cube covering the weights of
 the theta1'''(0) sum.  A sigma call then costs one cell reduction, one sin
@@ -60,26 +59,14 @@ _SIGMA_SLAB = 8_192
 ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaSeries:
-    """Per-lattice theta1 table read by every sigma and zeta evaluation."""
-
-    coef: np.ndarray  # 2 (-1)^n q^{(n+1/2)^2}, n = 0..K-1
-    odd: np.ndarray  # 2n + 1
-    d1: complex  # theta1'(0) = sum(coef * odd)
-    w1: complex  # 2 omega
-    w2: complex  # 2 omega_prime
-    ratio: complex  # w2 / w1
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Immutable evaluation context for all elliptic functions.
 
     ``omega`` and ``omega_prime`` are the half quasi-periods (full periods
     are 2*omega, 2*omega_prime); ``eta`` and ``eta_prime`` are the
-    Weierstrass zeta values at the half periods; ``series`` is the theta1
-    table that every evaluation reads.
+    Weierstrass zeta values at the half periods; ``coef``, ``odd`` and
+    ``d1`` are the theta1 table that every evaluation reads.
     """
 
     omega: complex
@@ -87,7 +74,9 @@ class Lattice:
     eta: complex
     eta_prime: complex
     nome: complex
-    series: ThetaSeries = field(repr=False, compare=False)
+    coef: np.ndarray = field(repr=False, compare=False)  # 2 (-1)^n q^{(n+1/2)^2}, n = 0..K-1
+    odd: np.ndarray = field(repr=False, compare=False)  # 2n + 1
+    d1: complex = field(repr=False, compare=False)  # theta1'(0) = sum(coef * odd)
 
 
 def lattice_new(omega, omega_prime):
@@ -138,7 +127,9 @@ def lattice_new(omega, omega_prime):
         eta=complex(eta),
         eta_prime=complex(eta_prime),
         nome=complex(q),
-        series=ThetaSeries(coef, odd, d1, 2 * omega, 2 * omega_prime, tau),
+        coef=coef,
+        odd=odd,
+        d1=d1,
     )
 
 
@@ -150,13 +141,13 @@ def _reduce(lat, x):
     close to a lattice point.  A point on the cell boundary may land on
     either side of it.
     """
-    t = lat.series
+    w1, tau = 2 * lat.omega, lat.omega_prime / lat.omega
     x = np.asarray(x, dtype=complex)
-    u = x / t.w1
-    b = u.imag / t.ratio.imag
-    m = np.rint(u.real - b * t.ratio.real)
+    u = x / w1
+    b = u.imag / tau.imag
+    m = np.rint(u.real - b * tau.real)
     m_prime = np.rint(b)
-    return x - m * t.w1 - m_prime * t.w2, m, m_prime
+    return x - m * w1 - m_prime * (2 * lat.omega_prime), m, m_prime
 
 
 def lattice_distance(lat, x):
@@ -197,14 +188,14 @@ def sigma(lat, x):
 def _sigma_slab(lat, x):
     """Sigma of the complex array ``x``, as :func:`sigma` documents it, in
     one pass of whole-array operations."""
-    t = lat.series
+    w1 = 2 * lat.omega
     xr, m, mp = _reduce(lat, x)
     # eta x_red^2 / (2 omega) + eta_Omega (x_red + Omega/2), with 2 x_red + Omega = x + x_red
-    expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
+    expo = lat.eta / w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
     # (-1)^(m + m' + m m') is +1 exactly when that whole number is even, that
     # is when half of it is whole: an exact float test, with no float modulo
     half = 0.5 * (m + mp + m * mp)
-    pre = t.w1 / (np.pi * t.d1)
+    pre = w1 / (np.pi * lat.d1)
     factor = np.where(np.floor(half) == half, pre, -pre) * np.exp(expo)
     # freed before the series makes its temporaries, to keep the peak memory down
     del expo, m, mp, half
@@ -213,13 +204,13 @@ def _sigma_slab(lat, x):
     # a = 2 cos 2v = 2 - 4 sin^2 v.  Clenshaw's backward sum
     # b_n = coef_n + a b_{n+1} - b_{n+2}, from b_K = b_{K+1} = 0 down to b_1,
     # leaves the sum as coef_0 + (a + 1) b_1 - b_2
-    s = np.sin(np.pi / t.w1 * xr)
+    s = np.sin(np.pi / w1 * xr)
     del xr
     a = 2.0 - 4.0 * (s * s)
     b1 = b2 = 0.0
-    for c in t.coef[:0:-1]:
+    for c in lat.coef[:0:-1]:
         b1, b2 = c + a * b1 - b2, b1
-    return factor * s * (t.coef[0] + (a + 1.0) * b1 - b2)
+    return factor * s * (lat.coef[0] + (a + 1.0) * b1 - b2)
 
 
 def zeta_w(lat, x):
@@ -231,13 +222,13 @@ def zeta_w(lat, x):
     Raises :class:`KernelZero` within ``ZERO_TOL`` of a lattice point, the
     zeros of sigma, and TypeError for an ``x`` that is not one number.
     """
-    t = lat.series
+    w1 = 2 * lat.omega
     xr, m, mp = _reduce(lat, as_number(x, "a zeta argument"))
     if abs(xr) < ZERO_TOL:
         raise KernelZero(f"zeta pole at lattice point, x = {x}")
-    arg = np.pi / t.w1 * xr * t.odd
-    ratio = np.sum(t.coef * t.odd * np.cos(arg)) / np.sum(t.coef * np.sin(arg))
-    z = lat.eta * xr / lat.omega + np.pi / t.w1 * ratio
+    arg = np.pi / w1 * xr * lat.odd
+    ratio = np.sum(lat.coef * lat.odd * np.cos(arg)) / np.sum(lat.coef * np.sin(arg))
+    z = lat.eta * xr / lat.omega + np.pi / w1 * ratio
     return complex(z + 2 * m * lat.eta + 2 * mp * lat.eta_prime)
 
 

@@ -1,5 +1,6 @@
 """Sigma/zeta evaluator against independent oracles and quasi-periodicity."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -43,18 +44,18 @@ def modulo_parity_sigma(lat, x):
     """sigma as it was written with the sign (-1)^(m + m' + m m') taken from
     the float modulo (m + 1)(m' + 1) % 2, for the bit-for-bit check of the
     exact even test that replaced it."""
-    t = lat.series
+    w1 = 2 * lat.omega
     x = np.asarray(x, dtype=complex)
     xr, m, mp = _reduce(lat, x)
-    expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
-    pre = t.w1 / (np.pi * t.d1)
+    expo = lat.eta / w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
+    pre = w1 / (np.pi * lat.d1)
     factor = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo)
-    s = np.sin(np.pi / t.w1 * xr)
+    s = np.sin(np.pi / w1 * xr)
     a = 2.0 - 4.0 * (s * s)
     b1 = b2 = 0.0
-    for c in t.coef[:0:-1]:
+    for c in lat.coef[:0:-1]:
         b1, b2 = c + a * b1 - b2, b1
-    return factor * s * (t.coef[0] + (a + 1.0) * b1 - b2)
+    return factor * s * (lat.coef[0] + (a + 1.0) * b1 - b2)
 
 
 class TestLattice:
@@ -109,6 +110,14 @@ class TestLattice:
 
     def test_nome_inside_unit_disc(self, lat):
         assert abs(lat.nome) < 1
+
+    def test_one_record_with_its_theta_table(self):
+        # the table is held by the lattice, outside its equality, repr and hash
+        lat, again = lattice_new(1.0, 0.3 + 0.7j), lattice_new(1.0, 0.3 + 0.7j)
+        names = [f.name for f in dataclasses.fields(lat)]
+        assert names == ["omega", "omega_prime", "eta", "eta_prime", "nome", "coef", "odd", "d1"]
+        assert lat == again and hash(lat) == hash(again) and "coef" not in repr(lat)
+        assert lat.d1 == complex(np.sum(lat.coef * lat.odd))
 
     def test_eta_prime_from_s_transformed_lattice(self):
         # eta_prime comes from the Legendre relation; the basis (omega', -omega)
@@ -195,12 +204,12 @@ class TestSigma:
     def test_clenshaw_matches_the_plain_sine_sum(self, lat, rng):
         # the recurrence in cos 2v against coef * sin(v * odd) summed term by
         # term, in and out of the cell
-        t = lat.series
+        w1 = 2 * lat.omega
         x = 3 * cell_points(lat, rng, 200)
         xr, m, mp = _reduce(lat, x)
-        theta = (t.coef * np.sin((np.pi / t.w1 * xr)[..., None] * t.odd)).sum(axis=-1)
-        expo = lat.eta / t.w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
-        pre = t.w1 / (np.pi * t.d1)
+        theta = (lat.coef * np.sin((np.pi / w1 * xr)[..., None] * lat.odd)).sum(axis=-1)
+        expo = lat.eta / w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
+        pre = w1 / (np.pi * lat.d1)
         plain = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo) * theta
         assert np.max(np.abs(sigma(lat, x) - plain) / np.abs(plain)) <= 2e-15
 
@@ -433,7 +442,7 @@ SERIES_TERMS = {0.3 + 0.7j: 5, 0.08j: 14, 7.3 + 0.9j: 4, 0.1 + 5j: 2, 0.5 + 13j:
 def test_sigma_matches_mpmath(tau, region, tol):
     mpmath = pytest.importorskip("mpmath")
     lat = lattice_new(1.0, tau)
-    assert len(lat.series.coef) == SERIES_TERMS[tau]
+    assert len(lat.coef) == SERIES_TERMS[tau]
     x = oracle_points(lat, region, np.random.default_rng(5))
     ref = np.array([mp_sigma(mpmath, lat, p) for p in x])
     assert np.all(ref != 0) and np.all(np.isfinite(ref))
