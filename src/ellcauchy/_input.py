@@ -9,8 +9,19 @@ import numpy as np
 
 def as_numbers(a, what):
     """An array-like of numbers as a complex array.  Anything else (None, a
-    string, a bool, an object) raises TypeError naming ``what`` and its
-    dtype, where a cast to complex would read it as NaN or parse it."""
+    string, a bool, an object), also among its entries, raises TypeError
+    naming ``what`` and its dtype, where a cast to complex would read it as
+    NaN, parse it or read a bool as 1; so does an int no double holds.  An
+    ndarray or numpy scalar passes by its dtype, with no loop."""
+    if not isinstance(a, (np.ndarray, np.generic)):
+        # an int that numpy holds only as an object is a number
+        for v in np.asarray(a, dtype=object).flat:
+            if not (type(v) is int or np.asarray(v).dtype.kind in "iufc"):
+                raise TypeError(f"{what} must be numbers, not of dtype {np.asarray(v).dtype}")
+        try:
+            a = np.asarray(a, dtype=complex)  # ragged raises ValueError
+        except OverflowError:
+            raise TypeError(f"{what} must be numbers a double holds") from None
     arr = np.asarray(a)
     if arr.dtype.kind not in "iufc":
         raise TypeError(f"{what} must be numbers, not of dtype {arr.dtype}")

@@ -134,7 +134,7 @@ class TestNotNumbers:
     """A point set, parameter or coefficient that is not numbers is refused,
     where a cast to complex reads None as NaN and parses a string."""
 
-    @pytest.mark.parametrize("bad", [None, "2", [True], np.array([0.5], dtype=object)])
+    @pytest.mark.parametrize("bad", [None, "2", [True], np.array([0.5], dtype=object), [0.5, True]])
     def test_point_sets(self, bad):
         with pytest.raises(TypeError, match="a point set must be numbers, not of dtype"):
             cauchy_matrix(RATIONAL_KERNEL, bad, [0.5j], 0.7)
@@ -155,7 +155,7 @@ class TestNotNumbers:
         with pytest.raises(TypeError, match="the coefficients must be numbers"):
             bloch_eval(lat, [0.1 + 0.05j], bad, 0.21 + 0.33j, 0.3 - 0.2j)
 
-    @pytest.mark.parametrize("bad", [None, "0.5", True, [0.3, None]])
+    @pytest.mark.parametrize("bad", [None, "0.5", True, [0.3, None], [0.3, True]])
     def test_bloch_points(self, lat, bad):
         with pytest.raises(TypeError, match="an evaluation point must be numbers"):
             bloch_eval(lat, [0.1 + 0.05j], [1.0], 0.21 + 0.33j, bad)
@@ -170,6 +170,9 @@ class TestNotNumbers:
         want = cauchy_matrix(RATIONAL_KERNEL, [1.0, 2.0], [0.5j, -1.0], 0.5)
         for x in ([1, 2], np.array([1, 2], dtype=np.uint8), np.array([1, 2], dtype=np.float32)):
             assert np.array_equal(cauchy_matrix(RATIONAL_KERNEL, x, [0.5j, -1.0], 0.5), want)
+        # an int numpy holds only as an object is a number too
+        big = cauchy_matrix(RATIONAL_KERNEL, [1.0, 2.0**64], [0.5j, -1.0], 0.5)
+        assert np.array_equal(cauchy_matrix(RATIONAL_KERNEL, [1, 2**64], [0.5j, -1.0], 0.5), big)
 
     @pytest.mark.parametrize("bad", [None, "2", [True], np.array([0.5], dtype=object)])
     @pytest.mark.parametrize("variant", ["elliptic", "trig", "rational"])

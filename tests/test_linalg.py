@@ -250,7 +250,7 @@ class TestNotNumbers:
     """A matrix that is not numbers is refused, where a cast to complex
     reads None as NaN and parses a string."""
 
-    @pytest.mark.parametrize("bad", [[[None]], [["1"]], [[True]], np.array([[1.0]], dtype=object)])
+    @pytest.mark.parametrize("bad", [[[None]], [["1"]], [[True]], np.array([[1.0]], dtype=object), [[1.0, True], [0, 1]]])
     def test_refused(self, bad):
         with pytest.raises(TypeError, match="a matrix must be numbers, not of dtype"):
             lu_det(bad)

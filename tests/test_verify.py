@@ -203,6 +203,8 @@ class TestSuiteConfig:
             {"n_values": (True, 2)},
             {"sep_min": True},
             {"base_seed": False},
+            {"tolerance": 10**400},
+            {"sep_min": 10**400},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -230,6 +232,8 @@ class TestSuiteConfig:
         cfg = SuiteConfig(n_values=(np.int64(3), 1), trials_per_n=np.int64(2))
         assert cfg.n_values == (3, 1) and cfg.trials_per_n == 2
         assert all(type(n) is int for n in (*cfg.n_values, cfg.trials_per_n))
+        # an int numpy holds only as an object is a number, too
+        assert SuiteConfig(tolerance=10**20).tolerance == 1e20
 
 
 def tolerance_for(name, n, base=SuiteConfig.tolerance, tag="elliptic"):

@@ -156,7 +156,7 @@ class TestSigma:
     def test_zero(self, lat):
         assert sigma(lat, 0.0) == 0.0
 
-    @pytest.mark.parametrize("bad", [None, "0.5", True, [0.5, None]])
+    @pytest.mark.parametrize("bad", [None, "0.5", True, [0.5, None], [0.5, True], [0.5, np.bool_(True)]])
     def test_not_numbers_are_refused(self, lat, bad):
         # a cast to complex would read None as NaN and parse a string
         with pytest.raises(TypeError, match="a sigma argument must be numbers, not of dtype"):
@@ -322,7 +322,7 @@ class TestNotNumbers:
     complex reads None as NaN and parses a string, and an index read as a
     number takes bools and fractions."""
 
-    @pytest.mark.parametrize("bad", [None, "0.2", True, [0.2, None]])
+    @pytest.mark.parametrize("bad", [None, "0.2", True, [0.2, None], [0.2, True]])
     def test_sigma_k_points(self, lat, bad):
         with pytest.raises(TypeError, match="a sigma_k argument must be numbers, not of dtype"):
             sigma_k(lat, 3, 1, bad)
@@ -353,13 +353,13 @@ class TestNotNumbers:
         want = zeta_w(lat, float(np.float32(0.5)))
         assert zeta_w(lat, np.float32(0.5)) == zeta_w(lat, np.array(0.5, np.float32)) == want
 
-    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5, True]])
     def test_lattice_distance(self, lat, bad):
         # a cast to complex would parse "0.5" and read True as 1 and None as NaN
         with pytest.raises(TypeError, match="a lattice_distance argument must be numbers, not of dtype"):
             lattice_distance(lat, bad)
 
-    @pytest.mark.parametrize("bad", [None, "1", True, [1.0]])
+    @pytest.mark.parametrize("bad", [None, "1", True, [1.0], pytest.param(10**400, id="10**400")])
     def test_lattice_periods(self, bad):
         with pytest.raises(TypeError, match="omega must be"):
             lattice_new(bad, 0.3 + 0.7j)
