@@ -126,8 +126,13 @@ def backward_error(a, b, r):
     a stack: max_ij |a b - r|_ij / (|a| |b|)_ij (Oettli and Prager, Numer.
     Math. 6, 1964; Higham, Accuracy and Stability of Numerical Algorithms,
     sec. 7.2).  An entry 0/0 reads 0, x/0 with x != 0 reads inf, and a NaN
-    in ``a``, ``b`` or ``r`` gives NaN.  ``r`` broadcasts against the
+    in ``a``, ``b`` or ``r`` gives NaN.  All three are square matrices of
+    one size, else :class:`DimensionMismatch`; ``r`` broadcasts against the
     product."""
+    a, b = _check_same_dim(a, b)
+    r = _as_square(r)
+    if r.shape[-1] != a.shape[-1]:
+        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {r.shape}")
     num = np.abs(np.matmul(a, b) - r)
     den = np.matmul(np.abs(a), np.abs(b))
     # where den is 0, the ratio keeps inf for num > 0 and num itself else

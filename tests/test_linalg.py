@@ -168,6 +168,13 @@ class TestStacked:
             _as_square(np.zeros((2, 3, 4)))
         with pytest.raises(DimensionMismatch):
             lu_det(np.zeros((2, 3, 4)))
+        # a product's operands too, and its right-hand side, which
+        # broadcasts over the stack but has the matrices' size
+        eye = np.eye(3)
+        for a, b, r in ((np.zeros((2, 3, 4)), np.zeros((2, 4, 3)), eye), (eye, eye, np.eye(4)), (eye, eye, eye[:, :2])):
+            with pytest.raises(DimensionMismatch):
+                backward_error(a, b, r)
+        assert backward_error(np.stack([eye, eye]), np.stack([eye, eye]), eye).tolist() == [0, 0]
 
 
 class TestBackwardError:
@@ -258,6 +265,8 @@ class TestNotNumbers:
             max_abs_residual(bad, [[1]])
         with pytest.raises(TypeError, match="a matrix must be numbers"):
             lu_inverse(bad)
+        with pytest.raises(TypeError, match="a matrix must be numbers"):
+            backward_error([[1]], [[1]], bad)
 
     def test_numbers_of_every_kind(self):
         for a in ([[2]], np.array([[2]], dtype=np.uint8), np.array([[2.0]], dtype=np.float32)):

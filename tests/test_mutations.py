@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ellcauchy import SuiteConfig, cauchy, linalg, run_suite, verify, weierstrass
+from ellcauchy import DimensionMismatch, SuiteConfig, cauchy, linalg, run_suite, verify, weierstrass
 
 CFG = SuiteConfig(n_values=(2, 3, 4), trials_per_n=2)
 
@@ -199,6 +199,19 @@ def test_mutant_is_caught(monkeypatch, baseline, name, modules, attr, wrong, cat
             assert records, (identity, tag)
             missed = [r for r in records if r.passed or not r.rel_residual >= 1e3 * r.tolerance]
             assert not missed, (identity, tag, missed)
+
+
+def test_extra_g_column_ends_the_run(monkeypatch):
+    # rational columns with an (N + 1)-th: G g(y) = g(x) holds column by
+    # column, so every record would pass; the residual refuses a factor
+    # that is not square, and the run ends there
+    def wrong(x, lam, f=cauchy.g_factor_rat):
+        cols = f(x, lam)
+        return np.concatenate([cols, cols[..., :1]], axis=-1)
+
+    monkeypatch.setattr(cauchy, "g_factor_rat", wrong)
+    with pytest.raises(DimensionMismatch, match="expected square matrix"):
+        run_suite(CFG)
 
 
 def test_baseline_passes(baseline):
