@@ -16,14 +16,15 @@ number is even, with no float modulo.
 
 :func:`lattice_new` builds a per-lattice series table once, into the
 :class:`Lattice`: the coefficients 2(-1)^n q^{(n+1/2)^2}, the odd
-multipliers 2n+1 and theta1'(0).  In the fundamental cell, term n of the theta1 series is at most |q|^{n^2} times
-term 0, so the table keeps a fixed number of terms: the smallest K with
-|q|^{K^2} (2K+1)^3 below ``SERIES_TOL``, the cube covering the weights of
-the theta1'''(0) sum.  A sigma call then costs one cell reduction, one sin
-and one exp per point, and the K - 1 multiply-adds of a Clenshaw
-recurrence in cos 2v, over slabs of at most 8,192 points, so that no
-temporary of a call reaches the size at which NumPy reorders a product in
-place, and each point's value is the same in a call of any size.
+multipliers 2n+1 and theta1'(0).  In the fundamental cell, term n of the
+theta1 series is at most |q|^{n^2} times term 0, so the table keeps a fixed
+number of terms: the smallest K with |q|^{K^2} (2K+1)^3 below
+``SERIES_TOL``, the cube covering the weights of the theta1'''(0) sum.  A
+sigma call then costs one cell reduction, one sin and one exp per point,
+and the K - 1 multiply-adds of a Clenshaw recurrence in cos 2v, over slabs
+of at most 8,192 points, so that no temporary of a call reaches the size at
+which NumPy reorders a product in place, and each point's value is the same
+in a call of any size.
 :func:`zeta_w` and the constant eta read the same table.
 
 The constant eta = zeta(omega) comes from theta1'''(0)/theta1'(0);
