@@ -1,4 +1,5 @@
-"""The package's rules for input from outside it, one per kind of input."""
+"""The package's rules for input from outside it, one per kind of input,
+and its one rule for a per-member result leaving it."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ def as_number(x, what):
     arr = as_numbers(x, what)
     if arr.ndim:
         raise TypeError(f"{what} must be one number, not an array of shape {arr.shape}")
-    return complex(arr)
+    return arr.item()
 
 
 def as_integer(n, what):
@@ -60,3 +61,9 @@ def as_integers(a, what):
         except TypeError:
             raise TypeError(f"{what} must be integers, not of dtype {np.asarray(v).dtype}") from None
     return arr if arr.dtype.kind in "iu" else entries  # [-1, 2**63], which numpy reads as floats
+
+
+def as_result(v):
+    """A per-member value leaving the package: a stack's array as is, one
+    member's as ``v.item()``, which keeps a dtype such as ``np.clongdouble``."""
+    return v.item() if v.ndim == 0 else v

@@ -61,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._input import as_integers, as_numbers
+from ._input import as_integers, as_numbers, as_result
 from .errors import DimensionMismatch, KernelZero
 from .weierstrass import ZERO_TOL, Lattice, lattice_distance, sigma, sigma_k
 
@@ -286,7 +286,7 @@ class Instance:
             if value.shape != stack:
                 raise DimensionMismatch(f"{name} of shape {value.shape} for a stack of shape {stack}")
             value.setflags(write=False)
-            object.__setattr__(self, name, value if stack else value.item())
+            object.__setattr__(self, name, as_result(value))
         object.__setattr__(self, "_shared", {})
         kernel = Kernel(self.kernel.variant, self.kernel.lattice)
         if kernel.spec.memoized:
@@ -419,11 +419,6 @@ def _scaled(kernel, x, y, lam, left, right, what):
     return c
 
 
-def _unstacked(v):
-    """A per-member value as a complex scalar for one trial, else as is."""
-    return complex(v) if v.ndim == 0 else v
-
-
 def cauchy_matrix(kernel, x, y, lam):
     """Cauchy matrix f(x_i - y_j + lam) / (f(lam) f(x_i - y_j))."""
     return _scaled(kernel, x, y, lam, False, False, "x_i - y_j or lambda")
@@ -445,7 +440,7 @@ def classic_cauchy_det(x, y):
     # as in frobenius_det, the products keep a last axis
     num = np.prod(_pair_diffs(x), axis=-1, keepdims=True) * np.prod(-_pair_diffs(y), axis=-1, keepdims=True)
     den = np.prod(dxy, axis=(-2, -1), keepdims=True)[..., 0]
-    return _unstacked((num / den)[..., 0])
+    return as_result((num / den)[..., 0])
 
 
 def d_matrix(kernel, x, y):
@@ -486,7 +481,7 @@ def frobenius_det(kernel, x, y, lam):
     # product of two complex scalars apart from the same product in an array)
     num = np.prod(dx, axis=-1, keepdims=True) * np.prod(-dy, axis=-1, keepdims=True)
     den = np.prod(s_xy, axis=(-2, -1), keepdims=True)[..., 0]
-    return _unstacked((s_shift[..., None] / s_lam[..., None] * num / den)[..., 0])
+    return as_result((s_shift[..., None] / s_lam[..., None] * num / den)[..., 0])
 
 
 def cauchy_inverse_closed(kernel, x, y, lam):
@@ -650,8 +645,7 @@ def bloch_eval(lat, poles, coeffs, lam, point):
         raise DimensionMismatch(f"evaluation points of shape {point.shape} for a stack of shape {stack}")
     w = point.reshape(stack + (-1,))
     rows = _scaled(elliptic_kernel(lat), w, poles, lam, False, False, "w - x_i or lambda")
-    psi = (coeffs[..., None, :] * rows).sum(axis=-1).reshape(point.shape)
-    return complex(psi) if point.ndim == 0 else psi
+    return as_result((coeffs[..., None, :] * rows).sum(axis=-1).reshape(point.shape))
 
 
 def bloch_transport(lat, x, y, lam, coeffs):

@@ -7,7 +7,7 @@ partial pivoting by maximum magnitude is essential.  Every matrix
 identity A B = R is judged by one residual, :func:`backward_error`.  The
 LU inverse, :func:`rel_residual` and :func:`structure_check` serve the
 tests alone, as oracles.  Every routine takes one matrix or a stack of
-them (leading axes) and answers per matrix.
+them (leading axes) and answers per matrix, as a scalar for one matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ._input import as_numbers
+from ._input import as_numbers, as_result
 from .errors import DimensionMismatch, SingularMatrix
 
 #: pivots below this multiple of the max-abs entry count as singular
@@ -30,11 +30,6 @@ def _as_square(a):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
     return a
-
-
-def _per_matrix(v):
-    """A per-matrix result as a Python scalar for one matrix, else as is."""
-    return v.item() if v.ndim == 0 else v
 
 
 def _check_same_dim(a, b):
@@ -85,7 +80,7 @@ def lu_det(a):
     matrix.  One matrix gives a Python ``complex``."""
     lu, _, sign = _lu_factor(_as_square(a))
     diag = np.ascontiguousarray(np.diagonal(lu, axis1=-2, axis2=-1))
-    return _per_matrix(sign * np.prod(diag, axis=-1))
+    return as_result(sign * np.prod(diag, axis=-1))
 
 
 def lu_inverse(a):
@@ -118,7 +113,7 @@ def lu_inverse(a):
 def max_abs_residual(a, b):
     """Entrywise max |a_ij - b_ij|, per matrix of a stack."""
     a, b = _check_same_dim(a, b)
-    return _per_matrix(np.abs(a - b).max(axis=(-2, -1)))
+    return as_result(np.abs(a - b).max(axis=(-2, -1)))
 
 
 def backward_error(a, b, r):
@@ -138,7 +133,7 @@ def backward_error(a, b, r):
     # where den is 0, the ratio keeps inf for num > 0 and num itself else
     ratio = np.where(num > 0, np.inf, num)
     np.divide(num, den, out=ratio, where=den != 0)
-    return _per_matrix(ratio.max(axis=(-2, -1)))
+    return as_result(ratio.max(axis=(-2, -1)))
 
 
 def rel_residual(a, b):
@@ -146,7 +141,7 @@ def rel_residual(a, b):
     matrix of a stack."""
     a, b = _check_same_dim(a, b)
     scale = np.abs(b).max(axis=(-2, -1))
-    return _per_matrix(np.abs(a - b).max(axis=(-2, -1)) / scale)
+    return as_result(np.abs(a - b).max(axis=(-2, -1)) / scale)
 
 
 def structure_check(a, kind, tol):
@@ -162,9 +157,9 @@ def structure_check(a, kind, tol):
     upper = np.abs(np.triu(a, 1)).max(axis=(-2, -1))
     diag_is_one = np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1).max(axis=-1)
     if kind == "unit_upper":
-        return _per_matrix((lower < tol) & (diag_is_one < tol))
+        return as_result((lower < tol) & (diag_is_one < tol))
     if kind == "unit_lower":
-        return _per_matrix((upper < tol) & (diag_is_one < tol))
+        return as_result((upper < tol) & (diag_is_one < tol))
     if kind == "diagonal":
-        return _per_matrix((lower < tol) & (upper < tol))
+        return as_result((lower < tol) & (upper < tol))
     raise ValueError(f"unknown structure kind {kind!r}")

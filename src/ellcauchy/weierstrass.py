@@ -8,24 +8,24 @@ theta function
                * theta1(pi x / (2 omega), q) / theta1'(0, q),
     theta1(v, q) = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) v),
 
-with nome q = exp(i pi omega_prime/omega).  Every evaluation first splits
+with q = exp(i pi omega_prime/omega).  Every evaluation first splits
 x = x_red + 2m*omega + 2m'*omega_prime with x_red in the fundamental cell
 and re-applies the quasi-periodicity factors afterwards; sigma takes their
 sign (-1)^(m + m' + m m') from an exact float test of whether that whole
 number is even, with no float modulo.
 
 :func:`lattice_new` builds a per-lattice series table once, into the
-:class:`Lattice`: the coefficients 2(-1)^n q^{(n+1/2)^2}, the odd
-multipliers 2n+1 and theta1'(0).  In the fundamental cell, term n of the
-theta1 series is at most |q|^{n^2} times term 0, so the table keeps a fixed
-number of terms: the smallest K with |q|^{K^2} (2K+1)^3 below
-``SERIES_TOL``, the cube covering the weights of the theta1'''(0) sum.  A
-sigma call then costs one cell reduction, one sin and one exp per point,
-and the K - 1 multiply-adds of a Clenshaw recurrence in cos 2v, over slabs
-of at most 8,192 points, so that no temporary of a call reaches the size at
-which NumPy reorders a product in place, and each point's value is the same
-in a call of any size.
-:func:`zeta_w` and the constant eta read the same table.
+:class:`Lattice`: the coefficients 2(-1)^n q^{(n+1/2)^2} and theta1'(0).
+In the fundamental cell, term n of the theta1 series is at most |q|^{n^2}
+times term 0, so the table keeps a fixed number of terms: the smallest K
+with |q|^{K^2} (2K+1)^3 below ``SERIES_TOL``, the cube covering the
+weights of the theta1'''(0) sum.  A sigma call then costs one cell
+reduction, one sin and one exp per point, and the K - 1 multiply-adds of
+a Clenshaw recurrence in cos 2v, over slabs of at most 8,192 points, so
+that no temporary of a call reaches the size at which NumPy reorders a
+product in place, and each point's value is the same in a call of any
+size.  :func:`zeta_w` and the constant eta read the same table, with its
+odd multipliers 2n+1 formed where they are read.
 
 The constant eta = zeta(omega) comes from theta1'''(0)/theta1'(0);
 eta_prime = zeta(omega_prime) then follows from the Legendre relation
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._input import as_integer, as_integers, as_number, as_numbers
+from ._input import as_integer, as_integers, as_number, as_numbers, as_result
 from .errors import InvalidLattice, KernelZero
 
 #: hard cap on theta-series terms; only very thin lattices (|q| near 1) reach it
@@ -66,18 +66,16 @@ class Lattice:
 
     ``omega`` and ``omega_prime`` are the half quasi-periods (full periods
     are 2*omega, 2*omega_prime); ``eta`` and ``eta_prime`` are the
-    Weierstrass zeta values at the half periods; ``coef``, ``odd`` and
-    ``d1`` are the theta1 table that every evaluation reads.
+    Weierstrass zeta values at the half periods; ``coef`` and ``d1`` are
+    the theta1 table that every evaluation reads.
     """
 
     omega: complex
     omega_prime: complex
     eta: complex
     eta_prime: complex
-    nome: complex
     coef: np.ndarray = field(repr=False, compare=False)  # 2 (-1)^n q^{(n+1/2)^2}, n = 0..K-1
-    odd: np.ndarray = field(repr=False, compare=False)  # 2n + 1
-    d1: complex = field(repr=False, compare=False)  # theta1'(0) = sum(coef * odd)
+    d1: complex = field(repr=False, compare=False)  # theta1'(0) = sum_n (2n + 1) coef_n
 
 
 def lattice_new(omega, omega_prime):
@@ -112,7 +110,6 @@ def lattice_new(omega, omega_prime):
     coef = 2.0 * (-1.0) ** n * np.exp(1j * np.pi * tau * (n + 0.5) ** 2)
     odd = 2.0 * n + 1.0
     coef.setflags(write=False)
-    odd.setflags(write=False)
     d1 = complex(np.sum(coef * odd))
     if abs(d1) < np.finfo(float).tiny:
         raise InvalidLattice(f"theta1'(0) underflows at Im(omega'/omega) = {tau.imag:.6g}")
@@ -127,9 +124,7 @@ def lattice_new(omega, omega_prime):
         omega_prime=omega_prime,
         eta=complex(eta),
         eta_prime=complex(eta_prime),
-        nome=complex(q),
         coef=coef,
-        odd=odd,
         d1=d1,
     )
 
@@ -177,8 +172,7 @@ def sigma(lat, x):
     """
     x = as_numbers(x, "a sigma argument")
     if x.size <= _SIGMA_SLAB:
-        out = _sigma_slab(lat, x)
-        return complex(out) if x.ndim == 0 else out
+        return as_result(_sigma_slab(lat, x))
     flat = x.ravel()
     out = np.empty_like(flat)
     for start in range(0, flat.size, _SIGMA_SLAB):
@@ -227,10 +221,11 @@ def zeta_w(lat, x):
     xr, m, mp = _reduce(lat, as_number(x, "a zeta argument"))
     if abs(xr) < ZERO_TOL:
         raise KernelZero(f"zeta pole at lattice point, x = {x}")
-    arg = np.pi / w1 * xr * lat.odd
-    ratio = np.sum(lat.coef * lat.odd * np.cos(arg)) / np.sum(lat.coef * np.sin(arg))
+    odd = 2.0 * np.arange(lat.coef.size) + 1.0
+    arg = np.pi / w1 * xr * odd
+    ratio = np.sum(lat.coef * odd * np.cos(arg)) / np.sum(lat.coef * np.sin(arg))
     z = lat.eta * xr / lat.omega + np.pi / w1 * ratio
-    return complex(z + 2 * m * lat.eta + 2 * mp * lat.eta_prime)
+    return as_result(z + 2 * m * lat.eta + 2 * mp * lat.eta_prime)
 
 
 def sigma_k(lat, n_size, k, x):
@@ -256,5 +251,4 @@ def sigma_k(lat, n_size, k, x):
     k = k.reshape((1,) * (x.ndim - k.ndim) + k.shape)
     l = np.arange(n_size)
     shifts = (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k[..., None] / n_size) * lat.omega_prime
-    out = np.exp(2 * lat.eta_prime * k * x) * np.prod(sigma(lat, x[..., None] + shifts), axis=-1)
-    return complex(out) if out.ndim == 0 else out
+    return as_result(np.exp(2 * lat.eta_prime * k * x) * np.prod(sigma(lat, x[..., None] + shifts), axis=-1))

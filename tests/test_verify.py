@@ -28,6 +28,7 @@ from ellcauchy import (
     Report,
     SamplingExhausted,
     SuiteConfig,
+    _input,
     cauchy,
     cli,
     elliptic_kernel,
@@ -470,6 +471,16 @@ class TestStream:
         package = Path(verify.__file__).resolve().parent
         homes = {path.name for path in package.glob("*.py") if rule.search(path.read_text())}
         assert homes == {"_input.py"}
+
+    def test_one_member_leaves_as_a_scalar(self):
+        # the one output rule: a 0-d value becomes the Python scalar .item()
+        # gives, which keeps an extended-precision dtype; a stack stays as is
+        one = _input.as_result(np.array(1 + 2j))
+        assert one == 1 + 2j and type(one) is complex
+        assert type(_input.as_result(np.array(True))) is bool
+        assert type(_input.as_result(np.array(1 + 2j, dtype=np.clongdouble))) is np.clongdouble
+        stack = np.array([1 + 2j, 3j])
+        assert _input.as_result(stack) is stack
 
     def test_cli_never_imports_numpy_random(self):
         # a fresh interpreter: numpy imports numpy.random only on first use

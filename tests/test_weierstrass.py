@@ -108,16 +108,13 @@ class TestLattice:
     def test_thin_lattice_kept(self, tau):
         assert np.isfinite(lattice_new(1.0, tau).eta)
 
-    def test_nome_inside_unit_disc(self, lat):
-        assert abs(lat.nome) < 1
-
     def test_one_record_with_its_theta_table(self):
         # the table is held by the lattice, outside its equality, repr and hash
         lat, again = lattice_new(1.0, 0.3 + 0.7j), lattice_new(1.0, 0.3 + 0.7j)
         names = [f.name for f in dataclasses.fields(lat)]
-        assert names == ["omega", "omega_prime", "eta", "eta_prime", "nome", "coef", "odd", "d1"]
+        assert names == ["omega", "omega_prime", "eta", "eta_prime", "coef", "d1"]
         assert lat == again and hash(lat) == hash(again) and "coef" not in repr(lat)
-        assert lat.d1 == complex(np.sum(lat.coef * lat.odd))
+        assert lat.d1 == complex(np.sum(lat.coef * (2.0 * np.arange(lat.coef.size) + 1.0)))
 
     def test_eta_prime_from_s_transformed_lattice(self):
         # eta_prime comes from the Legendre relation; the basis (omega', -omega)
@@ -207,7 +204,8 @@ class TestSigma:
         w1 = 2 * lat.omega
         x = 3 * cell_points(lat, rng, 200)
         xr, m, mp = _reduce(lat, x)
-        theta = (lat.coef * np.sin((np.pi / w1 * xr)[..., None] * lat.odd)).sum(axis=-1)
+        odd = 2.0 * np.arange(lat.coef.size) + 1.0
+        theta = (lat.coef * np.sin((np.pi / w1 * xr)[..., None] * odd)).sum(axis=-1)
         expo = lat.eta / w1 * (xr * xr) + (m * lat.eta + mp * lat.eta_prime) * (x + xr)
         pre = w1 / (np.pi * lat.d1)
         plain = np.where((m + 1) * (mp + 1) % 2, pre, -pre) * np.exp(expo) * theta
