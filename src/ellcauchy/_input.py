@@ -12,17 +12,20 @@ def as_numbers(a, what):
     """An array-like of numbers as a complex array.  Anything else (None, a
     string, a bool, an object), also among its entries, raises TypeError
     naming ``what`` and its dtype, where a cast to complex would read it as
-    NaN, parse it or read a bool as 1; so does an int no double holds.  An
-    ndarray or numpy scalar passes by its dtype, with no loop."""
+    NaN, parse it or read a bool as 1; so does an int no double holds.  A
+    ragged sequence raises ValueError naming ``what``.  An ndarray or numpy
+    scalar passes by its dtype, with no loop."""
     if not isinstance(a, (np.ndarray, np.generic)):
         # an int that numpy holds only as an object is a number
         for v in np.asarray(a, dtype=object).flat:
             if not (type(v) is int or np.asarray(v).dtype.kind in "iufc"):
                 raise TypeError(f"{what} must be numbers, not of dtype {np.asarray(v).dtype}")
         try:
-            a = np.asarray(a, dtype=complex)  # ragged raises ValueError
+            a = np.asarray(a, dtype=complex)
         except OverflowError:
             raise TypeError(f"{what} must be numbers a double holds") from None
+        except ValueError:
+            raise ValueError(f"{what} must be a rectangular array, not a ragged sequence") from None
     arr = np.asarray(a)
     if arr.dtype.kind not in "iufc":
         raise TypeError(f"{what} must be numbers, not of dtype {arr.dtype}")
@@ -50,11 +53,15 @@ def as_integer(n, what):
 
 def as_integers(a, what):
     """An array-like of integers as an array, each entry read as the object
-    it is by :func:`as_integer`; an integer array passes with no loop."""
+    it is by :func:`as_integer`; an integer array passes with no loop.  A
+    ragged sequence raises ValueError naming ``what``."""
     if isinstance(a, (np.ndarray, np.integer)) and a.dtype.kind in "iu":
         return np.asarray(a)
     entries = np.asarray(a, dtype=object)
-    arr = np.asarray(a, dtype=None if entries.size else int)  # [] as int, not float; ragged raises
+    try:
+        arr = np.asarray(a, dtype=None if entries.size else int)  # [] as int, not float
+    except ValueError:
+        raise ValueError(f"{what} must be a rectangular array, not a ragged sequence") from None
     for v in entries.flat:
         try:
             as_integer(v, what)

@@ -116,6 +116,12 @@ class TestInstance:
             Instance(RATIONAL_KERNEL, x if stack else x[0], y if stack else y[0], [0.7] * 2 if stack else 0.7,
                      z if stack else z[0], seed=seed)
 
+    @pytest.mark.parametrize("seed", [[[1, 2], [3]], [1, [2, 3]]])
+    def test_ragged_seeds(self, seed):
+        x, y, z = [[0.1, 0.2]] * 2, [[1.1, 1.2]] * 2, [[2.1, 2.2]] * 2
+        with pytest.raises(ValueError, match="a seed must be a rectangular array, not a ragged sequence"):
+            Instance(RATIONAL_KERNEL, x, y, [0.7] * 2, z, seed=seed)
+
     def test_integer_seeds(self):
         x, y, z = [0.1, 0.2], [1.1, 1.2], [2.1, 2.2]
         for seed in (7, np.int64(7), np.uint32(7)):
@@ -142,6 +148,11 @@ class TestNotNumbers:
             k_matrix([0.5j], bad)
         with pytest.raises(TypeError, match="a point set must be numbers"):
             Instance(RATIONAL_KERNEL, [0.1], [0.5j], 0.7, bad)
+
+    @pytest.mark.parametrize("ragged", [[[0.1, 0.2], [0.3]], [0.1, [0.2, 0.3]]])
+    def test_ragged_point_sets(self, ragged):
+        with pytest.raises(ValueError, match="a point set must be a rectangular array, not a ragged sequence"):
+            cauchy_matrix(RATIONAL_KERNEL, ragged, [0.5j], 0.7)
 
     @pytest.mark.parametrize("bad", [None, "0.7", True])
     def test_parameter(self, bad):

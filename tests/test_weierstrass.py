@@ -335,6 +335,19 @@ class TestNotNumbers:
         with pytest.raises(TypeError, match="k must be integers, not of dtype"):
             sigma_k(lat, 3, bad, 0.2)
 
+    @pytest.mark.parametrize("ragged", [[[0.2, 0.3], [0.4]], [0.2, [0.3, 0.4]]])
+    def test_ragged_points(self, lat, ragged):
+        # numpy's own ValueError would name no input
+        with pytest.raises(ValueError, match="a sigma argument must be a rectangular array, not a ragged sequence"):
+            sigma(lat, ragged)
+        with pytest.raises(ValueError, match="a sigma_k argument must be a rectangular array"):
+            sigma_k(lat, 3, 1, ragged)
+
+    @pytest.mark.parametrize("ragged", [[[1, 2], [3]], [1, [2, 3]]])
+    def test_ragged_indices(self, lat, ragged):
+        with pytest.raises(ValueError, match="k must be a rectangular array, not a ragged sequence"):
+            sigma_k(lat, 3, ragged, 0.2)
+
     def test_sigma_k_integers_of_every_kind(self, lat):
         want = sigma_k(lat, 3, 2, 0.2 + 0j)
         assert sigma_k(lat, np.int64(3), np.uint8(2), np.float32(0.2)) == sigma_k(lat, 3, 2, np.float32(0.2))
