@@ -2,19 +2,23 @@
 
 A sampled instance's points and parameter are doubles, that is dyadic
 rationals, so the matrices the suite checks have exact entries in the
-Gaussian rationals.  Here they are formed with ``fractions.Fraction``: the
-Cauchy matrix C(x, y; lam), its Frobenius determinant and its closed
-inverse, with no rounding, for the very instances the suite samples.  Exact
-elimination must give the Frobenius form, C times the closed inverse must
-be exactly I, and the float ``frobenius_det`` must lie within 1e-14 of the
-exact value, relatively.
+Gaussian rationals.  Here they are formed with ``fractions.Fraction``, with
+no rounding, for the very instances the suite samples: the Cauchy matrix
+C(x, y; lam), its Frobenius determinant and its closed inverse, G_lam(x, y)
+= D(x, y) C(x, y; lam), the factorization factor g_lam and the
+parameter-free K and W.  Exact elimination must give the Frobenius form, C
+times the closed inverse must be exactly I, and every product and
+factorization identity the suite runs on the rational kernel, under both
+its tags, must hold with residual exactly 0.  The float ``frobenius_det``
+must lie within 1e-14 of the exact value, relatively, and the float G, g,
+K and W within 1e-13 of their largest exact entry.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from ellcauchy import Kernel, SuiteConfig, frobenius_det, random_instance
+from ellcauchy import Kernel, SuiteConfig, cauchy, frobenius_det, random_instance
 
 
 class Gaussian:
@@ -64,6 +68,15 @@ def product(values):
     return out
 
 
+def matmul(a, b):
+    return [[sum((a_i[k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))] for a_i in a]
+
+
+def lagrange_exact(x):
+    """The row denominators prod_{l!=i} f(x_i - x_l)."""
+    return [product(xi - xl for l, xl in enumerate(x) if l != i) for i, xi in enumerate(x)]
+
+
 def cauchy_exact(x, y, lam):
     """C_ij = f(x_i - y_j + lam) / (f(lam) f(x_i - y_j))."""
     return [[(xi - yj + lam) / (lam * (xi - yj)) for yj in y] for xi in x]
@@ -88,6 +101,36 @@ def inverse_exact(x, y, lam):
     return [[d_yx[i] * c[i][j] * d_xy[j] for j in range(n)] for i in range(n)]
 
 
+def g_exact(x, y, lam):
+    """G_lam(x, y) = D(x, y) C(x, y; lam), with D(x, y)_ii =
+    prod_k f(x_i - y_k) / prod_{l!=i} f(x_i - x_l)."""
+    d = [product(xi - yk for yk in y) / den for xi, den in zip(x, lagrange_exact(x))]
+    return [[d_i * c_ij for c_ij in c_i] for d_i, c_i in zip(d, cauchy_exact(x, y, lam))]
+
+
+def g_factor_exact(x, lam):
+    """g_lam(x)_ik = (x_i + lam/N)^(k-1+delta_kN) / prod_{l!=i} f(x_i - x_l), k = 1..N."""
+    n = len(x)
+    shift = Gaussian(lam.re / n, lam.im / n)
+    return [
+        [product([xi + shift] * (k - 1 + (k == n))) / den for k in range(1, n + 1)]
+        for xi, den in zip(x, lagrange_exact(x))
+    ]
+
+
+def k_exact(x, y):
+    """K_ij = prod_{k!=j} f(x_i - y_k) / prod_{l!=i} f(x_i - x_l)."""
+    return [
+        [product(xi - yk for k, yk in enumerate(y) if k != j) / den for j in range(len(y))]
+        for xi, den in zip(x, lagrange_exact(x))
+    ]
+
+
+def w_exact(x):
+    """W_ij = x_i^(j-1) / prod_{l!=i} f(x_i - x_l)."""
+    return [[product([xi] * j) / den for j in range(len(x))] for xi, den in zip(x, lagrange_exact(x))]
+
+
 def det_by_elimination(a):
     """Determinant by exact Gaussian elimination, on the first nonzero pivot."""
     a = [row[:] for row in a]
@@ -107,7 +150,8 @@ def det_by_elimination(a):
 
 @pytest.fixture(scope="module")
 def instances():
-    """The suite's rational instances of N = 1..6 at seeds 42..46, exact."""
+    """The suite's rational instances of N = 1..6 at seeds 42..46, each with
+    its x, y, z and lam exact."""
     cfg = SuiteConfig()
     kern = Kernel("rational", cfg.lattice())
     out = []
@@ -115,18 +159,18 @@ def instances():
         stack = random_instance(cfg, kern, n, list(range(42, 47)))
         for b in range(len(stack.seed)):
             inst = stack.member(b)
-            exact = [Gaussian.of(v) for v in inst.x], [Gaussian.of(v) for v in inst.y], Gaussian.of(inst.lam)
-            out.append((inst, *exact))
+            sets = ([Gaussian.of(v) for v in pts] for pts in (inst.x, inst.y, inst.z))
+            out.append((inst, *sets, Gaussian.of(inst.lam)))
     return out
 
 
 def test_elimination_gives_the_frobenius_form(instances):
-    for inst, x, y, lam in instances:
+    for inst, x, y, _, lam in instances:
         assert det_by_elimination(cauchy_exact(x, y, lam)) == frobenius_exact(x, y, lam), (inst.n, inst.seed)
 
 
 def test_closed_inverse_is_exact(instances):
-    for inst, x, y, lam in instances:
+    for inst, x, y, _, lam in instances:
         c, inv = cauchy_exact(x, y, lam), inverse_exact(x, y, lam)
         n = len(x)
         for i in range(n):
@@ -136,8 +180,51 @@ def test_closed_inverse_is_exact(instances):
 
 
 def test_float_determinant_within_1e_14(instances):
-    for inst, x, y, lam in instances:
+    for inst, x, y, _, lam in instances:
         exact = frobenius_exact(x, y, lam)
         err = Gaussian.of(frobenius_det(inst.kernel, inst.x, inst.y, inst.lam)) - exact
         # |err| <= 1e-14 |exact|, compared exactly in squares
         assert err.abs2() <= Fraction(1, 10**28) * exact.abs2(), (inst.n, inst.seed)
+
+
+@pytest.fixture(scope="module")
+def products(instances):
+    """Each instance's exact G, g, K and W, formed once for the tests below."""
+    out = []
+    for inst, x, y, z, lam in instances:
+        lam_y, lam_z = lam + sum(y, ZERO), lam + sum(z, ZERO)
+        out.append((inst, {
+            "G_xy": g_exact(x, y, lam_y), "G_yz": g_exact(y, z, lam_z), "G_xz": g_exact(x, z, lam_z),
+            "g_x": g_factor_exact(x, lam), "g_y": g_factor_exact(y, lam),
+            "K_xy": k_exact(x, y), "K_yz": k_exact(y, z), "K_xz": k_exact(x, z),
+            "W_x": w_exact(x), "W_y": w_exact(y),
+        }))
+    return out
+
+
+@pytest.mark.parametrize("a, b, r", [
+    ("G_xy", "G_yz", "G_xz"),  # G_{lam+Y}(x,y) G_{lam+Z}(y,z) = G_{lam+Z}(x,z)
+    ("G_xy", "g_y", "g_x"),  # G_{lam+Y}(x,y) g_lam(y) = g_lam(x)
+    ("K_xy", "K_yz", "K_xz"),  # K(x,y) K(y,z) = K(x,z)
+    ("K_xy", "W_y", "W_x"),  # K(x,y) W(y) = W(x)
+])
+def test_identity_is_exact(products, a, b, r):
+    for inst, exact in products:
+        assert matmul(exact[a], exact[b]) == exact[r], (inst.n, inst.seed)
+
+
+def test_float_builders_within_1e_13(products):
+    # the exact forms above are the package's G, g, K and W
+    for inst, exact in products:
+        kern, x, y, lam = inst.kernel, inst.x, inst.y, inst.lam
+        floats = {
+            "G_xy": cauchy.g_matrix(kern, x, y, lam + y.sum()),
+            "g_x": cauchy.g_factor(kern, x, lam),
+            "K_xy": cauchy.k_matrix(x, y),
+            "W_x": cauchy.w_matrix(x),
+        }
+        for name, got in floats.items():
+            scale = max(v.abs2() for row in exact[name] for v in row)
+            for got_row, exact_row in zip(got, exact[name]):
+                for g, e in zip(got_row, exact_row):
+                    assert (Gaussian.of(g) - e).abs2() <= Fraction(1, 10**26) * scale, (inst.n, inst.seed, name)
