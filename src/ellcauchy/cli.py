@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cauchy, linalg, verify
 from .errors import EllCauchyError
-from .weierstrass import lattice_new, sigma
+from .weierstrass import sigma
 
 #: an unsigned decimal, with or without digits before its point
 _DECIMAL = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -158,11 +158,10 @@ def _bench(args):
         ]
     except ValueError as exc:
         return _error(exc)
-    lat = lattice_new(1.0, args.tau)
-    # 2000 points of the cell shrunk to 80 %, from the sampler's stream
-    draws = verify._stream(verify._stream_keys([args.seed]), 0, 4000).reshape(2, -1)
-    u, v = cauchy._uniform(-0.4, 0.4, draws)
-    pts = 2 * u * lat.omega + 2 * v * lat.omega_prime
+    lat = cfgs[0].lattice()
+    # 2000 points of the elliptic sampler's cell, from the sampler's stream
+    u, v = verify._stream(verify._stream_keys([args.seed]), 0, 4000).reshape(2, -1)
+    pts = cauchy.KERNELS["elliptic"].points(lat, u, v)
     t0 = time.perf_counter()
     sigma(lat, pts)
     print(f"{'sigma x2000':<22} {(time.perf_counter() - t0) * 1e3:>10.2f} ms")
