@@ -136,62 +136,29 @@ def test_readme_library_example(capsys):
     assert residual < 1e-9
 
 
-#: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)):
-#: each of the 24 distinct instances, each with its third point set, is
-#: sampled once (and degeneration's N = 5 instance, since 5 is not among
-#: the sizes), and the two trials of each (kernel variant, N) are sampled
-#: in one sampler call and checked as one stack by every identity, so the
-#: sampler runs 13 times, and every builder
-#: and checker once per stack, not once per trial.  Each builder tests its
-#: denominators in at most one zero-distance call and evaluates its kernel
-#: in at most one call, both in one helper (C, G, H and the closed inverse
-#: are one scaled-C builder), an elliptic stack's memo skips the kernel
-#: call of a builder or of a factorization factor's Lagrange denominator
-#: whose argument blocks an earlier check on it evaluated, sigma_k takes
-#: every k in one call, a block of sampler rounds makes at most one
-#: zero-distance call, an Instance makes none (the sampler alone keeps the
-#: margins), the determinant, inverse and gauss checks of a stack build its
-#: Cauchy matrix and closed determinant once between them, and the LU
-#: oracle takes a whole stack in one call: only the determinant check
-#: takes an LU
-#: determinant, once per stack, for 2 kernels x 4 sizes.  No check inverts
-#: by LU or tests a structure: every matrix identity is judged by its
-#: backward error, which forms no inverse (the inverse checks C X = I and
-#: X C = I, the factorization check G g(y) = g(x)), and the Gauss factors'
-#: structure holds by construction.  No checker draws
-#: points of its own: monodromy reads the instance's, so it makes no
-#: lattice-distance call per candidate point, and its Bloch expansion is
-#: rows of the scaled-C builder, with that builder's one zero-distance call.
-#: The sampled instances set the rest: the sampler's blocks (one
-#: zero-distance call each, unless every round's close-pair screen rejects)
-#: and the memo hits of argument blocks that round to the bytes of a block
-#: already evaluated.  On the SplitMix64 sample two elliptic stacks take a
-#: block more each, one takes a block fewer, whose rounds the close-pair
-#: screen had all rejected, and a trig stack takes a block fewer
-#: (zero_distance 180 -> 181, lattice_distance 54 -> 56), and at N = 1 one
-#: argument block of the transposed check on the elliptic stack with a
-#: third set rounds to one an earlier builder evaluated (kernel 138 -> 137,
-#: sigma 64 -> 63).  Since the sampler's first block draws 3 rounds per
-#: trial (the old first two blocks, 1 round and 2), every stack of this
-#: grid ends in its first block: 30 -> 25 blocks, and one zero-distance
-#: call fewer for each block saved (181 -> 176; lattice_distance, the
-#: elliptic stacks' share, 56 -> 52).  Since one stack per (variant, N)
-#: carries x, y, z and lambda for every identity, the stacks without a
-#: third set are gone: random_instance 25 -> 13, blocks 25 -> 13,
-#: zero_distance 176 -> 160, lattice_distance 52 -> 44, and the product and
-#: transposed checks read the kernel values of f(x - y), the pair tables and
-#: f(lambda) from the memo of the stack the other checks filled (kernel
-#: 137 -> 133, sigma 63 -> 59).  Since a sampled stack's kernel is marked as
-#: measured by the sampler, no builder zero-tests through it: the
-#: zero-distance calls left are the sampler's 13 blocks and the builders'
-#: on module kernels and fresh ones (K, W, degeneration and monodromy's
-#: Bloch rows), and since the product and factorization checks of a stack
-#: read one G_{lambda+Y}(x, y), and on the k-rational tag one K(x, y), from
-#: its store, each is built once (zero_distance 160 -> 56, lattice_distance
-#: 44 -> 8, kernel 133 -> 121).  Since an empty block (the pair differences
-#: of one point) goes to neither call, the N = 1 stacks' empty calls on the
-#: flat and module kernels are gone (zero_distance 56 -> 51, kernel
-#: 121 -> 112)
+#: calls per run_suite(SuiteConfig(n_values=(1, 2, 3, 4), trials_per_n=2)),
+#: each cap for these reasons:
+#: - the sampler runs once per (kernel variant, N), its two trials as one
+#:   stack that carries x, y, z and lambda for every identity, and once for
+#:   degeneration's N = 5 instance: 3 x 4 + 1 calls;
+#: - only the determinant check takes an LU, once per stack, on 2 kernels x
+#:   4 sizes; no check inverts by LU or tests a structure, since every
+#:   matrix identity is judged by its backward error and the Gauss factors'
+#:   structure holds by construction;
+#: - a sampled stack's kernel is marked as measured by the sampler, so its
+#:   builders make no zero test: the zero-distance calls left are the
+#:   sampler's, one per block of rounds (every stack here ends in its first
+#:   block), and the builders' on module kernels and fresh ones (K, W,
+#:   degeneration and monodromy's Bloch rows); lattice_distance counts the
+#:   elliptic share;
+#: - each builder makes at most one zero-distance and one kernel call, and
+#:   none on an empty block; an elliptic stack's memo skips every argument
+#:   block an earlier check evaluated; each stack's C, closed determinant,
+#:   G_{lambda+Y}(x, y) and K(x, y) are built once, into its product store;
+#:   sigma_k takes every k in one call.
+#: The sampled instances set the rest: the blocks the sampler takes and the
+#: memo hits of argument blocks that round to the bytes of one already
+#: evaluated.
 CALL_CAPS = {
     "verify.random_instance": 13,
     "linalg.lu_det": 8,
