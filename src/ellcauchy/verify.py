@@ -184,9 +184,10 @@ def _margins_ok(kernel, sets, lam, margin):
     ``sets`` is a block of rounds, shape (sets, rounds, n), and ``lam``
     holds one parameter per round, shape (rounds,).  A round keeps its
     margins when the zero distance of each difference of two of its
-    points, of lambda, of lambda plus and minus each set sum and X - Y, and
-    of the Gauss ladder lambda_j and lambda_j + x_j - y_j is at least
-    ``margin``.  The rule is the same for every kernel.
+    points, of lambda plus and minus each set sum, of lambda + X - Y and
+    lambda - X + Y, and of the Gauss ladder lambda_j (lambda_N = lambda)
+    and lambda_j + x_j - y_j is at least ``margin``.  The rule is the same
+    for every kernel.
 
     Both screens read one round-major view of the points, (rounds, sets * n).
     A zero distance never exceeds the modulus (0 is a zero), so a pair
@@ -216,14 +217,15 @@ def _margins_ok(kernel, sets, lam, margin):
 
 def _kernel_margins(kernel, sets, lam, pairs):
     """Each round's smallest zero distance over the differences of two of
-    its points, ``pairs`` of shape (rounds, pairs), lambda and its shifts,
-    and the Gauss ladder."""
+    its points, ``pairs`` of shape (rounds, pairs), lambda's shifts, and
+    the Gauss ladder, whose last rung is lambda itself.  Each block is
+    formed as the builders form it: lambda + X - Y as (lambda + X) - Y."""
     x, y = sets[0], sets[1]
-    sums = sets.sum(axis=-1)
-    shifts = np.concatenate([np.zeros((1, lam.size)), sums, sums[:1] - sums[1:2]]).T
+    sums = sets.sum(axis=-1).T
     lams = cauchy.gauss_lambda_ladder(x, y, lam)
-    lam = lam[:, None]
-    args = np.concatenate([pairs, lam + shifts, lam - shifts, lams, x - y + lams], axis=-1)
+    lam, x_sum, y_sum = lam[:, None], sums[:, :1], sums[:, 1:2]
+    mu = [lam + x_sum - y_sum, lam - x_sum + y_sum]
+    args = np.concatenate([pairs, lam + sums, lam - sums, *mu, lams, x - y + lams], axis=-1)
     return kernel.zero_distance(args).min(axis=-1)
 
 

@@ -165,19 +165,20 @@ def sigma(lat, x):
     The series is summed by Clenshaw's recurrence in a = 2 cos 2v
     (Clenshaw, MTAC 9, 1955): one sin per point, taken by ``np.sin`` so
     that sigma keeps its relative accuracy near lattice points, and K - 1
-    multiply-adds.  A call evaluates its points in slabs of at most
-    ``_SIGMA_SLAB``, so each point's value is the same in a call of any
-    size, and sigma of a stack equals sigma of each of its members bit for
-    bit.  Input that is not numbers raises TypeError.
+    multiply-adds.  A call lays its points along one axis, in slabs of at
+    most ``_SIGMA_SLAB``, so each point's value is the same in every call,
+    one point (a Python complex, a numpy scalar or a 0-d array) included,
+    and bit for bit.  Input that is not numbers raises TypeError.
     """
     x = as_numbers(x, "a sigma argument")
-    if x.size <= _SIGMA_SLAB:
-        return as_result(_sigma_slab(lat, x))
     flat = x.ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _SIGMA_SLAB):
-        out[start:start + _SIGMA_SLAB] = _sigma_slab(lat, flat[start:start + _SIGMA_SLAB])
-    return out.reshape(x.shape)
+    if flat.size <= _SIGMA_SLAB:
+        out = _sigma_slab(lat, flat)
+    else:
+        out = np.empty_like(flat)
+        for start in range(0, flat.size, _SIGMA_SLAB):
+            out[start:start + _SIGMA_SLAB] = _sigma_slab(lat, flat[start:start + _SIGMA_SLAB])
+    return as_result(out.reshape(x.shape))
 
 
 def _sigma_slab(lat, x):
@@ -237,18 +238,18 @@ def sigma_k(lat, n_size, k, x):
     with N = n_size.  Under shifts by a full period it picks up the
     multiplier (-1)^N exp(2 eta N (x + omega)) (and the primed analogue).
     Elementwise over x and over an array k of indices in 1..N, whose axes
-    come last; all factors of all points and all k go through one sigma call.
-    N and k must be integers (a bool or a float, also among the k, raises
-    TypeError), and x numbers (see :func:`sigma`).
+    come last.  The points lie along one axis and the k along another, and
+    all their factors go through one sigma call, so the value of each point
+    and k is the same in every call, one point and one k included, bit for
+    bit.  N and k must be integers (a bool or a float, also among the k,
+    raises TypeError), and x numbers (see :func:`sigma`).
     """
     n_size, k = as_integer(n_size, "N"), as_integers(k, "k")
     if np.any((k < 1) | (k > n_size)):
         raise ValueError(f"k = {k} outside 1..{n_size}")
     x = as_numbers(x, "a sigma_k argument")
-    x = x.reshape(x.shape + (1,) * k.ndim)
-    # k with as many axes as x: numpy multiplies a one-element (1,) by a
-    # (1, 1) in a loop of its own, which rounds apart from a stack's
-    k = k.reshape((1,) * (x.ndim - k.ndim) + k.shape)
+    pts, ks = x.reshape(-1, 1), k.reshape(1, -1)
     l = np.arange(n_size)
-    shifts = (n_size - 2 * l - 1) / n_size * lat.omega - (2 * k[..., None] / n_size) * lat.omega_prime
-    return as_result(np.exp(2 * lat.eta_prime * k * x) * np.prod(sigma(lat, x[..., None] + shifts), axis=-1))
+    shifts = (n_size - 2 * l - 1) / n_size * lat.omega - (2 * ks[..., None] / n_size) * lat.omega_prime
+    out = np.exp(2 * lat.eta_prime * ks * pts) * np.prod(sigma(lat, pts[..., None] + shifts), axis=-1)
+    return as_result(out.reshape(x.shape + k.shape))

@@ -132,13 +132,12 @@ def reference_margins_ok(kernel, sets, lam, margin):
         return False
     sums = [s.sum() for s in sets]
     x_sum, y_sum = sums[0], sums[1]
-    shifts = [0.0, x_sum, -x_sum, y_sum, -y_sum, x_sum - y_sum, y_sum - x_sum]
-    if len(sets) == 3:
-        shifts += [sums[2], -sums[2]]
-    if np.min(kernel.zero_distance(lam + np.asarray(shifts))) < margin:
+    # lambda + X - Y as the Frobenius determinant and the closed inverse form it
+    shifted = [lam + x_sum - y_sum, lam - x_sum + y_sum] + [lam + s for s in sums] + [lam - s for s in sums]
+    if np.min(kernel.zero_distance(np.asarray(shifted))) < margin:
         return False
     x, y = sets[0], sets[1]
-    lams = gauss_lambda_ladder(x, y, lam)
+    lams = gauss_lambda_ladder(x, y, lam)  # its last rung is lambda
     if np.min(kernel.zero_distance(lams)) < margin:
         return False
     return np.min(kernel.zero_distance(x - y + lams)) >= margin
@@ -1369,9 +1368,8 @@ class TestSharedProducts:
 
 class TestMarginsCoverTheBuilders:
     """Every zero distance a builder measures through a sampled stack's own
-    kernel is one the sampler measured, at least ``sep_min`` (up to the
-    rounding of the shift lambda + X - Y): this is what lets a stack's
-    marked kernel skip its builders' zero tests.  Measured with the mark
+    kernel is one the sampler measured, at least ``sep_min``: this is what
+    lets a stack's marked kernel skip its builders' zero tests.  Measured with the mark
     cleared, so that every builder makes its test; a checker that zero-tests
     a block the sampler never measured fails here."""
 
@@ -1415,7 +1413,7 @@ class TestMarginsCoverTheBuilders:
             warnings.simplefilter("ignore", RuntimeWarning)
             run_suite(cfg, identities=identities, kernels=kernels)
         assert len(seen) > len(stacks) > 0
-        assert min(seen) >= cfg.sep_min * (1 - 4 * np.finfo(float).eps), case
+        assert min(seen) >= cfg.sep_min, case
 
 
 class TestKernelMemo:

@@ -241,6 +241,23 @@ class TestSigma:
         for i in np.ndindex(3, 4):
             assert np.array_equal(got[i], sigma(lat, x[i]))
 
+    @pytest.mark.parametrize("tau", [0.3 + 0.7j, 3j, 7.3 + 0.9j, 0.5 + 13j, 0.08j])
+    def test_one_point_is_its_array_call(self, tau):
+        # a Python complex, a numpy scalar and a 0-d array run the array
+        # loops of a one-point array, where numpy's scalar arithmetic would
+        # round some last bits apart; up to 3 periods out, where sigma may
+        # overflow on a skewed lattice
+        lat = lattice_new(1.0, tau)
+        rng = np.random.default_rng(17)
+        m, mp = rng.integers(-3, 4, (2, 300))
+        x = cell_points(lat, rng, 300) + 2 * m * lat.omega + 2 * mp * lat.omega_prime
+        with np.errstate(all="ignore"):
+            for z in x:
+                want = sigma(lat, np.array([z]))[0]
+                for one in (complex(z), np.complex128(z), np.array(z)):
+                    got = sigma(lat, one)
+                    assert type(got) is complex and np.complex128(got).tobytes() == want.tobytes(), (z, one)
+
     def test_call_size_moves_no_value(self, lat, rng):
         # a call past NumPy's 256 KiB in-place temporaries (16,384 complex
         # values) gives each point the value of a small call
@@ -305,11 +322,9 @@ class TestSigmaK:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_k_array_is_the_stacked_calls(self, lat, rng, n):
-        # a row of points and the monodromy's 3 x 2 grid; with a single
-        # point and a single k, numpy forms the exponent in another loop,
-        # which may round the last bit differently
+        # a row of points, the monodromy's 3 x 2 grid and one point
         ks = np.arange(1, n + 1)
-        for shape in ((n + 1,), (3, 2)):
+        for shape in ((n + 1,), (3, 2), ()):
             x = cell_points(lat, rng, int(np.prod(shape))).reshape(shape)
             stacked = np.stack([sigma_k(lat, n, int(k), x) for k in ks], axis=-1)
             assert np.array_equal(sigma_k(lat, n, ks, x), stacked)
