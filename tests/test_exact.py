@@ -1,4 +1,5 @@
-"""Exact ground truth for the rational kernel f(z) = z.
+"""Exact ground truth for the rational kernel f(z) = z and the trigonometric
+f(z) = sin z.
 
 A sampled instance's points and parameter are doubles, that is dyadic
 rationals, so the matrices the suite checks have exact entries in the
@@ -12,13 +13,22 @@ factorization identity the suite runs on the rational kernel, under both
 its tags, must hold with residual exactly 0.  The float ``frobenius_det``
 must lie within 1e-14 of the exact value, relatively, and the float G, g,
 K and W within 1e-13 of their largest exact entry.
+
+The trigonometric kernel f(z) = sin z is rational too, in X = e^{2ix}, Y,
+Z and Lambda = e^{2i lam/N}, up to one square-root factor per matrix:
+sqrt(prod X / prod Y) = e^{i(X_sum - Y_sum)} for G_lam(x, y) and sqrt(prod X)
+for the factor g_lam(x).  With it divided out, the product and the
+factorization identity must hold exactly on Gaussian-rational draws, where
+lam + Y_sum maps to L prod Y with L = Lambda^N = e^{2i lam}.
 """
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ellcauchy import Kernel, SuiteConfig, cauchy, frobenius_det, random_instance
+from ellcauchy import TRIG_KERNEL, Kernel, SuiteConfig, cauchy, frobenius_det, random_instance
 
 
 class Gaussian:
@@ -228,3 +238,90 @@ def test_float_builders_within_1e_13(products):
             for got_row, exact_row in zip(got, exact[name]):
                 for g, e in zip(got_row, exact_row):
                     assert (Gaussian.of(g) - e).abs2() <= Fraction(1, 10**26) * scale, (inst.n, inst.seed, name)
+
+
+def trig_g_exact(x, y, m):
+    """G_mu(x, y) for f = sin over sqrt(prod X / prod Y), with M = e^{2i mu}:
+    D(x, y)_ii = prod_k (X_i - Y_k) / (2i X_i prod_{l!=i} (X_i - X_l)) and
+    C(x, y; mu)_ij = 2i (X_i M - Y_j) / ((M - 1)(X_i - Y_j))."""
+    return [
+        [product(xi - yk for yk in y) * (xi * m - yj) / (xi * den * (m - ONE) * (xi - yj)) for yj in y]
+        for xi, den in zip(x, lagrange_exact(x))
+    ]
+
+
+def trig_g_factor_exact(x, lam_n):
+    """g_lam(x) for f = sin over sqrt(prod X), with Lambda = e^{2i lam/N}:
+    (2i)^(N-1) ((X_i Lambda)^k + (-1)^N delta_kN) / (X_i prod_{l!=i} (X_i - X_l))."""
+    n = len(x)
+    scale, top = product([Gaussian(0, 2)] * (n - 1)), Gaussian((-1) ** n)
+    return [
+        [scale * (product([xi * lam_n] * k) + (top if k == n else ZERO)) / (xi * den) for k in range(1, n + 1)]
+        for xi, den in zip(x, lagrange_exact(x))
+    ]
+
+
+def gaussian_draw(rnd, lo2, hi2, power=1):
+    """A Gaussian rational with denominator 64 whose power-th power has a
+    squared modulus in [lo2, hi2]."""
+    while True:
+        z = Gaussian(Fraction(rnd.randint(-64, 64), 64), Fraction(rnd.randint(-64, 64), 64))
+        if lo2 <= product([z] * power).abs2() <= hi2:
+            return z
+
+
+@pytest.fixture(scope="module")
+def trig_instances():
+    """Five seeded draws for each N = 1..6 of three sets of N distinct
+    points X, Y, Z with |X| in 0.37..1, as e^{2ix} of the trig strip's x,
+    and Lambda with |L| = |Lambda|^N in 0.3..0.74, as e^{2i lam} of its lam."""
+    out = []
+    for n in range(1, 7):
+        for seed in range(5):
+            rnd = random.Random(100 * n + seed)
+            while True:
+                pts = [gaussian_draw(rnd, Fraction(37, 100) ** 2, 1) for _ in range(3 * n)]
+                if len({(p.re, p.im) for p in pts}) == 3 * n:
+                    break
+            lam_n = gaussian_draw(rnd, Fraction(3, 10) ** 2, Fraction(74, 100) ** 2, n)
+            out.append((n, seed, pts[:n], pts[n:2 * n], pts[2 * n:], lam_n))
+    return out
+
+
+@pytest.fixture(scope="module")
+def trig_products(trig_instances):
+    """Each draw's G_{lam+Y}(x, y), G_{lam+Z}(y, z), G_{lam+Z}(x, z), g(x) and
+    g(y), each over its square-root factor."""
+    out = []
+    for n, seed, x, y, z, lam_n in trig_instances:
+        l = product([lam_n] * n)
+        l_y, l_z = l * product(y), l * product(z)
+        out.append(((n, seed), {
+            "G_xy": trig_g_exact(x, y, l_y), "G_yz": trig_g_exact(y, z, l_z), "G_xz": trig_g_exact(x, z, l_z),
+            "g_x": trig_g_factor_exact(x, lam_n), "g_y": trig_g_factor_exact(y, lam_n),
+        }))
+    return out
+
+
+@pytest.mark.parametrize("a, b, r", [
+    ("G_xy", "G_yz", "G_xz"),  # G_{lam+Y}(x,y) G_{lam+Z}(y,z) = G_{lam+Z}(x,z)
+    ("G_xy", "g_y", "g_x"),  # G_{lam+Y}(x,y) g_lam(y) = g_lam(x)
+])
+def test_trig_identity_is_exact(trig_products, a, b, r):
+    for key, exact in trig_products:
+        assert matmul(exact[a], exact[b]) == exact[r], key
+
+
+def test_trig_forms_are_the_builders(trig_instances, trig_products):
+    # the exact forms times their square-root factor are the package's float
+    # G and g at x = -i log(X) / 2 and lam = -i N log(Lambda) / 2
+    for (n, seed, x, y, _, lam_n), (key, exact) in zip(trig_instances, trig_products):
+        xf, yf = (np.log([complex(p.re, p.im) for p in pts]) / 2j for pts in (x, y))
+        lam = n * np.log(complex(lam_n.re, lam_n.im)) / 2j
+        floats = {
+            "G_xy": (cauchy.g_matrix(TRIG_KERNEL, xf, yf, lam + yf.sum()), np.exp(1j * (xf.sum() - yf.sum()))),
+            "g_x": (cauchy.g_factor(TRIG_KERNEL, xf, lam), np.exp(1j * xf.sum())),
+        }
+        for name, (got, root) in floats.items():
+            want = root * np.array([[complex(v.re, v.im) for v in row] for row in exact[name]])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (key, name)
