@@ -1,7 +1,8 @@
 """The benchmark tracer's targets exist in the package, its round hook
 counts sampler blocks, a block of sampler rounds makes at most one
 zero-distance call, the README's library example runs, and the layer call counts of a
-small suite run stay within their pinned caps.
+small suite run, and the points of its sigma and lattice_distance calls,
+stay within their pinned caps.
 
 ``perfbench/tracer.py`` wraps package functions by name; a renamed or
 deleted target would otherwise only fail ``python -m pytest perfbench``.
@@ -172,6 +173,17 @@ CALL_CAPS = {
 }
 
 
+#: points in the same run, each cap for these reasons:
+#: - sigma: a builder's one kernel call sends each argument block once, and
+#:   only those its stack's memo holds no values for; sigma_k sends each
+#:   factor of each point and k once; so a block evaluated twice, within one
+#:   call or by two builders of one stack, adds its points;
+#: - lattice_distance: the sampler measures each margin of a round once, lambda
+#:   only as the Gauss ladder's last rung, and each builder on a module or
+#:   fresh kernel tests each of its blocks once; so a margin measured twice
+#:   adds a column to every round.
+POINT_CAPS = {"weierstrass.sigma.points": 2_100, "weierstrass.lattice_distance.points": 897}
+
 #: blocks of sampler rounds in the same run (the round hook's count)
 ROUND_CAP = 13
 
@@ -187,5 +199,7 @@ def test_call_counts_do_not_grow():
     calls = rec.aggregate()["calls"]
     counts = {label: calls[label] for label in CALL_CAPS}
     assert all(counts[label] <= cap for label, cap in CALL_CAPS.items()), counts
+    points = {label: rec.counts[label] for label in POINT_CAPS}
+    assert all(points[label] <= cap for label, cap in POINT_CAPS.items()), points
     # sampler blocks, the round hook's count: one per sampler call here
     assert rec.counts[tracer.ROUND_HOOK[2]] <= ROUND_CAP
