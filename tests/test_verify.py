@@ -1369,9 +1369,9 @@ class TestSharedProducts:
 class TestMarginsCoverTheBuilders:
     """Every zero distance a builder measures through a sampled stack's own
     kernel is one the sampler measured, at least ``sep_min``: this is what
-    lets a stack's marked kernel skip its builders' zero tests.  Measured with the mark
-    cleared, so that every builder makes its test; a checker that zero-tests
-    a block the sampler never measured fails here."""
+    lets a stack's marked kernel skip its builders' zero tests.  Measured
+    with the mark cleared, so that every builder makes its test; a checker
+    that zero-tests a block the sampler never measured fails here."""
 
     CASES = {
         **{
