@@ -323,10 +323,9 @@ def _fused(kernel, what, tested, *args):
     values for; it keeps no outcome of a zero test.
 
     A ``margined`` kernel, a sampled instance's, is not zero-tested at all:
-    every block a builder tests on its stack (the differences of two points
-    of x, y and z, lambda and its shifts by set sums, and the Gauss ladder)
-    is, bit for bit, one the sampler measured at ``sep_min`` >= ``ZERO_TOL``.
-    Any other kernel tests every nonempty block it is given, on every call."""
+    every block a builder tests on its stack is, bit for bit, one the
+    sampler measured at ``sep_min`` >= ``ZERO_TOL``.  Any other kernel
+    tests every nonempty block it is given, on every call."""
     blocks = [] if kernel.margined else [t.ravel() for t in tested if t.size]
     if blocks and np.any(kernel.zero_distance(np.concatenate(blocks)) < ZERO_TOL):
         raise KernelZero(f"{what} hits a kernel zero")

@@ -183,11 +183,9 @@ def _margins_ok(kernel, sets, lam, margin):
 
     ``sets`` is a block of rounds, shape (sets, rounds, n), and ``lam``
     holds one parameter per round, shape (rounds,).  A round keeps its
-    margins when the zero distance of each difference of two of its
-    points, of lambda plus and minus each set sum, of lambda + X - Y and
-    lambda - X + Y, and of the Gauss ladder lambda_j (lambda_N = lambda)
-    and lambda_j + x_j - y_j is at least ``margin``.  The rule is the same
-    for every kernel.
+    margins when the zero distance of each block its builders zero-test
+    (see :func:`_kernel_margins`) is at least ``margin``.  The rule is the
+    same for every kernel: the union over the registry's plans.
 
     Both screens read one round-major view of the points, (rounds, sets * n).
     A zero distance never exceeds the modulus (0 is a zero), so a pair
@@ -216,16 +214,17 @@ def _margins_ok(kernel, sets, lam, margin):
 
 
 def _kernel_margins(kernel, sets, lam, pairs):
-    """Each round's smallest zero distance over the differences of two of
-    its points, ``pairs`` of shape (rounds, pairs), lambda's shifts, and
-    the Gauss ladder, whose last rung is lambda itself.  Each block is
-    formed as the builders form it: lambda + X - Y as (lambda + X) - Y."""
+    """Each round's smallest zero distance over exactly the blocks its
+    builders zero-test, each formed as they form it: the differences of
+    two of its points, ``pairs`` of shape (rounds, pairs); lambda + Y and
+    lambda + Z; lambda - X and lambda - Y; (lambda + X) - Y; and the Gauss
+    ladder lambda_j, whose last rung is lambda itself, with x_j - y_j + lambda_j."""
     x, y = sets[0], sets[1]
     sums = sets.sum(axis=-1).T
     lams = cauchy.gauss_lambda_ladder(x, y, lam)
-    lam, x_sum, y_sum = lam[:, None], sums[:, :1], sums[:, 1:2]
-    mu = [lam + x_sum - y_sum, lam - x_sum + y_sum]
-    args = np.concatenate([pairs, lam + sums, lam - sums, *mu, lams, x - y + lams], axis=-1)
+    lam = lam[:, None]
+    mu = lam + sums[:, :1] - sums[:, 1:2]
+    args = np.concatenate([pairs, lam + sums[:, 1:], lam - sums[:, :2], mu, lams, x - y + lams], axis=-1)
     return kernel.zero_distance(args).min(axis=-1)
 
 
@@ -332,10 +331,9 @@ def random_instance(cfg, kernel, n, seed):
     exhausting trial.
 
     The instance's kernel copy is marked ``margined``: every block a
-    builder zero-tests on it (the differences of two points of x, y and z,
-    lambda and its shifts by a set sum, and the Gauss ladder) is one
-    :func:`_margins_ok` measured at ``sep_min`` >= ``ZERO_TOL``, so the
-    builders skip that test (see ``cauchy._fused``).
+    builder zero-tests on it is one :func:`_margins_ok` measured at
+    ``sep_min`` >= ``ZERO_TOL``, so the builders skip that test (see
+    ``cauchy._fused``).
 
     Raises :class:`SamplingExhausted` if the separation requirement cannot
     be met in the sampling region (or after the round limit).  Before any

@@ -178,11 +178,11 @@ CALL_CAPS = {
 #:   only those its stack's memo holds no values for; sigma_k sends each
 #:   factor of each point and k once; so a block evaluated twice, within one
 #:   call or by two builders of one stack, adds its points;
-#: - lattice_distance: the sampler measures each margin of a round once, lambda
-#:   only as the Gauss ladder's last rung, and each builder on a module or
-#:   fresh kernel tests each of its blocks once; so a margin measured twice
-#:   adds a column to every round.
-POINT_CAPS = {"weierstrass.sigma.points": 2_100, "weierstrass.lattice_distance.points": 897}
+#: - lattice_distance: the sampler measures only the blocks a builder tests,
+#:   each once (lambda only as the Gauss ladder's last rung), and each builder
+#:   on a module or fresh kernel tests each of its blocks once; so a margin
+#:   measured twice, or one no builder tests, adds a column to every round.
+POINT_CAPS = {"weierstrass.sigma.points": 2_100, "weierstrass.lattice_distance.points": 840}
 
 #: blocks of sampler rounds in the same run (the round hook's count)
 ROUND_CAP = 13

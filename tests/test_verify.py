@@ -133,7 +133,7 @@ def reference_margins_ok(kernel, sets, lam, margin):
     sums = [s.sum() for s in sets]
     x_sum, y_sum = sums[0], sums[1]
     # lambda + X - Y as the Frobenius determinant and the closed inverse form it
-    shifted = [lam + x_sum - y_sum, lam - x_sum + y_sum] + [lam + s for s in sums] + [lam - s for s in sums]
+    shifted = [lam + x_sum - y_sum] + [lam + s for s in sums[1:]] + [lam - s for s in sums[:2]]
     if np.min(kernel.zero_distance(np.asarray(shifted))) < margin:
         return False
     x, y = sets[0], sets[1]
@@ -1414,6 +1414,59 @@ class TestMarginsCoverTheBuilders:
             run_suite(cfg, identities=identities, kernels=kernels)
         assert len(seen) > len(stacks) > 0
         assert min(seen) >= cfg.sep_min, case
+
+
+class TestBuildersCoverTheMargins:
+    """The other direction: every value the sampler measures for the round a
+    member accepts is, bit for bit up to sign (the zero distance is even),
+    one that some builder zero-tests on that member, so no round is rejected
+    for a kernel zero that no check divides by.  Run on the elliptic stacks
+    of the default plan, where every identity runs, with the mark cleared
+    so that every builder makes its test."""
+
+    def test_every_measured_block_is_tested(self, monkeypatch):
+        cfg = SuiteConfig()
+        rounds, stacks = [], []  # (sets, lam, columns) of each measured chunk; (kernel, columns, tested)
+        kernel_margins, zero_distance, fused = verify._kernel_margins, Kernel.zero_distance, cauchy._fused
+
+        def margins(kernel, sets, lam, pairs):
+            def measured(self, z):
+                rounds.append((sets, lam, z))
+                return zero_distance(self, z)
+
+            with monkeypatch.context() as m:
+                m.setattr(Kernel, "zero_distance", measured)
+                return kernel_margins(kernel, sets, lam, pairs)
+
+        def unmarked(cfg, kernel, n, seeds):
+            rounds.clear()
+            stack = random_instance(cfg, kernel, n, seeds)
+            object.__setattr__(stack.kernel, "margined", False)
+            sets = np.stack([stack.x, stack.y, stack.z])
+            columns = [
+                next(z[r] for s, lam, z in rounds for r in range(len(lam)) if (s[:, r] == sets[:, b]).all())
+                for b in range(len(stack.lam))
+            ]
+            stacks.append((stack.kernel, columns, [set() for _ in columns]))
+            return stack
+
+        def recorded(kernel, what, tested, *args):
+            for kern, columns, seen in stacks:
+                if kern is kernel:
+                    for t in tested:
+                        for b, row in enumerate(np.reshape(t, (len(columns), -1))):
+                            seen[b].update(v.tobytes() for v in row)
+            return fused(kernel, what, tested, *args)
+
+        monkeypatch.setattr(verify, "_kernel_margins", margins)
+        monkeypatch.setattr(verify, "random_instance", unmarked)
+        monkeypatch.setattr(cauchy, "_fused", recorded)
+        run_suite(cfg, kernels={"elliptic"})
+        assert len(stacks) == len(cfg.n_values)
+        for kern, columns, seen in stacks:
+            for b, cols in enumerate(columns):
+                untested = [v for v in cols if v.tobytes() not in seen[b] and (-v).tobytes() not in seen[b]]
+                assert not untested, (len(cols), untested[:3])
 
 
 class TestKernelMemo:
