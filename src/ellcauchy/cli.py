@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -63,7 +64,9 @@ def _add_suite_flags(p):
     p.add_argument("--out", default=None, help="write the report to this file instead of stdout")
 
 
-def parse_args(argv):
+@functools.cache
+def _parser():
+    """The process's one argument parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="ellcauchy",
         description="verify the elliptic Cauchy matrix identities on seeded random instances",
@@ -82,8 +85,15 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, default=_DEFAULTS.base_seed)
 
     sub.add_parser("list", help="print the identity catalogue")
+    return parser
 
-    return parser.parse_args(argv)
+
+def parse_args(argv):
+    """Parse ``argv`` with the one parser.  Each parse gets its own copy of
+    a list default (``--n``'s), so no run can change the next one's."""
+    args = _parser().parse_args(argv)
+    vars(args).update({k: list(v) for k, v in vars(args).items() if isinstance(v, list)})
+    return args
 
 
 def _render_text(reports):

@@ -62,6 +62,14 @@ class TestParseArgs:
         assert args.tau == 0.3 + 0.7j
         assert args.kernel == "all" and args.format == "text"
 
+    def test_a_run_leaves_the_next_parse_its_defaults(self, capsys):
+        # one parser serves every parse, so a parse must not hand out its defaults
+        assert cli._parser() is cli._parser()
+        args = cli.parse_args(["verify", "determinant", "--trials", "1"])
+        args.n[:] = [2]
+        assert cli.run(args) == 0 and "2 checks, 0 failed" in capsys.readouterr().out
+        assert cli.parse_args(["verify", "determinant"]).n == list(range(1, 9))
+
     def test_verify_requires_known_identity(self):
         with pytest.raises(SystemExit) as exc:
             cli.parse_args(["verify", "bogus"])
