@@ -111,19 +111,19 @@ def lu_inverse(a):
 
 
 def max_abs_residual(a, b):
-    """Entrywise max |a_ij - b_ij|, per matrix of a stack."""
+    """Entrywise max |a_ij - b_ij|, per matrix of a stack (0 for 0 x 0)."""
     a, b = _check_same_dim(a, b)
-    return as_result(np.abs(a - b).max(axis=(-2, -1)))
+    return as_result(np.abs(a - b).max(axis=(-2, -1), initial=0.0))
 
 
 def backward_error(a, b, r):
     """The componentwise backward error of ``a @ b`` as ``r``, per matrix of
     a stack: max_ij |a b - r|_ij / (|a| |b|)_ij (Oettli and Prager, Numer.
     Math. 6, 1964; Higham, Accuracy and Stability of Numerical Algorithms,
-    sec. 7.2).  An entry 0/0 reads 0, x/0 with x != 0 reads inf, and a NaN
-    in ``a``, ``b`` or ``r`` gives NaN.  All three are square matrices of
-    one size, else :class:`DimensionMismatch`; ``r`` broadcasts against the
-    product."""
+    sec. 7.2).  An entry 0/0 reads 0, x/0 with x != 0 reads inf, a NaN in
+    ``a``, ``b`` or ``r`` gives NaN, and a 0 x 0 product reads 0.  All three
+    are square matrices of one size, else :class:`DimensionMismatch`; ``r``
+    broadcasts against the product."""
     a, b = _check_same_dim(a, b)
     r = _as_square(r)
     if r.shape[-1] != a.shape[-1]:
@@ -133,7 +133,7 @@ def backward_error(a, b, r):
     # where den is 0, the ratio keeps inf for num > 0 and num itself else
     ratio = np.where(num > 0, np.inf, num)
     np.divide(num, den, out=ratio, where=den != 0)
-    return as_result(ratio.max(axis=(-2, -1)))
+    return as_result(ratio.max(axis=(-2, -1), initial=0.0))
 
 
 def rel_residual(a, b):

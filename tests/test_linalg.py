@@ -202,6 +202,12 @@ class TestBackwardError:
         mats[operand][1, 2] = np.nan
         assert math.isnan(backward_error(*mats))
 
+    def test_empty_matrices_read_zero(self):
+        # a 0 x 0 product is exact, as the determinant of a 0 x 0 matrix is 1
+        empty = np.zeros((0, 0), dtype=complex)
+        assert backward_error(empty, empty, np.eye(0)) == 0.0 and lu_det(empty) == 1
+        assert backward_error(*[np.zeros((3, 0, 0))] * 3).tolist() == [0.0] * 3
+
     def test_member_matches_the_call_on_it_alone(self, rng):
         a, b, r = (complex_stack(rng, (2, 3, 5, 5)) for _ in range(3))
         a[0, 1] = b[0, 1] = r[0, 1] = np.eye(5)  # 0/0 entries
@@ -247,6 +253,11 @@ class TestResiduals:
         assert max_abs_residual(a, b) == 0.5
         with pytest.raises(DimensionMismatch):
             max_abs_residual(np.eye(2), np.eye(3))
+
+    def test_max_abs_residual_of_empty_matrices(self):
+        assert max_abs_residual(np.zeros((0, 0)), np.eye(0)) == 0.0
+        assert max_abs_residual(np.zeros((2, 0, 0)), np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+        assert math.isnan(max_abs_residual([[np.nan, 0], [0, 0]], np.zeros((2, 2))))
 
     def test_rel_residual(self):
         a = np.array([[2.0, 0.0], [0.0, 2.0]])
