@@ -1463,7 +1463,7 @@ class TestBuildersCoverTheMargins:
         monkeypatch.setattr(cauchy, "_fused", recorded)
         run_suite(cfg, kernels={"elliptic"})
         assert len(stacks) == len(cfg.n_values)
-        for kern, columns, seen in stacks:
+        for _, columns, seen in stacks:
             for b, cols in enumerate(columns):
                 untested = [v for v in cols if v.tobytes() not in seen[b] and (-v).tobytes() not in seen[b]]
                 assert not untested, (len(cols), untested[:3])
