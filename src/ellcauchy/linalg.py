@@ -46,32 +46,32 @@ def _lu_factor(a):
     Returns (lu, perm, sign) where lu packs L (unit diagonal implied) below
     and U on/above the diagonal, perm is the row permutation applied, and
     sign is the permutation parity, each with the stack's leading axes.
-    Each member is factored by the same elementwise operations, in the same
-    order, as it would be alone.  Does not raise on tiny pivots; callers
-    decide what a singular pivot means.  A member whose pivot is exactly 0
-    skips that column.
+    Every member takes the same steps, and is factored by the same
+    elementwise operations, in the same order, as it would be alone.  Does
+    not raise on tiny pivots; callers decide what a singular pivot means.
     """
     lu = np.array(a, dtype=complex)
     stack, n = lu.shape[:-2], lu.shape[-1]
     lu = lu.reshape(math.prod(stack), n, n)
+    every = np.arange(len(lu))
     perm = np.tile(np.arange(n), (len(lu), 1))
     sign = np.ones(len(lu), dtype=int)
     for k in range(n):
         p = k + np.argmax(np.abs(lu[:, k:, k]), axis=-1)
-        s = np.flatnonzero(p != k)
-        p = p[s]
-        lu[s, k], lu[s, p] = lu[s, p], lu[s, k]
-        perm[s, k], perm[s, p] = perm[s, p], perm[s, k]
-        sign[s] *= -1
+        # a row may swap with itself
+        lu[every, k], lu[every, p] = lu[every, p], lu[every, k]
+        perm[every, k], perm[every, p] = perm[every, p], perm[every, k]
+        sign = np.where(p == k, sign, -sign)
         piv = lu[:, k, k, None]
         live = piv != 0
-        col = lu[:, k + 1 :, k]
-        np.divide(col, piv, out=col, where=live)
-        # a skipping member's product is discarded; zeros in place of its
-        # row keep an inf there from warning on 0 * inf
+        below = lu[:, k + 1 :, k]
+        # a zero pivot's column is zero and keeps its zeros' signs, which a
+        # division by 1 could flip; exactly zero factors leave the rows
+        # below as they are, and an inf in the pivot row meets no 0
+        col = np.where(live, below / np.where(live, piv, 1), 0)
+        below[:] = np.where(live, col, below)
         row = np.where(live, lu[:, k, k + 1 :], 0)
-        rest = lu[:, k + 1 :, k + 1 :]
-        np.subtract(rest, col[..., None] * row[:, None, :], out=rest, where=live[..., None])
+        lu[:, k + 1 :, k + 1 :] -= col[..., None] * row[:, None, :]
     return lu.reshape(stack + (n, n)), perm.reshape(stack + (n,)), sign.reshape(stack)
 
 
@@ -97,9 +97,8 @@ def lu_inverse(a):
     threshold = PIVOT_FLOOR * np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
     small = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) < threshold[..., None]
     if small.any():
-        small, threshold = small.reshape(-1, n), threshold.reshape(-1)
-        b = int(np.argmax(small.any(axis=-1)))
-        raise SingularMatrix(f"pivot below {threshold[b]:.3e} at position {int(np.argmax(small[b]))}")
+        *b, i = np.argwhere(small)[0]  # the first in stack order
+        raise SingularMatrix(f"pivot below {threshold[tuple(b)]:.3e} at position {i}")
     # solve A X = I: permute rows of I, then forward/back substitution
     x = np.eye(n, dtype=complex)[perm]
     for k in range(1, n):

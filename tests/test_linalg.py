@@ -1,5 +1,6 @@
 """Pivoted-LU helpers, the backward error and residual/structure utilities."""
 
+import itertools
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from ellcauchy import DimensionMismatch, SingularMatrix, SuiteConfig, cauchy, run_suite
 from ellcauchy.linalg import (
     _as_square,
+    _lu_factor,
     backward_error,
     lu_det,
     lu_inverse,
@@ -146,6 +148,19 @@ class TestStacked:
             dets = lu_det(a)
         assert dets[1, 1] == 0 and dets[0, 2] == 0
         for b in np.ndindex(2, 3):
+            assert dets[b].tobytes() == np.complex128(ref_lu_det(a[b])).tobytes(), b
+
+    def test_zero_pivots_keep_their_signed_zeros(self):
+        # every way of placing signed zeros (or a 1) at four entries; where a
+        # pivot is 0, a division by 1 or a product with a zeroed row would
+        # flip some of the signs that the one-matrix loop keeps
+        zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        a = np.array([[[w, 1 + 2j, 3], [x, y, -1j], [z, 2, y]] for w, x, y, z in itertools.product([*zeros, 1], repeat=4)])
+        lu, perm, sign = _lu_factor(a)
+        dets = lu_det(a)
+        for b in range(len(a)):
+            ref = ref_lu_factor(a[b])
+            assert (lu[b].tobytes(), perm[b].tolist(), sign[b]) == (ref[0].tobytes(), ref[1].tolist(), ref[2]), b
             assert dets[b].tobytes() == np.complex128(ref_lu_det(a[b])).tobytes(), b
 
     def test_one_matrix_gives_python_complex(self, rng):
