@@ -6,8 +6,9 @@ library factorizations.  Cauchy matrices are notoriously ill-conditioned;
 partial pivoting by maximum magnitude is essential.  Every matrix
 identity A B = R is judged by one residual, :func:`backward_error`.  The
 LU inverse, :func:`rel_residual` and :func:`structure_check` serve the
-tests alone, as oracles.  Every routine takes one matrix or a stack of
-them (leading axes) and answers per matrix, as a scalar for one matrix.
+tests alone, as oracles.  Every routine takes one matrix of any square
+size, 0 x 0 included, or a stack of them (leading axes) and answers per
+matrix, as a scalar for one matrix.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def lu_inverse(a):
     a = _as_square(a)
     n = a.shape[-1]
     lu, perm, _ = _lu_factor(a)
-    threshold = PIVOT_FLOOR * np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
+    threshold = PIVOT_FLOOR * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1e-300)
     small = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)) < threshold[..., None]
     if small.any():
         *b, i = np.argwhere(small)[0]  # the first in stack order
@@ -137,8 +138,10 @@ def backward_error(a, b, r):
 
 def rel_residual(a, b):
     """max |a_ij - b_ij| divided by the max entry magnitude of b, per
-    matrix of a stack."""
+    matrix of a stack (0 for 0 x 0)."""
     a, b = _check_same_dim(a, b)
+    if not a.shape[-1]:
+        return as_result(np.zeros(a.shape[:-2]))
     scale = np.abs(b).max(axis=(-2, -1))
     return as_result(np.abs(a - b).max(axis=(-2, -1)) / scale)
 
@@ -150,11 +153,12 @@ def structure_check(a, kind, tol):
     ``kind`` is one of ``unit_upper``, ``unit_lower``, ``diagonal``.
     Off-pattern entries must have magnitude below tol; where the pattern
     requires 1 on the diagonal, diagonal entries must be within tol of 1.
+    A 0 x 0 matrix has no entries to miss the pattern.
     """
     a = _as_square(a)
-    lower = np.abs(np.tril(a, -1)).max(axis=(-2, -1))
-    upper = np.abs(np.triu(a, 1)).max(axis=(-2, -1))
-    diag_is_one = np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1).max(axis=-1)
+    lower = np.abs(np.tril(a, -1)).max(axis=(-2, -1), initial=0.0)
+    upper = np.abs(np.triu(a, 1)).max(axis=(-2, -1), initial=0.0)
+    diag_is_one = np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1).max(axis=-1, initial=0.0)
     if kind == "unit_upper":
         return as_result((lower < tol) & (diag_is_one < tol))
     if kind == "unit_lower":

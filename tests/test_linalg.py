@@ -116,12 +116,18 @@ class TestInverse:
         with pytest.raises(SingularMatrix):
             lu_inverse(np.zeros((3, 3)))
 
+    def test_empty_matrices(self):
+        for a in (np.zeros((0, 0)), np.zeros((2, 0, 0))):
+            inv = lu_inverse(a)
+            assert inv.shape == a.shape and inv.dtype == complex
+
 
 class TestStacked:
     """A (2, 3, N, N) stack answers per member, bit for bit as the
     one-matrix loop ``ref_lu_factor`` does on that member alone."""
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    # the suite's sizes, and 32, which ``ellcauchy bench`` factors
+    @pytest.mark.parametrize("n", [*range(1, 9), 12, 16, 20, 32])
     def test_det_and_inverse_match_one_matrix_loop(self, rng, n):
         a = complex_stack(rng, (2, 3, n, n))
         if n > 1:
@@ -136,7 +142,7 @@ class TestStacked:
             assert invs[b].tobytes() == ref_lu_inverse(a[b]).tobytes(), b
         assert n == 1 or swapped
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", [*range(2, 9), 12, 16, 20, 32])
     def test_singular_member_has_zero_det_and_leaves_the_rest(self, rng, n):
         a = complex_stack(rng, (2, 3, n, n))
         a[1, 1, :, n // 2] = 0  # exactly singular: a zero pivot column
@@ -278,6 +284,10 @@ class TestResiduals:
         a = np.array([[2.0, 0.0], [0.0, 2.0]])
         assert rel_residual(1.001 * a, a) == pytest.approx(0.001)
 
+    def test_rel_residual_of_empty_matrices(self):
+        assert rel_residual(np.zeros((0, 0)), np.eye(0)) == 0.0
+        assert rel_residual(np.zeros((2, 0, 0)), np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+
 
 class TestNotNumbers:
     """A matrix that is not numbers is refused, where a cast to complex
@@ -319,6 +329,11 @@ class TestStructure:
         almost = np.diag([1.0, 2.0]) + 1e-13 * np.ones((2, 2))
         assert structure_check(almost, "diagonal", 1e-12)
         assert not structure_check(almost, "diagonal", 1e-14)
+
+    def test_empty_matrices(self):
+        for kind in ("unit_upper", "unit_lower", "diagonal"):
+            assert structure_check(np.zeros((0, 0)), kind, 1e-12) is True
+            assert structure_check(np.zeros((2, 0, 0)), kind, 1e-12).tolist() == [True, True]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
